@@ -2,8 +2,7 @@
 
 Statistical timings (pytest-benchmark) of the pieces `docs/performance.md`
 describes: cold plan compilation vs warm cache hits, per-epoch plan
-specialisation, and the planned-vs-seed TPA epoch — asserting the planned
-path actually is faster *and* bit-identical on the bench problem.
+specialisation, and one TPA epoch through the production wave loop.
 """
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 
 from repro.core.tpa_scd import TpaScdKernelFactory
 from repro.data.synthetic import make_sparse_regression
-from repro.gpu import TpaScdEngine, WavePlan, clear_plan_cache, get_plan
+from repro.gpu import WavePlan, clear_plan_cache, get_plan
 from repro.objectives import RidgeProblem
 
 WAVE, THREADS = 64, 256
@@ -67,57 +66,15 @@ def test_epoch_specialisation(benchmark, bench_problem):
     assert run.seg_ptr[-1] == csc.nnz
 
 
-def _epoch_runner(problem, planned):
+def test_tpa_epoch(benchmark, bench_problem):
     clear_plan_cache()
-    csc = problem.dataset.csc
-    bound = TpaScdKernelFactory(
-        n_threads=THREADS, wave_size=WAVE, planned=planned
-    ).bind_primal(csc, problem.y, problem.n, problem.lam)
-    beta = np.zeros(problem.m, dtype=bound.dtype)
-    w = np.zeros(problem.n, dtype=bound.dtype)
-    perm = np.random.default_rng(1).permutation(problem.m)
-    rng = np.random.default_rng(2)
-
-    def run_one():
-        bound.run_epoch(beta, w, perm, rng)
-
-    return run_one, beta, w
-
-
-def test_tpa_epoch_seed_path(benchmark, bench_problem):
-    run_one, beta, _ = _epoch_runner(bench_problem, planned=False)
-    benchmark(run_one)
-    assert np.any(beta != 0)
-
-
-def test_tpa_epoch_planned_path(benchmark, bench_problem):
-    run_one, beta, _ = _epoch_runner(bench_problem, planned=True)
-    benchmark(run_one)
-    assert np.any(beta != 0)
-
-
-def test_planned_speedup_and_bit_identity(bench_problem):
-    """The headline claim, end to end: faster AND bit-identical."""
-    import time
-
-    results = {}
-    for planned in (False, True):
-        run_one, beta, w = _epoch_runner(bench_problem, planned)
-        for _ in range(3):
-            run_one()
-        times = []
-        for _ in range(9):
-            t0 = time.perf_counter()
-            run_one()
-            times.append(time.perf_counter() - t0)
-        results[planned] = (sorted(times)[len(times) // 2], beta, w)
-    med_seed, beta_seed, w_seed = results[False]
-    med_planned, beta_planned, w_planned = results[True]
-    assert np.array_equal(
-        beta_seed.view(np.uint32), beta_planned.view(np.uint32)
+    csc = bench_problem.dataset.csc
+    bound = TpaScdKernelFactory(n_threads=THREADS, wave_size=WAVE).bind_primal(
+        csc, bench_problem.y, bench_problem.n, bench_problem.lam
     )
-    assert np.array_equal(w_seed.view(np.uint32), w_planned.view(np.uint32))
-    speedup = med_seed / med_planned
-    print(f"\nplanned vs seed epoch speedup: {speedup:.2f}x "
-          f"({med_seed * 1e3:.2f} ms -> {med_planned * 1e3:.2f} ms)")
-    assert speedup > 1.2, f"planned path only {speedup:.2f}x vs seed"
+    beta = np.zeros(bench_problem.m, dtype=bound.dtype)
+    w = np.zeros(bench_problem.n, dtype=bound.dtype)
+    perm = np.random.default_rng(1).permutation(bench_problem.m)
+    rng = np.random.default_rng(2)
+    benchmark(bound.run_epoch, beta, w, perm, rng)
+    assert np.any(beta != 0)

@@ -26,7 +26,7 @@ shared vector in place over ``ceil(1 / batch_fraction)`` cycles per epoch,
 books its own ledger phases, and advances its own simulated clock (the
 runtime reads ``sim_seconds`` back).  With ``staleness_bound=0`` the cycle
 schedule, RNG draws and float accumulation order reproduce the retired
-``repro.core.async_ps`` engine bitwise — pinned by the ``async-dual-k3``
+standalone parameter-server engine bitwise — pinned by the ``async-dual-k3``
 runtime golden.
 
 Fault semantics are narrower than the synchronous path: the server applies

@@ -1,7 +1,7 @@
 """The paper's contributions: TPA-SCD, distributed SCD, adaptive aggregation.
 
-Also hosts the extension engines: the asynchronous parameter-server
-alternative and the additional aggregation rules.
+Also hosts the extensions: the additional aggregation rules, and the
+asynchronous parameter-server alternative as ``DistributedSCD(comm="async")``.
 """
 
 from .aggregation import (
@@ -14,7 +14,6 @@ from .aggregation import (
     ScaledAggregator,
     make_aggregator,
 )
-from .async_ps import AsyncParameterServer
 from .distributed import DistributedSCD, DistributedTrainResult, HostModel
 from .distributed_svm import DistributedSvm, SvmTrainResult
 from .glm_tpa import TpaElasticNet, TpaSvm
@@ -31,7 +30,6 @@ __all__ = [
     "LineSearchAggregator",
     "ScaledAggregator",
     "make_aggregator",
-    "AsyncParameterServer",
     "DistributedSCD",
     "DistributedSvm",
     "DistributedTrainResult",

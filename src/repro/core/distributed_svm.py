@@ -20,9 +20,8 @@ the CPU cost models and the binomial-tree communicator.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,17 +49,6 @@ from .scale import PaperScale
 
 __all__ = ["DistributedSvm", "SvmTrainResult"]
 
-#: once-per-process latch for the tuple-unpacking deprecation below — the
-#: warning must fire exactly once, not once per result object, so a training
-#: sweep over many runs does not flood stderr
-_TUPLE_UNPACK_WARNED = False
-
-
-def _reset_tuple_unpack_warning() -> None:
-    """Re-arm the once-per-process deprecation latch (test helper)."""
-    global _TUPLE_UNPACK_WARNED
-    _TUPLE_UNPACK_WARNED = False
-
 _SVM_PROFILE = RuntimeProfile(
     bind_span=False,
     local_compute_span=False,
@@ -71,12 +59,7 @@ _SVM_PROFILE = RuntimeProfile(
 
 @dataclass(kw_only=True)
 class SvmTrainResult(TrainResult):
-    """SVM outcome: the canonical shape plus the dual variables.
-
-    Iterating yields ``(w, alpha, history, ledger)`` so legacy
-    tuple-unpacking call sites keep working; that path is deprecated —
-    read the named :class:`~repro.solvers.base.TrainResult` fields instead.
-    """
+    """SVM outcome: the canonical shape plus the dual variables."""
 
     alpha: np.ndarray
     fault_report: FaultReport | None = None
@@ -86,18 +69,6 @@ class SvmTrainResult(TrainResult):
     def primal_weights(self, problem=None) -> np.ndarray:
         """The SVM's shared vector *is* the primal model."""
         return self.weights
-
-    def __iter__(self) -> Iterator:
-        global _TUPLE_UNPACK_WARNED
-        if not _TUPLE_UNPACK_WARNED:
-            _TUPLE_UNPACK_WARNED = True
-            warnings.warn(
-                "tuple-unpacking SvmTrainResult is deprecated; use the named "
-                "fields (.weights, .alpha, .history, .ledger) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return iter((self.weights, self.alpha, self.history, self.ledger))
 
 
 class _SvmWorkerPool:
@@ -372,8 +343,7 @@ class DistributedSvm:
         tracer=None,
         on_epoch=None,
     ) -> SvmTrainResult:
-        """Train; returns a :class:`SvmTrainResult` (the legacy
-        ``(w, alpha, history, ledger)`` tuple-unpack is deprecated)."""
+        """Train; returns a :class:`SvmTrainResult`."""
         pool = _SvmWorkerPool(self)
         runtime = ClusterRuntime(
             backend=InProcessBackend(self.comm, pool),

@@ -23,6 +23,7 @@ from ..objectives.elasticnet import ElasticNetProblem
 from ..objectives.svm import SvmProblem
 from ..obs import resolve_tracer
 from ..perf.timing import EpochWorkload
+from .tpa_scd import _effective_wave
 
 __all__ = ["TpaElasticNet", "TpaSvm"]
 
@@ -40,7 +41,6 @@ class _GlmTpaBase:
         seed: int = 0,
         profiler: KernelProfile | None = None,
         timing_workload: EpochWorkload | None = None,
-        planned: bool = True,
     ) -> None:
         if isinstance(device, GpuSpec):
             device = GpuDevice(device)
@@ -51,10 +51,6 @@ class _GlmTpaBase:
         self.seed = int(seed)
         self.profiler = profiler
         self.timing_workload = timing_workload
-        self.planned = bool(planned)
-
-    def _effective_wave(self) -> int:
-        return self.wave_size or self.device.spec.resident_blocks
 
     def _book(self, matrix, n_vec: int) -> None:
         self.device.reset()
@@ -105,13 +101,12 @@ class TpaElasticNet(_GlmTpaBase):
             csc.indices,
             csc.data,
             rule=rule,
-            wave_size=self._effective_wave(),
+            wave_size=_effective_wave(self.wave_size, self.device.spec),
             n_threads=self.n_threads,
             dtype=self.dtype,
             y=problem.y,
             profiler=self.profiler,
             tracer=tracer,
-            planned=self.planned,
         )
         beta = np.zeros(problem.m, dtype=self.dtype)
         w = np.zeros(problem.n, dtype=self.dtype)
@@ -193,12 +188,11 @@ class TpaSvm(_GlmTpaBase):
             csr.indices,
             csr.data,
             rule=rule,
-            wave_size=self._effective_wave(),
+            wave_size=_effective_wave(self.wave_size, self.device.spec),
             n_threads=self.n_threads,
             dtype=self.dtype,
             profiler=self.profiler,
             tracer=tracer,
-            planned=self.planned,
         )
         alpha = np.zeros(problem.n, dtype=self.dtype)
         w = np.zeros(problem.m, dtype=self.dtype)

@@ -43,6 +43,12 @@ def scaled_wave_size(spec: GpuSpec, n_coords_scaled: int, n_coords_paper: int) -
     return max(1, round(frac * n_coords_scaled))
 
 
+def _effective_wave(wave_size: int | None, spec: GpuSpec) -> int:
+    """An explicit ``wave_size`` as given (the engine rejects ``< 1``), or the
+    device's resident-block count when unset."""
+    return spec.resident_blocks if wave_size is None else int(wave_size)
+
+
 class TpaScdKernelFactory:
     """Binds TPA-SCD epochs to a simulated GPU.
 
@@ -67,10 +73,6 @@ class TpaScdKernelFactory:
         :class:`~repro.shards.ShardCache`, which books per-shard residency
         against this device's memory itself.  Set automatically by the
         distributed engine when a ``shards=`` config is supplied.
-    planned:
-        Execute epochs through the compiled/pooled
-        :class:`~repro.gpu.plan.WavePlan` runtime (default).  ``False``
-        selects the per-wave seed path; both are bit-identical.
     """
 
     def __init__(
@@ -85,14 +87,12 @@ class TpaScdKernelFactory:
         timing_workload: EpochWorkload | None = None,
         profiler: "KernelProfile | None" = None,
         tracer=None,
-        planned: bool = True,
     ) -> None:
         if isinstance(device, GpuSpec):
             device = GpuDevice(device)
         self.device = device
         self.profiler = profiler
         self.tracer = tracer
-        self.planned = bool(planned)
         self.n_threads = int(n_threads)
         self.wave_size = int(wave_size) if wave_size is not None else None
         self.dtype = np.dtype(dtype)
@@ -101,25 +101,21 @@ class TpaScdKernelFactory:
         self.timing_workload = timing_workload
         self.name = f"TPA-SCD({device.spec.name})"
 
-    def _effective_wave(self) -> int:
-        return self.wave_size or self.device.spec.resident_blocks
-
     def _build_engine(self, matrix) -> TpaScdEngine:
         """Construct the wave engine, booking plan-cache traffic when traced."""
-        before = plan_cache_stats() if self.planned else None
+        before = plan_cache_stats()
         engine = TpaScdEngine(
             matrix.indptr,
             matrix.indices,
             matrix.data,
-            wave_size=self._effective_wave(),
+            wave_size=_effective_wave(self.wave_size, self.device.spec),
             n_threads=self.n_threads,
             dtype=self.dtype,
             profiler=self.profiler,
             tracer=self.tracer,
-            planned=self.planned,
         )
         tracer = self.tracer
-        if before is not None and tracer is not None and tracer.enabled:
+        if tracer is not None and tracer.enabled:
             after = plan_cache_stats()
             hits = after["hits"] - before["hits"]
             misses = after["misses"] - before["misses"]
@@ -215,12 +211,9 @@ class TpaScd(ScdSolver):
         n_threads: int = 256,
         wave_size: int | None = None,
         seed: int = 0,
-        planned: bool = True,
     ) -> None:
         super().__init__(
-            TpaScdKernelFactory(
-                device, n_threads=n_threads, wave_size=wave_size, planned=planned
-            ),
+            TpaScdKernelFactory(device, n_threads=n_threads, wave_size=wave_size),
             formulation,
             seed,
         )

@@ -36,12 +36,12 @@ axis must be a parameter each selected driver declared sweepable.
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..experiments.config import SCALES
 from ..experiments.registry import get_driver
-from .toml_compat import loads
 
 __all__ = [
     "EvalConfig",
@@ -295,7 +295,7 @@ def load_config(path: str | Path) -> EvalConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = loads(text)
-    except ValueError as exc:
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
         raise ConfigError(f"{path}: invalid TOML: {exc}") from exc
     return parse_config(doc, source=str(path))

@@ -1,7 +1,7 @@
 """Functional emulation of the TPA-SCD GPU kernel (Algorithm 2).
 
-This module reproduces, at the numerical level, what one epoch of TPA-SCD
-does on real hardware:
+This module states, at the numerical level, what one epoch of TPA-SCD does
+on real hardware:
 
 * **Level-1 parallelism** — each coordinate is one thread block; the block
   scheduler keeps ``spec.resident_blocks`` blocks concurrently resident on
@@ -21,26 +21,24 @@ does on real hardware:
 * **Atomic write-back** — every shared-vector contribution is applied
   (float32 atomic adds never lose updates).
 
-Two execution strategies produce bit-identical trajectories:
-
-* the **seed path** (``planned=False``) re-derives each wave's gather
-  metadata with :func:`~repro.solvers.kernels.gather_chunk` and scatters
-  through ``np.add.at`` — the reference semantics;
-* the **planned path** (default) runs through a compiled, pooled
-  :class:`~repro.gpu.plan.WavePlan`: per-epoch bulk gathers, slice-only
-  waves, assignment-style reductions, and zero steady-state allocations.
+Two definitions of those semantics live here and only tests call them:
+:func:`block_tree_dots` (the thread-block arithmetic) and
+:func:`reference_epoch` (a rule-generic epoch written the obvious way).
+:class:`TpaScdEngine` is the ridge binding of the one production wave loop
+in :mod:`repro.gpu.glm_engine`, which must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..obs import NULL_SPAN, NULL_TRACER
+from ..obs import NULL_TRACER
 from ..solvers.kernels import gather_chunk
-from .plan import WavePlan, get_plan
+from .glm_engine import RidgeDualRule, RidgePrimalRule, _bind_plan, _run_waves
+from .plan import WavePlan
 from .profiler import KernelProfile
 
-__all__ = ["block_tree_dots", "TpaScdEngine"]
+__all__ = ["block_tree_dots", "reference_epoch", "TpaScdEngine"]
 
 
 def block_tree_dots(
@@ -78,22 +76,67 @@ def block_tree_dots(
     return cache[:, 0].copy()
 
 
+def reference_epoch(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    rule,
+    weights: np.ndarray,
+    shared: np.ndarray,
+    perm: np.ndarray,
+    *,
+    wave_size: int,
+    n_threads: int,
+    y: np.ndarray | None = None,
+    dtype=np.float32,
+    tracer=None,
+) -> int:
+    """Reference semantics of one epoch for any coordinate rule (tests only).
+
+    Every wave re-derives its gather with
+    :func:`~repro.solvers.kernels.gather_chunk`, takes its inner products
+    through :func:`block_tree_dots` and scatters through the unbuffered,
+    ordered ``np.add.at``.  A ``tracer`` receives the brute-force wave
+    counters the production loop has to reproduce.
+    """
+    dt = np.dtype(dtype)
+    data = data.astype(dt, copy=False)
+    for start in range(0, perm.shape[0], wave_size):
+        coords = perm[start : start + wave_size]
+        flat_idx, flat_val, seg_ptr = gather_chunk(indptr, indices, data, coords)
+        nnz = int(flat_idx.shape[0])
+        if tracer is not None:
+            tracer.count("gpu.waves")
+            tracer.count("gpu.nnz_processed", nnz)
+            if nnz:
+                tracer.count(
+                    "gpu.atomic_conflicts", nnz - int(np.unique(flat_idx).shape[0])
+                )
+        gathered = shared[flat_idx]
+        if rule.needs == "residual":
+            gathered = y[flat_idx] - gathered
+        dots = block_tree_dots(
+            flat_val, gathered.astype(dt, copy=False), seg_ptr, n_threads, dtype=dt
+        )
+        deltas = rule.deltas(coords, dots, weights[coords])
+        weights[coords] += deltas
+        scaled = (deltas * rule.shared_scale(coords)).astype(dt, copy=False)
+        np.add.at(shared, flat_idx, flat_val * np.repeat(scaled, np.diff(seg_ptr)))
+    return 0
+
+
 class TpaScdEngine:
-    """One bound TPA-SCD kernel: data arrays + wave execution.
+    """One bound ridge TPA-SCD kernel: data arrays + the planned wave loop.
 
     Parameters
     ----------
     indptr, indices, data:
         The coordinate-major compressed arrays (CSC columns for primal,
-        CSR rows for dual), with ``data`` already cast to ``dtype``.
+        CSR rows for dual); ``data`` is cast to ``dtype``.
     wave_size:
         Number of concurrently resident thread blocks (staleness window).
     n_threads:
         Threads per block used for the strided partials / tree reduction.
-    planned:
-        Execute epochs through the compiled/pooled :class:`WavePlan`
-        runtime (default) or the per-wave seed path.  Both are bit-identical;
-        the seed path exists as the reference for the property tests.
     plan:
         Inject a pre-compiled plan; by default the module-wide plan cache
         is consulted (:func:`~repro.gpu.plan.get_plan`).
@@ -110,55 +153,21 @@ class TpaScdEngine:
         dtype=np.float32,
         profiler: KernelProfile | None = None,
         tracer=None,
-        planned: bool = True,
         plan: WavePlan | None = None,
     ) -> None:
-        if wave_size < 1:
-            raise ValueError("wave_size must be >= 1")
-        if n_threads < 1 or (n_threads & (n_threads - 1)) != 0:
-            raise ValueError("n_threads must be a positive power of two")
+        self.dtype = np.dtype(dtype)
+        self.plan = _bind_plan(indptr, wave_size, n_threads, self.dtype, plan)
         self.indptr = indptr
         self.indices = indices
-        self.dtype = np.dtype(dtype)
         self.data = data.astype(self.dtype, copy=False)
-        self.wave_size = int(wave_size)
-        self.n_threads = int(n_threads)
         self.profiler = profiler
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.planned = bool(planned)
-        if plan is not None:
-            self.plan = plan
-        elif self.planned:
-            self.plan = get_plan(
-                indptr,
-                wave_size=self.wave_size,
-                n_threads=self.n_threads,
-                dtype=self.dtype,
-            )
-        else:
-            self.plan = None
 
-    def _record_wave(self, tracer, nnz: int, conflicts: int | None, flat_idx) -> None:
-        """Book one wave's metrics.
-
-        The conflict analysis is skipped entirely when nothing observes the
-        run (``NULL_TRACER``), and on the planned path the count comes for
-        free from the epoch plan's conflict table instead of a per-wave
-        ``np.unique`` over the gathered indices.
-        """
-        if tracer is NULL_TRACER or not tracer.enabled:
-            return
-        tracer.count("gpu.waves")
-        tracer.count("gpu.nnz_processed", nnz)
-        if nnz:
-            if conflicts is None:
-                conflicts = nnz - int(np.unique(flat_idx).shape[0])
-            tracer.count("gpu.atomic_conflicts", conflicts)
-
-    def _finish_epoch(self, tracer) -> None:
-        """Surface pool / plan-cache health after a planned epoch."""
-        if self.plan is not None and tracer.enabled:
-            tracer.gauge("pool.bytes_reused", self.plan.pool.bytes_reused)
+    def _run(self, rule, y, weights, shared, perm) -> int:
+        return _run_waves(
+            self.plan, self.indices, self.data, rule, y, weights, shared, perm,
+            profiler=self.profiler, tracer=self.tracer, span="tpa",
+        )
 
     def run_primal_epoch(
         self,
@@ -174,52 +183,8 @@ class TpaScdEngine:
         Returns 0 (atomic writes never lose updates), matching the
         :class:`~repro.solvers.base.BoundKernel` contract.
         """
-        if self.plan is not None:
-            return self._planned_epoch(
-                mode="primal",
-                y=y,
-                inv_denom=inv_denom,
-                nlam=nlam,
-                lam=None,
-                weights=beta,
-                shared=w,
-                perm=perm,
-            )
-        dt = self.dtype
-        tracer = self.tracer
-        observed = tracer.enabled
-        wave_spans = tracer.detail == "wave"
-        with tracer.span(
-            "tpa.epoch", category="gpu",
-            n_coords=int(perm.shape[0]), wave_size=self.wave_size,
-        ) if observed else NULL_SPAN:
-            for start in range(0, perm.shape[0], self.wave_size):
-                coords = perm[start : start + self.wave_size]
-                with tracer.span(
-                    "tpa.wave", category="gpu", blocks=int(coords.shape[0])
-                ) if wave_spans else NULL_SPAN:
-                    flat_idx, flat_val, seg_ptr = gather_chunk(
-                        self.indptr, self.indices, self.data, coords
-                    )
-                    if self.profiler is not None:
-                        self.profiler.record_wave(
-                            flat_idx, seg_ptr, self.n_threads
-                        )
-                    if observed:
-                        self._record_wave(
-                            tracer, int(flat_idx.shape[0]), None, flat_idx
-                        )
-                    residual = (y[flat_idx] - w[flat_idx]).astype(dt, copy=False)
-                    dots = block_tree_dots(
-                        flat_val, residual, seg_ptr, self.n_threads, dtype=dt
-                    )
-                    deltas = (
-                        (dots - nlam * beta[coords]) * inv_denom[coords]
-                    ).astype(dt)
-                    beta[coords] += deltas
-                    contrib = flat_val * np.repeat(deltas, np.diff(seg_ptr))
-                    np.add.at(w, flat_idx, contrib)
-        return 0
+        rule = RidgePrimalRule.from_arrays(inv_denom, nlam)
+        return self._run(rule, y, beta, w, perm)
 
     def run_dual_epoch(
         self,
@@ -232,111 +197,5 @@ class TpaScdEngine:
         perm: np.ndarray,
     ) -> int:
         """One dual epoch: blocks compute ``<wbar, a_n>`` then update."""
-        if self.plan is not None:
-            return self._planned_epoch(
-                mode="dual",
-                y=y_local,
-                inv_denom=inv_denom,
-                nlam=nlam,
-                lam=lam,
-                weights=alpha,
-                shared=wbar,
-                perm=perm,
-            )
-        dt = self.dtype
-        tracer = self.tracer
-        observed = tracer.enabled
-        wave_spans = tracer.detail == "wave"
-        with tracer.span(
-            "tpa.epoch", category="gpu",
-            n_coords=int(perm.shape[0]), wave_size=self.wave_size,
-        ) if observed else NULL_SPAN:
-            for start in range(0, perm.shape[0], self.wave_size):
-                coords = perm[start : start + self.wave_size]
-                with tracer.span(
-                    "tpa.wave", category="gpu", blocks=int(coords.shape[0])
-                ) if wave_spans else NULL_SPAN:
-                    flat_idx, flat_val, seg_ptr = gather_chunk(
-                        self.indptr, self.indices, self.data, coords
-                    )
-                    if self.profiler is not None:
-                        self.profiler.record_wave(
-                            flat_idx, seg_ptr, self.n_threads
-                        )
-                    if observed:
-                        self._record_wave(
-                            tracer, int(flat_idx.shape[0]), None, flat_idx
-                        )
-                    gathered = wbar[flat_idx].astype(dt, copy=False)
-                    dots = block_tree_dots(
-                        flat_val, gathered, seg_ptr, self.n_threads, dtype=dt
-                    )
-                    deltas = (
-                        (lam * y_local[coords] - dots - nlam * alpha[coords])
-                        * inv_denom[coords]
-                    ).astype(dt)
-                    alpha[coords] += deltas
-                    contrib = flat_val * np.repeat(deltas, np.diff(seg_ptr))
-                    np.add.at(wbar, flat_idx, contrib)
-        return 0
-
-    # -- planned execution -------------------------------------------------
-    def _planned_epoch(
-        self, *, mode, y, inv_denom, nlam, lam, weights, shared, perm
-    ) -> int:
-        dt = self.dtype
-        tracer = self.tracer
-        observed = tracer.enabled
-        wave_spans = observed and tracer.detail == "wave"
-        profiler = self.profiler
-        with tracer.span(
-            "tpa.epoch", category="gpu",
-            n_coords=int(perm.shape[0]), wave_size=self.wave_size,
-        ) if observed else NULL_SPAN:
-            run = self.plan.begin_epoch(
-                self.indices,
-                self.data,
-                perm,
-                n_minor=int(shared.shape[0]),
-                analyze_conflicts=(
-                    True if (observed or profiler is not None) else None
-                ),
-            )
-            for wv in range(run.n_waves):
-                s, e, a, b = run.bounds(wv)
-                coords = perm[s:e]
-                with tracer.span(
-                    "tpa.wave", category="gpu", blocks=e - s
-                ) if wave_spans else NULL_SPAN:
-                    if profiler is not None:
-                        profiler.record_wave(
-                            run.flat_idx[a:b],
-                            run.wave_seg_ptr(s, e),
-                            self.n_threads,
-                            conflicts=run.wave_conflicts(wv),
-                        )
-                    if observed:
-                        self._record_wave(
-                            tracer, b - a, run.wave_conflicts(wv), None
-                        )
-                    fv = run.flat_val[a:b]
-                    if mode == "primal":
-                        gathered = run.gather_residual(y, shared, a, b)
-                    else:
-                        gathered = run.gather_shared(shared, a, b)
-                    dots = run.block_dots(fv, gathered, wv, s, e, a, b)
-                    if mode == "primal":
-                        deltas = (
-                            (dots - nlam * weights[coords]) * inv_denom[coords]
-                        ).astype(dt)
-                    else:
-                        deltas = (
-                            (lam * y[coords] - dots - nlam * weights[coords])
-                            * inv_denom[coords]
-                        ).astype(dt)
-                    weights[coords] += deltas
-                    contrib = run.expand_deltas(deltas, wv, s, e)
-                    np.multiply(fv, contrib, out=contrib)
-                    run.scatter_shared(shared, contrib, wv, a, b)
-            self._finish_epoch(tracer)
-        return 0
+        rule = RidgeDualRule.from_arrays(y_local, inv_denom, lam, nlam)
+        return self._run(rule, None, alpha, wbar, perm)

@@ -1,4 +1,4 @@
-"""Generalized TPA engine: Algorithm 2 for arbitrary GLM coordinate rules.
+"""Algorithm 2's wave loop, stated once for any GLM coordinate rule.
 
 The paper motivates stochastic coordinate methods beyond ridge regression —
 "other problems such as regression with elastic net regularization as well
@@ -10,12 +10,19 @@ applies a closed-form scalar update, (4) atomically scatters the scaled
 column/row back into the shared vector.
 
 Only step (3) — and the scaling of step (4) — is objective specific, so the
-generalized engine delegates both to a :class:`CoordinateRule`:
+one production wave loop in this module delegates both to a
+:class:`CoordinateRule` and runs everything else through a compiled,
+pooled :class:`~repro.gpu.plan.WavePlan` (per-epoch bulk gathers,
+slice-only waves, assignment-style reductions, zero steady-state
+allocations):
 
-* :class:`RidgePrimalRule` / :class:`RidgeDualRule` reproduce Algorithm 2
-  exactly (the equivalence is property-tested against ``TpaScdEngine``);
+* :class:`RidgePrimalRule` / :class:`RidgeDualRule` are Algorithm 2 itself;
+  :class:`~repro.gpu.engine.TpaScdEngine` binds them to this loop;
 * :class:`ElasticNetPrimalRule` soft-thresholds (Friedman et al. [4]);
 * :class:`SvmDualRule` applies the box-clipped SDCA step ([9]).
+
+The loop's arithmetic is pinned bit for bit against
+:func:`repro.gpu.engine.reference_epoch` by ``tests/test_plan_runtime.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +32,6 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..obs import NULL_SPAN, NULL_TRACER
-from ..solvers.kernels import gather_chunk
-from .engine import block_tree_dots
 from .plan import WavePlan, get_plan
 from .profiler import KernelProfile
 
@@ -69,6 +74,13 @@ class RidgePrimalRule:
         self.nlam = dt.type(n * lam)
         self.inv_denom = (1.0 / (norms_sq.astype(np.float64) + n * lam)).astype(dt)
 
+    @classmethod
+    def from_arrays(cls, inv_denom: np.ndarray, nlam) -> "RidgePrimalRule":
+        """Bind a precomputed ``1 / (||a_m||^2 + N lam)`` and ``N lam`` as given."""
+        rule = cls.__new__(cls)
+        rule.nlam, rule.inv_denom = nlam, inv_denom
+        return rule
+
     def deltas(self, coords, dots, weights):
         return ((dots - self.nlam * weights) * self.inv_denom[coords]).astype(
             dots.dtype
@@ -91,6 +103,15 @@ class RidgeDualRule:
         self.lam = dt.type(lam)
         self.nlam = dt.type(n * lam)
         self.inv_denom = (1.0 / (n * lam + norms_sq.astype(np.float64))).astype(dt)
+
+    @classmethod
+    def from_arrays(
+        cls, y_local: np.ndarray, inv_denom: np.ndarray, lam, nlam
+    ) -> "RidgeDualRule":
+        """Bind labels, a precomputed ``1 / (lam N + ||a_n||^2)`` and scalars as given."""
+        rule = cls.__new__(cls)
+        rule.y, rule.inv_denom, rule.lam, rule.nlam = y_local, inv_denom, lam, nlam
+        return rule
 
     def deltas(self, coords, dots, weights):
         return (
@@ -173,8 +194,82 @@ class SvmDualRule:
         return self.scale[coords]
 
 
+def _bind_plan(indptr, wave_size: int, n_threads: int, dtype, plan) -> WavePlan:
+    """``plan`` if injected, else the cached one (compiling it validates the geometry)."""
+    if plan is not None:
+        return plan
+    return get_plan(indptr, wave_size=wave_size, n_threads=n_threads, dtype=dtype)
+
+
+def _run_waves(
+    plan: WavePlan, indices, data, rule, y, weights, shared, perm, /,
+    *, profiler, tracer, span: str, **span_attrs,
+) -> int:
+    """One epoch of Algorithm 2 over ``perm`` — the only production wave loop.
+
+    Every block of a wave reads the shared vector as it stood when the wave
+    was scheduled (the staleness window), then all their atomic updates are
+    applied.  Returns 0: float32 atomic adds never lose updates.
+    """
+    dt = plan.dtype
+    observed = tracer.enabled
+    wave_spans = observed and tracer.detail == "wave"
+    residual = rule.needs == "residual"
+    with tracer.span(
+        f"{span}.epoch", category="gpu", **span_attrs,
+        n_coords=int(perm.shape[0]), wave_size=plan.wave_size,
+    ) if observed else NULL_SPAN:
+        # observers need exact conflict counts; otherwise the plan's
+        # birthday-bound heuristic decides whether the epoch sort pays
+        run = plan.begin_epoch(
+            indices, data, perm,
+            n_minor=int(shared.shape[0]),
+            analyze_conflicts=True if (observed or profiler is not None) else None,
+        )
+        for wv in range(run.n_waves):
+            s, e, a, b = run.bounds(wv)
+            coords = perm[s:e]
+            with tracer.span(
+                f"{span}.wave", category="gpu", blocks=e - s
+            ) if wave_spans else NULL_SPAN:
+                if profiler is not None:
+                    profiler.record_wave(
+                        run.flat_idx[a:b], run.wave_seg_ptr(s, e), plan.n_threads,
+                        conflicts=run.wave_conflicts(wv),
+                    )
+                if observed:
+                    tracer.count("gpu.waves")
+                    tracer.count("gpu.nnz_processed", b - a)
+                    if b > a:
+                        tracer.count("gpu.atomic_conflicts", run.wave_conflicts(wv))
+                fv = run.flat_val[a:b]
+                if residual:
+                    gathered = run.gather_residual(y, shared, a, b)
+                else:
+                    gathered = run.gather_shared(shared, a, b)
+                dots = run.block_dots(fv, gathered, wv, s, e, a, b)
+                deltas = rule.deltas(coords, dots, weights[coords])
+                weights[coords] += deltas
+                scaled = deltas * rule.shared_scale(coords)
+                contrib = run.expand_deltas(scaled.astype(dt, copy=False), wv, s, e)
+                np.multiply(fv, contrib, out=contrib)
+                run.scatter_shared(shared, contrib, wv, a, b)
+        if observed:
+            tracer.gauge("pool.bytes_reused", plan.pool.bytes_reused)
+    return 0
+
+
 class GlmTpaEngine:
-    """Wave-scheduled thread-block execution for any :class:`CoordinateRule`."""
+    """Wave-scheduled thread-block execution for any :class:`CoordinateRule`.
+
+    ``indptr, indices, data`` are the coordinate-major compressed arrays
+    (CSC columns for primal rules, CSR rows for dual ones); ``wave_size`` is
+    the number of concurrently resident thread blocks (the staleness
+    window; 1 degenerates to sequential SCD) and ``n_threads`` the threads
+    per block of the strided partials / tree reduction.  ``plan`` injects a
+    pre-compiled :class:`WavePlan`; by default the module-wide plan cache
+    is consulted (:func:`~repro.gpu.plan.get_plan`).
+    """
 
     def __init__(
         self,
@@ -189,39 +284,20 @@ class GlmTpaEngine:
         y: np.ndarray | None = None,
         profiler: KernelProfile | None = None,
         tracer=None,
-        planned: bool = True,
         plan: WavePlan | None = None,
     ) -> None:
-        if wave_size < 1:
-            raise ValueError("wave_size must be >= 1")
-        if n_threads < 1 or (n_threads & (n_threads - 1)) != 0:
-            raise ValueError("n_threads must be a positive power of two")
         if rule.needs not in ("residual", "shared"):
             raise ValueError(f"rule.needs must be residual|shared, got {rule.needs!r}")
         if rule.needs == "residual" and y is None:
             raise ValueError("residual rules require the label vector y")
-        self.indptr = indptr
-        self.indices = indices
         self.dtype = np.dtype(dtype)
+        self.plan = _bind_plan(indptr, wave_size, n_threads, self.dtype, plan)
+        self.indices = indices
         self.data = data.astype(self.dtype, copy=False)
         self.rule = rule
-        self.wave_size = int(wave_size)
-        self.n_threads = int(n_threads)
         self.y = None if y is None else y.astype(self.dtype, copy=False)
         self.profiler = profiler
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.planned = bool(planned)
-        if plan is not None:
-            self.plan = plan
-        elif self.planned:
-            self.plan = get_plan(
-                indptr,
-                wave_size=self.wave_size,
-                n_threads=self.n_threads,
-                dtype=self.dtype,
-            )
-        else:
-            self.plan = None
 
     def run_epoch(
         self,
@@ -231,116 +307,9 @@ class GlmTpaEngine:
         rng: np.random.Generator,
     ) -> int:
         """One pass over ``perm``; conforms to the BoundKernel contract."""
-        if self.plan is not None:
-            return self._planned_epoch(weights, shared, perm)
-        dt = self.dtype
-        rule = self.rule
-        tracer = self.tracer
-        observed = tracer.enabled
-        wave_spans = tracer.detail == "wave"
-        with tracer.span(
-            "glm.epoch", category="gpu",
-            rule=type(rule).__name__,
-            n_coords=int(perm.shape[0]), wave_size=self.wave_size,
-        ) if observed else NULL_SPAN:
-            for start in range(0, perm.shape[0], self.wave_size):
-                coords = perm[start : start + self.wave_size]
-                with tracer.span(
-                    "glm.wave", category="gpu", blocks=int(coords.shape[0])
-                ) if wave_spans else NULL_SPAN:
-                    flat_idx, flat_val, seg_ptr = gather_chunk(
-                        self.indptr, self.indices, self.data, coords
-                    )
-                    if self.profiler is not None:
-                        self.profiler.record_wave(
-                            flat_idx, seg_ptr, self.n_threads
-                        )
-                    if observed:
-                        tracer.count("gpu.waves")
-                        nnz = int(flat_idx.shape[0])
-                        tracer.count("gpu.nnz_processed", nnz)
-                        if nnz:
-                            tracer.count(
-                                "gpu.atomic_conflicts",
-                                nnz - int(np.unique(flat_idx).shape[0]),
-                            )
-                    if rule.needs == "residual":
-                        gathered = (self.y[flat_idx] - shared[flat_idx]).astype(
-                            dt, copy=False
-                        )
-                    else:
-                        gathered = shared[flat_idx].astype(dt, copy=False)
-                    dots = block_tree_dots(
-                        flat_val, gathered, seg_ptr, self.n_threads, dtype=dt
-                    )
-                    deltas = rule.deltas(coords, dots, weights[coords])
-                    weights[coords] += deltas
-                    scaled = deltas * rule.shared_scale(coords)
-                    contrib = flat_val * np.repeat(
-                        scaled.astype(dt, copy=False), np.diff(seg_ptr)
-                    )
-                    np.add.at(shared, flat_idx, contrib)
-        return 0
-
-    def _planned_epoch(
-        self, weights: np.ndarray, shared: np.ndarray, perm: np.ndarray
-    ) -> int:
-        """Compiled/pooled execution — bit-identical to the seed loop above."""
-        dt = self.dtype
-        rule = self.rule
-        tracer = self.tracer
-        observed = tracer.enabled
-        wave_spans = observed and tracer.detail == "wave"
-        profiler = self.profiler
-        residual = rule.needs == "residual"
-        with tracer.span(
-            "glm.epoch", category="gpu",
-            rule=type(rule).__name__,
-            n_coords=int(perm.shape[0]), wave_size=self.wave_size,
-        ) if observed else NULL_SPAN:
-            run = self.plan.begin_epoch(
-                self.indices,
-                self.data,
-                perm,
-                n_minor=int(shared.shape[0]),
-                analyze_conflicts=(
-                    True if (observed or profiler is not None) else None
-                ),
-            )
-            for wv in range(run.n_waves):
-                s, e, a, b = run.bounds(wv)
-                coords = perm[s:e]
-                with tracer.span(
-                    "glm.wave", category="gpu", blocks=e - s
-                ) if wave_spans else NULL_SPAN:
-                    if profiler is not None:
-                        profiler.record_wave(
-                            run.flat_idx[a:b],
-                            run.wave_seg_ptr(s, e),
-                            self.n_threads,
-                            conflicts=run.wave_conflicts(wv),
-                        )
-                    if observed:
-                        tracer.count("gpu.waves")
-                        tracer.count("gpu.nnz_processed", b - a)
-                        if b > a:
-                            tracer.count(
-                                "gpu.atomic_conflicts", run.wave_conflicts(wv)
-                            )
-                    fv = run.flat_val[a:b]
-                    if residual:
-                        gathered = run.gather_residual(self.y, shared, a, b)
-                    else:
-                        gathered = run.gather_shared(shared, a, b)
-                    dots = run.block_dots(fv, gathered, wv, s, e, a, b)
-                    deltas = rule.deltas(coords, dots, weights[coords])
-                    weights[coords] += deltas
-                    scaled = deltas * rule.shared_scale(coords)
-                    contrib = run.expand_deltas(
-                        scaled.astype(dt, copy=False), wv, s, e
-                    )
-                    np.multiply(fv, contrib, out=contrib)
-                    run.scatter_shared(shared, contrib, wv, a, b)
-            if observed:
-                tracer.gauge("pool.bytes_reused", self.plan.pool.bytes_reused)
-        return 0
+        return _run_waves(
+            self.plan, self.indices, self.data, self.rule, self.y,
+            weights, shared, perm,
+            profiler=self.profiler, tracer=self.tracer,
+            span="glm", rule=type(self.rule).__name__,
+        )

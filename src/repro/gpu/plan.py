@@ -19,8 +19,10 @@ so it can be compiled once per bound matrix and re-parameterised per epoch:
   epochs perform **zero large allocations**; reuse is accounted in
   ``bytes_reused`` and surfaced as the ``pool.bytes_reused`` gauge.
 
-Bit-identity with the seed engine is the hard constraint and is preserved
-by construction:
+Bit-identity with the reference semantics
+(:func:`repro.gpu.engine.reference_epoch` — "the seed" below, after the
+per-wave loop it replaced) is the hard constraint and is preserved by
+construction:
 
 * the per-(block, lane) float32 accumulation replays the seed's
   ``np.add.at`` order exactly: within one bucket the seed adds elements in

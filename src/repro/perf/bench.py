@@ -7,8 +7,7 @@ suite of epoch micro-benchmarks over a fixed synthetic problem:
 
 * ``sequential`` — Algorithm 1, single-thread exact SCD (the normalizer);
 * ``chunked`` — the A-SCD chunked-atomic CPU kernel;
-* ``tpa_wave_seed`` — the TPA-SCD wave engine on its per-wave seed path;
-* ``tpa_wave_planned`` — the same engine through the compiled/pooled
+* ``tpa_wave_planned`` — the TPA-SCD wave engine on its compiled/pooled
   :class:`~repro.gpu.plan.WavePlan` runtime;
 * ``distributed`` — one full synchronous distributed epoch (K TPA workers,
   averaging aggregation, simulated fabric);
@@ -69,7 +68,6 @@ BENCH_SCHEMA = "repro.bench/v1"
 #: cases whose normalized throughput is gated (sequential is the normalizer)
 _GATED_CASES = (
     "chunked",
-    "tpa_wave_seed",
     "tpa_wave_planned",
     "distributed",
     "elastic_rebalance",
@@ -195,18 +193,16 @@ def _case_chunked(problem, profile: BenchProfile) -> list[float]:
     return _time_epochs(_bound_epoch_runner(factory, problem, profile), profile)
 
 
-def _tpa_factory(profile: BenchProfile, planned: bool):
+def _tpa_factory(profile: BenchProfile):
     from ..core.tpa_scd import TpaScdKernelFactory
 
     return TpaScdKernelFactory(
-        n_threads=profile.n_threads,
-        wave_size=profile.wave_size,
-        planned=planned,
+        n_threads=profile.n_threads, wave_size=profile.wave_size
     )
 
 
-def _case_tpa(problem, profile: BenchProfile, planned: bool) -> list[float]:
-    factory = _tpa_factory(profile, planned)
+def _case_tpa(problem, profile: BenchProfile) -> list[float]:
+    factory = _tpa_factory(profile)
     return _time_epochs(_bound_epoch_runner(factory, problem, profile), profile)
 
 
@@ -215,7 +211,7 @@ def _case_distributed(problem, profile: BenchProfile) -> list[float]:
 
     def run_one():
         engine = DistributedSCD(
-            lambda rank: _tpa_factory(profile, planned=True),
+            lambda rank: _tpa_factory(profile),
             "primal",
             n_workers=profile.n_workers,
             seed=profile.seed,
@@ -328,8 +324,7 @@ def run_suite(profile: str | BenchProfile = "default") -> dict:
 
     record("sequential", _case_sequential(problem, prof))
     record("chunked", _case_chunked(problem, prof))
-    record("tpa_wave_seed", _case_tpa(problem, prof, planned=False))
-    record("tpa_wave_planned", _case_tpa(problem, prof, planned=True))
+    record("tpa_wave_planned", _case_tpa(problem, prof))
     record("distributed", _case_distributed(problem, prof))
     record("elastic_rebalance", _case_elastic_rebalance(problem, prof))
     record("syscd_ref", _case_syscd(problem, prof, 1))
@@ -372,12 +367,6 @@ def run_suite(profile: str | BenchProfile = "default") -> dict:
         "cases": cases,
         "derived": {
             "normalized_throughput": normalized,
-            "tpa_planned_speedup": (
-                cases["tpa_wave_seed"]["median_s"]
-                / cases["tpa_wave_planned"]["median_s"]
-                if cases["tpa_wave_planned"]["median_s"] > 0
-                else 0.0
-            ),
             # wall-clock speedup of the threaded SySCD path over the
             # single-thread numpy reference — the measured (not modelled)
             # parallel-speedup gate
@@ -471,10 +460,6 @@ def render_table(payload: dict) -> str:
             f"{name:<18} {case['median_s'] * 1e3:>10.3f}ms "
             f"{case.get('epochs_per_s', 0.0):>10.1f} {rel.get(name, 0.0):>7.2f}x"
         )
-    rows.append(
-        "tpa planned vs seed speedup: "
-        f"{payload['derived']['tpa_planned_speedup']:.2f}x"
-    )
     syscd = payload["derived"].get("syscd_measured_speedup")
     if syscd is not None:
         threads = payload["cases"].get("syscd_threads", {}).get("n_threads", "?")

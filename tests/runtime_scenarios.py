@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cluster.faults import FaultSpec, make_fault_injector
-from repro.core import WEBSPAM_PAPER, AsyncParameterServer, DistributedSCD
+from repro.core import WEBSPAM_PAPER, DistributedSCD
 from repro.core.distributed_svm import DistributedSvm
 from repro.data import make_webspam_like
 from repro.objectives import RidgeProblem
@@ -206,8 +206,8 @@ SCENARIOS: dict = {
             shards=_shards(tmp, "rows", 6)).solve(_ridge(), 3), False),
     # -- asynchronous parameter server (shares the delivery helpers) --------
     "async-dual-k3": lambda tmp: (
-        AsyncParameterServer(
-            SequentialKernelFactory(), "dual", n_workers=3,
+        DistributedSCD(
+            SequentialKernelFactory(), "dual", n_workers=3, comm="async",
             batch_fraction=0.25, seed=7).solve(_ridge(), 3), True),
 }
 

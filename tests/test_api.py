@@ -18,7 +18,6 @@ from repro import SolverConfig, train
 from repro.api import SOLVER_ALIASES
 from repro.cli import main
 from repro.core.distributed import DistributedTrainResult
-from repro.core import distributed_svm
 from repro.core.distributed_svm import SvmTrainResult
 from repro.objectives import SvmProblem
 from repro.solvers.base import TrainResult
@@ -125,13 +124,10 @@ class TestTrainDispatch:
         res = train(svm_sparse, "distributed-svm", n_epochs=2, n_workers=2)
         assert isinstance(res, SvmTrainResult)
         assert isinstance(res, TrainResult)
-        distributed_svm._reset_tuple_unpack_warning()
-        with pytest.warns(DeprecationWarning, match="tuple-unpacking"):
-            w, alpha, history, ledger = res
-        np.testing.assert_array_equal(w, res.weights)
-        np.testing.assert_array_equal(alpha, res.alpha)
-        assert history is res.history and ledger is res.ledger
-        assert alpha.shape == (svm_sparse.n,)
+        assert res.alpha.shape == (svm_sparse.n,)
+        # named fields are the API: the legacy 4-tuple unpack is gone
+        with pytest.raises(TypeError):
+            iter(res)
 
     def test_tracer_kwarg_threads_through(self, ridge_sparse):
         tracer = repro.Tracer()

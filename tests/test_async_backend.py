@@ -1,9 +1,8 @@
 """The async parameter server as a CommBackend (``comm="async"``).
 
-The retired ``repro.core.async_ps`` engine re-landed on the runtime's
-CommBackend seam; these tests pin the seam-level guarantees the golden
-replay (``async-dual-k3`` in ``tests/test_runtime.py``) cannot see: the
-deprecation shim's latch, the facade/shim bitwise equivalence, the
+The asynchronous parameter server lives on the runtime's CommBackend
+seam; these tests pin the seam-level guarantees the golden replay
+(``async-dual-k3`` in ``tests/test_runtime.py``) cannot see: the
 bounded-staleness pull schedule, fault semantics (dropout/straggler only —
 pushes are atomic), elastic membership through the server, and the
 ``train()`` front door.
@@ -20,9 +19,7 @@ import repro
 from repro.cluster.async_backend import AsyncParamServerBackend
 from repro.cluster.faults import FaultSpec
 from repro.cluster.membership import MembershipSchedule
-from repro.core import AsyncParameterServer, DistributedSCD
-from repro.core import async_ps as async_ps_module
-from repro.core.async_ps import _reset_async_ps_warning
+from repro.core import DistributedSCD
 from repro.data import make_webspam_like
 from repro.objectives import RidgeProblem
 from repro.solvers.scd import SequentialKernelFactory
@@ -39,63 +36,6 @@ def _async_engine(k=3, bf=0.25, **kw):
         SequentialKernelFactory(), "dual", n_workers=k, seed=7,
         comm="async", batch_fraction=bf, **kw,
     )
-
-
-# ---------------------------------------------------------------------------
-# the deprecation shim
-# ---------------------------------------------------------------------------
-class TestDeprecationShim:
-    def test_warns_once_per_process(self):
-        _reset_async_ps_warning()
-        with pytest.warns(DeprecationWarning, match="comm='async'"):
-            AsyncParameterServer(SequentialKernelFactory(), "dual", n_workers=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            AsyncParameterServer(SequentialKernelFactory(), "dual", n_workers=2)
-
-    def test_reset_rearms_the_latch(self):
-        _reset_async_ps_warning()
-        with pytest.warns(DeprecationWarning):
-            AsyncParameterServer(SequentialKernelFactory(), "dual", n_workers=2)
-        _reset_async_ps_warning()
-        with pytest.warns(DeprecationWarning):
-            AsyncParameterServer(SequentialKernelFactory(), "dual", n_workers=2)
-
-    def test_shim_matches_facade_bitwise(self):
-        """The shim is a pure forwarder: same seeds, same trajectory."""
-        problem = _ridge()
-        _reset_async_ps_warning()
-        with pytest.warns(DeprecationWarning):
-            shim = AsyncParameterServer(
-                SequentialKernelFactory(), "dual", n_workers=3,
-                batch_fraction=0.25, seed=7,
-            )
-        old = shim.solve(problem, 3)
-        new = _async_engine(3).solve(problem, 3)
-        np.testing.assert_array_equal(old.weights, new.weights)
-        np.testing.assert_array_equal(old.shared, new.shared)
-        assert [r.gap for r in old.history.records] == [
-            r.gap for r in new.history.records
-        ]
-        assert [r.sim_time for r in old.history.records] == [
-            r.sim_time for r in new.history.records
-        ]
-
-    def test_shim_surface(self):
-        _reset_async_ps_warning()
-        with pytest.warns(DeprecationWarning):
-            shim = AsyncParameterServer(
-                SequentialKernelFactory(), "dual", n_workers=3,
-                batch_fraction=0.25, seed=7,
-            )
-        assert shim.n_workers == 3
-        assert shim.batch_fraction == 0.25
-        assert shim.formulation == "dual"
-        assert shim.seed == 7
-        res = shim.solve(_ridge(), 2)
-        assert shim.name == "AsyncPS[SCD(1 thread) x3, b=0.25, dual]"
-        assert res.solver_name == shim.name
-        assert async_ps_module._ASYNC_PS_WARNED is True
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
-"""Tests for the asynchronous parameter-server engine."""
+"""Behaviour of the asynchronous parameter server (``comm="async"``)."""
 
 import numpy as np
 import pytest
 
-from repro.core import WEBSPAM_PAPER, AsyncParameterServer, DistributedSCD
+from repro.core import WEBSPAM_PAPER, DistributedSCD
 from repro.solvers.scd import SequentialKernelFactory
 
 
 def _engine(formulation="dual", k=4, bf=1 / 16, **kw):
-    return AsyncParameterServer(
+    return DistributedSCD(
         SequentialKernelFactory(),
         formulation,
         n_workers=k,
+        comm="async",
         batch_fraction=bf,
         seed=7,
         **kw,
@@ -89,7 +90,7 @@ class TestAsyncParameterServer:
 
     def test_validation(self, ridge_sparse):
         with pytest.raises(ValueError, match="formulation"):
-            AsyncParameterServer(SequentialKernelFactory(), "diagonal")
+            _engine("diagonal")
         with pytest.raises(ValueError, match="batch_fraction"):
             _engine(bf=0.0)
         with pytest.raises(ValueError, match="comm_overlap"):

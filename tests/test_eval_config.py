@@ -1,11 +1,10 @@
-"""Config schema validation: strict keys, axes, and the TOML fallback."""
+"""Config schema validation: strict keys, axes, and TOML loading."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.eval import ConfigError, load_config, parse_config
-from repro.eval.toml_compat import HAVE_TOMLLIB, loads, parse_toml_subset
 
 
 def _doc(**overrides) -> dict:
@@ -119,44 +118,6 @@ log_y = true
 """
 
 
-class TestTomlCompat:
-    def test_subset_parser_handles_schema_shaped_documents(self):
-        doc = parse_toml_subset(_SAMPLE_TOML)
-        assert doc["experiment"]["id"] == "sample"
-        assert doc["run"] == {"scale": "tiny", "seed": 3, "jobs": 2}
-        assert doc["matrix"]["scenario"] == ["chaos", "lossy-link"]
-        assert doc["report"]["bench_threshold"] == 0.3
-        assert doc["report"]["log_y"] is True
-
-    @pytest.mark.skipif(not HAVE_TOMLLIB, reason="needs stdlib tomllib")
-    def test_subset_parser_matches_tomllib(self):
-        import tomllib
-
-        assert parse_toml_subset(_SAMPLE_TOML) == tomllib.loads(_SAMPLE_TOML)
-
-    @pytest.mark.skipif(not HAVE_TOMLLIB, reason="needs stdlib tomllib")
-    def test_shipped_configs_parse_identically_under_both_parsers(self):
-        import tomllib
-        from pathlib import Path
-
-        configs = sorted(Path("configs").glob("*.toml"))
-        assert configs, "no shipped configs found"
-        for path in configs:
-            text = path.read_text(encoding="utf-8")
-            assert parse_toml_subset(text) == tomllib.loads(text), path
-
-    def test_subset_parser_rejects_duplicate_keys(self):
-        with pytest.raises(ValueError, match="duplicate key"):
-            parse_toml_subset("[a]\nx = 1\nx = 2\n")
-
-    def test_subset_parser_rejects_what_it_cannot_parse(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_toml_subset('[a]\nx = { inline = "table" }\n')
-
-    def test_loads_dispatches(self):
-        assert loads('[experiment]\nid = "x"\n') == {"experiment": {"id": "x"}}
-
-
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "exp.toml"
     path.write_text(_SAMPLE_TOML, encoding="utf-8")
@@ -165,6 +126,13 @@ def test_load_config_from_file(tmp_path):
     assert cfg.seed == 3
     assert dict(cfg.axes)["scenario"] == ("chaos", "lossy-link")
     assert cfg.source == str(path)
+
+
+def test_load_config_invalid_toml(tmp_path):
+    path = tmp_path / "bad.toml"
+    path.write_text("[a]\nx = 1\nx = 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="invalid TOML"):
+        load_config(path)
 
 
 def test_load_config_missing_file():

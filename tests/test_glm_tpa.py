@@ -47,6 +47,13 @@ class TestEngineValidation:
                 y=ridge_sparse.y,
             )
 
+    def test_front_doors_reject_wave_size_zero(self, small_dense, svm_sparse):
+        """An explicit 0 is invalid — only ``None`` means the device default."""
+        with pytest.raises(ValueError, match="wave_size must be >= 1"):
+            TpaElasticNet(wave_size=0).solve(ElasticNetProblem(small_dense, 0.05), 1)
+        with pytest.raises(ValueError, match="wave_size must be >= 1"):
+            TpaSvm(wave_size=0).solve(SvmProblem(svm_sparse, lam=1e-2), 1)
+
     def test_bad_threads(self, ridge_sparse):
         indptr, indices, data = self._arrays(ridge_sparse)
         rule = RidgePrimalRule(

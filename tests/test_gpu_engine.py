@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core.tpa_scd import TpaScd, TpaScdKernelFactory, scaled_wave_size
 from repro.gpu import (
     GTX_TITAN_X,
@@ -82,6 +83,24 @@ class TestTpaScdEngine:
             TpaScdEngine(arr, np.array([0]), np.ones(1), wave_size=0, n_threads=32)
         with pytest.raises(ValueError, match="power of two"):
             TpaScdEngine(arr, np.array([0]), np.ones(1), wave_size=1, n_threads=3)
+
+    @pytest.mark.parametrize("formulation", ["primal", "dual"])
+    def test_front_doors_reject_wave_size_zero(self, ridge_sparse, formulation):
+        """An explicit 0 is invalid — only ``None`` means the device default."""
+        with pytest.raises(ValueError, match="wave_size must be >= 1"):
+            TpaScd(formulation, wave_size=0).solve(ridge_sparse, 1)
+        with pytest.raises(ValueError, match="wave_size must be >= 1"):
+            repro.train(
+                ridge_sparse, "tpa-scd", formulation=formulation,
+                n_epochs=1, wave_size=0,
+            )
+
+    def test_wave_size_none_is_the_device_default(self, ridge_sparse):
+        default = TpaScd(seed=1).solve(ridge_sparse, 2)
+        explicit = TpaScd(
+            wave_size=GTX_TITAN_X.resident_blocks, seed=1
+        ).solve(ridge_sparse, 2)
+        assert np.array_equal(default.weights, explicit.weights)
 
     def test_wave_one_matches_sequential_fp64(self, ridge_sparse):
         """With no staleness and float64 arithmetic, TPA-SCD is exactly

@@ -1,7 +1,8 @@
 """Tests for the epoch plan compiler and pooled wave runtime (repro.gpu.plan).
 
-The load-bearing guarantee: the planned path is **bit-identical** to the
-per-wave seed path — same float32 lane accumulation, tree reduction and
+The load-bearing guarantee: the one production wave loop is **bit-identical**
+to :func:`repro.gpu.engine.reference_epoch` (the "seed" semantics the test
+names still refer to) — same float32 lane accumulation, tree reduction and
 scatter arithmetic — across every structural regime (wave size 1/2,
 non-power-of-two coordinate counts, empty columns, deep rake buckets,
 signed-zero products, out-of-core shard streaming).  On top of that the
@@ -22,6 +23,7 @@ from repro.data import make_webspam_like
 from repro.gpu import (
     BufferPool,
     GlmTpaEngine,
+    RidgeDualRule,
     RidgePrimalRule,
     SvmDualRule,
     TpaScdEngine,
@@ -30,6 +32,7 @@ from repro.gpu import (
     get_plan,
     plan_cache_stats,
 )
+from repro.gpu.engine import reference_epoch
 from repro.objectives.ridge import RidgeProblem
 from repro.obs import Tracer
 from repro.perf.bench import (
@@ -80,17 +83,32 @@ def random_structure(
     return indptr, indices, data
 
 
-def build_engines(indptr, indices, data, *, wave_size, n_threads):
+def build_engine(indptr, indices, data, *, wave_size, n_threads, **kw):
+    """The production engine on a cold plan cache."""
     clear_plan_cache()
-    seed = TpaScdEngine(
-        indptr, indices, data,
-        wave_size=wave_size, n_threads=n_threads, planned=False,
+    return TpaScdEngine(
+        indptr, indices, data, wave_size=wave_size, n_threads=n_threads, **kw
     )
-    planned = TpaScdEngine(
-        indptr, indices, data,
-        wave_size=wave_size, n_threads=n_threads, planned=True,
+
+
+def reference_primal_epoch(engine, y, inv, nlam, beta, w, perm, **kw):
+    """``engine.run_primal_epoch`` restated through the reference loop."""
+    return reference_epoch(
+        engine.indptr, engine.indices, engine.data,
+        RidgePrimalRule.from_arrays(inv, nlam), beta, w, perm,
+        wave_size=engine.plan.wave_size, n_threads=engine.plan.n_threads,
+        y=y, dtype=engine.dtype, **kw,
     )
-    return seed, planned
+
+
+def reference_dual_epoch(engine, y, inv, lam, nlam, alpha, wbar, perm):
+    """``engine.run_dual_epoch`` restated through the reference loop."""
+    return reference_epoch(
+        engine.indptr, engine.indices, engine.data,
+        RidgeDualRule.from_arrays(y, inv, lam, nlam), alpha, wbar, perm,
+        wave_size=engine.plan.wave_size, n_threads=engine.plan.n_threads,
+        dtype=engine.dtype,
+    )
 
 
 def assert_bits_equal(a, b, label):
@@ -126,7 +144,7 @@ class TestPlannedBitIdentity:
         indptr, indices, data = random_structure(
             rng, n_coords, n_minor, max_len, **kw
         )
-        seed, planned = build_engines(
+        engine = build_engine(
             indptr, indices, data, wave_size=wave_size, n_threads=n_threads
         )
         y = rng.standard_normal(n_minor).astype(np.float32)
@@ -137,8 +155,8 @@ class TestPlannedBitIdentity:
         b2, w2 = b1.copy(), w1.copy()
         for ep in range(3):
             perm = np.random.default_rng(100 + ep).permutation(n_coords)
-            seed.run_primal_epoch(y, inv, nlam, b1, w1, perm)
-            planned.run_primal_epoch(y, inv, nlam, b2, w2, perm)
+            reference_primal_epoch(engine, y, inv, nlam, b1, w1, perm)
+            engine.run_primal_epoch(y, inv, nlam, b2, w2, perm)
             assert_bits_equal(b1, b2, f"beta after epoch {ep}")
             assert_bits_equal(w1, w2, f"w after epoch {ep}")
 
@@ -150,7 +168,7 @@ class TestPlannedBitIdentity:
         indptr, indices, data = random_structure(
             rng, n_coords, n_minor, max_len, **kw
         )
-        seed, planned = build_engines(
+        engine = build_engine(
             indptr, indices, data, wave_size=wave_size, n_threads=n_threads
         )
         y = np.sign(rng.standard_normal(n_coords)).astype(np.float32)
@@ -161,8 +179,8 @@ class TestPlannedBitIdentity:
         a2, wb2 = a1.copy(), wb1.copy()
         for ep in range(3):
             perm = np.random.default_rng(200 + ep).permutation(n_coords)
-            seed.run_dual_epoch(y, inv, lam, nlam, a1, wb1, perm)
-            planned.run_dual_epoch(y, inv, lam, nlam, a2, wb2, perm)
+            reference_dual_epoch(engine, y, inv, lam, nlam, a1, wb1, perm)
+            engine.run_dual_epoch(y, inv, lam, nlam, a2, wb2, perm)
             assert_bits_equal(a1, a2, f"alpha after epoch {ep}")
             assert_bits_equal(wb1, wb2, f"wbar after epoch {ep}")
 
@@ -170,7 +188,7 @@ class TestPlannedBitIdentity:
         """Epochs over a subset of coordinates (mini-batch style perm)."""
         rng = np.random.default_rng(11)
         indptr, indices, data = random_structure(rng, 40, 64, 7)
-        seed, planned = build_engines(
+        engine = build_engine(
             indptr, indices, data, wave_size=8, n_threads=16
         )
         y = rng.standard_normal(64).astype(np.float32)
@@ -178,34 +196,38 @@ class TestPlannedBitIdentity:
         b1, w1 = np.zeros(40, np.float32), np.zeros(64, np.float32)
         b2, w2 = b1.copy(), w1.copy()
         perm = np.random.default_rng(9).permutation(40)[:13]
-        seed.run_primal_epoch(y, inv, np.float32(0.1), b1, w1, perm)
-        planned.run_primal_epoch(y, inv, np.float32(0.1), b2, w2, perm)
+        reference_primal_epoch(engine, y, inv, np.float32(0.1), b1, w1, perm)
+        engine.run_primal_epoch(y, inv, np.float32(0.1), b2, w2, perm)
         assert_bits_equal(b1, b2, "beta (partial perm)")
         assert_bits_equal(w1, w2, "w (partial perm)")
 
     def test_traced_counters_match_seed(self):
-        """Planned tracing claims exactly the seed path's wave counters."""
+        """Production tracing claims exactly the reference's wave counters."""
         rng = np.random.default_rng(17)
         indptr, indices, data = random_structure(rng, 36, 50, 6)
         y = rng.standard_normal(50).astype(np.float32)
         inv = (1.0 / (1.0 + rng.random(36))).astype(np.float32)
         counters = {}
-        for planned in (False, True):
-            clear_plan_cache()
+        for production in (False, True):
             tracer = Tracer()
-            eng = TpaScdEngine(
-                indptr, indices, data,
-                wave_size=6, n_threads=16, planned=planned, tracer=tracer,
+            eng = build_engine(
+                indptr, indices, data, wave_size=6, n_threads=16, tracer=tracer
             )
             b, w = np.zeros(36, np.float32), np.zeros(50, np.float32)
             for ep in range(2):
                 perm = np.random.default_rng(ep).permutation(36)
-                eng.run_primal_epoch(y, inv, np.float32(0.2), b, w, perm)
-            counters[planned] = {
+                if production:
+                    eng.run_primal_epoch(y, inv, np.float32(0.2), b, w, perm)
+                else:
+                    reference_primal_epoch(
+                        eng, y, inv, np.float32(0.2), b, w, perm, tracer=tracer
+                    )
+            counters[production] = {
                 name: tracer.metrics.counter(name)
                 for name in ("gpu.waves", "gpu.nnz_processed", "gpu.atomic_conflicts")
             }
         assert counters[True] == counters[False]
+        assert counters[True]["gpu.waves"] == 12
 
 
 class TestGlmPlannedBitIdentity:
@@ -216,27 +238,43 @@ class TestGlmPlannedBitIdentity:
         )
         return rng, indptr, indices, data
 
+    def _both(
+        self, indptr, indices, data, rule, rng, *, wave_size, n_threads, y, perm_seed
+    ):
+        """(weights, shared) after 3 epochs: reference loop, production loop."""
+        clear_plan_cache()
+        eng = GlmTpaEngine(
+            indptr, indices, data, rule=rule,
+            wave_size=wave_size, n_threads=n_threads, y=y,
+        )
+        results = []
+        for production in (False, True):
+            wts = np.zeros(30, np.float32)
+            shared = np.zeros(45, np.float32)
+            for ep in range(3):
+                perm = np.random.default_rng(perm_seed + ep).permutation(30)
+                if production:
+                    eng.run_epoch(wts, shared, perm, rng)
+                else:
+                    reference_epoch(
+                        indptr, indices, data, rule, wts, shared, perm,
+                        wave_size=wave_size, n_threads=n_threads, y=y,
+                    )
+            results.append((wts, shared))
+        return results
+
     def test_residual_rule_bit_identical(self):
         rng, indptr, indices, data = self._structure()
         norms = np.zeros(30)
         np.add.at(norms, np.repeat(np.arange(30), np.diff(indptr)), data**2)
         y = rng.standard_normal(45).astype(np.float32)
         rule = RidgePrimalRule(norms, 45, 1e-2)
-        results = []
-        for planned in (False, True):
-            clear_plan_cache()
-            eng = GlmTpaEngine(
-                indptr, indices, data, rule=rule,
-                wave_size=7, n_threads=16, y=y, planned=planned,
-            )
-            wts = np.zeros(30, np.float32)
-            shared = np.zeros(45, np.float32)
-            for ep in range(3):
-                perm = np.random.default_rng(40 + ep).permutation(30)
-                eng.run_epoch(wts, shared, perm, rng)
-            results.append((wts, shared))
-        assert_bits_equal(results[0][0], results[1][0], "glm weights")
-        assert_bits_equal(results[0][1], results[1][1], "glm shared")
+        ref, prod = self._both(
+            indptr, indices, data, rule, rng,
+            wave_size=7, n_threads=16, y=y, perm_seed=40,
+        )
+        assert_bits_equal(ref[0], prod[0], "glm weights")
+        assert_bits_equal(ref[1], prod[1], "glm shared")
 
     def test_shared_scale_rule_bit_identical(self):
         """SVM dual rule exercises per-coordinate shared scaling."""
@@ -245,26 +283,17 @@ class TestGlmPlannedBitIdentity:
         np.add.at(norms, np.repeat(np.arange(30), np.diff(indptr)), data**2)
         y = np.sign(rng.standard_normal(30)).astype(np.float32)
         rule = SvmDualRule(y, norms, n=30, lam=1e-2)
-        results = []
-        for planned in (False, True):
-            clear_plan_cache()
-            eng = GlmTpaEngine(
-                indptr, indices, data, rule=rule,
-                wave_size=5, n_threads=8, planned=planned,
-            )
-            wts = np.zeros(30, np.float32)
-            shared = np.zeros(45, np.float32)
-            for ep in range(3):
-                perm = np.random.default_rng(60 + ep).permutation(30)
-                eng.run_epoch(wts, shared, perm, rng)
-            results.append((wts, shared))
-        assert_bits_equal(results[0][0], results[1][0], "svm alphas")
-        assert_bits_equal(results[0][1], results[1][1], "svm shared")
+        ref, prod = self._both(
+            indptr, indices, data, rule, rng,
+            wave_size=5, n_threads=8, y=None, perm_seed=60,
+        )
+        assert_bits_equal(ref[0], prod[0], "svm alphas")
+        assert_bits_equal(ref[1], prod[1], "svm shared")
 
 
 class TestOutOfCoreBitIdentity:
-    def test_shard_streamed_planned_matches_seed(self, tmp_path):
-        """Planned == seed through the full OOC shard-streaming stack."""
+    def test_shard_streamed_planned_matches_seed(self, tmp_path, monkeypatch):
+        """Production == reference through the full OOC shard-streaming stack."""
         dataset = make_webspam_like(
             n_examples=60, n_features=40, nnz_per_example=6, seed=2
         )
@@ -272,12 +301,10 @@ class TestOutOfCoreBitIdentity:
         pack_dataset(dataset, tmp_path, axis="rows", n_shards=3)
         store = ShardStore(tmp_path)
 
-        def solve(planned):
+        def solve():
             clear_plan_cache()
             engine = DistributedSCD(
-                lambda rank: TpaScdKernelFactory(
-                    n_threads=16, wave_size=4, planned=planned
-                ),
+                lambda rank: TpaScdKernelFactory(n_threads=16, wave_size=4),
                 "dual",
                 n_workers=2,
                 seed=13,
@@ -285,14 +312,16 @@ class TestOutOfCoreBitIdentity:
             )
             return engine.solve(problem, 3)
 
-        seed_res, planned_res = solve(False), solve(True)
+        production_res = solve()
+        monkeypatch.setattr(TpaScdEngine, "run_dual_epoch", reference_dual_epoch)
+        reference_res = solve()
         assert_bits_equal(
-            seed_res.weights.astype(np.float32),
-            planned_res.weights.astype(np.float32),
+            reference_res.weights.astype(np.float32),
+            production_res.weights.astype(np.float32),
             "OOC weights",
         )
-        assert seed_res.history.gaps == pytest.approx(
-            planned_res.history.gaps, abs=0
+        assert reference_res.history.gaps == pytest.approx(
+            production_res.history.gaps, abs=0
         )
 
 
@@ -384,13 +413,10 @@ class TestBufferPool:
         assert a[0] == 1.0 and b[0] == 2.0
 
     def test_steady_state_epochs_allocate_nothing(self):
-        """After warmup, planned epochs do zero pool allocations."""
+        """After warmup, epochs do zero pool allocations."""
         rng = np.random.default_rng(31)
         indptr, indices, data = random_structure(rng, 48, 64, 9)
-        clear_plan_cache()
-        eng = TpaScdEngine(
-            indptr, indices, data, wave_size=8, n_threads=16, planned=True
-        )
+        eng = build_engine(indptr, indices, data, wave_size=8, n_threads=16)
         y = rng.standard_normal(64).astype(np.float32)
         inv = (1.0 / (1.0 + rng.random(48))).astype(np.float32)
         b, w = np.zeros(48, np.float32), np.zeros(64, np.float32)
@@ -522,12 +548,13 @@ class TestBenchHarness:
         validate_payload(smoke_payload)
         cases = smoke_payload["cases"]
         for name in (
-            "sequential", "chunked", "tpa_wave_seed",
-            "tpa_wave_planned", "distributed", "syscd_ref", "syscd_threads",
+            "sequential", "chunked", "tpa_wave_planned", "distributed",
+            "syscd_ref", "syscd_threads",
         ):
             assert cases[name]["median_s"] > 0
         assert smoke_payload["derived"]["normalized_throughput"]["sequential"] == 1.0
-        assert smoke_payload["derived"]["tpa_planned_speedup"] > 0
+        assert "tpa_wave_seed" not in cases
+        assert "tpa_planned_speedup" not in smoke_payload["derived"]
         assert smoke_payload["derived"]["syscd_measured_speedup"] > 0
         assert cases["syscd_threads"]["n_threads"] == 4
 

@@ -34,7 +34,6 @@ from repro.cluster.runtime import (
 from repro.core import DistributedSCD
 from repro.cluster.mp_cluster import MpDistributedSCD
 from repro.cluster.partition import contiguous_partition, random_partition
-from repro.core import distributed_svm
 from repro.core.distributed_svm import DistributedSvm, SvmTrainResult
 from repro.cluster.faults import FaultSpec
 from repro.data import make_webspam_like
@@ -226,7 +225,7 @@ class TestGapAndObjective:
 
 
 # ---------------------------------------------------------------------------
-# SvmTrainResult: named fields are the API, tuple-unpack is deprecated
+# SvmTrainResult: named fields are the API (the tuple-unpack path is gone)
 # ---------------------------------------------------------------------------
 class TestSvmTrainResultDeprecation:
     @pytest.fixture(scope="class")
@@ -236,15 +235,6 @@ class TestSvmTrainResultDeprecation:
         )
         return DistributedSvm(n_workers=2, seed=3).solve(problem, 2)
 
-    def test_tuple_unpack_warns(self, svm_result):
-        distributed_svm._reset_tuple_unpack_warning()
-        with pytest.warns(DeprecationWarning, match="tuple-unpacking"):
-            w, alpha, history, ledger = svm_result
-        assert np.array_equal(w, svm_result.weights)
-        assert np.array_equal(alpha, svm_result.alpha)
-        assert history is svm_result.history
-        assert ledger is svm_result.ledger
-
     def test_named_fields_do_not_warn(self, svm_result):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -252,40 +242,3 @@ class TestSvmTrainResultDeprecation:
             assert svm_result.alpha is not None
             assert svm_result.history.final_gap() >= 0.0
             assert svm_result.ledger is not None
-
-    def test_warning_fires_exactly_once_per_process(self, svm_result):
-        distributed_svm._reset_tuple_unpack_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            tuple(svm_result)
-            tuple(svm_result)
-            list(iter(svm_result))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_no_in_repo_call_site_tuple_unpacks(self):
-        """The legacy ``w, alpha, history, ledger = result`` unpack must not
-        survive anywhere but the two tests that pin its deprecation."""
-        import re
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parent.parent
-        allowed = {"tests/test_runtime.py", "tests/test_api.py"}
-        unpack = re.compile(r"\bw\s*,\s*alpha\s*,\s*history\s*,\s*ledger\s*=")
-        offenders = []
-        for root in ("src", "tests", "tools", "examples", "benchmarks"):
-            for path in sorted((repo / root).rglob("*.py")):
-                rel = path.relative_to(repo).as_posix()
-                if rel in allowed:
-                    continue
-                for lineno, line in enumerate(
-                    path.read_text().splitlines(), start=1
-                ):
-                    if unpack.search(line):
-                        offenders.append(f"{rel}:{lineno}: {line.strip()}")
-        assert not offenders, (
-            "SvmTrainResult tuple-unpack found outside the deprecation "
-            "tests:\n" + "\n".join(offenders)
-        )
