@@ -38,11 +38,16 @@ def gap_and_objective(
     a primal iterate is scored with ``(G_P, P)``, a dual iterate with
     ``(G_D, D)``.  Deliberately recomputes the shared vector from the
     weights — maintained shared vectors can drift (wild writes) and the
-    paper evaluates the model itself.
+    paper evaluates the model itself.  The recomputed vector is formed once
+    and handed to both the gap and the objective, so a call costs two
+    sparse products (the vector, and the one the conjugate objective
+    needs), not three.
     """
     if formulation == "primal":
-        return problem.primal_gap(weights), problem.primal_objective(weights)
-    return problem.dual_gap(weights), problem.dual_objective(weights)
+        w = problem.shared_vector(weights)
+        return problem.primal_gap(weights, w), problem.primal_objective(weights, w)
+    wbar = problem.dual_shared_vector(weights)
+    return problem.dual_gap(weights, wbar), problem.dual_objective(weights, wbar)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ main thread.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -43,13 +43,11 @@ from ..obs import NULL_TRACER
 from ..perf.timing import EpochWorkload
 from ..sparse import CscMatrix, CsrMatrix
 from .base import BoundKernel, ScdSolver
-from .kernels import _epoch_gather
 from .syscd_kernels import (
+    NativeBinding,
+    NumpyBinding,
     auto_bucket_size,
     bucket_bounds,
-    bucket_pass_numpy,
-    exact_epoch_numpy,
-    get_numba_kernels,
     resolve_backend,
 )
 
@@ -60,18 +58,18 @@ __all__ = ["SyscdCpuTiming", "SyscdKernelFactory", "SySCD"]
 #: sub-linear and monotone like the other CPU laws
 SYSCD_SCALING = 0.9
 
-# process-wide worker pools, one per thread count: epochs are frequent and
+# process-wide worker pools, one per worker count: epochs are frequent and
 # short, so pool startup must not be billed to every epoch
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 
 
-def _get_pool(n_threads: int) -> ThreadPoolExecutor:
-    pool = _POOLS.get(n_threads)
+def _get_pool(n_workers: int) -> ThreadPoolExecutor:
+    pool = _POOLS.get(n_workers)
     if pool is None:
         pool = ThreadPoolExecutor(
-            max_workers=n_threads, thread_name_prefix=f"syscd-{n_threads}"
+            max_workers=n_workers, thread_name_prefix=f"syscd-{n_workers}"
         )
-        _POOLS[n_threads] = pool
+        _POOLS[n_workers] = pool
     return pool
 
 
@@ -140,8 +138,8 @@ class SyscdKernelFactory:
         ``"sum"`` (convergence-safe sum-correction) or ``"mean"`` (replica
         averaging).
     kernel_backend:
-        ``"numpy"``, ``"numba"``, or ``"auto"`` (numba when importable,
-        else numpy; the backends are bit-identical).
+        ``"numpy"``, ``"native"``, or ``"auto"`` (native when the C kernels
+        build and load, else numpy; the backends are bit-identical).
     """
 
     def __init__(
@@ -177,20 +175,11 @@ class SyscdKernelFactory:
         self.tracer = NULL_TRACER
         self.name = f"SySCD({self.n_threads} threads, {self.backend})"
 
-    # -- kernel selection ---------------------------------------------------
-
-    def _kernels(self):
-        if self.backend == "numba":
-            compiled = get_numba_kernels()
-            return compiled["exact"], compiled["bucket"]
-        return exact_epoch_numpy, bucket_pass_numpy
-
     # -- epoch execution ----------------------------------------------------
 
     def _make_run_epoch(
         self, indptr, indices, data, target, inv_denom, nlam, shared_len, bucket_size
     ):
-        exact_kernel, bucket_kernel = self._kernels()
         n_threads = self.n_threads
         merge_every = self.merge_every
         mean_merge = self.merge == "mean"
@@ -199,26 +188,26 @@ class SyscdKernelFactory:
         replicas = [
             np.zeros(shared_len, dtype=np.float64) for _ in range(n_threads)
         ]
+        problem = (indptr, indices, data, target, inv_denom, nlam, replicas)
+        if self.backend == "native":
+            kernels = NativeBinding(*problem, bucket_size)
+        else:
+            kernels = NumpyBinding(*problem)
 
         def run_exact(coef, shared, perm, rng):
             tracer = factory.tracer
             edges = bucket_bounds(perm.shape[0], bucket_size)
             n_buckets = edges.shape[0] - 1
+            run = kernels.bind_exact(coef, shared, perm)
             if tracer.enabled and tracer.detail == "wave":
                 for b in range(n_buckets):
                     with tracer.span(
                         "syscd.bucket", category="solver", bucket=b, threads=1
                     ):
-                        exact_kernel(
-                            indptr, indices, data, target, inv_denom, nlam,
-                            coef, shared, perm[edges[b]:edges[b + 1]],
-                        )
+                        run(edges[b], edges[b + 1])
             else:
                 # bucket edges do not change exact semantics: one ordered pass
-                exact_kernel(
-                    indptr, indices, data, target, inv_denom, nlam,
-                    coef, shared, perm,
-                )
+                run(0, perm.shape[0])
             tracer.count("syscd.buckets", n_buckets)
             tracer.gauge("syscd.threads", 1)
             return 0
@@ -229,51 +218,42 @@ class SyscdKernelFactory:
             n = perm.shape[0]
             edges = bucket_bounds(n, bucket_size)
             n_buckets = edges.shape[0] - 1
-            e_idx, e_val, eptr = _epoch_gather(indptr, indices, data, perm)
             # bucket-reshuffle epoch boundary: a fresh bucket order each
             # epoch, dealt round-robin so thread assignments rotate too
             order = rng.permutation(n_buckets)
-            assigned = [order[t::n_threads] for t in range(n_threads)]
+            assigned = [
+                np.ascontiguousarray(order[t::n_threads]) for t in range(n_threads)
+            ]
             n_periods = -(-assigned[0].shape[0] // merge_every)
-            pool = _get_pool(n_threads)
+            run = kernels.bind_buckets(coef, perm, edges, assigned)
+            pool = _get_pool(n_threads - 1)
 
-            def work(thread_id, buckets):
-                replica = replicas[thread_id]
-                for b in buckets:
-                    lo, hi = edges[b], edges[b + 1]
-                    a, z = int(eptr[lo]), int(eptr[hi])
-                    bucket_kernel(
-                        e_idx[a:z], e_val[a:z], eptr[lo:hi + 1] - a,
-                        perm[lo:hi], target, inv_denom, nlam, coef, replica,
-                    )
+            def run_period(lo, hi):
+                # thread 0's chunk runs here, saving one pool hand-off
+                futures = [
+                    pool.submit(run, t, lo, hi) for t in range(1, n_threads)
+                ]
+                try:
+                    run(0, lo, hi)
+                finally:
+                    wait(futures)
+                for future in futures:
+                    future.result()
 
             max_divergence = 0.0
             for period in range(n_periods):
-                chunks = [
-                    assigned[t][period * merge_every:(period + 1) * merge_every]
-                    for t in range(n_threads)
-                ]
+                lo, hi = period * merge_every, (period + 1) * merge_every
                 for t in range(n_threads):
                     np.copyto(replicas[t], shared)
                 if period_spans:
                     with tracer.span(
                         "syscd.bucket", category="solver", period=period,
-                        buckets=int(sum(c.shape[0] for c in chunks)),
+                        buckets=int(sum(a[lo:hi].shape[0] for a in assigned)),
                         threads=n_threads,
                     ):
-                        futures = [
-                            pool.submit(work, t, chunks[t])
-                            for t in range(n_threads)
-                        ]
-                        for future in futures:
-                            future.result()
+                        run_period(lo, hi)
                 else:
-                    futures = [
-                        pool.submit(work, t, chunks[t])
-                        for t in range(n_threads)
-                    ]
-                    for future in futures:
-                        future.result()
+                    run_period(lo, hi)
                 # merge on the main thread, in thread-id order: deterministic
                 # independent of how the OS scheduled the workers
                 with tracer.span(
@@ -293,10 +273,10 @@ class SyscdKernelFactory:
                         shared += replicas[t]
 
             if tracer.enabled:
-                nnz_per_thread = [
-                    float(sum(int(eptr[edges[b + 1]] - eptr[edges[b]]) for b in blist))
-                    for blist in assigned
-                ]
+                nnz_prefix = np.zeros(n + 1, dtype=np.int64)
+                np.cumsum(indptr[perm + 1] - indptr[perm], out=nnz_prefix[1:])
+                bucket_nnz = nnz_prefix[edges[1:]] - nnz_prefix[edges[:-1]]
+                nnz_per_thread = [float(bucket_nnz[a].sum()) for a in assigned]
                 mean_nnz = sum(nnz_per_thread) / n_threads
                 tracer.count("syscd.buckets", n_buckets)
                 tracer.count("syscd.merges", n_periods)

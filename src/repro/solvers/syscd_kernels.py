@@ -1,4 +1,4 @@
-"""SySCD bucket kernels and the optional compiled (numba) backend.
+"""SySCD bucket kernels: the numpy reference and its compiled C twin.
 
 SySCD (Ioannou, Mendler-Dünner & Parnell, NeurIPS 2019) restructures
 shared-memory parallel coordinate descent around three system-aware ideas:
@@ -9,13 +9,15 @@ This module holds the numerical kernels for one bucket pass plus the exact
 single-thread reference; the orchestration (threads, replicas, merges)
 lives in :mod:`repro.solvers.syscd`.
 
-Two interchangeable backends implement the same kernels:
+Two interchangeable backends implement the same kernels, each behind a
+binding with one per-epoch interface (:class:`NumpyBinding`,
+:class:`NativeBinding`):
 
 * **numpy** — always available; the bitwise reference implementation.
-* **numba** — ``@njit(nogil=True)`` scalar loops, compiled on first use
-  when numba is importable.  ``nogil`` releases the GIL inside the bucket
-  pass, so on multi-core hosts the worker threads genuinely run in
-  parallel.
+* **native** — ``syscd_native.c``, built on first use with the host's C
+  compiler (:data:`CC`) into a per-user cache directory and loaded through
+  :mod:`ctypes`.  A ``ctypes`` call releases the GIL for its duration, so
+  the worker threads' bucket passes can run in parallel.
 
 The two backends are **bit-identical** by construction, which the test
 suite asserts.  That is only possible because every inner product is
@@ -23,8 +25,9 @@ computed through :func:`numpy.cumsum` prefix sums — a strictly sequential
 left-to-right accumulation that a scalar loop reproduces exactly — rather
 than BLAS ``dot`` (whose blocked accumulation order is implementation
 defined), and every scatter uses :func:`numpy.add.at` (applies updates in
-index order) mirrored by an in-order loop.  Neither backend enables
-fastmath/FMA contraction.
+index order) mirrored by an in-order loop.  The C file is compiled with
+``-ffp-contract=off`` and without ``-ffast-math``: no FMA contraction, no
+reassociation.
 
 Both formulations of ridge regression share one update rule::
 
@@ -36,38 +39,57 @@ with ``target = A^T y`` / ``v = w`` for the primal and ``target = lam*y`` /
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shlex
+import subprocess
+import tempfile
+import threading
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 
+from .kernels import _epoch_gather
+
 __all__ = [
+    "CC",
+    "CFLAGS",
     "KERNEL_BACKENDS",
-    "numba_available",
-    "resolve_backend",
+    "NativeBinding",
+    "NumpyBinding",
     "auto_bucket_size",
     "bucket_bounds",
-    "exact_epoch_numpy",
     "bucket_pass_numpy",
-    "get_numba_kernels",
+    "exact_epoch_numpy",
+    "load_native",
+    "resolve_backend",
 ]
 
 #: accepted values of ``SolverConfig.kernel_backend``
-KERNEL_BACKENDS = ("numpy", "numba", "auto")
+KERNEL_BACKENDS = ("numpy", "native", "auto")
 
-# cached import probe: None = not probed, False = unavailable, dict = kernels
-_NUMBA_KERNELS: dict | None | bool = None
+#: the C compiler that builds ``syscd_native.c``
+CC = "cc"
+#: strict IEEE build: the C kernels must replay the numpy reference bit for bit
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-
-def numba_available() -> bool:
-    """Whether the numba JIT backend can be imported (never raises)."""
-    return get_numba_kernels() is not None
+_SOURCE = "syscd_native.c"
+_INT64_BYTES = np.dtype(np.int64).itemsize
+_NATIVE_LOCK = threading.Lock()
+# one loaded library, or the reason it could not be built, per compiler
+_NATIVE: dict[str, ctypes.CDLL | str] = {}
 
 
 def resolve_backend(requested: str) -> str:
     """Map a requested backend name to the concrete one that will run.
 
-    ``"auto"`` degrades gracefully: it selects numba when importable and
-    silently falls back to numpy otherwise (the two are bit-identical, so
-    the fallback changes speed, never results).  Requesting ``"numba"``
-    explicitly on a host without numba is an error.
+    ``"auto"`` degrades gracefully: it selects native when the C kernels
+    build and load, and silently falls back to numpy otherwise (the two are
+    bit-identical, so the fallback changes speed, never results).
+    Requesting ``"native"`` explicitly where the build fails is an error
+    naming the compiler command and quoting its output.
     """
     if requested not in KERNEL_BACKENDS:
         raise ValueError(
@@ -76,14 +98,86 @@ def resolve_backend(requested: str) -> str:
         )
     if requested == "numpy":
         return "numpy"
-    if requested == "numba":
-        if not numba_available():
-            raise ValueError(
-                "kernel_backend='numba' but numba is not importable; "
-                "install numba or use kernel_backend='auto'"
-            )
-        return "numba"
-    return "numba" if numba_available() else "numpy"
+    try:
+        load_native()
+    except ValueError:
+        if requested == "native":
+            raise
+        return "numpy"
+    return "native"
+
+
+def load_native() -> ctypes.CDLL:
+    """The compiled kernel library, built and loaded once per process.
+
+    The shared object is cached under ``$XDG_CACHE_HOME/repro`` (default
+    ``~/.cache/repro``), keyed by the sha256 of the C source, :data:`CFLAGS`
+    and ``CC --version``, so a second process loads it without compiling.
+    The build writes a temporary file and renames it into place, so
+    concurrent processes never load a partial file.  Raises ``ValueError``
+    naming the failed command when the library cannot be built or loaded.
+    """
+    with _NATIVE_LOCK:
+        lib = _NATIVE.get(CC)
+        if lib is None:
+            try:
+                lib = _build_and_load()
+            except (OSError, ValueError) as exc:
+                lib = str(exc)
+            _NATIVE[CC] = lib
+    if isinstance(lib, str):
+        raise ValueError(
+            "kernel_backend='native' but the SySCD C kernels are unavailable "
+            f"(kernel_backend='auto' falls back to numpy): {lib}"
+        )
+    return lib
+
+
+def _run(cmd: list[str]) -> str:
+    """Run a compiler command; failure is a ``ValueError`` naming it."""
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    except OSError as exc:
+        raise ValueError(f"`{shlex.join(cmd)}` could not run ({exc})") from None
+    if proc.returncode != 0:
+        raise ValueError(
+            f"`{shlex.join(cmd)}` exited with status {proc.returncode}:\n"
+            f"{proc.stderr.strip()}"
+        )
+    return proc.stdout
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root) / "repro"
+
+
+def _build_and_load() -> ctypes.CDLL:
+    with resources.as_file(resources.files(__package__) / _SOURCE) as source:
+        key = hashlib.sha256()
+        for part in (source.read_bytes(), " ".join(CFLAGS).encode(),
+                     _run([CC, "--version"]).encode()):
+            key.update(part)
+            key.update(b"\0")
+        cache = _cache_dir()
+        target = cache / f"syscd_native-{key.hexdigest()[:16]}.so"
+        if not target.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=".syscd_native-", suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                _run([CC, *CFLAGS, str(source), "-o", tmp])
+                os.replace(tmp, target)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+    lib = ctypes.CDLL(str(target))
+    ptr, f64, i64 = ctypes.c_void_p, ctypes.c_double, ctypes.c_int64
+    lib.syscd_exact_pass.argtypes = [ptr] * 5 + [f64] + [ptr] * 3 + [i64]
+    lib.syscd_exact_pass.restype = None
+    lib.syscd_bucket_chunk.argtypes = [ptr] * 5 + [f64] + [ptr] * 6 + [i64]
+    lib.syscd_bucket_chunk.restype = None
+    return lib
 
 
 def auto_bucket_size(n_coords: int, n_threads: int) -> int:
@@ -144,7 +238,7 @@ def exact_epoch_numpy(
 
     This is SySCD's single-thread reference semantics; the threaded path
     must agree with it on per-epoch objectives to tolerance.  The dot is a
-    cumsum prefix (sequential accumulation) so the numba twin matches
+    cumsum prefix (sequential accumulation) so the C twin matches
     bitwise.
     """
     for j in order:
@@ -193,74 +287,164 @@ def bucket_pass_numpy(
 
 
 # ---------------------------------------------------------------------------
-# numba backend (compiled on first use; bit-identical to the numpy kernels)
+# per-epoch bindings: one interface over both backends
 # ---------------------------------------------------------------------------
 
 
-def get_numba_kernels() -> dict | None:
-    """The compiled kernel pair, or ``None`` when numba is unavailable.
+class NumpyBinding:
+    """The numpy reference kernels bound to one problem's arrays.
 
-    Compiled lazily and cached for the process; the jitted functions use
-    ``nogil=True`` (parallel bucket passes across threads) and default
-    strict FP semantics (no fastmath, no FMA contraction) so they replicate
-    the numpy kernels' accumulation order exactly:
-
-    * dots accumulate left-to-right, seeding the accumulator with the
-      *first product* (matching ``np.cumsum``'s ``out[0] = x[0]``, not
-      ``0.0 + x[0]`` — the two differ on signed zeros);
-    * scatters apply element updates in flat-array order (``np.add.at``).
+    ``bind_exact(coef, shared, perm)`` returns ``run(lo, hi)``, the exact
+    pass over ``perm[lo:hi]``; ``bind_buckets(coef, perm, edges, assigned)``
+    returns ``run(t, lo, hi)``, thread ``t``'s buckets ``assigned[t][lo:hi]``
+    against ``replicas[t]``.  Both are bound once per epoch and used only
+    while that epoch's arrays are alive.
     """
-    global _NUMBA_KERNELS
-    if _NUMBA_KERNELS is not None:
-        return _NUMBA_KERNELS if _NUMBA_KERNELS is not False else None
-    try:
-        from numba import njit
-    except ImportError:
-        _NUMBA_KERNELS = False
-        return None
 
-    @njit(nogil=True)
-    def exact_epoch_nb(
-        indptr, indices, data, target, inv_denom, nlam, coef, shared, order
-    ):  # pragma: no cover - exercised only where numba is installed
-        for k in range(order.shape[0]):
-            j = order[k]
-            lo = indptr[j]
-            hi = indptr[j + 1]
-            dot = 0.0
-            for p in range(lo, hi):
-                prod = data[p] * shared[indices[p]]
-                if p == lo:
-                    dot = prod
-                else:
-                    dot += prod
-            delta = (target[j] - dot - nlam * coef[j]) * inv_denom[j]
-            coef[j] += delta
-            for p in range(lo, hi):
-                shared[indices[p]] += data[p] * delta
+    def __init__(self, indptr, indices, data, target, inv_denom, nlam, replicas):
+        self._problem = (indptr, indices, data, target, inv_denom, nlam)
+        self._replicas = replicas
 
-    @njit(nogil=True)
-    def bucket_pass_nb(
-        e_idx, e_val, seg_ptr, coords, target, inv_denom, nlam, coef, replica
-    ):  # pragma: no cover - exercised only where numba is installed
-        n = coords.shape[0]
-        dots = np.empty(n, dtype=np.float64)
-        acc = 0.0
-        for s in range(n):
-            start = acc
-            for p in range(seg_ptr[s], seg_ptr[s + 1]):
-                prod = e_val[p] * replica[e_idx[p]]
-                if p == 0:
-                    acc = prod
-                else:
-                    acc += prod
-            dots[s] = acc - start
-        for s in range(n):
-            j = coords[s]
-            delta = (target[j] - dots[s] - nlam * coef[j]) * inv_denom[j]
-            coef[j] += delta
-            for p in range(seg_ptr[s], seg_ptr[s + 1]):
-                replica[e_idx[p]] += e_val[p] * delta
+    def bind_exact(self, coef, shared, perm):
+        problem = self._problem
 
-    _NUMBA_KERNELS = {"exact": exact_epoch_nb, "bucket": bucket_pass_nb}
-    return _NUMBA_KERNELS
+        def run(lo: int, hi: int) -> None:
+            exact_epoch_numpy(*problem, coef, shared, perm[lo:hi])
+
+        return run
+
+    def bind_buckets(self, coef, perm, edges, assigned):
+        indptr, indices, data, target, inv_denom, nlam = self._problem
+        e_idx, e_val, eptr = _epoch_gather(indptr, indices, data, perm)
+        replicas = self._replicas
+
+        def run(t: int, lo: int, hi: int) -> None:
+            replica = replicas[t]
+            for b in assigned[t][lo:hi]:
+                first, last = edges[b], edges[b + 1]
+                a, z = int(eptr[first]), int(eptr[last])
+                bucket_pass_numpy(
+                    e_idx[a:z], e_val[a:z], eptr[first:last + 1] - a,
+                    perm[first:last], target, inv_denom, nlam, coef, replica,
+                )
+
+        return run
+
+
+def _address(arr, dtype, name: str, length: int | None = None, *,
+             writeable: bool = False) -> int:
+    """Address of ``arr`` once it is what the C kernels assume it is."""
+    dtype = np.dtype(dtype)
+    if (
+        not isinstance(arr, np.ndarray)
+        or arr.dtype != dtype
+        or arr.ndim != 1
+        or not arr.flags.c_contiguous
+    ):
+        got = (
+            f"{arr.dtype} array of shape {arr.shape}"
+            + ("" if arr.flags.c_contiguous else ", not C-contiguous")
+            if isinstance(arr, np.ndarray) else type(arr).__name__
+        )
+        raise ValueError(
+            f"native SySCD kernel: {name} must be a 1-D C-contiguous "
+            f"{dtype} array, got a {got}"
+        )
+    if length is not None and arr.shape[0] != length:
+        raise ValueError(
+            f"native SySCD kernel: {name} has length {arr.shape[0]}, "
+            f"expected {length}"
+        )
+    if writeable and not arr.flags.writeable:
+        raise ValueError(f"native SySCD kernel: {name} is read-only")
+    return arr.ctypes.data
+
+
+class NativeBinding:
+    """The C kernels bound to one problem's arrays; same interface as numpy.
+
+    Foreign code handed a wrong dtype or an out-of-range index corrupts
+    memory instead of raising, so every array is checked before its
+    address is taken: the problem arrays and replicas once here, the
+    caller's ``coef``/``shared``/``perm`` once per epoch (dtype, C order,
+    length, index bounds).  ``edges`` and ``assigned`` are the driver's own
+    bucket partition (:func:`bucket_bounds` widths are at most
+    ``bucket_size``, the per-thread scratch size).  Each bucket ``run``
+    is one foreign call.
+    """
+
+    def __init__(self, indptr, indices, data, target, inv_denom, nlam, replicas,
+                 bucket_size: int):
+        lib = load_native()
+        n_coords = indptr.shape[0] - 1
+        nnz = indices.shape[0]
+        shared_len = replicas[0].shape[0]
+        head = (
+            _address(indptr, np.int64, "indptr"),
+            _address(indices, np.int64, "indices"),
+            _address(data, np.float64, "data", nnz),
+            _address(target, np.float64, "target", n_coords),
+            _address(inv_denom, np.float64, "inv_denom", n_coords),
+            float(nlam),
+        )
+        if n_coords < 0 or indptr.min() < 0 or indptr.max() > nnz:
+            raise ValueError("native SySCD kernel: indptr points outside indices")
+        if nnz and (indices.min() < 0 or indices.max() >= shared_len):
+            raise ValueError(
+                f"native SySCD kernel: indices outside [0, {shared_len})"
+            )
+        self._scratch = np.empty((len(replicas), max(int(bucket_size), 1)))
+        self._threads = [
+            head + (
+                _address(replica, np.float64, "replica", shared_len, writeable=True),
+                _address(scratch, np.float64, "scratch"),
+            )
+            for replica, scratch in zip(replicas, self._scratch)
+        ]
+        # the arrays behind every address above stay alive with the binding
+        self._arrays = (indptr, indices, data, target, inv_denom, replicas)
+        self._head = head
+        self._exact = lib.syscd_exact_pass
+        self._bucket = lib.syscd_bucket_chunk
+        self.n_coords = n_coords
+        self.shared_len = shared_len
+
+    def _perm(self, perm) -> int:
+        addr = _address(perm, np.int64, "perm")
+        if perm.shape[0] and (perm.min() < 0 or perm.max() >= self.n_coords):
+            raise ValueError(
+                f"native SySCD kernel: perm outside [0, {self.n_coords})"
+            )
+        return addr
+
+    def _coef(self, coef) -> int:
+        return _address(coef, np.float64, "coef", self.n_coords, writeable=True)
+
+    def bind_exact(self, coef, shared, perm):
+        args = self._head + (
+            self._coef(coef),
+            _address(shared, np.float64, "shared", self.shared_len, writeable=True),
+        )
+        base = self._perm(perm)
+        fn = self._exact
+
+        def run(lo: int, hi: int) -> None:
+            fn(*args, base + _INT64_BYTES * int(lo), int(hi) - int(lo))
+
+        return run
+
+    def bind_buckets(self, coef, perm, edges, assigned):
+        tail = (self._coef(coef), self._perm(perm), _address(edges, np.int64, "edges"))
+        calls = [
+            (head + tail, _address(a, np.int64, "assigned"), a.shape[0])
+            for head, a in zip(self._threads, assigned)
+        ]
+        fn = self._bucket
+
+        def run(t: int, lo: int, hi: int) -> None:
+            args, base, size = calls[t]
+            count = min(hi, size) - lo
+            if count > 0:
+                fn(*args, base + _INT64_BYTES * lo, count)
+
+        return run

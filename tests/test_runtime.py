@@ -41,6 +41,7 @@ from repro.objectives import RidgeProblem
 from repro.objectives.ridge import gap_and_objective
 from repro.objectives.svm import SvmProblem
 from repro.solvers.scd import SequentialKernelFactory
+from repro.sparse import CscMatrix, CsrMatrix
 
 from .runtime_scenarios import SCENARIOS, run_scenario
 
@@ -211,6 +212,28 @@ class TestGapAndObjective:
         gap, obj = gap_and_objective(ridge_sparse, a, "dual")
         assert gap == ridge_sparse.dual_gap(a)
         assert obj == ridge_sparse.dual_objective(a)
+
+    @pytest.mark.parametrize("formulation", ["primal", "dual"])
+    def test_two_sparse_products_per_call(self, ridge_sparse, formulation, monkeypatch):
+        # the recomputed shared vector feeds both the gap and the objective
+        products = []
+        for cls in (CscMatrix, CsrMatrix):
+            for name in ("matvec", "rmatvec"):
+                original = getattr(cls, name)
+
+                def counted(self, x, _original=original):
+                    products.append(1)
+                    return _original(self, x)
+
+                monkeypatch.setattr(cls, name, counted)
+        size = ridge_sparse.m if formulation == "primal" else ridge_sparse.n
+        x = np.random.default_rng(3).normal(size=size)
+        gap, obj = gap_and_objective(ridge_sparse, x, formulation)
+        assert len(products) == 2
+        if formulation == "primal":
+            assert (gap, obj) == (ridge_sparse.primal_gap(x), ridge_sparse.primal_objective(x))
+        else:
+            assert (gap, obj) == (ridge_sparse.dual_gap(x), ridge_sparse.dual_objective(x))
 
     def test_solvers_route_through_it(self, ridge_sparse):
         """The engines' monitoring and the helper must agree exactly."""

@@ -1,15 +1,19 @@
 """SySCD solver contract: determinism, merge semantics, backend bit-identity.
 
-The discipline mirrors the PR 4/5 golden-fingerprint approach: the
-single-thread numpy path is the bitwise reference (pinned by sha256 of the
-weight bytes), the threaded path must agree with it on per-epoch objectives
-to tolerance at every thread count, and the optional numba backend must be
-bit-identical to numpy wherever it is installed.
+The discipline mirrors the golden-fingerprint approach of the TPA tests:
+the single-thread numpy path is the bitwise reference (pinned by sha256 of
+the weight bytes), the threaded path must agree with it on per-epoch
+objectives to tolerance at every thread count, and the compiled C backend
+must be bit-identical to numpy wherever a C compiler is present.
 """
 
 from __future__ import annotations
 
 import hashlib
+import shutil
+import tomllib
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,17 +24,24 @@ import repro
 from repro import SolverConfig, train
 from repro.experiments.config import SCALES, webspam_problem
 from repro.obs import Tracer
+from repro.solvers import syscd_kernels
+from repro.solvers.kernels import _epoch_gather
 from repro.solvers.scd import SequentialSCD
 from repro.solvers.syscd import SySCD, SyscdCpuTiming, SyscdKernelFactory
 from repro.solvers.syscd_kernels import (
     KERNEL_BACKENDS,
+    NativeBinding,
     auto_bucket_size,
     bucket_bounds,
     bucket_pass_numpy,
-    get_numba_kernels,
-    numba_available,
+    exact_epoch_numpy,
+    load_native,
     resolve_backend,
 )
+
+#: the C compiler the native backend builds with, when the host has one
+HOST_CC = shutil.which(syscd_kernels.CC)
+needs_cc = pytest.mark.skipif(HOST_CC is None, reason="no C compiler on PATH")
 
 #: sha256 of the float64 weight bytes after the pinned reference run below
 #: (tiny webspam, 5 epochs, seed 0, single thread, numpy backend)
@@ -50,6 +61,20 @@ def _sha(arr: np.ndarray) -> str:
 def tiny_problem():
     problem, _ = webspam_problem(SCALES["tiny"])
     return problem
+
+
+@pytest.fixture
+def fresh_native(monkeypatch, tmp_path):
+    """No loaded library in this process and an empty build cache."""
+    monkeypatch.setattr(syscd_kernels, "_NATIVE", {})
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path
+
+
+def _script(path: Path, body: str) -> str:
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(0o755)
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -102,23 +127,27 @@ class TestBackendResolution:
     def test_numpy_always_resolves(self):
         assert resolve_backend("numpy") == "numpy"
 
-    def test_auto_degrades_gracefully(self):
-        # with numba installed auto selects it; without, it must silently
-        # fall back to the bit-identical numpy kernels
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_backend("auto") == expected
+    def test_auto_degrades_gracefully(self, fresh_native, monkeypatch):
+        # with a compiler auto selects the C kernels; without one it must
+        # silently fall back to the bit-identical numpy kernels
+        assert resolve_backend("auto") == ("native" if HOST_CC else "numpy")
+        monkeypatch.setattr(syscd_kernels, "CC", "repro-no-such-cc")
+        assert resolve_backend("auto") == "numpy"
 
-    def test_explicit_numba_errors_when_missing(self):
-        if numba_available():
-            assert resolve_backend("numba") == "numba"
-        else:
-            with pytest.raises(ValueError, match="numba is not importable"):
-                resolve_backend("numba")
+    def test_explicit_native_errors_without_compiler(self, fresh_native, monkeypatch):
+        monkeypatch.setattr(syscd_kernels, "CC", "repro-no-such-cc")
+        with pytest.raises(ValueError, match="kernel_backend='native'") as info:
+            resolve_backend("native")
+        # the message names the command that could not run
+        assert "`repro-no-such-cc --version` could not run" in str(info.value)
+        with pytest.raises(ValueError, match="repro-no-such-cc"):
+            SyscdKernelFactory(kernel_backend="native")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="kernel_backend"):
+        with pytest.raises(ValueError, match="unknown kernel_backend 'cython'"):
             resolve_backend("cython")
-        assert set(KERNEL_BACKENDS) == {"numpy", "numba", "auto"}
+        # exactly two implementations behind the seam, plus the selector
+        assert KERNEL_BACKENDS == ("numpy", "native", "auto")
 
     def test_factory_name_reports_resolved_backend(self):
         factory = SyscdKernelFactory(n_threads=2, kernel_backend="numpy")
@@ -244,72 +273,265 @@ class TestThreadedPath:
 
 
 # ---------------------------------------------------------------------------
-# numba backend bit-identity (runs only where numba is installed)
+# native (C) backend bit-identity (runs wherever a C compiler is present)
 # ---------------------------------------------------------------------------
 
 
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not installed"
-)
+def _bits(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
 
 
-@needs_numba
-class TestNumbaBitIdentity:
-    def test_single_thread_bitwise_equal(self, tiny_problem):
-        ref = train(
-            tiny_problem, "syscd", n_epochs=3, n_threads=1,
-            kernel_backend="numpy",
-        )
+def _spread(rng, values: np.ndarray) -> np.ndarray:
+    """Rescale a quarter of ``values`` across 1e-12..1e12, signed-zero another."""
+    n = values.shape[0]
+    picks = rng.permutation(n)
+    wide, zero = picks[: n // 4], picks[n // 4: n // 2]
+    values[wide] *= 10.0 ** rng.integers(-12, 13, size=wide.size)
+    values[zero] = -0.0
+    return values
+
+
+def _adversarial_matrix(rng, n_coords: int, shared_len: int, *, unique: bool):
+    """CSC-like triplet whose values stress summation order.
+
+    Comparable magnitudes (where order shows in the last bit) mixed with a
+    1e-12..1e12 spread, denormals and signed zeros, plus coordinates with
+    no entries.  Coordinate 0 alone touches minor index 0, with a single
+    ``+0.0``: on a ``-0.0`` shared entry its product is ``-0.0``, the case
+    where seeding a sum with ``0.0`` instead of the first product flips the
+    sign of the zero written back to that entry.
+    With ``unique`` every coordinate's minor indices are distinct
+    (canonical storage, which the exact pass assumes); otherwise they
+    repeat, which ``np.add.at`` order makes deterministic.
+    """
+    lengths = rng.integers(0, 9, size=n_coords)
+    lengths[rng.choice(n_coords, size=n_coords // 4, replace=False)] = 0
+    lengths[0] = 1
+    indptr = np.zeros(n_coords + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.concatenate([
+        1 + rng.choice(shared_len - 1, size=k, replace=not unique) for k in lengths
+    ]).astype(np.int64)
+    nnz = int(indptr[-1])
+    data = _spread(rng, rng.standard_normal(nnz))
+    data[rng.choice(nnz, size=nnz // 8, replace=False)] = rng.choice(
+        [5e-324, -2.5e-310, 0.0], size=nnz // 8
+    )
+    indices[0], data[0] = 0, 0.0
+    return indptr, indices, data
+
+
+def _adversarial_vectors(rng, n_coords: int, shared_len: int):
+    """``(target, inv_denom, coef, shared)`` matching :func:`_adversarial_matrix`."""
+    target = _spread(rng, rng.standard_normal(n_coords))
+    coef = _spread(rng, rng.standard_normal(n_coords))
+    shared = _spread(rng, rng.standard_normal(shared_len))
+    target[0], coef[0], shared[0] = -0.0, 0.0, -0.0
+    return target, 1.0 / (1.0 + rng.random(n_coords)), coef, shared
+
+
+@needs_cc
+class TestNativeBitIdentity:
+    def test_goldens_at_one_thread(self, tiny_problem):
         res = train(
-            tiny_problem, "syscd", n_epochs=3, n_threads=1,
-            kernel_backend="numba",
+            tiny_problem, "syscd", n_epochs=5, n_threads=1,
+            kernel_backend="native",
         )
-        assert np.array_equal(res.weights, ref.weights)
-        assert np.array_equal(res.shared, ref.shared)
+        assert _sha(res.weights) == GOLDEN_WEIGHTS_SHA
+        assert _sha(res.shared) == GOLDEN_SHARED_SHA
 
+    @pytest.mark.parametrize("merge", ["sum", "mean"])
+    @pytest.mark.parametrize("n_threads", [2, 4])
     @pytest.mark.parametrize("formulation", ["primal", "dual"])
-    def test_threaded_bitwise_equal(self, tiny_problem, formulation):
-        ref = train(
-            tiny_problem, "syscd", formulation=formulation, n_epochs=3,
-            n_threads=4, kernel_backend="numpy",
+    def test_threaded_bitwise_equal(self, tiny_problem, formulation, n_threads, merge):
+        ref, res = (
+            train(
+                tiny_problem, "syscd", formulation=formulation, n_epochs=3,
+                n_threads=n_threads, merge=merge, kernel_backend=backend,
+            )
+            for backend in ("numpy", "native")
         )
-        res = train(
-            tiny_problem, "syscd", formulation=formulation, n_epochs=3,
-            n_threads=4, kernel_backend="numba",
-        )
-        assert np.array_equal(res.weights, ref.weights)
-        assert np.array_equal(res.shared, ref.shared)
+        assert res.solver_name.startswith(f"SySCD({n_threads} threads, native)")
+        assert np.array_equal(_bits(res.weights), _bits(ref.weights))
+        assert np.array_equal(_bits(res.shared), _bits(ref.shared))
+        assert np.array_equal(_bits(res.history.gaps), _bits(ref.history.gaps))
 
-    def test_bucket_kernel_bitwise_on_adversarial_values(self):
-        # direct kernel-level check with denormals, huge magnitude spread,
-        # and signed zeros in play
+    def test_bucket_chunk_bitwise_on_adversarial_values(self):
+        # C reads coordinates through perm + indptr; the reference gathers
+        # the epoch first and passes one bucket at a time
         rng = np.random.default_rng(11)
-        n_coords, shared_len = 32, 64
-        seg_sizes = rng.integers(0, 9, size=n_coords)
-        seg_ptr = np.zeros(n_coords + 1, dtype=np.int64)
-        np.cumsum(seg_sizes, out=seg_ptr[1:])
-        total = int(seg_ptr[-1])
-        e_idx = rng.integers(0, shared_len, size=total).astype(np.int64)
-        e_val = rng.standard_normal(total) * 10.0 ** rng.integers(
-            -12, 12, size=total
+        n_coords, shared_len, bucket_size = 48, 16, 7
+        indptr, indices, data = _adversarial_matrix(
+            rng, n_coords, shared_len, unique=False
         )
-        coords = rng.permutation(n_coords).astype(np.int64)
-        target = rng.standard_normal(n_coords)
-        inv_denom = 1.0 / (1.0 + rng.random(n_coords))
-        coef_np = rng.standard_normal(n_coords)
-        coef_nb = coef_np.copy()
-        replica_np = rng.standard_normal(shared_len)
-        replica_nb = replica_np.copy()
-        bucket_pass_numpy(
-            e_idx, e_val, seg_ptr, coords, target, inv_denom, 0.37,
-            coef_np, replica_np,
+        target, inv_denom, coef0, replica0 = _adversarial_vectors(
+            rng, n_coords, shared_len
         )
-        get_numba_kernels()["bucket"](
-            e_idx, e_val, seg_ptr, coords, target, inv_denom, 0.37,
-            coef_nb, replica_nb,
+        nlam = 0.37
+        edges = bucket_bounds(n_coords, bucket_size)
+        chunk = rng.permutation(edges.shape[0] - 1)[:5].astype(np.int64)
+        # coordinate 0 opens the chunk's first bucket: its -0.0 product is
+        # the first term of that bucket's running sum
+        perm = rng.permutation(n_coords).astype(np.int64)
+        head, where = int(edges[chunk[0]]), int(np.flatnonzero(perm == 0)[0])
+        perm[[head, where]] = perm[[where, head]]
+
+        coef_np, replica_np = coef0.copy(), replica0.copy()
+        e_idx, e_val, eptr = _epoch_gather(indptr, indices, data, perm)
+        for b in chunk:
+            lo, hi = edges[b], edges[b + 1]
+            a, z = int(eptr[lo]), int(eptr[hi])
+            bucket_pass_numpy(
+                e_idx[a:z], e_val[a:z], eptr[lo:hi + 1] - a, perm[lo:hi],
+                target, inv_denom, nlam, coef_np, replica_np,
+            )
+
+        coef_c, replica_c = coef0.copy(), replica0.copy()
+        binding = NativeBinding(
+            indptr, indices, data, target, inv_denom, nlam, [replica_c],
+            bucket_size,
         )
-        assert np.array_equal(coef_np, coef_nb)
-        assert np.array_equal(replica_np, replica_nb)
+        binding.bind_buckets(coef_c, perm, edges, [chunk])(0, 0, chunk.shape[0])
+        assert np.array_equal(_bits(coef_c), _bits(coef_np))
+        assert np.array_equal(_bits(replica_c), _bits(replica_np))
+
+    def test_exact_pass_bitwise_on_adversarial_values(self):
+        rng = np.random.default_rng(12)
+        n_coords, shared_len = 40, 24
+        indptr, indices, data = _adversarial_matrix(
+            rng, n_coords, shared_len, unique=True
+        )
+        target, inv_denom, coef0, shared0 = _adversarial_vectors(
+            rng, n_coords, shared_len
+        )
+        # coordinate 0 first, while shared[0] still holds its -0.0
+        perm = np.concatenate([[0], 1 + rng.permutation(n_coords - 1)]).astype(np.int64)
+
+        coef_np, shared_np = coef0.copy(), shared0.copy()
+        exact_epoch_numpy(
+            indptr, indices, data, target, inv_denom, 0.37, coef_np, shared_np, perm
+        )
+        coef_c, shared_c = coef0.copy(), shared0.copy()
+        binding = NativeBinding(
+            indptr, indices, data, target, inv_denom, 0.37,
+            [np.zeros(shared_len)], 8,
+        )
+        binding.bind_exact(coef_c, shared_c, perm)(0, n_coords)
+        assert np.array_equal(_bits(coef_c), _bits(coef_np))
+        assert np.array_equal(_bits(shared_c), _bits(shared_np))
+
+
+# ---------------------------------------------------------------------------
+# native backend: build, cache and argument-checking failure paths
+# ---------------------------------------------------------------------------
+
+
+def _tiny_binding_arrays():
+    indptr = np.array([0, 2, 3], dtype=np.int64)
+    indices = np.array([0, 1, 1], dtype=np.int64)
+    data = np.array([1.0, 2.0, 3.0])
+    return indptr, indices, data, np.ones(2), np.ones(2), 0.5, [np.zeros(2)]
+
+
+class TestNativeFailurePaths:
+    def test_compile_error_names_command_and_quotes_stderr(self, fresh_native, monkeypatch):
+        broken = _script(
+            fresh_native / "broken-cc",
+            'if [ "$1" = --version ]; then echo "broken-cc 1.0"; exit 0; fi\n'
+            'echo "syscd_native.c:1: error: planted failure" >&2\n'
+            "exit 1\n",
+        )
+        monkeypatch.setattr(syscd_kernels, "CC", broken)
+        assert resolve_backend("auto") == "numpy"
+        with pytest.raises(ValueError) as info:
+            resolve_backend("native")
+        message = str(info.value)
+        assert f"`{broken} -O2 -fPIC -shared -ffp-contract=off " in message
+        assert "exited with status 1" in message
+        assert "error: planted failure" in message
+
+    @needs_cc
+    def test_second_bind_reuses_cached_library(self, fresh_native, monkeypatch, tiny_problem):
+        log = fresh_native / "cc.log"
+        wrapper = _script(
+            fresh_native / "logging-cc", f'echo "$*" >> {log}\nexec {HOST_CC} "$@"\n'
+        )
+        monkeypatch.setattr(syscd_kernels, "CC", wrapper)
+
+        def compiles() -> int:
+            lines = log.read_text().splitlines() if log.exists() else []
+            return sum(1 for line in lines if line != "--version")
+
+        first = train(tiny_problem, "syscd", n_epochs=1, n_threads=2,
+                      kernel_backend="native")
+        assert compiles() == 1
+        built = list((fresh_native / "cache" / "repro").glob("syscd_native-*.so"))
+        assert len(built) == 1
+        # a second bind in this process reuses the loaded library: no cc at all
+        calls = log.read_text()
+        second = train(tiny_problem, "syscd", n_epochs=1, n_threads=2,
+                       kernel_backend="native")
+        assert log.read_text() == calls
+        # a fresh process loads the cached .so: cc is asked its version only
+        monkeypatch.setattr(syscd_kernels, "_NATIVE", {})
+        assert load_native() is not None
+        assert compiles() == 1
+        assert np.array_equal(first.weights, second.weights)
+        # no temporary file is left beside the cached library
+        assert sorted(p.name for p in built[0].parent.iterdir()) == [built[0].name]
+
+    @needs_cc
+    def test_argument_mismatch_raises_before_any_foreign_call(self, monkeypatch):
+        indptr, indices, data, target, inv_denom, nlam, replicas = _tiny_binding_arrays()
+        with pytest.raises(ValueError, match="data must be a 1-D C-contiguous float64"):
+            NativeBinding(indptr, indices, data.astype(np.float32), target,
+                          inv_denom, nlam, replicas, 4)
+        with pytest.raises(ValueError, match="indices must be a 1-D C-contiguous int64"):
+            NativeBinding(indptr, indices.astype(np.int32), data, target,
+                          inv_denom, nlam, replicas, 4)
+        with pytest.raises(ValueError, match="indices outside"):
+            NativeBinding(indptr, indices + 5, data, target, inv_denom, nlam,
+                          replicas, 4)
+
+        binding = NativeBinding(indptr, indices, data, target, inv_denom, nlam,
+                                replicas, 4)
+        foreign_calls = []
+        monkeypatch.setattr(binding, "_exact", lambda *a: foreign_calls.append(a))
+        monkeypatch.setattr(binding, "_bucket", lambda *a: foreign_calls.append(a))
+        perm = np.array([1, 0], dtype=np.int64)
+        coef, shared = np.zeros(2), np.zeros(2)
+        edges = bucket_bounds(2, 4)
+        assigned = [np.array([0], dtype=np.int64)]
+        bad = {
+            "coef must be a 1-D C-contiguous float64": dict(coef=coef.astype(np.float32)),
+            "shared must be a 1-D C-contiguous float64": dict(shared=np.zeros(4)[::2]),
+            "not C-contiguous": dict(shared=np.zeros(4)[::2]),
+            "perm must be a 1-D C-contiguous int64": dict(perm=perm.astype(np.int32)),
+            "perm outside": dict(perm=np.array([0, 2], dtype=np.int64)),
+            "coef has length 3": dict(coef=np.zeros(3)),
+        }
+        for message, override in bad.items():
+            args = dict(coef=coef, shared=shared, perm=perm) | override
+            with pytest.raises(ValueError, match=message):
+                binding.bind_exact(args["coef"], args["shared"], args["perm"])
+            if "shared" not in override:
+                with pytest.raises(ValueError, match=message):
+                    binding.bind_buckets(args["coef"], args["perm"], edges, assigned)
+        assert foreign_calls == []
+        # the same arrays, correct, do reach the (stubbed) foreign call
+        binding.bind_exact(coef, shared, perm)(0, 2)
+        binding.bind_buckets(coef, perm, edges, assigned)(0, 0, 1)
+        assert len(foreign_calls) == 2
+
+    def test_source_ships_as_package_data(self):
+        source = resources.files("repro.solvers") / "syscd_native.c"
+        assert source.is_file()
+        assert "syscd_bucket_chunk" in source.read_text()
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        package_data = tomllib.loads(pyproject.read_text())["tool"]["setuptools"][
+            "package-data"
+        ]
+        assert "syscd_native.c" in package_data["repro.solvers"]
 
 
 # ---------------------------------------------------------------------------
