@@ -1,17 +1,16 @@
 """Microbenchmarks of the out-of-core shard pipeline (repro.shards).
 
 Measures the real host-side costs of the shard data path — pack, cold
-reads, warm cache hits, group assembly — and runs the Fig. 10 out-of-core
-driver once end-to-end.  The *modelled* streaming seconds live in the
-ledger's ``shard_stream`` phase; these benches time what the pipeline
-actually burns on this machine.
+reads, warm cache hits, group assembly.  The *modelled* streaming seconds
+live in the ledger's ``shard_stream`` phase; these benches time what the
+pipeline actually burns on this machine.  The Fig. 10 out-of-core driver's
+claims are declared with the driver (``repro.experiments.large_scale``).
 """
 
 import numpy as np
 import pytest
 
 from repro.data import make_webspam_like
-from repro.experiments.registry import driver
 from repro.shards import (
     Prefetcher,
     ShardCache,
@@ -86,14 +85,3 @@ def test_shard_assemble_group(benchmark, bench_store, bench_dataset):
     expect = bench_dataset.csr.take_rows(np.arange(stop))
     assert np.array_equal(matrix.data, expect.data)
 
-
-def test_fig10_outofcore_end_to_end(figure_runner):
-    fig = figure_runner(driver("fig10-outofcore"))
-    assert fig.meta["bit_identical"] is True
-    assert fig.meta["cache_misses"] > 0
-    # streamed curve reaches the same gap floor as the resident one
-    resident = fig.get("TPA-SCD (resident)")
-    streamed = fig.get("TPA-SCD (out-of-core, 40 GB / 12 GB)")
-    assert np.array_equal(resident.y, streamed.y)
-    # but pays for the PCIe shard traffic on the time axis
-    assert streamed.x[-1] >= resident.x[-1]

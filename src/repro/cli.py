@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .experiments import ALL_EXPERIMENTS, SCALES
+from .experiments import ALL_EXPERIMENTS, SCALES, active_scale
 
 __all__ = ["main", "build_parser"]
 
@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser(
         "eval",
         help="run a declarative experiment config (configs/*.toml) through "
-        "the resumable eval runner and render a self-contained HTML report",
+        "the resumable eval runner and render a self-contained HTML report; "
+        "exits 1 when a paper claim of any cell fails",
     )
     ev.add_argument("config", help="path to the experiment config TOML")
     ev.add_argument(
@@ -308,6 +309,13 @@ def _cmd_eval(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    failed = run.failed_claims()
+    for cell, verdict in failed:
+        print(
+            f"claim failed: {cell.cell_id}: {verdict.claim.claim_id} measured "
+            f"{verdict.measured()}, band {verdict.claim.band}",
+            file=sys.stderr,
+        )
     if args.json:
         print(
             json.dumps(
@@ -322,6 +330,7 @@ def _cmd_eval(args) -> int:
                     "elapsed_s": run.elapsed_s,
                     "cache_dir": run.cache_dir,
                     "report": str(report_path),
+                    "claims_failed": len(failed),
                 },
                 indent=2,
             )
@@ -336,10 +345,10 @@ def _cmd_eval(args) -> int:
             )
         print(
             f"{run.executed} executed, {run.resumed} resumed "
-            f"({run.elapsed_s:.2f}s wall clock)"
+            f"({run.elapsed_s:.2f}s wall clock), {len(failed)} claim(s) failed"
         )
         print(f"report: {report_path}")
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_serve(args) -> int:
@@ -448,7 +457,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .experiments import active_scale
     from .obs import (
         Tracer,
         flame_summary,
@@ -479,7 +487,6 @@ def _cmd_shards(args) -> int:
     from .shards import ShardStore, pack_dataset
 
     if args.shards_command == "pack":
-        from .experiments import active_scale
         from .experiments.config import criteo_problem, webspam_problem
 
         scale = SCALES[args.scale] if args.scale else active_scale()
@@ -548,14 +555,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "run":
-            scale = SCALES[args.scale] if args.scale else None
+            scale = SCALES[args.scale] if args.scale else active_scale()
             fig = ALL_EXPERIMENTS[args.experiment](scale)
             if args.json:
                 payload = {
                     "schema": "repro.run/v1",
                     "version": __version__,
                     "experiment": args.experiment,
-                    "scale": scale.name if scale else None,
+                    "scale": scale.name,
                     "figure": fig.to_dict(),
                 }
                 text = json.dumps(payload, indent=2)

@@ -5,8 +5,9 @@ are inline SVG (:mod:`repro.eval.svg`), styling is one embedded stylesheet,
 and tooltips are native SVG ``<title>`` elements.  Sections (selected by the
 config's ``[report] sections``):
 
-* **figures** — one convergence/line chart per (x, y) axis pair of every
-  cell's figure, each followed by its data table and driver notes;
+* **figures** — per cell, the verdict on each paper claim its driver
+  declares (measured value, band, ✓/✗), then one convergence/line chart per
+  (x, y) axis pair, its data table and the driver notes;
 * **ledger** — Fig. 9-style modelled-time breakdowns: a stacked bar across
   cells plus the per-component table;
 * **bench** — the kernel micro-benchmark suite re-run at report time and
@@ -62,6 +63,8 @@ a {{ color: #2a78d6; }}
 .note {{ color: var(--ink2); font-size: 0.85rem; }}
 .ok {{ color: var(--ink); }}
 .status-icon {{ font-weight: 700; margin-right: 0.3rem; }}
+tr.fail {{ color: #b3261e; }}
+tr.skip {{ color: var(--muted); }}
 details {{ margin: 0.5rem 0; }}
 summary {{ cursor: pointer; color: var(--ink2); font-size: 0.85rem; }}
 footer.provenance {{
@@ -112,10 +115,29 @@ def _series_table(figure) -> str:
     )
 
 
+def _claims_table(verdicts) -> str:
+    """The driver's paper claims checked on this figure: ✓, ✗, or – (skip)."""
+    rows = "".join(
+        f'<tr class="claim {v.status}"><td class="status-icon">{v.mark}</td>'
+        f"<td><code>{escape(v.claim.claim_id)}</code></td>"
+        f"<td>{escape(v.claim.figure)}</td>"
+        f"<td>{escape(v.claim.sentence)}</td>"
+        f'<td class="num">{escape(v.measured())}</td>'
+        f"<td>{escape(str(v.claim.band))}</td></tr>"
+        for v in verdicts
+    )
+    return (
+        '<table class="claims"><tr><th></th><th>claim</th><th>paper</th>'
+        "<th>says</th><th>measured</th><th>band</th></tr>" + rows + "</table>"
+    )
+
+
 def _figure_section(result, log_y: bool) -> list[str]:
-    """Charts for one cell: one plot per (x_name, y_name) pair."""
+    """Charts for one cell: its claims, then one plot per (x, y) pair."""
     figure = result.figure
     out = [f"<h3>{escape(result.cell.cell_id)} — {escape(figure.title)}</h3>"]
+    if result.verdicts:
+        out.append(_claims_table(result.verdicts))
     groups: dict[tuple[str, str], list] = {}
     for s in figure.series:
         groups.setdefault((s.x_name, s.y_name), []).append(s)
@@ -145,11 +167,14 @@ def _figure_section(result, log_y: bool) -> list[str]:
 
 
 def _summary_section(run: EvalRun) -> list[str]:
+    n_claims = sum(1 for r in run.results for v in r.verdicts if v.status != "skip")
+    n_failed = len(run.failed_claims())
     out = [
         "<h2>Run summary</h2>",
         f"<p class='note'>{escape(run.plan.describe())} — "
         f"{run.executed} executed, {run.resumed} resumed from cache, "
-        f"wall clock {run.elapsed_s:.2f}s.</p>",
+        f"wall clock {run.elapsed_s:.2f}s; "
+        f"{n_claims - n_failed} of {n_claims} paper claims hold.</p>",
         "<table><tr><th>cell</th><th>hash</th><th>status</th>"
         "<th>driver time</th><th>trace</th></tr>",
     ]

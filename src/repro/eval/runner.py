@@ -22,8 +22,10 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
+from ..experiments.claims import Verdict
 from ..experiments.config import SCALES
 from ..experiments.registry import get_driver
 from ..experiments.results import FigureResult
@@ -51,9 +53,14 @@ class CellResult:
     payload: dict = field(repr=False)
     cached: bool = False
 
-    @property
+    @cached_property
     def figure(self) -> FigureResult:
         return FigureResult.from_dict(self.payload["figure"])
+
+    @cached_property
+    def verdicts(self) -> tuple[Verdict, ...]:
+        """The driver's declared claims checked on this cell's figure."""
+        return get_driver(self.cell.driver_id).check(self.figure, self.cell.scale)
 
     @property
     def elapsed_s(self) -> float:
@@ -84,6 +91,10 @@ class EvalRun:
     @property
     def resumed(self) -> int:
         return sum(1 for r in self.results if r.cached)
+
+    def failed_claims(self) -> list[tuple[RunCell, Verdict]]:
+        """Every (cell, verdict) whose claim failed, in plan order."""
+        return [(r.cell, v) for r in self.results for v in r.verdicts if v.failed]
 
     def figures(self) -> dict[str, FigureResult]:
         """cell_id -> figure, in plan order."""
@@ -243,12 +254,12 @@ def run_drivers(
     jobs: int = 1,
     resume: bool = True,
     force: bool = False,
-) -> dict[str, FigureResult]:
+) -> EvalRun:
     """Run a list of registry drivers through the eval runner.
 
     The shared front door for orchestration scripts (the EXPERIMENTS.md
     generator uses this): same cache, same hashing, same spans as
-    ``repro eval`` — returns ``driver_id -> FigureResult``.
+    ``repro eval`` — one cell per driver, in ``driver_ids`` order.
     """
     from ..experiments.config import active_scale
 
@@ -261,11 +272,10 @@ def run_drivers(
         axes=(("driver", tuple(driver_ids)), ("scale", (scale,))),
         report=ReportConfig(),
     )
-    run = run_plan(
+    return run_plan(
         plan(config),
         cache_dir=cache_dir,
         jobs=jobs,
         resume=resume,
         force=force,
     )
-    return {r.cell.driver_id: r.figure for r in run.results}

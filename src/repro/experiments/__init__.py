@@ -2,7 +2,6 @@
 
 from .ablations import (
     run_aggregation_ablation,
-    run_all_ablations,
     run_gpu_write_ablation,
     run_pcie_ablation,
     run_precision_ablation,
@@ -88,7 +87,6 @@ __all__ = [
     "run_fig10",
     "run_fig10_outofcore",
     "run_headline",
-    "run_all_ablations",
     "run_wave_ablation",
     "run_gpu_write_ablation",
     "run_aggregation_ablation",

@@ -27,6 +27,7 @@ from ..gpu.spec import GTX_TITAN_X, QUADRO_M4000
 from ..perf.link import ETHERNET_10G, PCIE3_X16_PAGEABLE, PCIE3_X16_PINNED
 from ..solvers.ascd import AsyncCpuKernelFactory
 from ..solvers.base import ScdSolver
+from .claims import Band, Claim, above, at_least, at_most, below, final_ratio
 from .config import (
     ScaleConfig,
     active_scale,
@@ -43,7 +44,6 @@ __all__ = [
     "run_aggregation_ablation",
     "run_precision_ablation",
     "run_pcie_ablation",
-    "run_all_ablations",
 ]
 
 
@@ -76,10 +76,6 @@ def run_wave_ablation(scale: ScaleConfig | None = None) -> FigureResult:
                 meta={"wave": wave},
             )
         )
-    fig.notes.append(
-        "expected: small waves track sequential; very large waves degrade "
-        "per-epoch convergence (extreme staleness)"
-    )
     return fig
 
 
@@ -109,10 +105,6 @@ def run_gpu_write_ablation(scale: ScaleConfig | None = None) -> FigureResult:
                 meta={"mode": mode, "lost_updates": res.lost_updates},
             )
         )
-    fig.notes.append(
-        "expected: atomic converges to ~0; wild plateaus — this is why "
-        "TPA-SCD pays for float atomic adds"
-    )
     return fig
 
 
@@ -146,7 +138,6 @@ def run_aggregation_ablation(scale: ScaleConfig | None = None) -> FigureResult:
                 meta={"rule": rule},
             )
         )
-    fig.notes.append("expected: adding diverges; adaptive beats averaging")
     return fig
 
 
@@ -177,10 +168,6 @@ def run_precision_ablation(scale: ScaleConfig | None = None) -> FigureResult:
                 meta={"dtype": label},
             )
         )
-    fig.notes.append(
-        "expected: fp32 floors near single-precision accuracy; fp64 descends "
-        "further"
-    )
     return fig
 
 
@@ -226,18 +213,69 @@ def run_pcie_ablation(scale: ScaleConfig | None = None) -> FigureResult:
                 },
             )
         )
-    fig.notes.append(
-        "expected: pageable transfers inflate the PCIe share of each epoch"
-    )
     return fig
 
 
-def run_all_ablations(scale: ScaleConfig | None = None) -> list[FigureResult]:
-    """Run every ablation; used by the benchmark harness."""
-    return [
-        run_wave_ablation(scale),
-        run_gpu_write_ablation(scale),
-        run_aggregation_ablation(scale),
-        run_precision_ablation(scale),
-        run_pcie_ablation(scale),
-    ]
+def _pageable_penalty(fig: FigureResult) -> float:
+    pcie = {s.label: s.meta["pcie_seconds"] for s in fig.series}
+    return pcie["pageable"] / pcie["pinned"]
+
+
+CLAIMS = {
+    "ablation-wave": (
+        Claim(
+            "ablation-wave-staleness", "Ablation (§III)",
+            final_ratio("wave=1", "wave=256"), below(1e-3),
+            "extreme staleness destroys per-epoch convergence (final gap, wave=1 / wave=256)",
+        ),
+        Claim(
+            "ablation-wave-small-tracks", "Ablation (§III)",
+            lambda fig: fig.get("wave=4").final(), below(1e-8),
+            "small waves keep near-sequential convergence (final gap, wave=4)",
+        ),
+    ),
+    "ablation-gpu-write": (
+        Claim(
+            "ablation-gpu-write-wild-floor", "Ablation (§III)",
+            final_ratio("atomic", "wild"), below(0.1),
+            "wild write-back plateaus far above atomic adds (final gap, atomic / wild)",
+        ),
+        Claim(
+            "ablation-gpu-write-lost-updates", "Ablation (§III)",
+            lambda fig: fig.get("wild").meta["lost_updates"], at_least(1),
+            "wild write-back loses updates (lost updates, wild)",
+        ),
+        Claim(
+            "ablation-gpu-write-atomic-exact", "Ablation (§III)",
+            lambda fig: fig.get("atomic").meta["lost_updates"], Band(0, 0),
+            "atomic adds lose no update (lost updates, atomic)",
+        ),
+    ),
+    "ablation-aggregation": (
+        Claim(
+            "ablation-aggregation-adaptive", "Ablation (§IV)",
+            final_ratio("adaptive", "averaging"), at_most(1),
+            "adaptive aggregation beats averaging (final gap, adaptive / averaging)",
+        ),
+        Claim(
+            "ablation-aggregation-adding-diverges", "Ablation (§IV)",
+            final_ratio("averaging", "adding"), below(1e-3),
+            "adding (gamma=1) diverges at K=4 (final gap, averaging / adding)",
+        ),
+    ),
+    "ablation-precision": (
+        Claim(
+            "ablation-precision-fp64", "Ablation (§III)",
+            final_ratio("float64", "float32"), at_most(1),
+            "fp64 descends at least as far as fp32 (final gap, float64 / float32)",
+        ),
+    ),
+    "ablation-pcie": (
+        Claim(
+            "ablation-pcie-pinned", "Ablation (§V)", _pageable_penalty, above(1.5),
+            "pinned host memory makes the per-epoch transfers cheaper (PCIe seconds, pageable / "
+            "pinned)",
+        ),
+    ),
+}
+

@@ -11,10 +11,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..core.distributed import DistributedSCD
-from ..objectives.ridge import RidgeProblem
+from .claims import Band, Claim, above, at_least, at_most, below, final_ratio, time_to
 from .config import (
     ScaleConfig,
     active_scale,
@@ -90,7 +92,6 @@ def run_fig3(
                 meta={"n_workers": k},
             )
         )
-    fig.notes.append("expected: approximately linear slow-down in epochs with K")
     return fig
 
 
@@ -124,9 +125,6 @@ def run_fig4(
                 meta={"aggregation": agg},
             )
         )
-    fig.notes.append(
-        "expected: adaptive reaches small gaps in fewer epochs (primal ~2x)"
-    )
     return fig
 
 
@@ -169,9 +167,6 @@ def run_fig5(
                 },
             )
         )
-    fig.notes.append(
-        "expected: gamma starts low, rises, and settles well above 1/K"
-    )
     return fig
 
 
@@ -210,8 +205,182 @@ def run_fig6(
                     meta={"aggregation": agg, "eps": eps},
                 )
             )
-    fig.notes.append(
-        "expected: roughly flat time with K (adaptive); compute speedup "
-        "cancels the convergence slow-down"
-    )
     return fig
+
+
+# -- claims ------------------------------------------------------------------
+
+
+def _finals(fig: FigureResult) -> list[float]:
+    return [s.final() for s in fig.series]
+
+
+def _fig3_slowdown(fig: FigureResult) -> float:
+    """Epochs K=8 needs over K=1's, to the geometric mid-target."""
+    first, last = fig.series[0], fig.series[-1]
+    eps = np.sqrt(max(last.final(), 1e-14) * first.y[0])
+    return time_to(last, eps) / time_to(first, eps)
+
+
+def _fig3_monotone(fig: FigureResult) -> float:
+    """Largest final-gap drop from one K to the next (fp floor 1e-15)."""
+    finals = _finals(fig)
+    return max(a / max(b, 1e-15) for a, b in zip(finals, finals[1:]))
+
+
+def _fig3_converges(fig: FigureResult) -> float:
+    return max(_finals(fig)) / fig.series[0].y[0]
+
+
+_fig4_final = final_ratio("Adaptive Aggregation", "Averaging Aggregation")
+
+
+def _fig4_epochs(fig: FigureResult) -> float:
+    """Epoch speed-up of adaptive to 2x averaging's final gap."""
+    avg, ada = fig.get("Averaging Aggregation"), fig.get("Adaptive Aggregation")
+    eps = max(avg.final() * 2, 1e-14)
+    return time_to(avg, eps) / time_to(ada, eps)
+
+
+def _fig5_settled(fig: FigureResult) -> float:
+    """Smallest settled gamma * K over K > 1 (nan if any gamma is not finite)."""
+    if not all(np.isfinite(s.y).all() for s in fig.series):
+        return math.nan
+    return min(
+        s.meta["settled_gamma"] * s.meta["n_workers"]
+        for s in fig.series
+        if s.meta["n_workers"] > 1
+    )
+
+
+def _fig5_gamma(fig: FigureResult, k: int) -> float:
+    return next(
+        s.meta["settled_gamma"] for s in fig.series if s.meta["n_workers"] == k
+    )
+
+
+def _fig6_flat(fig: FigureResult) -> float:
+    """Worst time-to-target at any K over the same curve's K=1 time."""
+    return max(float(np.max(s.y / s.y[0])) for s in fig.series)
+
+
+def _fig6_adaptive(fig: FigureResult) -> float:
+    """Worst adaptive / averaging time-to-target at K=8 over the targets."""
+    return max(
+        fig.get(f"Adaptive eps={eps:g}").y[-1]
+        / fig.get(f"Averaging eps={eps:g}").y[-1]
+        for eps in EPS_TARGETS
+    )
+
+
+CLAIMS = {
+    "fig3-primal": (
+        Claim(
+            "fig3-primal-converges", "Fig. 3a", _fig3_converges, below(1),
+            "distributed SCD converges at every K (worst final gap / initial gap)",
+        ),
+        Claim(
+            "fig3-primal-monotone", "Fig. 3a", _fig3_monotone, at_most(1.5),
+            "per-epoch convergence degrades with K (largest final-gap ratio K / next K)",
+        ),
+        Claim(
+            "fig3-primal-slowdown", "Fig. 3a", _fig3_slowdown, above(1),
+            "approximately linear slow-down in epochs with K (epochs to the mid-target, K=8 / K=1)",
+        ),
+    ),
+    "fig3-dual": (
+        Claim(
+            "fig3-dual-converges", "Fig. 3b", _fig3_converges, below(1),
+            "distributed SCD converges at every K (worst final gap / initial gap)",
+        ),
+        Claim(
+            "fig3-dual-monotone", "Fig. 3b", _fig3_monotone, at_most(1.5),
+            "per-epoch convergence degrades with K (largest final-gap ratio K / next K)",
+        ),
+        Claim(
+            "fig3-dual-slowdown", "Fig. 3b", _fig3_slowdown, above(1),
+            "approximately linear slow-down in epochs with K (epochs to the mid-target, K=8 / K=1)",
+        ),
+    ),
+    "fig4-primal": (
+        Claim(
+            "fig4-primal-adaptive-final", "Fig. 4a", _fig4_final, at_most(1),
+            "adaptive aggregation is never worse than averaging (final gap, adaptive / averaging)",
+        ),
+        Claim(
+            "fig4-primal-adaptive-epochs", "Fig. 4a", _fig4_epochs, at_least(1),
+            "adaptive aggregation reaches small gaps in up to ~2x fewer epochs (epochs to 2x "
+            "averaging's final gap, averaging / adaptive)",
+        ),
+    ),
+    "fig4-dual": (
+        Claim(
+            "fig4-dual-adaptive-final", "Fig. 4b", _fig4_final, at_most(1),
+            "adaptive aggregation is never worse than averaging (final gap, adaptive / averaging)",
+        ),
+        Claim(
+            "fig4-dual-adaptive-epochs", "Fig. 4b", _fig4_epochs, at_least(1),
+            "adaptive aggregation reaches small gaps in ~1.2x fewer epochs (epochs to 2x "
+            "averaging's final gap, averaging / adaptive)",
+        ),
+    ),
+    "fig5-primal": (
+        Claim(
+            "fig5-primal-lone-worker", "Fig. 5a",
+            lambda fig: _fig5_gamma(fig, 1), Band(0.7, 1.6, strict=True),
+            "a lone worker's optimal step is the full update (settled gamma, K=1)",
+        ),
+        Claim(
+            "fig5-primal-above-averaging", "Fig. 5a", _fig5_settled, above(1.2),
+            "gamma stays finite and settles significantly above the averaging value 1/K (smallest "
+            "settled gamma * K, K > 1)",
+        ),
+        Claim(
+            "fig5-primal-shrinks-with-k", "Fig. 5a",
+            lambda fig: _fig5_gamma(fig, 8) / _fig5_gamma(fig, 1), below(1),
+            "larger clusters settle at smaller gamma (settled gamma, K=8 / K=1)",
+        ),
+    ),
+    "fig5-dual": (
+        Claim(
+            "fig5-dual-lone-worker", "Fig. 5b",
+            lambda fig: _fig5_gamma(fig, 1), Band(0.7, 1.6, strict=True),
+            "a lone worker's optimal step is the full update (settled gamma, K=1)",
+        ),
+        Claim(
+            "fig5-dual-above-averaging", "Fig. 5b", _fig5_settled, above(1.2),
+            "gamma stays finite and settles significantly above the averaging value 1/K (smallest "
+            "settled gamma * K, K > 1)",
+        ),
+        Claim(
+            "fig5-dual-shrinks-with-k", "Fig. 5b",
+            lambda fig: _fig5_gamma(fig, 8) / _fig5_gamma(fig, 1), below(1),
+            "larger clusters settle at smaller gamma (settled gamma, K=8 / K=1)",
+        ),
+    ),
+    "fig6-primal": (
+        Claim(
+            "fig6-primal-flat", "Fig. 6a", _fig6_flat, at_most(3),
+            "scaling out keeps training time roughly constant: every target reached at every K "
+            "(worst time / the curve's K=1 time)",
+        ),
+        Claim(
+            "fig6-primal-adaptive", "Fig. 6a", _fig6_adaptive, at_most(1.2),
+            "adaptive is at least as fast as averaging at K=8 (worst time-to-target, adaptive / "
+            "averaging)",
+        ),
+    ),
+    "fig6-dual": (
+        Claim(
+            "fig6-dual-flat", "Fig. 6b", _fig6_flat, at_most(3),
+            "scaling out keeps training time roughly constant: every target reached at every K "
+            "(worst time / the curve's K=1 time)",
+            scale="quick",
+        ),
+        Claim(
+            "fig6-dual-adaptive", "Fig. 6b", _fig6_adaptive, at_most(1.2),
+            "adaptive is at least as fast as averaging at K=8 (worst time-to-target, adaptive / "
+            "averaging)",
+        ),
+    ),
+}

@@ -16,6 +16,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..cluster.partition import proportional_partition
@@ -32,6 +34,7 @@ from ..perf.link import ETHERNET_10G, ETHERNET_100G, PCIE3_X16_PINNED
 from ..solvers.batch_gd import BatchGD
 from ..solvers.sgd import SgdSolver
 from ..solvers.scd import SequentialKernelFactory
+from .claims import TRUE, Claim, above, at_most, below, final_ratio
 from .config import (
     LAMBDA,
     ScaleConfig,
@@ -90,10 +93,6 @@ def run_smart_partition(scale: ScaleConfig | None = None) -> FigureResult:
                 meta={"partitioner": label},
             )
         )
-    fig.notes.append(
-        "expected: correlation-aware partitioning converges markedly faster "
-        "per epoch (the distributed sub-problems decouple)"
-    )
     return fig
 
 
@@ -137,10 +136,6 @@ def run_comm_tradeoff(scale: ScaleConfig | None = None) -> FigureResult:
                 meta={"link": label},
             )
         )
-    fig.notes.append(
-        "expected: more frequent communication helps until the network cost "
-        "bites; the faster fabric tolerates (and prefers) smaller fractions"
-    )
     return fig
 
 
@@ -176,10 +171,6 @@ def run_sigma_sweep(scale: ScaleConfig | None = None) -> FigureResult:
                 meta={"sigma_prime": sigma},
             )
         )
-    fig.notes.append(
-        "expected: moderate sigma' accelerates over averaging; sigma'=K "
-        "(adding) diverges on correlated data"
-    )
     return fig
 
 
@@ -247,10 +238,6 @@ def run_async_vs_sync(scale: ScaleConfig | None = None) -> FigureResult:
                 },
             )
         )
-    fig.notes.append(
-        "expected: small-batch async reaches the target faster than the "
-        "synchronous engine; large-batch async diverges (stale adding)"
-    )
     return fig
 
 
@@ -311,10 +298,6 @@ def run_heterogeneous_cluster(scale: ScaleConfig | None = None) -> FigureResult:
                 },
             )
         )
-    fig.notes.append(
-        "expected: proportional shares reach the target sooner (no idle "
-        "fast device waiting at the barrier)"
-    )
     return fig
 
 
@@ -363,10 +346,6 @@ def run_glm_gpu(scale: ScaleConfig | None = None) -> FigureResult:
     )
     fig.add(CurveSeries("SVM CPU", h_cpu.epochs, h_cpu.gaps, "epochs", "gap"))
     fig.add(CurveSeries("SVM TPA", h_gpu.epochs, h_gpu.gaps, "epochs", "gap"))
-    fig.notes.append(
-        "expected: GPU curves track the CPU solvers per epoch down to the "
-        "fp32 floor"
-    )
     return fig
 
 
@@ -415,12 +394,6 @@ def run_batch_vs_stochastic(scale: ScaleConfig | None = None) -> FigureResult:
         fig.add(
             CurveSeries(label, res.history.epochs, res.history.gaps, "epochs", "gap")
         )
-    fig.notes.append(
-        "expected: SCD reaches small gaps in far fewer epochs than plain "
-        "batch GD (the paper's Section I motivation); SGD's 1/t schedule "
-        "plateaus at a noise ball while SCD's exact coordinate steps give a "
-        "linear rate; Hogwild tracks sequential SGD per epoch"
-    )
     return fig
 
 
@@ -506,8 +479,151 @@ def run_weak_scaling(scale: ScaleConfig | None = None) -> FigureResult:
             "time(s)",
         )
     )
-    fig.notes.append(
-        "expected: the CPU's time grows ~linearly with the data; the GPU "
-        "cluster absorbs the growth by scaling out"
-    )
     return fig
+
+
+# -- claims ------------------------------------------------------------------
+
+
+def _fabrics(fig: FigureResult) -> tuple[np.ndarray, np.ndarray]:
+    """(10GbE, 100GbE) times at the granularities both fabrics reach."""
+    slow, fast = fig.get("10GbE").y, fig.get("100GbE").y
+    both = np.isfinite(slow) & np.isfinite(fast)
+    return slow[both], fast[both]
+
+
+def _fast_fabric_never_loses(fig: FigureResult) -> float:
+    slow, fast = _fabrics(fig)
+    return float(np.max(fast / slow)) if slow.size else math.nan
+
+
+def _fine_granularity_penalty(fig: FigureResult) -> float:
+    """Finest-fraction penalty over the fabric's best, 100GbE / 10GbE."""
+    slow, fast = fig.get("10GbE").y, fig.get("100GbE").y
+    best_slow, best_fast = _fabrics(fig)
+    return (fast[-1] / best_fast.min()) / (slow[-1] / best_slow.min())
+
+
+def _time_ratio(num: str, den: str):
+    """Measure: time to target of series ``num`` over that of series ``den``."""
+    return lambda fig: (
+        fig.get(num).meta["time_to_target"] / fig.get(den).meta["time_to_target"]
+    )
+
+
+_WEAK_GPU = "distributed TPA-SCD (K workers)"
+_WEAK_CPU = "sequential CPU (same growing data)"
+
+
+def _growth(label: str):
+    """Time on the largest data over time on the base data."""
+    return lambda fig: fig.get(label).y[-1] / fig.get(label).y[0]
+
+
+def _weak_gpu_vs_cpu(fig: FigureResult) -> float:
+    return float(np.max(fig.get(_WEAK_GPU).y / fig.get(_WEAK_CPU).y))
+
+
+CLAIMS = {
+    "ext-smart-partition": (
+        Claim(
+            "ext-smart-partition-wins", "Ext. [22] (§IV)",
+            final_ratio("correlation-aware", "random"), below(0.2),
+            "correlation-aware partitioning decouples the workers' sub-problems (final gap, "
+            "correlation-aware / random)",
+        ),
+    ),
+    "ext-comm-tradeoff": (
+        Claim(
+            "ext-comm-tradeoff-fast-fabric", "Ext. [23]", _fast_fabric_never_loses, at_most(1.05),
+            "the faster fabric never loses at any granularity both reach (worst time, 100GbE / "
+            "10GbE)",
+        ),
+        Claim(
+            "ext-comm-tradeoff-granularity", "Ext. [23]", _fine_granularity_penalty, below(1),
+            "the best aggregation granularity depends on the fabric: fine granularity costs "
+            "100GbE less (finest-fraction penalty, 100GbE / 10GbE)",
+        ),
+    ),
+    "ext-sigma-sweep": (
+        Claim(
+            "ext-sigma-sweep-moderate", "Ext. [24]", final_ratio("sigma'=2", "sigma'=1"), below(1),
+            "moderate sigma' scaling accelerates (final gap, sigma'=2 / sigma'=1)",
+        ),
+        Claim(
+            "ext-sigma-sweep-adding-diverges", "Ext. [24]",
+            final_ratio("sigma'=1", "sigma'=8"), below(1e-3),
+            "adding (sigma'=K) diverges at K=8 (final gap, sigma'=1 / sigma'=8)",
+        ),
+    ),
+    "ext-async-vs-sync": (
+        Claim(
+            "ext-async-hides-comm", "Ext. [6]",
+            _time_ratio("async batch=1/16", "synchronous (averaging)"), below(1),
+            "a bounded-staleness parameter server reaches the gap sooner (time to target, async "
+            "1/16 / synchronous)",
+        ),
+        Claim(
+            "ext-async-too-stale", "Ext. [6]",
+            lambda fig: math.isinf(
+                fig.get("async batch=1/4 (too stale)").meta["time_to_target"]
+            ),
+            TRUE,
+            "coarse async batches are too stale to converge",
+        ),
+    ),
+    "ext-heterogeneous": (
+        Claim(
+            "ext-heterogeneous-proportional", "Ext. (heterogeneous)",
+            _time_ratio("throughput-proportional", "uniform"), below(1),
+            "throughput-proportional partitions beat uniform ones on a mixed cluster (time to "
+            "target, proportional / uniform)",
+            scale="quick",
+        ),
+    ),
+    "ext-glm-gpu": (
+        Claim(
+            "ext-glm-gpu-enet-tpa", "Ext. (GLM, §VI)",
+            lambda fig: fig.get("elastic-net TPA").final(), below(1e-5),
+            "the TPA engine solves elastic net to the fp32 floor (final KKT residual)",
+        ),
+        Claim(
+            "ext-glm-gpu-svm-tpa", "Ext. (GLM, §VI)",
+            lambda fig: abs(fig.get("SVM TPA").final()), below(1e-5),
+            "the TPA engine solves the SVM dual to the fp32 floor (absolute final duality gap)",
+            scale="quick",
+        ),
+        Claim(
+            "ext-glm-gpu-enet-cpu", "Ext. (GLM, §VI)",
+            lambda fig: fig.get("elastic-net CPU").final(), below(1e-8),
+            "the fp64 CPU elastic-net reference converges (final KKT residual)",
+            scale="quick",
+        ),
+    ),
+    "ext-batch-vs-stochastic": (
+        Claim(
+            "ext-batch-scd-beats-gd", "§I",
+            final_ratio("SCD (Algorithm 1)", "Batch GD"), below(1e-3),
+            "SCD converges far faster per epoch than batch gradient descent (final gap, SCD / "
+            "batch GD)",
+        ),
+        Claim(
+            "ext-batch-nesterov-helps", "§I", final_ratio("Nesterov GD", "Batch GD"), below(1),
+            "acceleration helps gradient descent (final gap, Nesterov / batch GD)",
+        ),
+    ),
+    "ext-weak-scaling": (
+        Claim(
+            "ext-weak-scaling-gpu-flat", "§V (closing)", _growth(_WEAK_GPU), below(3),
+            "the GPU cluster absorbs K-fold data growth (time, largest K / K=1)",
+        ),
+        Claim(
+            "ext-weak-scaling-cpu-grows", "§V (closing)", _growth(_WEAK_CPU), above(1.5),
+            "one CPU does not (time, largest data / base data)",
+        ),
+        Claim(
+            "ext-weak-scaling-gpu-faster", "§V (closing)", _weak_gpu_vs_cpu, below(0.2),
+            "the cluster stays >5x faster at every size (worst time, GPU / CPU)",
+        ),
+    ),
+}

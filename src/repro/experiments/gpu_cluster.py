@@ -18,6 +18,7 @@ from ..core.distributed import DistributedSCD
 from ..gpu.spec import GTX_TITAN_X, QUADRO_M4000, GpuSpec
 from ..perf.ledger import COMPONENTS, PAPER_COMPONENTS
 from ..perf.link import ETHERNET_10G, PCIE3_X16_PINNED, Link
+from .claims import Band, Claim, above, at_least, below
 from .config import (
     ScaleConfig,
     active_scale,
@@ -129,10 +130,6 @@ def run_fig8(
                     meta={"solver": solver, "eps": eps},
                 )
             )
-    fig.notes.append(
-        "expected: TPA-SCD roughly an order of magnitude below SCD at every "
-        "K, with similar (flat-ish) scaling"
-    )
     return fig
 
 
@@ -169,8 +166,85 @@ def run_fig9(scale: ScaleConfig | None = None) -> FigureResult:
                 meta={"component": comp},
             )
         )
-    fig.notes.append(
-        "expected: GPU compute dominates everywhere; communication share "
-        "grows with K but stays a minority (paper: ~17% at K=8)"
-    )
     return fig
+
+
+# -- claims ------------------------------------------------------------------
+
+
+def _fig8_speedup(fig: FigureResult) -> float:
+    """Smallest SCD / TPA-SCD time over every (target, K) both reach."""
+    ratios = []
+    for eps in EPS_TARGETS:
+        scd = fig.get(f"SCD eps={eps:g}").y
+        tpa = fig.get(f"TPA-SCD eps={eps:g}").y
+        both = np.isfinite(scd) & np.isfinite(tpa)
+        ratios.append(np.min(scd[both] / tpa[both]) if both.any() else np.nan)
+    return float(np.min(ratios))
+
+
+def _fig8_flat(fig: FigureResult) -> float:
+    loose = fig.get(f"TPA-SCD eps={EPS_TARGETS[0]:g}").y
+    return float(loose.max() / loose.min())
+
+
+def _fig9_network(fig: FigureResult) -> np.ndarray:
+    return fig.get(COMPONENT_LABELS["comm_network"]).y
+
+
+def network_step(fig: FigureResult) -> float:
+    """Smallest growth of network time from one worker count to the next."""
+    return float(np.diff(_fig9_network(fig)).min())
+
+
+def _fig9_shares(fig: FigureResult) -> tuple[np.ndarray, np.ndarray]:
+    """(GPU compute share, communication share) of total time, per K."""
+    gpu, host, pcie, net = (
+        fig.get(COMPONENT_LABELS[c]).y for c in PAPER_COMPONENTS
+    )
+    total = gpu + host + pcie + net
+    return gpu / total, (pcie + net) / total
+
+
+CLAIMS = {
+    "fig8-m4000": (
+        Claim(
+            "fig8-m4000-speedup", "Fig. 8a", _fig8_speedup, at_least(5),
+            "distributed TPA-SCD sits ~10x below distributed SCD on the M4000 cluster (smallest "
+            "SCD / TPA-SCD time-to-target)",
+        ),
+        Claim(
+            "fig8-m4000-flat", "Fig. 8a", _fig8_flat, below(6),
+            "TPA-SCD scales flat-ish (loosest target, slowest K / fastest K)",
+        ),
+    ),
+    "fig8-titanx": (
+        Claim(
+            "fig8-titanx-speedup", "Fig. 8b", _fig8_speedup, at_least(15),
+            "distributed TPA-SCD sits ~30x below distributed SCD on the Titan X cluster (smallest "
+            "SCD / TPA-SCD time-to-target)",
+        ),
+        Claim(
+            "fig8-titanx-flat", "Fig. 8b", _fig8_flat, below(6),
+            "TPA-SCD scales flat-ish (loosest target, slowest K / fastest K)",
+        ),
+    ),
+    "fig9": (
+        Claim(
+            "fig9-gpu-dominates", "Fig. 9", lambda fig: _fig9_shares(fig)[0].min(), above(0.5),
+            "GPU compute dominates total time at every K (smallest GPU share)",
+        ),
+        Claim(
+            "fig9-comm-minority", "Fig. 9", lambda fig: _fig9_shares(fig)[1].max(), below(0.45),
+            "communication stays a minority, ~17% at K=8 (largest share)",
+        ),
+        Claim(
+            "fig9-no-network-at-k1", "Fig. 9", lambda fig: _fig9_network(fig)[0], Band(0, 0),
+            "a single worker makes no network hop (network time at K=1)",
+        ),
+        Claim(
+            "fig9-network-grows", "Fig. 9", network_step, above(0),
+            "network time grows with K (smallest step between neighbours)",
+        ),
+    ),
+}

@@ -7,7 +7,9 @@ with the metadata the orchestration layers need:
 * a one-line title for reports and listings,
 * the callable (``fn(scale=None, **params) -> FigureResult``),
 * the *sweepable* keyword parameters the driver accepts beyond ``scale`` —
-  the axes a ``repro.eval`` config may put in its ``[matrix]``.
+  the axes a ``repro.eval`` config may put in its ``[matrix]``,
+* the paper claims its figure reproduces (:mod:`repro.experiments.claims`),
+  declared in the driver's module and checked by :meth:`DriverSpec.check`.
 
 Both the ``repro.eval`` subsystem and ``tools/generate_experiments_md.py``
 discover drivers from this table (and the CLI's ``ALL_EXPERIMENTS`` mapping
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .claims import Claim, Verdict
 from .results import FigureResult
 
 __all__ = [
@@ -44,6 +47,12 @@ class DriverSpec:
     kind: str = "figure"
     #: keyword parameters (beyond ``scale``) a sweep axis may bind
     params: tuple[str, ...] = ()
+    #: the paper claims the driver's figure must reproduce
+    claims: tuple[Claim, ...] = ()
+
+    def check(self, figure: FigureResult, scale: str) -> tuple[Verdict, ...]:
+        """One verdict per declared claim on ``figure``, run at ``scale``."""
+        return tuple(claim.verdict(figure, scale) for claim in self.claims)
 
     def run(self, scale=None, **params) -> FigureResult:
         """Invoke the driver, rejecting parameters it never declared."""
@@ -67,11 +76,14 @@ def register(
     *,
     kind: str = "figure",
     params: tuple[str, ...] = (),
+    claims: tuple[Claim, ...] = (),
 ) -> DriverSpec:
     """Register one driver; duplicate ids are a programming error."""
     if driver_id in REGISTRY:
         raise ValueError(f"driver {driver_id!r} is already registered")
-    spec = DriverSpec(driver_id, title, fn, kind=kind, params=params)
+    spec = DriverSpec(
+        driver_id, title, fn, kind=kind, params=params, claims=tuple(claims)
+    )
     REGISTRY[driver_id] = spec
     return spec
 
@@ -113,200 +125,162 @@ def run_driver(driver_id: str, scale=None, **params) -> FigureResult:
 
 def _populate() -> None:
     """Register the built-in drivers (import-cycle-free, called once)."""
-    from .ablations import (
-        run_aggregation_ablation,
-        run_gpu_write_ablation,
-        run_pcie_ablation,
-        run_precision_ablation,
-        run_wave_ablation,
-    )
-    from .convergence import run_fig1, run_fig2
-    from .distributed_figs import run_fig3, run_fig4, run_fig5, run_fig6
-    from .extensions import (
-        run_async_vs_sync,
-        run_batch_vs_stochastic,
-        run_comm_tradeoff,
-        run_glm_gpu,
-        run_heterogeneous_cluster,
-        run_sigma_sweep,
-        run_smart_partition,
-        run_weak_scaling,
-    )
-    from .faults import run_fault_breakdown, run_fault_tolerance
-    from .gpu_cluster import run_fig8, run_fig9
-    from .elastic_fig import run_elastic
-    from .headline import run_headline
-    from .large_scale import run_fig10, run_fig10_outofcore
-    from .serving_fig import run_serving
-    from .syscd_fig import run_syscd_scaling
+    from . import ablations, convergence, distributed_figs, elastic_fig, extensions
+    from . import faults, gpu_cluster, headline, large_scale, serving_fig, syscd_fig
 
-    def _form(fn, formulation):
+    claims: dict[str, tuple[Claim, ...]] = {}
+    for module in (ablations, convergence, distributed_figs, elastic_fig, extensions):
+        claims.update(module.CLAIMS)
+    for module in (faults, gpu_cluster, headline, large_scale, serving_fig, syscd_fig):
+        claims.update(module.CLAIMS)
+
+    def add(driver_id: str, title: str, fn, **kwargs) -> None:
+        """``register`` with the claims the driver's module declares."""
+        register(driver_id, title, fn, claims=claims.pop(driver_id), **kwargs)
+
+    def _bind(fn, arg):
         def _run(scale=None):
-            return fn(formulation, scale)
+            return fn(arg, scale)
 
-        _run.__name__ = f"{fn.__name__}_{formulation}"
+        _run.__name__ = f"{fn.__name__}_{arg}"
         return _run
 
-    register("fig1", "Fig. 1 — primal convergence (five solvers)", run_fig1)
-    register("fig2", "Fig. 2 — dual convergence (five solvers)", run_fig2)
-    for formulation in ("primal", "dual"):
-        tag = formulation
-        register(
-            f"fig3-{tag}",
-            f"Fig. 3 — distributed SCD vs epochs ({tag})",
-            _form(run_fig3, formulation),
-        )
-        register(
-            f"fig4-{tag}",
-            f"Fig. 4 — adaptive vs averaging aggregation ({tag})",
-            _form(run_fig4, formulation),
-        )
-        register(
-            f"fig5-{tag}",
-            f"Fig. 5 — optimal gamma evolution ({tag})",
-            _form(run_fig5, formulation),
-        )
-        register(
-            f"fig6-{tag}",
-            f"Fig. 6 — time to gap vs workers ({tag})",
-            _form(run_fig6, formulation),
-        )
-
-    def _cluster(cluster):
-        def _run(scale=None):
-            return run_fig8(cluster, scale)
-
-        _run.__name__ = f"run_fig8_{cluster}"
-        return _run
-
-    register("fig8-m4000", "Fig. 8a — M4000 cluster (10 GbE)", _cluster("m4000"))
-    register("fig8-titanx", "Fig. 8b — Titan X cluster (PCIe)", _cluster("titanx"))
-    register("fig9", "Fig. 9 — computation vs communication breakdown", run_fig9)
-    register("fig10", "Fig. 10 — criteo-like large-scale training", run_fig10)
-    register(
+    add("fig1", "Fig. 1 — primal convergence (five solvers)", convergence.run_fig1)
+    add("fig2", "Fig. 2 — dual convergence (five solvers)", convergence.run_fig2)
+    for number, fn, title in (
+        (3, distributed_figs.run_fig3, "distributed SCD vs epochs"),
+        (4, distributed_figs.run_fig4, "adaptive vs averaging aggregation"),
+        (5, distributed_figs.run_fig5, "optimal gamma evolution"),
+        (6, distributed_figs.run_fig6, "time to gap vs workers"),
+    ):
+        for formulation in ("primal", "dual"):
+            add(
+                f"fig{number}-{formulation}",
+                f"Fig. {number} — {title} ({formulation})",
+                _bind(fn, formulation),
+            )
+    add("fig8-m4000", "Fig. 8a — M4000 cluster (10 GbE)", _bind(gpu_cluster.run_fig8, "m4000"))
+    add("fig8-titanx", "Fig. 8b — Titan X cluster (PCIe)", _bind(gpu_cluster.run_fig8, "titanx"))
+    add("fig9", "Fig. 9 — computation vs communication breakdown", gpu_cluster.run_fig9)
+    add("fig10", "Fig. 10 — criteo-like large-scale training", large_scale.run_fig10)
+    add(
         "fig10-outofcore",
         "Fig. 10 (out-of-core) — 40 GB footprint on one 12 GB GPU",
-        run_fig10_outofcore,
+        large_scale.run_fig10_outofcore,
     )
-    register("headline", "Headline speedups (abstract / Sections I & VI)", run_headline)
+    add("headline", "Headline speedups (abstract / Sections I & VI)", headline.run_headline)
 
-    register(
-        "ablation-wave",
-        "Ablation — wave size vs convergence and throughput",
-        run_wave_ablation,
-        kind="ablation",
-    )
-    register(
-        "ablation-gpu-write",
-        "Ablation — GPU global-write strategies",
-        run_gpu_write_ablation,
-        kind="ablation",
-    )
-    register(
-        "ablation-aggregation",
-        "Ablation — aggregation policies",
-        run_aggregation_ablation,
-        kind="ablation",
-    )
-    register(
-        "ablation-precision",
-        "Ablation — fp32 vs fp64 accumulation",
-        run_precision_ablation,
-        kind="ablation",
-    )
-    register(
-        "ablation-pcie",
-        "Ablation — PCIe generation sensitivity",
-        run_pcie_ablation,
-        kind="ablation",
-    )
+    for driver_id, title, fn in (
+        (
+            "ablation-wave",
+            "Ablation — wave size vs convergence and throughput",
+            ablations.run_wave_ablation,
+        ),
+        (
+            "ablation-gpu-write",
+            "Ablation — GPU global-write strategies",
+            ablations.run_gpu_write_ablation,
+        ),
+        (
+            "ablation-aggregation",
+            "Ablation — aggregation policies",
+            ablations.run_aggregation_ablation,
+        ),
+        (
+            "ablation-precision",
+            "Ablation — fp32 vs fp64 accumulation",
+            ablations.run_precision_ablation,
+        ),
+        (
+            "ablation-pcie",
+            "Ablation — PCIe generation sensitivity",
+            ablations.run_pcie_ablation,
+        ),
+    ):
+        add(driver_id, title, fn, kind="ablation")
 
-    register(
-        "ext-smart-partition",
-        "Extension — correlation-aware partitioning",
-        run_smart_partition,
-        kind="extension",
-    )
-    register(
-        "ext-comm-tradeoff",
-        "Extension — aggregation granularity vs fabric",
-        run_comm_tradeoff,
-        kind="extension",
-    )
-    register(
-        "ext-sigma-sweep",
-        "Extension — sigma' scaling sweep",
-        run_sigma_sweep,
-        kind="extension",
-    )
-    register(
-        "ext-async-vs-sync",
-        "Extension — asynchronous vs synchronous updates",
-        run_async_vs_sync,
-        kind="extension",
-    )
-    register(
-        "ext-heterogeneous",
-        "Extension — heterogeneous GPU cluster",
-        run_heterogeneous_cluster,
-        kind="extension",
-    )
-    register(
-        "ext-glm-gpu",
-        "Extension — TPA engine on elastic-net and SVM GLMs",
-        run_glm_gpu,
-        kind="extension",
-    )
-    register(
-        "ext-batch-vs-stochastic",
-        "Extension — batch vs stochastic methods",
-        run_batch_vs_stochastic,
-        kind="extension",
-    )
-    register(
-        "ext-weak-scaling",
-        "Extension — weak scaling as data grows with K",
-        run_weak_scaling,
-        kind="extension",
-    )
-    register(
+    for driver_id, title, fn in (
+        (
+            "ext-smart-partition",
+            "Extension — correlation-aware partitioning",
+            extensions.run_smart_partition,
+        ),
+        (
+            "ext-comm-tradeoff",
+            "Extension — aggregation granularity vs fabric",
+            extensions.run_comm_tradeoff,
+        ),
+        (
+            "ext-sigma-sweep",
+            "Extension — sigma' scaling sweep",
+            extensions.run_sigma_sweep,
+        ),
+        (
+            "ext-async-vs-sync",
+            "Extension — asynchronous vs synchronous updates",
+            extensions.run_async_vs_sync,
+        ),
+        (
+            "ext-heterogeneous",
+            "Extension — heterogeneous GPU cluster",
+            extensions.run_heterogeneous_cluster,
+        ),
+        (
+            "ext-glm-gpu",
+            "Extension — TPA engine on elastic-net and SVM GLMs",
+            extensions.run_glm_gpu,
+        ),
+        (
+            "ext-batch-vs-stochastic",
+            "Extension — batch vs stochastic methods",
+            extensions.run_batch_vs_stochastic,
+        ),
+        (
+            "ext-weak-scaling",
+            "Extension — weak scaling as data grows with K",
+            extensions.run_weak_scaling,
+        ),
+    ):
+        add(driver_id, title, fn, kind="extension")
+    add(
         "ext-fault-tolerance",
         "Extension — duality gap under injected fault scenarios",
-        run_fault_tolerance,
+        faults.run_fault_tolerance,
         kind="extension",
         params=("scenario",),
     )
-    register(
+    add(
         "ext-fault-breakdown",
         "Extension — execution-time breakdown under faults",
-        run_fault_breakdown,
+        faults.run_fault_breakdown,
         kind="extension",
         params=("scenario",),
     )
 
-    register(
+    add(
         "serving",
         "Online serving — train-to-serve hot-swap under seeded traffic",
-        run_serving,
+        serving_fig.run_serving,
         kind="scenario",
         params=("solver", "seed"),
     )
-
-    register(
+    add(
         "syscd",
         "SySCD — bucketed parallel CPU solver thread scaling (measured)",
-        run_syscd_scaling,
+        syscd_fig.run_syscd_scaling,
         kind="scenario",
         params=("threads", "buckets", "merge_every"),
     )
-
-    register(
+    add(
         "elastic",
         "Elastic membership — fixed vs join/leave cluster on one seed",
-        run_elastic,
+        elastic_fig.run_elastic,
         kind="scenario",
         params=("workers", "comm", "rebalance_every", "seed"),
     )
+
+    if claims:
+        raise RuntimeError(f"claims declared for unknown drivers: {sorted(claims)}")
 
 
 _populate()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .claims import TRUE, Band, Claim, above, at_least
 from .config import ScaleConfig, active_scale
 from .results import CurveSeries, FigureResult
 
@@ -67,7 +68,6 @@ def run_serving(
             "oracle_mismatches": len(report.oracle_mismatches),
             "p50_latency_s": report.p50_latency_s,
             "p99_latency_s": report.p99_latency_s,
-            "ok": report.ok,
         },
     )
     swaps = report.staleness_at_swaps
@@ -99,9 +99,41 @@ def run_serving(
             y_name="latency(s)",
         )
     )
-    fig.notes.append(
-        "acceptance: >= 3 versions served, zero oracle mismatches, staleness "
-        "falls at every swap, consecutive fingerprints distinct"
-        + (" — OK" if report.ok else " — FAILED")
-    )
     return fig
+
+
+def _staleness_drop(fig: FigureResult) -> float:
+    """Smallest fall in staleness (epochs) at any swap."""
+    before = fig.get("staleness before swap").y
+    after = fig.get("staleness after swap").y
+    return float(np.min(before - after))
+
+
+def _fingerprints_distinct(fig: FigureResult) -> bool:
+    prints = fig.meta["fingerprints"]
+    return all(a != b for a, b in zip(prints, prints[1:]))
+
+
+CLAIMS = {
+    "serving": (
+        Claim(
+            "serving-versions", "Scenario (serving)",
+            lambda fig: len(fig.meta["versions_served"]), at_least(3),
+            "training publishes and the server hot-swaps several model versions (distinct "
+            "versions served)",
+        ),
+        Claim(
+            "serving-oracle-exact", "Scenario (serving)",
+            lambda fig: fig.meta["oracle_mismatches"], Band(0, 0),
+            "every served score is bitwise the offline X @ w oracle (oracle mismatches)",
+        ),
+        Claim(
+            "serving-staleness-falls", "Scenario (serving)", _staleness_drop, above(0),
+            "staleness falls at every swap (smallest fall, epochs)",
+        ),
+        Claim(
+            "serving-fingerprints-distinct", "Scenario (serving)", _fingerprints_distinct, TRUE,
+            "each published version carries new weights (consecutive fingerprints distinct)",
+        ),
+    ),
+}

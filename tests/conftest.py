@@ -10,6 +10,27 @@ from repro.objectives import RidgeProblem
 from repro.sparse import from_coo
 
 
+@pytest.fixture(scope="session")
+def claim_verdict():
+    """Check one declared claim at its scale; each (driver, scale) runs once."""
+    from repro.experiments.config import SCALES
+    from repro.experiments.registry import REGISTRY
+
+    claims = {
+        c.claim_id: (spec, c) for spec in REGISTRY.values() for c in spec.claims
+    }
+    figures = {}
+
+    def verdict(claim_id: str):
+        spec, claim = claims[claim_id]
+        key = (spec.driver_id, claim.scale)
+        if key not in figures:
+            figures[key] = spec.run(SCALES[claim.scale])
+        return claim.verdict(figures[key], claim.scale)
+
+    return verdict
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

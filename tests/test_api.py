@@ -162,6 +162,12 @@ class TestRunJsonCli:
             isinstance(v, float) for s in series for v in s["x"] + s["y"]
         )
 
+    def test_run_json_records_the_scale_it_ran_at(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        assert main(["run", "ext-fault-breakdown", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["scale"] == "tiny"
+
     def test_run_json_out_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         out = tmp_path / "sub" / "fig.json"

@@ -1,13 +1,21 @@
-"""The HTML report renderer and the SVG chart primitives."""
+"""The HTML report renderer (with claim verdicts), `repro eval` exit codes, and SVG primitives."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
+from repro.cli import main
 from repro.eval import build_report, parse_config, plan, render_report, run_plan
 from repro.eval.svg import PALETTE, line_plot, stacked_bar
+from repro.experiments import registry
+from repro.experiments.claims import Claim, below
+from repro.experiments.results import CurveSeries, FigureResult
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _render(tmp_path, doc, **kwargs):
@@ -180,3 +188,78 @@ class TestSvgPrimitives:
         assert svg.count("<rect") >= 4  # segments + legend swatches
         assert "<title>K=1 — compute: 3</title>" in svg
         assert PALETTE[0] in svg and PALETTE[1] in svg
+
+
+def _planted_figure(scale=None):
+    fig = FigureResult(figure_id="planted", title="planted failing claim")
+    fig.add(CurveSeries("gap", [0.0, 1.0, 2.0], [1.0, 0.5, 0.25]))
+    return fig
+
+
+@pytest.fixture
+def planted(tmp_path):
+    """A registered driver whose one claim fails, and a config running it."""
+    registry.register(
+        "planted",
+        "planted failing claim",
+        _planted_figure,
+        claims=(
+            Claim(
+                "planted-converges", "none",
+                lambda fig: fig.get("gap").final(), below(1e-3),
+                "the planted gap falls below 1e-3 (final gap)",
+            ),
+        ),
+    )
+    config = tmp_path / "planted.toml"
+    config.write_text(
+        '[experiment]\nid = "planted"\n[run]\nscale = "tiny"\n'
+        '[matrix]\ndriver = ["planted"]\n[report]\nsections = ["figures"]\n'
+    )
+    yield config
+    registry.unregister("planted")
+
+
+def _eval(config, tmp_path, *extra) -> int:
+    return main(
+        [
+            "eval", str(config), "--jobs", "1", "--no-bench",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--out-dir", str(tmp_path / "reports"),
+            *extra,
+        ]
+    )
+
+
+class TestEvalVerdicts:
+    def test_failed_claim_exits_1_and_still_writes_the_report(
+        self, planted, tmp_path, capsys
+    ):
+        assert _eval(planted, tmp_path) == 1
+        assert "planted-converges" in capsys.readouterr().err
+        html = (tmp_path / "reports" / "planted.html").read_text(encoding="utf-8")
+        assert '<tr class="claim fail">' in html and "✗" in html
+        assert "0 of 1 paper claims hold" in html
+
+    def test_json_summary_is_one_document_with_the_failed_count(
+        self, planted, tmp_path, capsys
+    ):
+        assert _eval(planted, tmp_path, "--json") == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == "repro.eval/v1"
+        assert doc["claims_failed"] == 1
+
+    def test_resumed_cells_are_checked_too(self, planted, tmp_path, capsys):
+        _eval(planted, tmp_path)
+        capsys.readouterr()
+        assert _eval(planted, tmp_path, "--json") == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["resumed"] == 1 and doc["claims_failed"] == 1
+
+    def test_passing_fig1_at_tiny_exits_0(self, tmp_path, capsys):
+        assert _eval(CONFIGS / "fig1.toml", tmp_path, "--scale", "tiny", "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["claims_failed"] == 0
+        html = (tmp_path / "reports" / "fig1.html").read_text(encoding="utf-8")
+        assert '<tr class="claim pass">' in html
+        assert 'class="claim fail"' not in html

@@ -190,11 +190,11 @@ class TestParallelAndScaleOverride:
         assert [c.scale for c in p.cells] == ["tiny"]
 
     def test_run_drivers_front_door(self, counting_driver, tmp_path):
-        figs = run_drivers(
+        run = run_drivers(
             ["test-probe"], scale="tiny", cache_dir=tmp_path / "cache"
         )
-        assert set(figs) == {"test-probe"}
-        assert figs["test-probe"].figure_id == "probe"
+        assert [r.cell.driver_id for r in run.results] == ["test-probe"]
+        assert run.results[0].figure.figure_id == "probe"
         # second call resumes from the same cache: no new executions
         run_drivers(["test-probe"], scale="tiny", cache_dir=tmp_path / "cache")
         assert len(counting_driver.read_text().splitlines()) == 1

@@ -1,253 +1,163 @@
-"""Integration tests: every figure driver runs and shows the paper's shapes.
+"""Every experiment driver's paper claims hold at their declared scale.
 
-Each driver is exercised at a micro scale (far smaller than the benchmark
-harness's "quick" scale) so the whole file stays fast; the assertions check
-the *qualitative* claims the paper makes for each figure.
+Predicates, bands and scales live once, next to the drivers
+(:mod:`repro.experiments.claims`).  ``test_claim_holds_at_declared_scale``
+runs each claim; the classes after the table checks keep this suite's
+figure-level checks, each naming the claims that now state it.
 """
 
-import math
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.experiments import (
-    EPS_TARGETS,
-    SOLVER_LABELS,
-    WORKER_COUNTS,
-    run_async_vs_sync,
-    run_comm_tradeoff,
-    run_glm_gpu,
-    run_heterogeneous_cluster,
-    run_sigma_sweep,
-    run_smart_partition,
-    run_aggregation_ablation,
-    run_convergence,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-    run_gpu_write_ablation,
-    run_headline,
-    run_pcie_ablation,
-    run_precision_ablation,
-    run_wave_ablation,
-)
-from repro.experiments.config import ScaleConfig
+import repro
+from repro.experiments.registry import REGISTRY
+from repro.experiments.results import FigureResult
 
-MICRO = ScaleConfig(
-    name="micro",
-    webspam_n=300,
-    webspam_m=800,
-    webspam_nnz_per_example=20,
-    criteo_n=600,
-    criteo_groups=8,
-    criteo_cardinality=80,
-    epoch_factor=1.0,
-)
+CLAIM_IDS = [c.claim_id for spec in REGISTRY.values() for c in spec.claims]
 
 
-@pytest.fixture(scope="module")
-def fig2():
-    return run_convergence("dual", MICRO)
+@pytest.mark.parametrize("claim_id", CLAIM_IDS)
+def test_claim_holds_at_declared_scale(claim_verdict, claim_id):
+    verdict = claim_verdict(claim_id)
+    assert verdict.status == "pass", (
+        f"{claim_id} at {verdict.claim.scale}: measured {verdict.measured()}, "
+        f"band {verdict.claim.band}"
+    )
+
+
+class TestClaimsTable:
+    def test_every_driver_declares_a_claim(self):
+        assert [d for d, spec in REGISTRY.items() if not spec.claims] == []
+
+    def test_claim_ids_are_unique(self):
+        assert len(CLAIM_IDS) == len(set(CLAIM_IDS))
+
+    def test_each_id_is_written_once_under_src(self):
+        src = "\n".join(
+            p.read_text(encoding="utf-8")
+            for p in Path(repro.__file__).parent.rglob("*.py")
+        )
+        counts = {cid: src.count(f'"{cid}"') for cid in CLAIM_IDS}
+        assert {cid: n for cid, n in counts.items() if n != 1} == {}
+
+    def test_claims_below_their_scale_are_skipped(self):
+        spec = REGISTRY["fig10"]
+        quick = [c for c in spec.claims if c.scale == "quick"]
+        assert quick
+        fig = FigureResult(figure_id="fig10", title="unused")
+        for claim in quick:
+            verdict = claim.verdict(fig, "tiny")
+            assert verdict.status == "skip" and not verdict.failed
+            assert verdict.value is None
+
+
+@pytest.fixture
+def holds(claim_verdict):
+    def check(*claim_ids):
+        failed = [v for v in map(claim_verdict, claim_ids) if v.status != "pass"]
+        assert not failed, [f"{v.claim.claim_id}: {v.measured()}" for v in failed]
+
+    return check
 
 
 class TestConvergenceFigures:
-    def test_all_solvers_present(self, fig2):
-        for label in SOLVER_LABELS:
-            fig2.get(f"{label} | epochs")
-            fig2.get(f"{label} | time")
+    def test_all_solvers_present(self, holds):
+        holds("fig2-atomic-tracks-seq", "fig2-wild-floor", "fig2-time-order")
 
-    def test_atomic_solvers_track_sequential_per_epoch(self, fig2):
-        seq = fig2.get("SCD (1 thread) | epochs").final()
-        for label in ("A-SCD (16 threads)", "TPA-SCD (M4000)", "TPA-SCD (Titan X)"):
-            final = fig2.get(f"{label} | epochs").final()
-            assert final < max(seq * 1e3, 1e-6)
+    def test_atomic_solvers_track_sequential_per_epoch(self, holds):
+        holds("fig2-atomic-tracks-seq")
 
-    def test_wild_has_gap_floor(self, fig2):
-        wild = fig2.get("PASSCoDe-Wild (16 threads) | epochs").final()
-        seq = fig2.get("SCD (1 thread) | epochs").final()
-        assert wild > 100 * seq
+    def test_wild_has_gap_floor(self, holds):
+        holds("fig2-wild-floor")
 
-    def test_time_axis_ordering(self, fig2):
-        """Titan X < M4000 < Wild < A-SCD < sequential in total time."""
-        totals = {
-            label: fig2.get(f"{label} | time").x[-1] for label in SOLVER_LABELS
-        }
-        assert (
-            totals["TPA-SCD (Titan X)"]
-            < totals["TPA-SCD (M4000)"]
-            < totals["PASSCoDe-Wild (16 threads)"]
-            < totals["A-SCD (16 threads)"]
-            < totals["SCD (1 thread)"]
-        )
+    def test_time_axis_ordering(self, holds):
+        holds("fig2-time-order")
 
-    def test_gpu_speedup_in_paper_band(self, fig2):
-        """Titan X time speedup over 1-thread in the paper's 20-40x band."""
-        seq = fig2.get("SCD (1 thread) | time")
-        tpa = fig2.get("TPA-SCD (Titan X) | time")
-        eps = seq.y[-1] * 2
-        t_seq = seq.x[np.nonzero(seq.y <= eps)[0][0]]
-        t_tpa = tpa.x[np.nonzero(tpa.y <= eps)[0][0]]
-        assert 15 <= t_seq / t_tpa <= 45
+    def test_gpu_speedup_in_paper_band(self, holds):
+        holds("fig2-titanx-speedup")
 
-    def test_primal_variant_runs(self):
-        fig = run_convergence("primal", MICRO)
-        assert fig.figure_id == "fig1"
-        assert fig.get("SCD (1 thread) | epochs").final() < 1e-6
+    def test_primal_variant_runs(self, holds):
+        holds("fig1-seq-converges")
 
 
 class TestDistributedFigures:
-    def test_fig3_slowdown_with_k(self):
-        fig = run_fig3("dual", MICRO)
-        finals = [fig.get(s).final() for s in fig.labels()]
-        # K=1 converges at least as tightly as K=8
-        assert finals[0] <= finals[-1]
+    def test_fig3_slowdown_with_k(self, holds):
+        holds("fig3-dual-monotone", "fig3-dual-slowdown")
 
-    def test_fig4_adaptive_wins(self):
-        fig = run_fig4("dual", MICRO)
-        assert (
-            fig.get("Adaptive Aggregation").final()
-            <= fig.get("Averaging Aggregation").final()
-        )
+    def test_fig4_adaptive_wins(self, holds):
+        holds("fig4-dual-adaptive-final")
 
-    def test_fig5_gamma_above_one_over_k(self):
-        fig = run_fig5("dual", MICRO)
-        for series in fig.series:
-            k = series.meta["n_workers"]
-            assert series.meta["settled_gamma"] > 1.0 / k
+    def test_fig5_gamma_above_one_over_k(self, holds):
+        holds("fig5-dual-above-averaging")
 
-    def test_fig6_structure_and_flatness(self):
-        fig = run_fig6("dual", MICRO)
-        assert len(fig.series) == 2 * len(EPS_TARGETS)
-        loose = fig.get(f"Averaging eps={EPS_TARGETS[0]:g}")
-        assert np.all(np.isfinite(loose.y))
-        # roughly flat: worst K within 4x of best K at the loosest target
-        assert loose.y.max() < 4 * loose.y.min()
+    def test_fig6_structure_and_flatness(self, holds):
+        holds("fig6-dual-flat")
 
 
 class TestGpuClusterFigures:
-    def test_fig8_tpa_below_scd(self):
-        fig = run_fig8("m4000", MICRO)
-        for eps in EPS_TARGETS[:1]:
-            scd = fig.get(f"SCD eps={eps:g}").y
-            tpa = fig.get(f"TPA-SCD eps={eps:g}").y
-            finite = np.isfinite(scd) & np.isfinite(tpa)
-            assert np.all(tpa[finite] < scd[finite] / 3)
+    def test_fig8_tpa_below_scd(self, holds):
+        holds("fig8-m4000-speedup")
 
-    def test_fig9_components(self):
-        fig = run_fig9(MICRO)
-        gpu = fig.get("Comp. Time (GPU)").y
-        net = fig.get("Comm. Time (Network)").y
-        assert np.all(gpu > 0)
-        assert net[0] == 0.0  # K=1: no network
-        assert np.all(np.diff(net) > 0)  # growing with K
-        # GPU compute dominates at every K
-        host = fig.get("Comp. Time (Host)").y
-        pcie = fig.get("Comm. Time (PCIe)").y
-        assert np.all(gpu > host + pcie + net)
+    def test_fig9_components(self, holds):
+        holds("fig9-gpu-dominates", "fig9-no-network-at-k1", "fig9-network-grows")
 
 
 class TestLargeScale:
-    @pytest.fixture(scope="class")
-    def fig10(self):
-        return run_fig10(MICRO)
+    def test_memory_gate(self, holds):
+        holds("fig10-memory-gate")
 
-    def test_memory_gate(self, fig10):
-        assert fig10.meta["single_gpu_fits_40GB"] is False
-        assert fig10.meta["quarter_fits"] is True
+    def test_tpa_fastest(self, holds):
+        holds("fig10-tpa-vs-scd-budget")
 
-    def test_tpa_fastest(self, fig10):
-        tpa = fig10.get("TPA-SCD (Titan X)")
-        scd = fig10.get("SCD (1 thread)")
-        assert tpa.x[-1] < scd.x[-1] / 10
-
-    def test_wild_floor_on_criteo(self, fig10):
-        wild = fig10.get("PASSCoDe (16 threads)")
-        tpa = fig10.get("TPA-SCD (Titan X)")
-        assert wild.y[-1] > 10 * tpa.y[-1]
+    def test_wild_floor_on_criteo(self, holds):
+        holds("fig10-wild-floor")
 
 
 class TestHeadline:
-    def test_measured_speedups_in_band(self):
-        # Wild's measured ratio is grid-sensitive at micro scale, so its
-        # band is loose here; the benchmark harness checks the tighter
-        # bands at the quick scale
-        fig = run_headline(MICRO)
-        measured = fig.get("measured speedup")
-        rows = dict(zip(measured.meta["rows"], measured.y))
-        assert 1.2 <= rows["A-SCD (16 threads)"] <= 3.0
-        assert 1.0 <= rows["PASSCoDe-Wild (16 threads)"] <= 6.0
-        assert 6 <= rows["TPA-SCD (M4000)"] <= 20
-        assert 15 <= rows["TPA-SCD (Titan X)"] <= 45
-        assert rows["dist TPA-SCD vs dist SCD (K=4)"] > 10
-        assert rows["dist TPA-SCD vs dist PASSCoDe (K=4)"] > 5
+    def test_measured_speedups_in_band(self, holds):
+        holds(
+            "headline-ascd",
+            "headline-wild",
+            "fig2-m4000-speedup",
+            "fig2-titanx-speedup",
+            "headline-dist-vs-scd",
+            "headline-dist-vs-passcode",
+        )
 
 
 class TestAblations:
-    def test_wave_ablation_degrades_at_extremes(self):
-        fig = run_wave_ablation(MICRO)
-        small = fig.get("wave=1").final()
-        huge = fig.get("wave=256").final()
-        assert huge > small  # extreme staleness hurts
+    def test_wave_ablation_degrades_at_extremes(self, holds):
+        holds("ablation-wave-staleness")
 
-    def test_gpu_write_ablation(self):
-        fig = run_gpu_write_ablation(MICRO)
-        assert fig.get("wild").final() > 10 * fig.get("atomic").final()
-        assert fig.get("wild").meta["lost_updates"] > 0
+    def test_gpu_write_ablation(self, holds):
+        holds("ablation-gpu-write-wild-floor", "ablation-gpu-write-lost-updates")
 
-    def test_aggregation_ablation(self):
-        fig = run_aggregation_ablation(MICRO)
-        assert fig.get("adaptive").final() <= fig.get("averaging").final()
-        assert fig.get("adding").final() > fig.get("averaging").final()
+    def test_aggregation_ablation(self, holds):
+        holds("ablation-aggregation-adaptive", "ablation-aggregation-adding-diverges")
 
-    def test_precision_ablation(self):
-        fig = run_precision_ablation(MICRO)
-        assert fig.get("float64").final() <= fig.get("float32").final()
+    def test_precision_ablation(self, holds):
+        holds("ablation-precision-fp64")
 
-    def test_pcie_ablation(self):
-        fig = run_pcie_ablation(MICRO)
-        pinned = fig.get("pinned").meta["pcie_seconds"]
-        pageable = fig.get("pageable").meta["pcie_seconds"]
-        assert pageable > pinned
+    def test_pcie_ablation(self, holds):
+        holds("ablation-pcie-pinned")
 
 
 class TestExtensionExperiments:
-    def test_smart_partition_wins(self):
-        fig = run_smart_partition(MICRO)
-        assert fig.get("correlation-aware").final() < fig.get("random").final()
+    def test_smart_partition_wins(self, holds):
+        holds("ext-smart-partition-wins")
 
-    def test_comm_tradeoff_structure(self):
-        fig = run_comm_tradeoff(MICRO)
-        slow = fig.get("10GbE").y
-        fast = fig.get("100GbE").y
-        finite = np.isfinite(slow) & np.isfinite(fast)
-        # the faster fabric is never slower at any granularity it both ran
-        assert np.all(fast[finite] <= slow[finite] * 1.05)
+    def test_comm_tradeoff_structure(self, holds):
+        holds("ext-comm-tradeoff-fast-fabric")
 
-    def test_sigma_sweep_divergence_at_adding(self):
-        fig = run_sigma_sweep(MICRO)
-        assert fig.get("sigma'=8").final() > 1e3 * fig.get("sigma'=1").final()
+    def test_sigma_sweep_divergence_at_adding(self, holds):
+        holds("ext-sigma-sweep-adding-diverges")
 
-    def test_async_vs_sync_shapes(self):
-        fig = run_async_vs_sync(MICRO)
-        sync_t = fig.get("synchronous (averaging)").meta["time_to_target"]
-        async_t = fig.get("async batch=1/16").meta["time_to_target"]
-        assert async_t < sync_t
-        assert not math.isfinite(
-            fig.get("async batch=1/4 (too stale)").meta["time_to_target"]
-        )
+    def test_async_vs_sync_shapes(self, holds):
+        holds("ext-async-hides-comm", "ext-async-too-stale")
 
-    def test_heterogeneous_proportional_wins(self):
-        fig = run_heterogeneous_cluster(MICRO)
-        uni = fig.get("uniform").meta["time_to_target"]
-        prop = fig.get("throughput-proportional").meta["time_to_target"]
-        assert prop < uni
+    def test_heterogeneous_proportional_wins(self, holds):
+        holds("ext-heterogeneous-proportional")
 
-    def test_glm_gpu_tracks_cpu(self):
-        fig = run_glm_gpu(MICRO)
-        # GPU curves converge below loose thresholds on both objectives
-        assert fig.get("elastic-net TPA").final() < 1e-4
-        assert abs(fig.get("SVM TPA").final()) < 1e-4
+    def test_glm_gpu_tracks_cpu(self, holds):
+        holds("ext-glm-gpu-enet-tpa", "ext-glm-gpu-svm-tpa")
