@@ -24,18 +24,22 @@ on real hardware:
 Two definitions of those semantics live here and only tests call them:
 :func:`block_tree_dots` (the thread-block arithmetic) and
 :func:`reference_epoch` (a rule-generic epoch written the obvious way).
-:class:`TpaScdEngine` is the ridge binding of the one production wave loop
-in :mod:`repro.gpu.glm_engine`, which must match them bit for bit.
+:class:`TpaScdEngine` runs ridge epochs through their compiled twin
+(``tpa_epoch`` in ``repro/native/tpa.c``, one foreign call per epoch) and,
+where that library cannot be built or the engine is not float32, through
+the numpy wave loop of :mod:`repro.gpu.glm_engine`.  Both must match the
+reference bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..obs import NULL_TRACER
+from .. import native
+from ..obs import NULL_SPAN, NULL_TRACER
 from ..solvers.kernels import gather_chunk
-from .glm_engine import RidgeDualRule, RidgePrimalRule, _bind_plan, _run_waves
-from .plan import WavePlan
+from .glm_engine import RidgeDualRule, RidgePrimalRule, _run_waves
+from .plan import check_geometry, get_plan
 from .profiler import KernelProfile
 
 __all__ = ["block_tree_dots", "reference_epoch", "TpaScdEngine"]
@@ -125,8 +129,109 @@ def reference_epoch(
     return 0
 
 
+#: the slots ``tpa_epoch`` fills when an epoch is observed (``enum`` in tpa.c)
+_STATS = ("waves", "blocks", "nnz", "conflicts", "min_nnz", "max_nnz", "lanes_active")
+
+
+def _float32_scalar(value, name: str) -> float:
+    """``value`` as the float32 numpy computes the reference update with.
+
+    A Python number or a float32 scalar enters numpy's float32 arithmetic as
+    a float32; a wider numpy scalar would promote the reference's update to
+    float64, which the float32 kernel does not replay.
+    """
+    if isinstance(value, np.generic):
+        ok = value.dtype == np.float32
+    else:
+        ok = isinstance(value, (int, float))
+    if not ok:
+        raise ValueError(
+            f"native kernel: {name} must be a Python number or a float32 "
+            f"scalar, got {type(value).__name__}"
+        )
+    return float(value)
+
+
+class _NativeWaveLoop:
+    """``tpa_epoch`` bound to one matrix (see ``repro/native/tpa.c``).
+
+    The matrix arrays are checked here (dtype, C order, lengths, index
+    bounds) and the caller's vectors, scalars and permutation once per
+    epoch in :meth:`bind`, always before the first foreign call.
+    """
+
+    def __init__(self, lib, indptr, indices, data, *, wave_size: int, n_threads: int):
+        self._head = (
+            native.address(indptr, np.int64, "indptr"),
+            native.address(indices, np.int64, "indices"),
+            native.address(data, np.float32, "data", indices.shape[0]),
+        )
+        nnz = indices.shape[0]
+        self.n_coords = indptr.shape[0] - 1
+        if self.n_coords < 0 or indptr.min() < 0 or indptr.max() > nnz:
+            raise ValueError("native kernel: indptr points outside indices")
+        if nnz and indices.min() < 0:
+            raise ValueError("native kernel: indices must be non-negative")
+        #: the shortest shared vector every index fits in
+        self.n_minor = int(indices.max()) + 1 if nnz else 0
+        # the arrays behind the addresses above stay alive with the binding
+        self._arrays = (indptr, indices, data)
+        self._fn = lib.tpa_epoch
+        self.wave_size = wave_size
+        self.n_threads = n_threads
+
+    def bind(self, y, inv_denom, lam, nlam, weights, shared, perm, *,
+             dual: bool, observe: bool):
+        """Check one epoch's arguments; return ``run(lo, hi)`` over ``perm[lo:hi]``.
+
+        ``run`` returns the range's wave counters (a dict keyed by
+        ``_STATS``) when ``observe`` is set, else ``None``.
+        """
+        n = self.n_coords
+        shared_addr = native.address(shared, np.float32, "shared", writeable=True)
+        n_shared = shared.shape[0]
+        if n_shared < self.n_minor:
+            raise ValueError(f"native kernel: indices outside [0, {n_shared})")
+        args = (
+            *self._head,
+            native.address(y, np.float32, "y", n if dual else n_shared),
+            native.address(inv_denom, np.float32, "inv_denom", n),
+            _float32_scalar(lam, "lam"),
+            _float32_scalar(nlam, "nlam"),
+            native.address(weights, np.float32, "weights", n, writeable=True),
+            shared_addr,
+        )
+        base = native.address(perm, np.int64, "perm")
+        if perm.shape[0] and (perm.min() < 0 or perm.max() >= n):
+            raise ValueError(f"native kernel: perm outside [0, {n})")
+        geometry = (self.wave_size, self.n_threads, int(dual))
+        scratch = np.empty(
+            self.n_threads + 2 * min(self.wave_size, perm.shape[0]), np.float32
+        )
+        stats = np.empty(len(_STATS), np.int64) if observe else None
+        marks = np.zeros(n_shared, np.uint8) if observe else None
+        fn = self._fn
+        step = perm.itemsize
+
+        def run(lo: int, hi: int) -> dict[str, int] | None:
+            fn(
+                *args, base + step * lo, hi - lo, *geometry, scratch.ctypes.data,
+                None if stats is None else stats.ctypes.data,
+                None if marks is None else marks.ctypes.data,
+            )
+            return None if stats is None else dict(zip(_STATS, stats.tolist()))
+
+        return run
+
+
 class TpaScdEngine:
-    """One bound ridge TPA-SCD kernel: data arrays + the planned wave loop.
+    """One bound ridge TPA-SCD kernel: the data arrays and their wave loop.
+
+    A float32 engine runs every epoch as one call of the compiled
+    ``tpa_epoch`` (:mod:`repro.native`).  Where that library cannot be
+    built, and for other dtypes, the engine runs the numpy wave loop
+    through a :class:`~repro.gpu.plan.WavePlan` from the module-wide plan
+    cache.  The two are bit-identical; :attr:`backend` says which one runs.
 
     Parameters
     ----------
@@ -137,9 +242,6 @@ class TpaScdEngine:
         Number of concurrently resident thread blocks (staleness window).
     n_threads:
         Threads per block used for the strided partials / tree reduction.
-    plan:
-        Inject a pre-compiled plan; by default the module-wide plan cache
-        is consulted (:func:`~repro.gpu.plan.get_plan`).
     """
 
     def __init__(
@@ -153,21 +255,78 @@ class TpaScdEngine:
         dtype=np.float32,
         profiler: KernelProfile | None = None,
         tracer=None,
-        plan: WavePlan | None = None,
     ) -> None:
+        check_geometry(wave_size, n_threads)
         self.dtype = np.dtype(dtype)
-        self.plan = _bind_plan(indptr, wave_size, n_threads, self.dtype, plan)
+        self.wave_size = int(wave_size)
+        self.n_threads = int(n_threads)
         self.indptr = indptr
         self.indices = indices
         self.data = data.astype(self.dtype, copy=False)
         self.profiler = profiler
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._native = self._bind_native() if self.dtype == np.float32 else None
+        self.plan = None if self._native is not None else get_plan(
+            indptr, wave_size=self.wave_size, n_threads=self.n_threads, dtype=self.dtype
+        )
 
-    def _run(self, rule, y, weights, shared, perm) -> int:
+    def _bind_native(self) -> _NativeWaveLoop | None:
+        try:
+            lib = native.load_native()
+        except native.NativeUnavailableError:
+            return None
+        return _NativeWaveLoop(
+            lib, self.indptr, self.indices, self.data,
+            wave_size=self.wave_size, n_threads=self.n_threads,
+        )
+
+    @property
+    def backend(self) -> str:
+        """``"native"`` (compiled ``tpa_epoch``) or ``"numpy"`` (planned wave loop)."""
+        return "numpy" if self._native is None else "native"
+
+    def _run_planned(self, rule, y, weights, shared, perm) -> int:
         return _run_waves(
             self.plan, self.indices, self.data, rule, y, weights, shared, perm,
             profiler=self.profiler, tracer=self.tracer, span="tpa",
         )
+
+    def _run_native(self, y, inv_denom, lam, nlam, weights, shared, perm, *,
+                    dual: bool) -> int:
+        """One foreign call per epoch; one per wave under a wave-detail tracer.
+
+        Observing asks the same kernel for its wave counters; it never
+        changes the arithmetic.
+        """
+        tracer, profiler = self.tracer, self.profiler
+        run = self._native.bind(
+            y, inv_denom, lam, nlam, weights, shared, perm,
+            dual=dual, observe=tracer.enabled or profiler is not None,
+        )
+        n = int(perm.shape[0])
+        with tracer.span(
+            "tpa.epoch", category="gpu", n_coords=n, wave_size=self.wave_size
+        ) if tracer.enabled else NULL_SPAN:
+            if tracer.enabled and tracer.detail == "wave":
+                for s in range(0, n, self.wave_size):
+                    e = min(s + self.wave_size, n)
+                    with tracer.span("tpa.wave", category="gpu", blocks=e - s):
+                        self._book(run(s, e))
+            else:
+                self._book(run(0, n))
+        return 0
+
+    def _book(self, stats: dict[str, int] | None) -> None:
+        """Hand observed wave counters to the tracer and the profiler."""
+        if stats is None:
+            return
+        if self.tracer.enabled:
+            self.tracer.count("gpu.waves", stats["waves"])
+            self.tracer.count("gpu.nnz_processed", stats["nnz"])
+            if stats["nnz"]:
+                self.tracer.count("gpu.atomic_conflicts", stats["conflicts"])
+        if self.profiler is not None:
+            self.profiler.record_waves(self.n_threads, **stats)
 
     def run_primal_epoch(
         self,
@@ -183,8 +342,10 @@ class TpaScdEngine:
         Returns 0 (atomic writes never lose updates), matching the
         :class:`~repro.solvers.base.BoundKernel` contract.
         """
-        rule = RidgePrimalRule.from_arrays(inv_denom, nlam)
-        return self._run(rule, y, beta, w, perm)
+        if self._native is None:
+            rule = RidgePrimalRule.from_arrays(inv_denom, nlam)
+            return self._run_planned(rule, y, beta, w, perm)
+        return self._run_native(y, inv_denom, 0.0, nlam, beta, w, perm, dual=False)
 
     def run_dual_epoch(
         self,
@@ -197,5 +358,9 @@ class TpaScdEngine:
         perm: np.ndarray,
     ) -> int:
         """One dual epoch: blocks compute ``<wbar, a_n>`` then update."""
-        rule = RidgeDualRule.from_arrays(y_local, inv_denom, lam, nlam)
-        return self._run(rule, None, alpha, wbar, perm)
+        if self._native is None:
+            rule = RidgeDualRule.from_arrays(y_local, inv_denom, lam, nlam)
+            return self._run_planned(rule, None, alpha, wbar, perm)
+        return self._run_native(
+            y_local, inv_denom, lam, nlam, alpha, wbar, perm, dual=True
+        )

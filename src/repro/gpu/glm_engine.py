@@ -10,14 +10,16 @@ applies a closed-form scalar update, (4) atomically scatters the scaled
 column/row back into the shared vector.
 
 Only step (3) — and the scaling of step (4) — is objective specific, so the
-one production wave loop in this module delegates both to a
+numpy wave loop in this module delegates both to a
 :class:`CoordinateRule` and runs everything else through a compiled,
 pooled :class:`~repro.gpu.plan.WavePlan` (per-epoch bulk gathers,
 slice-only waves, assignment-style reductions, zero steady-state
 allocations):
 
 * :class:`RidgePrimalRule` / :class:`RidgeDualRule` are Algorithm 2 itself;
-  :class:`~repro.gpu.engine.TpaScdEngine` binds them to this loop;
+  :class:`~repro.gpu.engine.TpaScdEngine` runs them in C
+  (``repro/native/tpa.c``) and binds them to this loop only when the
+  compiled library is unavailable or the engine is not float32;
 * :class:`ElasticNetPrimalRule` soft-thresholds (Friedman et al. [4]);
 * :class:`SvmDualRule` applies the box-clipped SDCA step ([9]).
 
@@ -205,7 +207,7 @@ def _run_waves(
     plan: WavePlan, indices, data, rule, y, weights, shared, perm, /,
     *, profiler, tracer, span: str, **span_attrs,
 ) -> int:
-    """One epoch of Algorithm 2 over ``perm`` — the only production wave loop.
+    """One epoch of Algorithm 2 over ``perm`` — the numpy wave loop.
 
     Every block of a wave reads the shared vector as it stood when the wave
     was scheduled (the staleness window), then all their atomic updates are
@@ -219,29 +221,29 @@ def _run_waves(
         f"{span}.epoch", category="gpu", **span_attrs,
         n_coords=int(perm.shape[0]), wave_size=plan.wave_size,
     ) if observed else NULL_SPAN:
-        # observers need exact conflict counts; otherwise the plan's
-        # birthday-bound heuristic decides whether the epoch sort pays
-        run = plan.begin_epoch(
-            indices, data, perm,
-            n_minor=int(shared.shape[0]),
-            analyze_conflicts=True if (observed or profiler is not None) else None,
-        )
+        # the plan's birthday-bound heuristic alone decides whether the
+        # epoch conflict sort pays; observers count unclaimed waves themselves
+        run = plan.begin_epoch(indices, data, perm, n_minor=int(shared.shape[0]))
         for wv in range(run.n_waves):
             s, e, a, b = run.bounds(wv)
             coords = perm[s:e]
             with tracer.span(
                 f"{span}.wave", category="gpu", blocks=e - s
             ) if wave_spans else NULL_SPAN:
+                if observed or profiler is not None:
+                    conflicts = run.wave_conflicts(wv)
+                    if conflicts is None:
+                        conflicts = (b - a) - int(np.unique(run.flat_idx[a:b]).shape[0])
                 if profiler is not None:
                     profiler.record_wave(
                         run.flat_idx[a:b], run.wave_seg_ptr(s, e), plan.n_threads,
-                        conflicts=run.wave_conflicts(wv),
+                        conflicts=conflicts,
                     )
                 if observed:
                     tracer.count("gpu.waves")
                     tracer.count("gpu.nnz_processed", b - a)
                     if b > a:
-                        tracer.count("gpu.atomic_conflicts", run.wave_conflicts(wv))
+                        tracer.count("gpu.atomic_conflicts", conflicts)
                 fv = run.flat_val[a:b]
                 if residual:
                     gathered = run.gather_residual(y, shared, a, b)

@@ -40,10 +40,15 @@ construction:
   behind the same interface otherwise.
 
 The conflict analysis (one ``sort`` of ``wave_id * n_minor + index`` per
-epoch) runs when something observes the counters (tracer / profiler) or
-when a birthday-bound heuristic says conflict-free waves are plausible;
-heavily contended epochs skip it and scatter through ``np.add.at`` — the
-counters are then simply not claimed (``conflicts_known`` is False).
+epoch) runs when a birthday-bound heuristic says conflict-free waves are
+plausible; heavily contended epochs skip it and scatter through
+``np.add.at`` — the counters are then simply not claimed
+(``conflicts_known`` is False).  Observers never switch it on: a tracer or
+profiler that needs unclaimed counters counts them itself.
+
+This is the numpy side of the wave loop: the GLM rules always run here, and
+ridge TPA-SCD runs here only when the compiled twin (``repro/native/tpa.c``)
+is unavailable.
 """
 
 from __future__ import annotations
@@ -68,6 +73,15 @@ _RAKE_MAX_DEPTH = 4
 
 def _pow2ceil(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
+
+
+def check_geometry(wave_size: int, n_threads: int) -> None:
+    """Reject a kernel geometry Algorithm 2 cannot run: an empty wave, or a
+    thread block whose tree reduction does not halve down to one lane."""
+    if wave_size < 1:
+        raise ValueError("wave_size must be >= 1")
+    if n_threads < 1 or (n_threads & (n_threads - 1)) != 0:
+        raise ValueError("n_threads must be a positive power of two")
 
 
 class BufferPool:
@@ -312,11 +326,9 @@ class WavePlan:
     def __init__(
         self, indptr: np.ndarray, *, wave_size: int, n_threads: int, dtype
     ) -> None:
-        if wave_size < 1:
-            raise ValueError("wave_size must be >= 1")
-        if n_threads < 1 or (n_threads & (n_threads - 1)) != 0:
-            raise ValueError("n_threads must be a positive power of two")
-        self.indptr = indptr
+        check_geometry(wave_size, n_threads)
+        # a copy, not a view: the plan cache must not keep the matrix alive
+        self.starts = indptr[:-1].copy()
         self.wave_size = int(wave_size)
         self.n_threads = int(n_threads)
         self.dtype = np.dtype(dtype)
@@ -405,7 +417,7 @@ class WavePlan:
         # segment j: one repeat + add off the arange template (NumPy's
         # cumsum over nnz elements is far slower than repeat)
         base = self._base(total)
-        starts = self.indptr[perm]
+        starts = self.starts[perm]
         np.subtract(starts, seg_ptr[:-1], out=starts)
         order = pool.take("order", total, np.int64)
         np.add(base, np.repeat(starts, lens), out=order)
@@ -511,34 +523,33 @@ def get_plan(
     Keyed on the array's *identity* (plus the kernel geometry), so
     re-binding the same matrix — every epoch of a shard-streamed run, or
     repeated solves over one dataset — reuses the compiled plan and its
-    buffer pool.  A weak reference guards against ``id`` reuse after the
-    original array is garbage-collected.
+    buffer pool.  The cache holds ``indptr`` only weakly (a plan keeps a
+    copy of what it needs): when the array is garbage-collected its entry
+    is dropped and the plan freed, so a reused ``id`` never finds it.
     """
     key = (id(indptr), int(wave_size), int(n_threads), np.dtype(dtype).str)
     entry = _PLAN_CACHE.get(key)
-    if entry is not None:
-        ref, plan = entry
-        if ref() is indptr:
-            _PLAN_STATS["hits"] += 1
-            return plan
-        del _PLAN_CACHE[key]
-        _PLAN_STATS["evictions"] += 1
+    if entry is not None and entry[0]() is indptr:
+        _PLAN_STATS["hits"] += 1
+        return entry[1]
     _PLAN_STATS["misses"] += 1
     plan = WavePlan(
         indptr, wave_size=wave_size, n_threads=n_threads, dtype=dtype
     )
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
-        # drop dead entries first, then the oldest live one (FIFO)
-        dead = [k for k, (ref, _) in _PLAN_CACHE.items() if ref() is None]
-        for k in dead:
-            del _PLAN_CACHE[k]
-            _PLAN_STATS["evictions"] += 1
-        while len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
-            oldest = next(iter(_PLAN_CACHE))
-            del _PLAN_CACHE[oldest]
-            _PLAN_STATS["evictions"] += 1
-    _PLAN_CACHE[key] = (weakref.ref(indptr), plan)
+    while len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
+        # every entry is alive: drop the oldest (FIFO)
+        del _PLAN_CACHE[next(iter(_PLAN_CACHE))]
+        _PLAN_STATS["evictions"] += 1
+    _PLAN_CACHE[key] = (weakref.ref(indptr, lambda dead, key=key: _drop(key, dead)), plan)
     return plan
+
+
+def _drop(key: tuple, ref: weakref.ref) -> None:
+    """Weakref callback: the array behind ``key`` died, free its plan."""
+    entry = _PLAN_CACHE.get(key)
+    if entry is not None and entry[0] is ref:
+        del _PLAN_CACHE[key]
+        _PLAN_STATS["evictions"] += 1
 
 
 def plan_cache_stats() -> dict[str, int]:

@@ -51,27 +51,53 @@ class KernelProfile:
         planned runtime gets it for free from its epoch conflict analysis);
         when omitted it is derived from ``flat_idx`` with ``np.unique``.
         """
-        self.n_threads = n_threads
-        n_blocks = seg_ptr.shape[0] - 1
-        self.waves += 1
-        self.blocks += n_blocks
         nnz = int(flat_idx.shape[0])
+        if conflicts is None:
+            conflicts = nnz - int(np.unique(flat_idx).shape[0]) if nnz else 0
+        lengths = np.diff(seg_ptr)
+        self.record_waves(
+            n_threads,
+            waves=1,
+            blocks=int(lengths.shape[0]),
+            nnz=nnz,
+            conflicts=conflicts,
+            min_nnz=int(lengths.min()) if lengths.size else None,
+            max_nnz=int(lengths.max(initial=0)),
+            lanes_active=int(np.minimum(lengths, n_threads).sum()),
+        )
+
+    def record_waves(
+        self,
+        n_threads: int,
+        *,
+        waves: int,
+        blocks: int,
+        nnz: int,
+        conflicts: int,
+        min_nnz: int | None,
+        max_nnz: int,
+        lanes_active: int,
+    ) -> None:
+        """Book the totals of one or more waves, as the native kernel counts them.
+
+        ``min_nnz`` / ``max_nnz`` are the extreme block lengths of those
+        waves (``min_nnz`` is ignored when there are no blocks) and
+        ``lanes_active`` sums ``min(block length, n_threads)`` over blocks.
+        """
+        self.n_threads = n_threads
+        self.waves += waves
+        self.blocks += blocks
         self.nnz_processed += nnz
         self.atomic_writes += nnz
-        if nnz:
-            if conflicts is None:
-                conflicts = nnz - int(np.unique(flat_idx).shape[0])
-            self.atomic_conflicts += conflicts
-        lengths = np.diff(seg_ptr)
-        self._block_nnz_sum += int(lengths.sum())
-        if lengths.size:
-            mn = int(lengths.min())
+        self.atomic_conflicts += conflicts
+        self._block_nnz_sum += nnz
+        if blocks:
             self.block_nnz_min = (
-                mn if self.block_nnz_min is None else min(self.block_nnz_min, mn)
+                min_nnz if self.block_nnz_min is None else min(self.block_nnz_min, min_nnz)
             )
-            self.block_nnz_max = max(self.block_nnz_max, int(lengths.max()))
-        self.lane_slots += n_blocks * n_threads
-        self.lanes_active += int(np.minimum(lengths, n_threads).sum())
+            self.block_nnz_max = max(self.block_nnz_max, max_nnz)
+        self.lane_slots += blocks * n_threads
+        self.lanes_active += lanes_active
 
     # -- derived metrics ------------------------------------------------------
     @property

@@ -1,10 +1,11 @@
 /*
  * SySCD bucket kernels in C: the compiled twin of the numpy reference in
- * syscd_kernels.py (exact_epoch_numpy, bucket_pass_numpy).
+ * repro/solvers/syscd_kernels.py (exact_epoch_numpy, bucket_pass_numpy).
  *
- * Built on first use with `cc -O2 -fPIC -shared -ffp-contract=off` and
- * loaded through ctypes, which releases the GIL for the duration of every
- * call.  Both functions replay the numpy reference bit for bit, which rests
+ * Built on first use with `cc -O2 -fPIC -shared -ffp-contract=off` (see
+ * repro/native/__init__.py) and loaded through ctypes, which releases the
+ * GIL for the duration of every call.  Both functions replay the numpy
+ * reference bit for bit, which rests
  * on three rules:
  *
  *   - every dot is a left-to-right sum seeded with the *first product*, as

@@ -14,10 +14,10 @@ binding with one per-epoch interface (:class:`NumpyBinding`,
 :class:`NativeBinding`):
 
 * **numpy** — always available; the bitwise reference implementation.
-* **native** — ``syscd_native.c``, built on first use with the host's C
-  compiler (:data:`CC`) into a per-user cache directory and loaded through
-  :mod:`ctypes`.  A ``ctypes`` call releases the GIL for its duration, so
-  the worker threads' bucket passes can run in parallel.
+* **native** — ``syscd.c`` of the compiled kernel library
+  (:mod:`repro.native`), built on first use with the host's C compiler and
+  loaded through :mod:`ctypes`.  A ``ctypes`` call releases the GIL for its
+  duration, so the worker threads' bucket passes can run in parallel.
 
 The two backends are **bit-identical** by construction, which the test
 suite asserts.  That is only possible because every inner product is
@@ -39,23 +39,12 @@ with ``target = A^T y`` / ``v = w`` for the primal and ``target = lam*y`` /
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import shlex
-import subprocess
-import tempfile
-import threading
-from importlib import resources
-from pathlib import Path
-
 import numpy as np
 
+from ..native import NativeUnavailableError, address, load_native
 from .kernels import _epoch_gather
 
 __all__ = [
-    "CC",
-    "CFLAGS",
     "KERNEL_BACKENDS",
     "NativeBinding",
     "NumpyBinding",
@@ -63,23 +52,13 @@ __all__ = [
     "bucket_bounds",
     "bucket_pass_numpy",
     "exact_epoch_numpy",
-    "load_native",
     "resolve_backend",
 ]
 
 #: accepted values of ``SolverConfig.kernel_backend``
 KERNEL_BACKENDS = ("numpy", "native", "auto")
 
-#: the C compiler that builds ``syscd_native.c``
-CC = "cc"
-#: strict IEEE build: the C kernels must replay the numpy reference bit for bit
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-_SOURCE = "syscd_native.c"
 _INT64_BYTES = np.dtype(np.int64).itemsize
-_NATIVE_LOCK = threading.Lock()
-# one loaded library, or the reason it could not be built, per compiler
-_NATIVE: dict[str, ctypes.CDLL | str] = {}
 
 
 def resolve_backend(requested: str) -> str:
@@ -100,84 +79,11 @@ def resolve_backend(requested: str) -> str:
         return "numpy"
     try:
         load_native()
-    except ValueError:
+    except NativeUnavailableError:
         if requested == "native":
             raise
         return "numpy"
     return "native"
-
-
-def load_native() -> ctypes.CDLL:
-    """The compiled kernel library, built and loaded once per process.
-
-    The shared object is cached under ``$XDG_CACHE_HOME/repro`` (default
-    ``~/.cache/repro``), keyed by the sha256 of the C source, :data:`CFLAGS`
-    and ``CC --version``, so a second process loads it without compiling.
-    The build writes a temporary file and renames it into place, so
-    concurrent processes never load a partial file.  Raises ``ValueError``
-    naming the failed command when the library cannot be built or loaded.
-    """
-    with _NATIVE_LOCK:
-        lib = _NATIVE.get(CC)
-        if lib is None:
-            try:
-                lib = _build_and_load()
-            except (OSError, ValueError) as exc:
-                lib = str(exc)
-            _NATIVE[CC] = lib
-    if isinstance(lib, str):
-        raise ValueError(
-            "kernel_backend='native' but the SySCD C kernels are unavailable "
-            f"(kernel_backend='auto' falls back to numpy): {lib}"
-        )
-    return lib
-
-
-def _run(cmd: list[str]) -> str:
-    """Run a compiler command; failure is a ``ValueError`` naming it."""
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
-    except OSError as exc:
-        raise ValueError(f"`{shlex.join(cmd)}` could not run ({exc})") from None
-    if proc.returncode != 0:
-        raise ValueError(
-            f"`{shlex.join(cmd)}` exited with status {proc.returncode}:\n"
-            f"{proc.stderr.strip()}"
-        )
-    return proc.stdout
-
-
-def _cache_dir() -> Path:
-    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(root) / "repro"
-
-
-def _build_and_load() -> ctypes.CDLL:
-    with resources.as_file(resources.files(__package__) / _SOURCE) as source:
-        key = hashlib.sha256()
-        for part in (source.read_bytes(), " ".join(CFLAGS).encode(),
-                     _run([CC, "--version"]).encode()):
-            key.update(part)
-            key.update(b"\0")
-        cache = _cache_dir()
-        target = cache / f"syscd_native-{key.hexdigest()[:16]}.so"
-        if not target.exists():
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=".syscd_native-", suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                _run([CC, *CFLAGS, str(source), "-o", tmp])
-                os.replace(tmp, target)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-    lib = ctypes.CDLL(str(target))
-    ptr, f64, i64 = ctypes.c_void_p, ctypes.c_double, ctypes.c_int64
-    lib.syscd_exact_pass.argtypes = [ptr] * 5 + [f64] + [ptr] * 3 + [i64]
-    lib.syscd_exact_pass.restype = None
-    lib.syscd_bucket_chunk.argtypes = [ptr] * 5 + [f64] + [ptr] * 6 + [i64]
-    lib.syscd_bucket_chunk.restype = None
-    return lib
 
 
 def auto_bucket_size(n_coords: int, n_threads: int) -> int:
@@ -331,35 +237,6 @@ class NumpyBinding:
         return run
 
 
-def _address(arr, dtype, name: str, length: int | None = None, *,
-             writeable: bool = False) -> int:
-    """Address of ``arr`` once it is what the C kernels assume it is."""
-    dtype = np.dtype(dtype)
-    if (
-        not isinstance(arr, np.ndarray)
-        or arr.dtype != dtype
-        or arr.ndim != 1
-        or not arr.flags.c_contiguous
-    ):
-        got = (
-            f"{arr.dtype} array of shape {arr.shape}"
-            + ("" if arr.flags.c_contiguous else ", not C-contiguous")
-            if isinstance(arr, np.ndarray) else type(arr).__name__
-        )
-        raise ValueError(
-            f"native SySCD kernel: {name} must be a 1-D C-contiguous "
-            f"{dtype} array, got a {got}"
-        )
-    if length is not None and arr.shape[0] != length:
-        raise ValueError(
-            f"native SySCD kernel: {name} has length {arr.shape[0]}, "
-            f"expected {length}"
-        )
-    if writeable and not arr.flags.writeable:
-        raise ValueError(f"native SySCD kernel: {name} is read-only")
-    return arr.ctypes.data
-
-
 class NativeBinding:
     """The C kernels bound to one problem's arrays; same interface as numpy.
 
@@ -380,11 +257,11 @@ class NativeBinding:
         nnz = indices.shape[0]
         shared_len = replicas[0].shape[0]
         head = (
-            _address(indptr, np.int64, "indptr"),
-            _address(indices, np.int64, "indices"),
-            _address(data, np.float64, "data", nnz),
-            _address(target, np.float64, "target", n_coords),
-            _address(inv_denom, np.float64, "inv_denom", n_coords),
+            address(indptr, np.int64, "indptr"),
+            address(indices, np.int64, "indices"),
+            address(data, np.float64, "data", nnz),
+            address(target, np.float64, "target", n_coords),
+            address(inv_denom, np.float64, "inv_denom", n_coords),
             float(nlam),
         )
         if n_coords < 0 or indptr.min() < 0 or indptr.max() > nnz:
@@ -396,8 +273,8 @@ class NativeBinding:
         self._scratch = np.empty((len(replicas), max(int(bucket_size), 1)))
         self._threads = [
             head + (
-                _address(replica, np.float64, "replica", shared_len, writeable=True),
-                _address(scratch, np.float64, "scratch"),
+                address(replica, np.float64, "replica", shared_len, writeable=True),
+                address(scratch, np.float64, "scratch"),
             )
             for replica, scratch in zip(replicas, self._scratch)
         ]
@@ -410,7 +287,7 @@ class NativeBinding:
         self.shared_len = shared_len
 
     def _perm(self, perm) -> int:
-        addr = _address(perm, np.int64, "perm")
+        addr = address(perm, np.int64, "perm")
         if perm.shape[0] and (perm.min() < 0 or perm.max() >= self.n_coords):
             raise ValueError(
                 f"native SySCD kernel: perm outside [0, {self.n_coords})"
@@ -418,12 +295,12 @@ class NativeBinding:
         return addr
 
     def _coef(self, coef) -> int:
-        return _address(coef, np.float64, "coef", self.n_coords, writeable=True)
+        return address(coef, np.float64, "coef", self.n_coords, writeable=True)
 
     def bind_exact(self, coef, shared, perm):
         args = self._head + (
             self._coef(coef),
-            _address(shared, np.float64, "shared", self.shared_len, writeable=True),
+            address(shared, np.float64, "shared", self.shared_len, writeable=True),
         )
         base = self._perm(perm)
         fn = self._exact
@@ -434,9 +311,9 @@ class NativeBinding:
         return run
 
     def bind_buckets(self, coef, perm, edges, assigned):
-        tail = (self._coef(coef), self._perm(perm), _address(edges, np.int64, "edges"))
+        tail = (self._coef(coef), self._perm(perm), address(edges, np.int64, "edges"))
         calls = [
-            (head + tail, _address(a, np.int64, "assigned"), a.shape[0])
+            (head + tail, address(a, np.int64, "assigned"), a.shape[0])
             for head, a in zip(self._threads, assigned)
         ]
         fn = self._bucket

@@ -32,6 +32,25 @@ def claim_verdict():
 
 
 @pytest.fixture
+def fresh_native(monkeypatch, tmp_path):
+    """No loaded C kernel library in this process and an empty build cache."""
+    from repro import native
+
+    monkeypatch.setattr(native, "_NATIVE", {})
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path
+
+
+@pytest.fixture
+def no_compiler(fresh_native, monkeypatch):
+    """A host without a C compiler: every engine takes its numpy twin."""
+    from repro import native
+
+    monkeypatch.setattr(native, "CC", "repro-no-such-cc")
+    return fresh_native
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 

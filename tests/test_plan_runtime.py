@@ -1,21 +1,28 @@
-"""Tests for the epoch plan compiler and pooled wave runtime (repro.gpu.plan).
+"""Tests for Algorithm 2's two wave loops and the epoch plan compiler.
 
-The load-bearing guarantee: the one production wave loop is **bit-identical**
-to :func:`repro.gpu.engine.reference_epoch` (the "seed" semantics the test
-names still refer to) — same float32 lane accumulation, tree reduction and
-scatter arithmetic — across every structural regime (wave size 1/2,
+The load-bearing guarantee: both implementations of the TPA-SCD epoch — the
+compiled ``tpa_epoch`` (``repro/native/tpa.c``) and the numpy wave loop over
+a :class:`~repro.gpu.plan.WavePlan` (``glm_engine._run_waves``), which the
+engine runs where no C compiler is available — are **bit-identical** to
+:func:`repro.gpu.engine.reference_epoch` (the "seed" semantics the test
+names still refer to): same float32 lane accumulation, tree reduction and
+scatter arithmetic, across every structural regime (wave size 1/2,
 non-power-of-two coordinate counts, empty columns, deep rake buckets,
 signed-zero products, out-of-core shard streaming).  On top of that the
-plan cache, the buffer pool's zero-steady-state-allocation property, the
-epoch conflict analysis, the hoisted chunked gathers, and the bench
-payload/regression gate are exercised directly.
+native argument checks, the plan cache, the buffer pool's
+zero-steady-state-allocation property, the epoch conflict analysis, the
+hoisted chunked gathers, and the bench payload/regression gate are
+exercised directly.
 """
 
 import gc
+import shutil
+import weakref
 
 import numpy as np
 import pytest
 
+from repro import native
 from repro.cli import main
 from repro.core.distributed import DistributedSCD
 from repro.core.tpa_scd import TpaScdKernelFactory
@@ -23,6 +30,7 @@ from repro.data import make_webspam_like
 from repro.gpu import (
     BufferPool,
     GlmTpaEngine,
+    KernelProfile,
     RidgeDualRule,
     RidgePrimalRule,
     SvmDualRule,
@@ -83,6 +91,11 @@ def random_structure(
     return indptr, indices, data
 
 
+#: the C compiler the native wave loop builds with, when the host has one
+HOST_CC = shutil.which(native.CC)
+needs_cc = pytest.mark.skipif(HOST_CC is None, reason="no C compiler on PATH")
+
+
 def build_engine(indptr, indices, data, *, wave_size, n_threads, **kw):
     """The production engine on a cold plan cache."""
     clear_plan_cache()
@@ -96,7 +109,7 @@ def reference_primal_epoch(engine, y, inv, nlam, beta, w, perm, **kw):
     return reference_epoch(
         engine.indptr, engine.indices, engine.data,
         RidgePrimalRule.from_arrays(inv, nlam), beta, w, perm,
-        wave_size=engine.plan.wave_size, n_threads=engine.plan.n_threads,
+        wave_size=engine.wave_size, n_threads=engine.n_threads,
         y=y, dtype=engine.dtype, **kw,
     )
 
@@ -106,9 +119,31 @@ def reference_dual_epoch(engine, y, inv, lam, nlam, alpha, wbar, perm):
     return reference_epoch(
         engine.indptr, engine.indices, engine.data,
         RidgeDualRule.from_arrays(y, inv, lam, nlam), alpha, wbar, perm,
-        wave_size=engine.plan.wave_size, n_threads=engine.plan.n_threads,
+        wave_size=engine.wave_size, n_threads=engine.n_threads,
         dtype=engine.dtype,
     )
+
+
+class _Backend:
+    """Runs a class's tests on one wave loop: ``backend`` names which.
+
+    ``"numpy"`` hides the C compiler, so every :class:`TpaScdEngine` falls
+    back to the planned numpy loop; ``"native"`` requires the compiled one.
+    """
+
+    backend = "numpy"
+
+    @pytest.fixture(autouse=True)
+    def _select_backend(self, request):
+        if self.backend == "numpy":
+            request.getfixturevalue("no_compiler")
+        else:
+            native.load_native()
+
+    def engine(self, *args, **kw):
+        eng = build_engine(*args, **kw)
+        assert eng.backend == self.backend
+        return eng
 
 
 def assert_bits_equal(a, b, label):
@@ -135,7 +170,7 @@ CONFIGS = [
 ]
 
 
-class TestPlannedBitIdentity:
+class TestPlannedBitIdentity(_Backend):
     @pytest.mark.parametrize("wave_size,n_threads,n_coords,n_minor,max_len,kw", CONFIGS)
     def test_primal_epochs_bit_identical(
         self, wave_size, n_threads, n_coords, n_minor, max_len, kw
@@ -144,7 +179,7 @@ class TestPlannedBitIdentity:
         indptr, indices, data = random_structure(
             rng, n_coords, n_minor, max_len, **kw
         )
-        engine = build_engine(
+        engine = self.engine(
             indptr, indices, data, wave_size=wave_size, n_threads=n_threads
         )
         y = rng.standard_normal(n_minor).astype(np.float32)
@@ -168,7 +203,7 @@ class TestPlannedBitIdentity:
         indptr, indices, data = random_structure(
             rng, n_coords, n_minor, max_len, **kw
         )
-        engine = build_engine(
+        engine = self.engine(
             indptr, indices, data, wave_size=wave_size, n_threads=n_threads
         )
         y = np.sign(rng.standard_normal(n_coords)).astype(np.float32)
@@ -188,7 +223,7 @@ class TestPlannedBitIdentity:
         """Epochs over a subset of coordinates (mini-batch style perm)."""
         rng = np.random.default_rng(11)
         indptr, indices, data = random_structure(rng, 40, 64, 7)
-        engine = build_engine(
+        engine = self.engine(
             indptr, indices, data, wave_size=8, n_threads=16
         )
         y = rng.standard_normal(64).astype(np.float32)
@@ -210,7 +245,7 @@ class TestPlannedBitIdentity:
         counters = {}
         for production in (False, True):
             tracer = Tracer()
-            eng = build_engine(
+            eng = self.engine(
                 indptr, indices, data, wave_size=6, n_threads=16, tracer=tracer
             )
             b, w = np.zeros(36, np.float32), np.zeros(50, np.float32)
@@ -228,6 +263,132 @@ class TestPlannedBitIdentity:
             }
         assert counters[True] == counters[False]
         assert counters[True]["gpu.waves"] == 12
+
+    def test_observing_never_changes_the_bits(self):
+        """Tracers (epoch and wave detail) and profilers only watch."""
+        rng = np.random.default_rng(37)
+        indptr, indices, data = random_structure(rng, 50, 30, 9, empty_frac=0.1)
+        y = rng.standard_normal(30).astype(np.float32)
+        inv = (1.0 / (1.0 + rng.random(50))).astype(np.float32)
+        wave_tracer = Tracer(detail="wave")
+        observers = ({}, {"tracer": Tracer()}, {"tracer": wave_tracer},
+                     {"profiler": KernelProfile()})
+        results = []
+        for kw in observers:
+            eng = self.engine(indptr, indices, data, wave_size=7, n_threads=8, **kw)
+            b, w = np.zeros(50, np.float32), np.zeros(30, np.float32)
+            for ep in range(2):
+                perm = np.random.default_rng(ep).permutation(50)
+                eng.run_primal_epoch(y, inv, np.float32(0.2), b, w, perm)
+            results.append((b, w))
+        for b, w in results[1:]:
+            assert_bits_equal(results[0][0], b, "observed beta")
+            assert_bits_equal(results[0][1], w, "observed w")
+        waves = [span for span in wave_tracer.walk() if span.name == "tpa.wave"]
+        assert len(waves) == 2 * 8
+
+    def test_profiler_matches_bruteforce_waves(self):
+        """The profiler books exactly what per-wave gathers of the epoch show."""
+        rng = np.random.default_rng(41)
+        indptr, indices, data = random_structure(rng, 45, 20, 11, empty_frac=0.2)
+        y = np.sign(rng.standard_normal(45)).astype(np.float32)
+        inv = (1.0 / (1.0 + rng.random(45))).astype(np.float32)
+        prof, expected = KernelProfile(), KernelProfile()
+        eng = self.engine(indptr, indices, data, wave_size=6, n_threads=8, profiler=prof)
+        a, wb = np.zeros(45, np.float32), np.zeros(20, np.float32)
+        for ep in range(2):
+            perm = np.random.default_rng(50 + ep).permutation(45)
+            eng.run_dual_epoch(y, inv, np.float32(0.01), np.float32(0.45), a, wb, perm)
+            for start in range(0, 45, 6):
+                flat_idx, _, seg_ptr = gather_chunk(
+                    indptr, indices, data, perm[start:start + 6]
+                )
+                expected.record_wave(flat_idx, seg_ptr, 8)
+        assert prof == expected
+        assert prof.atomic_conflicts > 0
+
+
+def adversarial_structure(rng, n_coords, n_minor, max_len):
+    """CSC/CSR-style arrays whose values stress summation order.
+
+    Magnitudes spread over 1e-4..1e4, float32 denormals and signed zeros,
+    minor indices repeated within a coordinate and across a wave, and empty
+    coordinates.  Coordinate 0 alone touches minor index 0, with one
+    ``+0.0``: on a ``-0.0`` shared entry its product is ``-0.0``, which its
+    lane (started at ``+0.0``) must turn into ``+0.0``.
+    """
+    lengths = rng.integers(0, max_len + 1, size=n_coords)
+    lengths[0] = 1
+    indptr = np.zeros(n_coords + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = rng.integers(1, n_minor, size=nnz).astype(np.int64)
+    data = spread_values(rng, nnz)
+    indices[0], data[0] = 0, 0.0
+    return indptr, indices, data
+
+
+def spread_values(rng, n):
+    """float32 normals, a quarter rescaled across 1e-4..1e4 (wide enough to
+    show any change of summation order, narrow enough to stay finite over
+    two diverging epochs), a few signed zeros and denormals."""
+    values = rng.standard_normal(n)
+    picks = rng.permutation(n)
+    wide, zero, tiny = picks[: n // 4], picks[n // 4: n // 3], picks[n // 3: n // 3 + 3]
+    values[wide] *= 10.0 ** rng.integers(-4, 5, size=wide.size)
+    values[zero] = rng.choice([0.0, -0.0], size=zero.size)
+    values[tiny] = rng.choice([1e-45, -3e-42, 1e-39], size=tiny.size)
+    return values.astype(np.float32)
+
+
+@needs_cc
+class TestNativeBitIdentity(TestPlannedBitIdentity):
+    """Every test above on the compiled ``tpa_epoch``, plus adversarial values."""
+
+    backend = "native"
+
+    @pytest.mark.parametrize("formulation", ["primal", "dual"])
+    def test_adversarial_values_bitwise(self, formulation):
+        """Also a coordinate drawn twice within one wave, as a
+        ``PermutationStream`` round spanning two permutations can: every
+        delta reads the wave-start weight and the last update wins."""
+        dual = formulation == "dual"
+        rng = np.random.default_rng(29)
+        n_coords, n_minor, wave_size = 40, 12, 9
+        indptr, indices, data = adversarial_structure(rng, n_coords, n_minor, 12)
+        engine = self.engine(indptr, indices, data, wave_size=wave_size, n_threads=4)
+        y = spread_values(rng, n_coords if dual else n_minor)
+        lam, nlam = np.float32(0.37), np.float32(3.1)
+        # Eq. 2/4 denominators keep two epochs of this stale, contended run finite
+        norms = np.bincount(
+            np.repeat(np.arange(n_coords), np.diff(indptr)),
+            weights=data.astype(np.float64) ** 2, minlength=n_coords,
+        )
+        inv = (1.0 / (norms + float(nlam))).astype(np.float32)
+        weights0 = spread_values(rng, n_coords)
+        shared0 = spread_values(rng, n_minor)
+        # coordinate 0 opens the first wave on shared[0] == -0.0; for the
+        # dual, the sign of its zero dot then reaches shared[0]
+        y[0], weights0[0], shared0[0] = -0.0, 0.0, -0.0
+        second = rng.permutation(n_coords)
+        perms = [
+            np.concatenate([[0], 1 + rng.permutation(n_coords - 1)]),
+            # second[3:5] fall twice into the first wave
+            np.concatenate([second[3:7], second]),
+        ]
+        assert len(set(perms[1][:wave_size].tolist())) < wave_size
+        ref_w, ref_s = weights0.copy(), shared0.copy()
+        got_w, got_s = weights0.copy(), shared0.copy()
+        for perm in perms:
+            if dual:
+                reference_dual_epoch(engine, y, inv, lam, nlam, ref_w, ref_s, perm)
+                engine.run_dual_epoch(y, inv, lam, nlam, got_w, got_s, perm)
+            else:
+                reference_primal_epoch(engine, y, inv, nlam, ref_w, ref_s, perm)
+                engine.run_primal_epoch(y, inv, nlam, got_w, got_s, perm)
+        assert np.isfinite(ref_w).all() and np.isfinite(ref_s).all()
+        assert_bits_equal(ref_w, got_w, f"{formulation} weights")
+        assert_bits_equal(ref_s, got_s, f"{formulation} shared")
 
 
 class TestGlmPlannedBitIdentity:
@@ -291,7 +452,7 @@ class TestGlmPlannedBitIdentity:
         assert_bits_equal(ref[1], prod[1], "svm shared")
 
 
-class TestOutOfCoreBitIdentity:
+class TestOutOfCoreBitIdentity(_Backend):
     def test_shard_streamed_planned_matches_seed(self, tmp_path, monkeypatch):
         """Production == reference through the full OOC shard-streaming stack."""
         dataset = make_webspam_like(
@@ -325,6 +486,118 @@ class TestOutOfCoreBitIdentity:
         )
 
 
+@needs_cc
+class TestNativeOutOfCoreBitIdentity(TestOutOfCoreBitIdentity):
+    backend = "native"
+
+
+def _tiny_native_problem():
+    """Two columns over three rows: (indptr, indices, data, y, inv, beta, w, perm)."""
+    indptr = np.array([0, 2, 3], dtype=np.int64)
+    indices = np.array([0, 2, 1], dtype=np.int64)
+    data = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+    return (indptr, indices, data, np.ones(3, np.float32), np.ones(2, np.float32),
+            np.zeros(2, np.float32), np.zeros(3, np.float32),
+            np.array([1, 0], dtype=np.int64))
+
+
+class TestNativeFailurePaths:
+    @needs_cc
+    def test_argument_mismatch_raises_before_any_foreign_call(self, monkeypatch):
+        indptr, indices, data, y, inv, beta, w, perm = _tiny_native_problem()
+        bad_matrices = {
+            "indices must be a 1-D C-contiguous int64": (indptr, indices.astype(np.int32), data),
+            "indptr must be a 1-D C-contiguous int64": (indptr.astype(np.int32), indices, data),
+            "data must be a 1-D C-contiguous float32": (
+                indptr, indices, np.repeat(data, 2)[::2]),
+            "data has length 2": (indptr, indices, data[:2]),
+            "indptr points outside indices": (indptr + 1, indices, data),
+            "indices must be non-negative": (indptr, indices - 1, data),
+        }
+        for message, arrays in bad_matrices.items():
+            with pytest.raises(ValueError, match=message):
+                TpaScdEngine(*arrays, wave_size=2, n_threads=4)
+
+        engine = TpaScdEngine(indptr, indices, data, wave_size=2, n_threads=4)
+        assert engine.backend == "native"
+        foreign_calls = []
+        monkeypatch.setattr(engine._native, "_fn", lambda *a: foreign_calls.append(a))
+        frozen = np.zeros(2, np.float32)
+        frozen.flags.writeable = False
+        bad = {
+            "weights must be a 1-D C-contiguous float32": dict(beta=beta.astype(np.float64)),
+            "weights has length 3": dict(beta=np.zeros(3, np.float32)),
+            "weights is read-only": dict(beta=frozen),
+            "shared must be a 1-D C-contiguous float32": dict(w=np.zeros(6, np.float32)[::2]),
+            "not C-contiguous": dict(w=np.zeros(6, np.float32)[::2]),
+            r"indices outside \[0, 2\)": dict(w=np.zeros(2, np.float32), y=np.ones(2, np.float32)),
+            "y has length 2": dict(y=np.ones(2, np.float32)),
+            "inv_denom must be a 1-D C-contiguous float32": dict(inv=inv.astype(np.float64)),
+            "perm must be a 1-D C-contiguous int64": dict(perm=perm.astype(np.int32)),
+            r"perm outside \[0, 2\)": dict(perm=np.array([0, 2], dtype=np.int64)),
+            "nlam must be a Python number or a float32 scalar": dict(nlam=np.float64(0.5)),
+        }
+        good = dict(y=y, inv=inv, nlam=np.float32(0.5), beta=beta, w=w, perm=perm)
+        for message, override in bad.items():
+            args = good | override
+            with pytest.raises(ValueError, match=message):
+                engine.run_primal_epoch(
+                    args["y"], args["inv"], args["nlam"], args["beta"], args["w"], args["perm"]
+                )
+        with pytest.raises(ValueError, match="lam must be a Python number"):
+            engine.run_dual_epoch(
+                np.ones(2, np.float32), inv, np.float64(0.1), 0.5, beta, w, perm
+            )
+        assert foreign_calls == []
+        # the same arguments, correct, do reach the (stubbed) foreign call
+        engine.run_primal_epoch(y, inv, 0.5, beta, w, perm)
+        engine.run_dual_epoch(np.ones(2, np.float32), inv, 0.1, np.float32(0.5), beta, w, perm)
+        assert len(foreign_calls) == 2
+
+    @needs_cc
+    def test_no_compiler_falls_back_with_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        indptr, indices, data = random_structure(rng, 60, 40, 9)
+        y = rng.standard_normal(40).astype(np.float32)
+        inv = (1.0 / (1.0 + rng.random(60))).astype(np.float32)
+        runs = []
+        for backend in ("native", "numpy"):
+            if backend == "numpy":
+                monkeypatch.setattr(native, "_NATIVE", {})
+                monkeypatch.setattr(native, "CC", "repro-no-such-cc")
+            engine = build_engine(indptr, indices, data, wave_size=8, n_threads=16)
+            assert engine.backend == backend
+            assert (engine.plan is None) is (backend == "native")
+            b, w = np.zeros(60, np.float32), np.zeros(40, np.float32)
+            for ep in range(3):
+                perm = np.random.default_rng(ep).permutation(60)
+                engine.run_primal_epoch(y, inv, np.float32(0.3), b, w, perm)
+            runs.append((b, w))
+        assert_bits_equal(runs[0][0], runs[1][0], "beta, native vs numpy")
+        assert_bits_equal(runs[0][1], runs[1][1], "w, native vs numpy")
+
+    def test_geometry_is_checked_without_a_plan(self):
+        indptr = np.array([0, 2], dtype=np.int64)
+        indices = np.array([0, 1], dtype=np.int64)
+        data = np.ones(2, np.float32)
+        with pytest.raises(ValueError, match="wave_size must be >= 1"):
+            build_engine(indptr, indices, data, wave_size=0, n_threads=8)
+        with pytest.raises(ValueError, match="n_threads must be a positive power of two"):
+            build_engine(indptr, indices, data, wave_size=2, n_threads=6)
+        assert plan_cache_stats()["misses"] == 0
+
+    @needs_cc
+    def test_native_engine_compiles_no_plan(self):
+        indptr, indices, data, *_ = _tiny_native_problem()
+        engine = build_engine(indptr, indices, data, wave_size=2, n_threads=4)
+        assert engine.backend == "native" and engine.plan is None
+        assert plan_cache_stats() == {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
+        # float64 has no compiled twin: it takes the planned numpy loop
+        wide = build_engine(indptr, indices, data, wave_size=2, n_threads=4,
+                            dtype=np.float64)
+        assert wide.backend == "numpy" and wide.plan is not None
+
+
 class TestPlanCache:
     def test_hit_on_same_indptr_identity(self):
         clear_plan_cache()
@@ -346,19 +619,26 @@ class TestPlanCache:
         assert plan_cache_stats()["misses"] == 4
 
     def test_weakref_guards_id_reuse(self):
-        """A dead indptr's cache slot must never serve a new array."""
+        """A dropped indptr frees its plan; its id never finds the stale one."""
         clear_plan_cache()
         indptr = np.array([0, 3, 4], dtype=np.int64)
         plan = get_plan(indptr, wave_size=1, n_threads=4, dtype=np.float32)
-        key_id = id(indptr)
+        alive = weakref.ref(indptr)
         del indptr
         gc.collect()
-        # craft a *different* structure; even if the allocator reuses the
-        # address, the weakref is dead and the stale plan must not be served
+        # the plan kept no reference to the matrix, and its entry went with it
+        assert alive() is None
+        assert plan_cache_stats()["size"] == 0
         other = np.array([0, 1, 2], dtype=np.int64)
         got = get_plan(other, wave_size=1, n_threads=4, dtype=np.float32)
-        assert got is not plan or id(other) != key_id
+        assert got is not plan
         assert got.n_coords == 2
+        # many short-lived matrices leave nothing behind
+        for i in range(70):
+            get_plan(np.array([0, 1 + i % 3], dtype=np.int64),
+                     wave_size=1, n_threads=4, dtype=np.float32)
+        gc.collect()
+        assert plan_cache_stats()["size"] == 1
 
     def test_cache_capacity_is_bounded(self):
         clear_plan_cache()
@@ -412,8 +692,8 @@ class TestBufferPool:
         b[:] = 2.0
         assert a[0] == 1.0 and b[0] == 2.0
 
-    def test_steady_state_epochs_allocate_nothing(self):
-        """After warmup, epochs do zero pool allocations."""
+    def test_steady_state_epochs_allocate_nothing(self, no_compiler):
+        """After warmup, the numpy wave loop's epochs do zero pool allocations."""
         rng = np.random.default_rng(31)
         indptr, indices, data = random_structure(rng, 48, 64, 9)
         eng = build_engine(indptr, indices, data, wave_size=8, n_threads=16)

@@ -21,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import SolverConfig, train
+from repro import SolverConfig, native, train
 from repro.experiments.config import SCALES, webspam_problem
+from repro.native import load_native
 from repro.obs import Tracer
-from repro.solvers import syscd_kernels
 from repro.solvers.kernels import _epoch_gather
 from repro.solvers.scd import SequentialSCD
 from repro.solvers.syscd import SySCD, SyscdCpuTiming, SyscdKernelFactory
@@ -35,12 +35,11 @@ from repro.solvers.syscd_kernels import (
     bucket_bounds,
     bucket_pass_numpy,
     exact_epoch_numpy,
-    load_native,
     resolve_backend,
 )
 
 #: the C compiler the native backend builds with, when the host has one
-HOST_CC = shutil.which(syscd_kernels.CC)
+HOST_CC = shutil.which(native.CC)
 needs_cc = pytest.mark.skipif(HOST_CC is None, reason="no C compiler on PATH")
 
 #: sha256 of the float64 weight bytes after the pinned reference run below
@@ -61,14 +60,6 @@ def _sha(arr: np.ndarray) -> str:
 def tiny_problem():
     problem, _ = webspam_problem(SCALES["tiny"])
     return problem
-
-
-@pytest.fixture
-def fresh_native(monkeypatch, tmp_path):
-    """No loaded library in this process and an empty build cache."""
-    monkeypatch.setattr(syscd_kernels, "_NATIVE", {})
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    return tmp_path
 
 
 def _script(path: Path, body: str) -> str:
@@ -131,12 +122,12 @@ class TestBackendResolution:
         # with a compiler auto selects the C kernels; without one it must
         # silently fall back to the bit-identical numpy kernels
         assert resolve_backend("auto") == ("native" if HOST_CC else "numpy")
-        monkeypatch.setattr(syscd_kernels, "CC", "repro-no-such-cc")
+        monkeypatch.setattr(native, "CC", "repro-no-such-cc")
         assert resolve_backend("auto") == "numpy"
 
     def test_explicit_native_errors_without_compiler(self, fresh_native, monkeypatch):
-        monkeypatch.setattr(syscd_kernels, "CC", "repro-no-such-cc")
-        with pytest.raises(ValueError, match="kernel_backend='native'") as info:
+        monkeypatch.setattr(native, "CC", "repro-no-such-cc")
+        with pytest.raises(ValueError, match="native C kernels are unavailable") as info:
             resolve_backend("native")
         # the message names the command that could not run
         assert "`repro-no-such-cc --version` could not run" in str(info.value)
@@ -438,10 +429,10 @@ class TestNativeFailurePaths:
         broken = _script(
             fresh_native / "broken-cc",
             'if [ "$1" = --version ]; then echo "broken-cc 1.0"; exit 0; fi\n'
-            'echo "syscd_native.c:1: error: planted failure" >&2\n'
+            'echo "syscd.c:1: error: planted failure" >&2\n'
             "exit 1\n",
         )
-        monkeypatch.setattr(syscd_kernels, "CC", broken)
+        monkeypatch.setattr(native, "CC", broken)
         assert resolve_backend("auto") == "numpy"
         with pytest.raises(ValueError) as info:
             resolve_backend("native")
@@ -456,7 +447,7 @@ class TestNativeFailurePaths:
         wrapper = _script(
             fresh_native / "logging-cc", f'echo "$*" >> {log}\nexec {HOST_CC} "$@"\n'
         )
-        monkeypatch.setattr(syscd_kernels, "CC", wrapper)
+        monkeypatch.setattr(native, "CC", wrapper)
 
         def compiles() -> int:
             lines = log.read_text().splitlines() if log.exists() else []
@@ -465,7 +456,7 @@ class TestNativeFailurePaths:
         first = train(tiny_problem, "syscd", n_epochs=1, n_threads=2,
                       kernel_backend="native")
         assert compiles() == 1
-        built = list((fresh_native / "cache" / "repro").glob("syscd_native-*.so"))
+        built = list((fresh_native / "cache" / "repro").glob("repro_native-*.so"))
         assert len(built) == 1
         # a second bind in this process reuses the loaded library: no cc at all
         calls = log.read_text()
@@ -473,7 +464,7 @@ class TestNativeFailurePaths:
                        kernel_backend="native")
         assert log.read_text() == calls
         # a fresh process loads the cached .so: cc is asked its version only
-        monkeypatch.setattr(syscd_kernels, "_NATIVE", {})
+        monkeypatch.setattr(native, "_NATIVE", {})
         assert load_native() is not None
         assert compiles() == 1
         assert np.array_equal(first.weights, second.weights)
@@ -524,14 +515,18 @@ class TestNativeFailurePaths:
         assert len(foreign_calls) == 2
 
     def test_source_ships_as_package_data(self):
-        source = resources.files("repro.solvers") / "syscd_native.c"
-        assert source.is_file()
-        assert "syscd_bucket_chunk" in source.read_text()
+        sources = {
+            entry.name: entry.read_text()
+            for entry in resources.files("repro.native").iterdir()
+            if entry.name.endswith(".c")
+        }
+        assert "syscd_bucket_chunk" in sources["syscd.c"]
+        assert "tpa_epoch" in sources["tpa.c"]
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         package_data = tomllib.loads(pyproject.read_text())["tool"]["setuptools"][
             "package-data"
         ]
-        assert "syscd_native.c" in package_data["repro.solvers"]
+        assert package_data["repro.native"] == ["*.c"]
 
 
 # ---------------------------------------------------------------------------
