@@ -15,7 +15,6 @@ import numpy as np
 
 from ..gpu.device import GpuDevice
 from ..gpu.engine import TpaScdEngine
-from ..gpu.plan import plan_cache_stats
 from ..gpu.profiler import KernelProfile
 from ..gpu.spec import GTX_TITAN_X, GpuSpec
 from ..gpu.timing import GpuTimingModel
@@ -102,9 +101,7 @@ class TpaScdKernelFactory:
         self.name = f"TPA-SCD({device.spec.name})"
 
     def _build_engine(self, matrix) -> TpaScdEngine:
-        """Construct the wave engine, booking plan-cache traffic when traced."""
-        before = plan_cache_stats()
-        engine = TpaScdEngine(
+        return TpaScdEngine(
             matrix.indptr,
             matrix.indices,
             matrix.data,
@@ -114,16 +111,6 @@ class TpaScdKernelFactory:
             profiler=self.profiler,
             tracer=self.tracer,
         )
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            after = plan_cache_stats()
-            hits = after["hits"] - before["hits"]
-            misses = after["misses"] - before["misses"]
-            if hits:
-                tracer.count("gpu.plan_cache.hits", hits)
-            if misses:
-                tracer.count("gpu.plan_cache.misses", misses)
-        return engine
 
     def _priced(self, workload: EpochWorkload) -> EpochWorkload:
         return self.timing_workload or workload

@@ -1,23 +1,14 @@
 """Simulated GPU substrate: specs, memory, execution engine, timing."""
 
 from .device import GpuDevice
-from .engine import TpaScdEngine, block_tree_dots
+from .engine import RidgeDualRule, RidgePrimalRule, TpaScdEngine, block_tree_dots
 from .glm_engine import (
     CoordinateRule,
     ElasticNetPrimalRule,
     GlmTpaEngine,
-    RidgeDualRule,
-    RidgePrimalRule,
     SvmDualRule,
 )
 from .memory import DeviceMemory, GpuOutOfMemoryError
-from .plan import (
-    BufferPool,
-    WavePlan,
-    clear_plan_cache,
-    get_plan,
-    plan_cache_stats,
-)
 from .profiler import KernelProfile
 from .spec import GTX_TITAN_X, QUADRO_M4000, TESLA_P100, GpuSpec
 from .timing import BYTES_PER_NNZ, GpuTimingModel
@@ -34,11 +25,6 @@ __all__ = [
     "SvmDualRule",
     "DeviceMemory",
     "GpuOutOfMemoryError",
-    "WavePlan",
-    "BufferPool",
-    "get_plan",
-    "plan_cache_stats",
-    "clear_plan_cache",
     "KernelProfile",
     "GpuSpec",
     "QUADRO_M4000",

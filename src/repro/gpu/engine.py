@@ -21,14 +21,14 @@ on real hardware:
 * **Atomic write-back** — every shared-vector contribution is applied
   (float32 atomic adds never lose updates).
 
-Two definitions of those semantics live here and only tests call them:
-:func:`block_tree_dots` (the thread-block arithmetic) and
-:func:`reference_epoch` (a rule-generic epoch written the obvious way).
-:class:`TpaScdEngine` runs ridge epochs through their compiled twin
-(``tpa_epoch`` in ``repro/native/tpa.c``, one foreign call per epoch) and,
-where that library cannot be built or the engine is not float32, through
-the numpy wave loop of :mod:`repro.gpu.glm_engine`.  Both must match the
-reference bit for bit.
+The wave loop exists twice.  :func:`reference_epoch` writes it the obvious
+way in numpy, for any coordinate rule; ``tpa_epoch`` in
+``repro/native/tpa.c`` is its compiled twin, one foreign call per epoch,
+with one ``switch`` case per rule.  An engine runs the compiled loop when
+the library loads and the engine is float32, and the reference otherwise;
+the two are bit-identical.  :class:`RidgePrimalRule` / :class:`RidgeDualRule`
+(Eqs. 2 and 4) are Algorithm 2's own updates; :mod:`repro.gpu.glm_engine`
+adds the elastic-net and SVM rules.
 """
 
 from __future__ import annotations
@@ -38,11 +38,88 @@ import numpy as np
 from .. import native
 from ..obs import NULL_SPAN, NULL_TRACER
 from ..solvers.kernels import gather_chunk
-from .glm_engine import RidgeDualRule, RidgePrimalRule, _run_waves
-from .plan import check_geometry, get_plan
+from .plan import check_geometry
 from .profiler import KernelProfile
 
-__all__ = ["block_tree_dots", "reference_epoch", "TpaScdEngine"]
+__all__ = [
+    "block_tree_dots",
+    "reference_epoch",
+    "RidgePrimalRule",
+    "RidgeDualRule",
+    "TpaScdEngine",
+]
+
+#: the update cases of ``tpa_epoch``, in the order of tpa.c's ``RULE_*`` enum,
+#: each with the number of per-coordinate arrays and of scalars it reads
+_NATIVE_RULES = {
+    "ridge_primal": (1, 1),
+    "ridge_dual": (2, 2),
+    "elastic_net": (2, 2),
+    "svm": (4, 1),
+}
+
+
+class RidgePrimalRule:
+    """Eq. 2: delta = (<y - w, a_m> - N lam beta_m) / (||a_m||^2 + N lam)."""
+
+    needs = "residual"
+    #: ``tpa.c``'s case for this update, the per-coordinate arrays and the
+    #: scalars it reads (attribute names, in the order the case lists them)
+    native = ("ridge_primal", ("inv_denom",), ("nlam",))
+
+    def __init__(self, norms_sq: np.ndarray, n: int, lam: float, dtype=np.float32):
+        dt = np.dtype(dtype)
+        self.nlam = dt.type(n * lam)
+        self.inv_denom = (1.0 / (norms_sq.astype(np.float64) + n * lam)).astype(dt)
+
+    @classmethod
+    def from_arrays(cls, inv_denom: np.ndarray, nlam) -> "RidgePrimalRule":
+        """Bind a precomputed ``1 / (||a_m||^2 + N lam)`` and ``N lam`` as given."""
+        rule = cls.__new__(cls)
+        rule.nlam, rule.inv_denom = nlam, inv_denom
+        return rule
+
+    def deltas(self, coords, dots, weights):
+        return ((dots - self.nlam * weights) * self.inv_denom[coords]).astype(
+            dots.dtype
+        )
+
+    def shared_scale(self, coords):
+        return 1.0
+
+
+class RidgeDualRule:
+    """Eq. 4: delta = (lam y_n - <wbar, a_n> - lam N alpha_n) / (lam N + ||a_n||^2)."""
+
+    needs = "shared"
+    native = ("ridge_dual", ("y", "inv_denom"), ("lam", "nlam"))
+
+    def __init__(
+        self, y_local: np.ndarray, norms_sq: np.ndarray, n: int, lam: float, dtype=np.float32
+    ):
+        dt = np.dtype(dtype)
+        self.y = y_local.astype(dt, copy=False)
+        self.lam = dt.type(lam)
+        self.nlam = dt.type(n * lam)
+        self.inv_denom = (1.0 / (n * lam + norms_sq.astype(np.float64))).astype(dt)
+
+    @classmethod
+    def from_arrays(
+        cls, y_local: np.ndarray, inv_denom: np.ndarray, lam, nlam
+    ) -> "RidgeDualRule":
+        """Bind labels, a precomputed ``1 / (lam N + ||a_n||^2)`` and scalars as given."""
+        rule = cls.__new__(cls)
+        rule.y, rule.inv_denom, rule.lam, rule.nlam = y_local, inv_denom, lam, nlam
+        return rule
+
+    def deltas(self, coords, dots, weights):
+        return (
+            (self.lam * self.y[coords] - dots - self.nlam * weights)
+            * self.inv_denom[coords]
+        ).astype(dots.dtype)
+
+    def shared_scale(self, coords):
+        return 1.0
 
 
 def block_tree_dots(
@@ -88,44 +165,66 @@ def reference_epoch(
     weights: np.ndarray,
     shared: np.ndarray,
     perm: np.ndarray,
+    /,
     *,
     wave_size: int,
     n_threads: int,
     y: np.ndarray | None = None,
     dtype=np.float32,
     tracer=None,
+    profiler: KernelProfile | None = None,
+    span: str = "tpa",
+    **span_attrs,
 ) -> int:
-    """Reference semantics of one epoch for any coordinate rule (tests only).
+    """One epoch of Algorithm 2 over ``perm`` for any coordinate rule, in numpy.
 
-    Every wave re-derives its gather with
+    Every wave gathers its coordinates with
     :func:`~repro.solvers.kernels.gather_chunk`, takes its inner products
-    through :func:`block_tree_dots` and scatters through the unbuffered,
-    ordered ``np.add.at``.  A ``tracer`` receives the brute-force wave
-    counters the production loop has to reproduce.
+    through :func:`block_tree_dots` against the shared vector as the wave
+    found it, applies the rule, and scatters through the unbuffered, ordered
+    ``np.add.at``.  A ``tracer`` gets a ``<span>.epoch`` span (and a
+    ``<span>.wave`` span per wave at ``detail="wave"``) and the ``gpu.*``
+    wave counters; a ``profiler`` books every wave.  Returns 0: float32
+    atomic adds never lose updates.
     """
+    tracer = NULL_TRACER if tracer is None else tracer
+    observed = tracer.enabled
+    wave_spans = observed and tracer.detail == "wave"
     dt = np.dtype(dtype)
     data = data.astype(dt, copy=False)
-    for start in range(0, perm.shape[0], wave_size):
-        coords = perm[start : start + wave_size]
-        flat_idx, flat_val, seg_ptr = gather_chunk(indptr, indices, data, coords)
-        nnz = int(flat_idx.shape[0])
-        if tracer is not None:
-            tracer.count("gpu.waves")
-            tracer.count("gpu.nnz_processed", nnz)
-            if nnz:
-                tracer.count(
-                    "gpu.atomic_conflicts", nnz - int(np.unique(flat_idx).shape[0])
+    with tracer.span(
+        f"{span}.epoch", category="gpu", **span_attrs,
+        n_coords=int(perm.shape[0]), wave_size=wave_size,
+    ) if observed else NULL_SPAN:
+        for start in range(0, perm.shape[0], wave_size):
+            coords = perm[start : start + wave_size]
+            with tracer.span(
+                f"{span}.wave", category="gpu", blocks=int(coords.shape[0])
+            ) if wave_spans else NULL_SPAN:
+                flat_idx, flat_val, seg_ptr = gather_chunk(indptr, indices, data, coords)
+                nnz = int(flat_idx.shape[0])
+                if observed or profiler is not None:
+                    conflicts = nnz - int(np.unique(flat_idx).shape[0])
+                if profiler is not None:
+                    profiler.record_wave(flat_idx, seg_ptr, n_threads, conflicts=conflicts)
+                if observed:
+                    tracer.count("gpu.waves")
+                    tracer.count("gpu.nnz_processed", nnz)
+                    if nnz:
+                        tracer.count("gpu.atomic_conflicts", conflicts)
+                gathered = shared[flat_idx]
+                if rule.needs == "residual":
+                    gathered = y[flat_idx] - gathered
+                dots = block_tree_dots(
+                    flat_val, gathered.astype(dt, copy=False), seg_ptr, n_threads,
+                    dtype=dt,
                 )
-        gathered = shared[flat_idx]
-        if rule.needs == "residual":
-            gathered = y[flat_idx] - gathered
-        dots = block_tree_dots(
-            flat_val, gathered.astype(dt, copy=False), seg_ptr, n_threads, dtype=dt
-        )
-        deltas = rule.deltas(coords, dots, weights[coords])
-        weights[coords] += deltas
-        scaled = (deltas * rule.shared_scale(coords)).astype(dt, copy=False)
-        np.add.at(shared, flat_idx, flat_val * np.repeat(scaled, np.diff(seg_ptr)))
+                deltas = rule.deltas(coords, dots, weights[coords])
+                weights[coords] += deltas
+                scaled = (deltas * rule.shared_scale(coords)).astype(dt, copy=False)
+                np.add.at(
+                    shared, flat_idx, flat_val * np.repeat(scaled, np.diff(seg_ptr))
+                )
     return 0
 
 
@@ -153,35 +252,30 @@ def _float32_scalar(value, name: str) -> float:
 
 
 class _NativeWaveLoop:
-    """``tpa_epoch`` bound to one matrix (see ``repro/native/tpa.c``).
+    """``tpa_epoch`` bound to one matrix whose structure the engine checked.
 
-    The matrix arrays are checked here (dtype, C order, lengths, index
-    bounds) and the caller's vectors, scalars and permutation once per
+    The data array is checked here (dtype, C order, length); the rule's
+    arrays and scalars, the caller's vectors and the permutation once per
     epoch in :meth:`bind`, always before the first foreign call.
     """
 
-    def __init__(self, lib, indptr, indices, data, *, wave_size: int, n_threads: int):
+    def __init__(self, lib, indptr, indices, data, *, n_minor: int,
+                 wave_size: int, n_threads: int):
         self._head = (
             native.address(indptr, np.int64, "indptr"),
             native.address(indices, np.int64, "indices"),
             native.address(data, np.float32, "data", indices.shape[0]),
         )
-        nnz = indices.shape[0]
         self.n_coords = indptr.shape[0] - 1
-        if self.n_coords < 0 or indptr.min() < 0 or indptr.max() > nnz:
-            raise ValueError("native kernel: indptr points outside indices")
-        if nnz and indices.min() < 0:
-            raise ValueError("native kernel: indices must be non-negative")
         #: the shortest shared vector every index fits in
-        self.n_minor = int(indices.max()) + 1 if nnz else 0
+        self.n_minor = n_minor
         # the arrays behind the addresses above stay alive with the binding
         self._arrays = (indptr, indices, data)
         self._fn = lib.tpa_epoch
         self.wave_size = wave_size
         self.n_threads = n_threads
 
-    def bind(self, y, inv_denom, lam, nlam, weights, shared, perm, *,
-             dual: bool, observe: bool):
+    def bind(self, rule, y, weights, shared, perm, *, observe: bool):
         """Check one epoch's arguments; return ``run(lo, hi)`` over ``perm[lo:hi]``.
 
         ``run`` returns the range's wave counters (a dict keyed by
@@ -192,19 +286,32 @@ class _NativeWaveLoop:
         n_shared = shared.shape[0]
         if n_shared < self.n_minor:
             raise ValueError(f"native kernel: indices outside [0, {n_shared})")
-        args = (
-            *self._head,
-            native.address(y, np.float32, "y", n if dual else n_shared),
-            native.address(inv_denom, np.float32, "inv_denom", n),
-            _float32_scalar(lam, "lam"),
-            _float32_scalar(nlam, "nlam"),
+        case, arrays, scalars = rule.native
+        if _NATIVE_RULES.get(case) != (len(arrays), len(scalars)):
+            raise ValueError(
+                f"native kernel: no tpa.c case {case!r} reads {len(arrays)} "
+                f"arrays and {len(scalars)} scalars"
+            )
+        y_addr = (
+            native.address(y, np.float32, "y", n_shared)
+            if rule.needs == "residual" else None
+        )
+        vecs = np.array(
+            [native.address(getattr(rule, a), np.float32, a, n) for a in arrays],
+            dtype=np.uintp,
+        )
+        params = np.array(
+            [_float32_scalar(getattr(rule, s), s) for s in scalars], dtype=np.float32
+        )
+        head = (*self._head, y_addr, list(_NATIVE_RULES).index(case))
+        tail = (
             native.address(weights, np.float32, "weights", n, writeable=True),
             shared_addr,
         )
         base = native.address(perm, np.int64, "perm")
         if perm.shape[0] and (perm.min() < 0 or perm.max() >= n):
             raise ValueError(f"native kernel: perm outside [0, {n})")
-        geometry = (self.wave_size, self.n_threads, int(dual))
+        geometry = (self.wave_size, self.n_threads)
         scratch = np.empty(
             self.n_threads + 2 * min(self.wave_size, perm.shape[0]), np.float32
         )
@@ -215,7 +322,8 @@ class _NativeWaveLoop:
 
         def run(lo: int, hi: int) -> dict[str, int] | None:
             fn(
-                *args, base + step * lo, hi - lo, *geometry, scratch.ctypes.data,
+                *head, vecs.ctypes.data, params.ctypes.data, *tail,
+                base + step * lo, hi - lo, *geometry, scratch.ctypes.data,
                 None if stats is None else stats.ctypes.data,
                 None if marks is None else marks.ctypes.data,
             )
@@ -224,24 +332,14 @@ class _NativeWaveLoop:
         return run
 
 
-class TpaScdEngine:
-    """One bound ridge TPA-SCD kernel: the data arrays and their wave loop.
+class _WaveEngine:
+    """One bound matrix and the wave loop that runs its epochs.
 
-    A float32 engine runs every epoch as one call of the compiled
-    ``tpa_epoch`` (:mod:`repro.native`).  Where that library cannot be
-    built, and for other dtypes, the engine runs the numpy wave loop
-    through a :class:`~repro.gpu.plan.WavePlan` from the module-wide plan
-    cache.  The two are bit-identical; :attr:`backend` says which one runs.
-
-    Parameters
-    ----------
-    indptr, indices, data:
-        The coordinate-major compressed arrays (CSC columns for primal,
-        CSR rows for dual); ``data`` is cast to ``dtype``.
-    wave_size:
-        Number of concurrently resident thread blocks (staleness window).
-    n_threads:
-        Threads per block used for the strided partials / tree reduction.
+    The structure check and the geometry check run first, for both loops.
+    Two observable facts then choose the loop, with no option: a float32
+    engine whose kernel library loads runs ``tpa_epoch``
+    (:mod:`repro.native`), any other engine runs :func:`reference_epoch`.
+    The two are bit-identical; :attr:`backend` says which one runs.
     """
 
     def __init__(
@@ -257,6 +355,7 @@ class TpaScdEngine:
         tracer=None,
     ) -> None:
         check_geometry(wave_size, n_threads)
+        n_minor = native.check_structure(indptr, indices)
         self.dtype = np.dtype(dtype)
         self.wave_size = int(wave_size)
         self.n_threads = int(n_threads)
@@ -265,34 +364,36 @@ class TpaScdEngine:
         self.data = data.astype(self.dtype, copy=False)
         self.profiler = profiler
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._native = self._bind_native() if self.dtype == np.float32 else None
-        self.plan = None if self._native is not None else get_plan(
-            indptr, wave_size=self.wave_size, n_threads=self.n_threads, dtype=self.dtype
-        )
+        self._native = self._bind_native(n_minor) if self.dtype == np.float32 else None
 
-    def _bind_native(self) -> _NativeWaveLoop | None:
+    def _bind_native(self, n_minor: int) -> _NativeWaveLoop | None:
         try:
             lib = native.load_native()
         except native.NativeUnavailableError:
             return None
         return _NativeWaveLoop(
-            lib, self.indptr, self.indices, self.data,
+            lib, self.indptr, self.indices, self.data, n_minor=n_minor,
             wave_size=self.wave_size, n_threads=self.n_threads,
         )
 
     @property
     def backend(self) -> str:
-        """``"native"`` (compiled ``tpa_epoch``) or ``"numpy"`` (planned wave loop)."""
+        """``"native"`` (compiled ``tpa_epoch``) or ``"numpy"`` (:func:`reference_epoch`)."""
         return "numpy" if self._native is None else "native"
 
-    def _run_planned(self, rule, y, weights, shared, perm) -> int:
-        return _run_waves(
-            self.plan, self.indices, self.data, rule, y, weights, shared, perm,
-            profiler=self.profiler, tracer=self.tracer, span="tpa",
-        )
+    def _run(self, rule, y, weights, shared, perm, /, *, span: str, **span_attrs) -> int:
+        """One epoch of ``rule`` over ``perm`` on this engine's loop."""
+        if self._native is None:
+            return reference_epoch(
+                self.indptr, self.indices, self.data, rule, weights, shared, perm,
+                wave_size=self.wave_size, n_threads=self.n_threads, y=y,
+                dtype=self.dtype, tracer=self.tracer, profiler=self.profiler,
+                span=span, **span_attrs,
+            )
+        return self._run_native(rule, y, weights, shared, perm, span=span, **span_attrs)
 
-    def _run_native(self, y, inv_denom, lam, nlam, weights, shared, perm, *,
-                    dual: bool) -> int:
+    def _run_native(self, rule, y, weights, shared, perm, /, *, span: str,
+                    **span_attrs) -> int:
         """One foreign call per epoch; one per wave under a wave-detail tracer.
 
         Observing asks the same kernel for its wave counters; it never
@@ -300,17 +401,18 @@ class TpaScdEngine:
         """
         tracer, profiler = self.tracer, self.profiler
         run = self._native.bind(
-            y, inv_denom, lam, nlam, weights, shared, perm,
-            dual=dual, observe=tracer.enabled or profiler is not None,
+            rule, y, weights, shared, perm,
+            observe=tracer.enabled or profiler is not None,
         )
         n = int(perm.shape[0])
         with tracer.span(
-            "tpa.epoch", category="gpu", n_coords=n, wave_size=self.wave_size
+            f"{span}.epoch", category="gpu", **span_attrs, n_coords=n,
+            wave_size=self.wave_size,
         ) if tracer.enabled else NULL_SPAN:
             if tracer.enabled and tracer.detail == "wave":
                 for s in range(0, n, self.wave_size):
                     e = min(s + self.wave_size, n)
-                    with tracer.span("tpa.wave", category="gpu", blocks=e - s):
+                    with tracer.span(f"{span}.wave", category="gpu", blocks=e - s):
                         self._book(run(s, e))
             else:
                 self._book(run(0, n))
@@ -328,6 +430,21 @@ class TpaScdEngine:
         if self.profiler is not None:
             self.profiler.record_waves(self.n_threads, **stats)
 
+
+class TpaScdEngine(_WaveEngine):
+    """One bound ridge TPA-SCD kernel: the data arrays and their wave loop.
+
+    Parameters
+    ----------
+    indptr, indices, data:
+        The coordinate-major compressed arrays (CSC columns for primal,
+        CSR rows for dual); ``data`` is cast to ``dtype``.
+    wave_size:
+        Number of concurrently resident thread blocks (staleness window).
+    n_threads:
+        Threads per block used for the strided partials / tree reduction.
+    """
+
     def run_primal_epoch(
         self,
         y: np.ndarray,
@@ -342,10 +459,8 @@ class TpaScdEngine:
         Returns 0 (atomic writes never lose updates), matching the
         :class:`~repro.solvers.base.BoundKernel` contract.
         """
-        if self._native is None:
-            rule = RidgePrimalRule.from_arrays(inv_denom, nlam)
-            return self._run_planned(rule, y, beta, w, perm)
-        return self._run_native(y, inv_denom, 0.0, nlam, beta, w, perm, dual=False)
+        rule = RidgePrimalRule.from_arrays(inv_denom, nlam)
+        return self._run(rule, y, beta, w, perm, span="tpa")
 
     def run_dual_epoch(
         self,
@@ -358,9 +473,5 @@ class TpaScdEngine:
         perm: np.ndarray,
     ) -> int:
         """One dual epoch: blocks compute ``<wbar, a_n>`` then update."""
-        if self._native is None:
-            rule = RidgeDualRule.from_arrays(y_local, inv_denom, lam, nlam)
-            return self._run_planned(rule, None, alpha, wbar, perm)
-        return self._run_native(
-            y_local, inv_denom, lam, nlam, alpha, wbar, perm, dual=True
-        )
+        rule = RidgeDualRule.from_arrays(y_local, inv_denom, lam, nlam)
+        return self._run(rule, None, alpha, wbar, perm, span="tpa")

@@ -1,4 +1,4 @@
-"""Algorithm 2's wave loop, stated once for any GLM coordinate rule.
+"""Algorithm 2 for any GLM coordinate rule: the rules and their engine.
 
 The paper motivates stochastic coordinate methods beyond ridge regression —
 "other problems such as regression with elastic net regularization as well
@@ -9,21 +9,16 @@ vector (or the residual) via the strided/tree-reduced arithmetic, (3)
 applies a closed-form scalar update, (4) atomically scatters the scaled
 column/row back into the shared vector.
 
-Only step (3) — and the scaling of step (4) — is objective specific, so the
-numpy wave loop in this module delegates both to a
-:class:`CoordinateRule` and runs everything else through a compiled,
-pooled :class:`~repro.gpu.plan.WavePlan` (per-epoch bulk gathers,
-slice-only waves, assignment-style reductions, zero steady-state
-allocations):
+Only step (3) — and the scaling of step (4) — is objective specific, so a
+:class:`CoordinateRule` states both in numpy and names the ``tpa.c`` case
+that replays them; :class:`GlmTpaEngine` runs the rule on the engine's one
+wave loop (:mod:`repro.gpu.engine`):
 
 * :class:`RidgePrimalRule` / :class:`RidgeDualRule` are Algorithm 2 itself;
-  :class:`~repro.gpu.engine.TpaScdEngine` runs them in C
-  (``repro/native/tpa.c``) and binds them to this loop only when the
-  compiled library is unavailable or the engine is not float32;
 * :class:`ElasticNetPrimalRule` soft-thresholds (Friedman et al. [4]);
 * :class:`SvmDualRule` applies the box-clipped SDCA step ([9]).
 
-The loop's arithmetic is pinned bit for bit against
+Both loops' arithmetic is pinned bit for bit against
 :func:`repro.gpu.engine.reference_epoch` by ``tests/test_plan_runtime.py``.
 """
 
@@ -33,8 +28,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..obs import NULL_SPAN, NULL_TRACER
-from .plan import WavePlan, get_plan
+from .engine import RidgeDualRule, RidgePrimalRule, _WaveEngine
 from .profiler import KernelProfile
 
 __all__ = [
@@ -55,6 +49,12 @@ class CoordinateRule(Protocol):
     #: least-squares rules); ``"shared"`` gathers the shared vector itself
     needs: str
 
+    #: ``(case, arrays, scalars)``: the ``tpa.c`` case that replays
+    #: :meth:`deltas` and :meth:`shared_scale` in float32, then the names of
+    #: the per-coordinate arrays and of the scalars it reads, in the case's
+    #: order
+    native: tuple[str, tuple[str, ...], tuple[str, ...]]
+
     def deltas(
         self, coords: np.ndarray, dots: np.ndarray, weights: np.ndarray
     ) -> np.ndarray:
@@ -66,65 +66,6 @@ class CoordinateRule(Protocol):
         ...
 
 
-class RidgePrimalRule:
-    """Eq. 2: delta = (<y - w, a_m> - N lam beta_m) / (||a_m||^2 + N lam)."""
-
-    needs = "residual"
-
-    def __init__(self, norms_sq: np.ndarray, n: int, lam: float, dtype=np.float32):
-        dt = np.dtype(dtype)
-        self.nlam = dt.type(n * lam)
-        self.inv_denom = (1.0 / (norms_sq.astype(np.float64) + n * lam)).astype(dt)
-
-    @classmethod
-    def from_arrays(cls, inv_denom: np.ndarray, nlam) -> "RidgePrimalRule":
-        """Bind a precomputed ``1 / (||a_m||^2 + N lam)`` and ``N lam`` as given."""
-        rule = cls.__new__(cls)
-        rule.nlam, rule.inv_denom = nlam, inv_denom
-        return rule
-
-    def deltas(self, coords, dots, weights):
-        return ((dots - self.nlam * weights) * self.inv_denom[coords]).astype(
-            dots.dtype
-        )
-
-    def shared_scale(self, coords):
-        return 1.0
-
-
-class RidgeDualRule:
-    """Eq. 4: delta = (lam y_n - <wbar, a_n> - lam N alpha_n) / (lam N + ||a_n||^2)."""
-
-    needs = "shared"
-
-    def __init__(
-        self, y_local: np.ndarray, norms_sq: np.ndarray, n: int, lam: float, dtype=np.float32
-    ):
-        dt = np.dtype(dtype)
-        self.y = y_local.astype(dt, copy=False)
-        self.lam = dt.type(lam)
-        self.nlam = dt.type(n * lam)
-        self.inv_denom = (1.0 / (n * lam + norms_sq.astype(np.float64))).astype(dt)
-
-    @classmethod
-    def from_arrays(
-        cls, y_local: np.ndarray, inv_denom: np.ndarray, lam, nlam
-    ) -> "RidgeDualRule":
-        """Bind labels, a precomputed ``1 / (lam N + ||a_n||^2)`` and scalars as given."""
-        rule = cls.__new__(cls)
-        rule.y, rule.inv_denom, rule.lam, rule.nlam = y_local, inv_denom, lam, nlam
-        return rule
-
-    def deltas(self, coords, dots, weights):
-        return (
-            (self.lam * self.y[coords] - dots - self.nlam * weights)
-            * self.inv_denom[coords]
-        ).astype(dots.dtype)
-
-    def shared_scale(self, coords):
-        return 1.0
-
-
 class ElasticNetPrimalRule:
     """Soft-thresholded coordinate minimizer of the elastic net.
 
@@ -133,6 +74,7 @@ class ElasticNetPrimalRule:
     """
 
     needs = "residual"
+    native = ("elastic_net", ("norms", "inv_denom"), ("inv_n", "threshold"))
 
     def __init__(
         self,
@@ -171,6 +113,7 @@ class SvmDualRule:
     """
 
     needs = "shared"
+    native = ("svm", ("y", "inv_norms", "zero_norm", "scale"), ("lam_n",))
 
     def __init__(
         self, y_local: np.ndarray, norms_sq: np.ndarray, n: int, lam: float, dtype=np.float32
@@ -196,81 +139,16 @@ class SvmDualRule:
         return self.scale[coords]
 
 
-def _bind_plan(indptr, wave_size: int, n_threads: int, dtype, plan) -> WavePlan:
-    """``plan`` if injected, else the cached one (compiling it validates the geometry)."""
-    if plan is not None:
-        return plan
-    return get_plan(indptr, wave_size=wave_size, n_threads=n_threads, dtype=dtype)
-
-
-def _run_waves(
-    plan: WavePlan, indices, data, rule, y, weights, shared, perm, /,
-    *, profiler, tracer, span: str, **span_attrs,
-) -> int:
-    """One epoch of Algorithm 2 over ``perm`` — the numpy wave loop.
-
-    Every block of a wave reads the shared vector as it stood when the wave
-    was scheduled (the staleness window), then all their atomic updates are
-    applied.  Returns 0: float32 atomic adds never lose updates.
-    """
-    dt = plan.dtype
-    observed = tracer.enabled
-    wave_spans = observed and tracer.detail == "wave"
-    residual = rule.needs == "residual"
-    with tracer.span(
-        f"{span}.epoch", category="gpu", **span_attrs,
-        n_coords=int(perm.shape[0]), wave_size=plan.wave_size,
-    ) if observed else NULL_SPAN:
-        # the plan's birthday-bound heuristic alone decides whether the
-        # epoch conflict sort pays; observers count unclaimed waves themselves
-        run = plan.begin_epoch(indices, data, perm, n_minor=int(shared.shape[0]))
-        for wv in range(run.n_waves):
-            s, e, a, b = run.bounds(wv)
-            coords = perm[s:e]
-            with tracer.span(
-                f"{span}.wave", category="gpu", blocks=e - s
-            ) if wave_spans else NULL_SPAN:
-                if observed or profiler is not None:
-                    conflicts = run.wave_conflicts(wv)
-                    if conflicts is None:
-                        conflicts = (b - a) - int(np.unique(run.flat_idx[a:b]).shape[0])
-                if profiler is not None:
-                    profiler.record_wave(
-                        run.flat_idx[a:b], run.wave_seg_ptr(s, e), plan.n_threads,
-                        conflicts=conflicts,
-                    )
-                if observed:
-                    tracer.count("gpu.waves")
-                    tracer.count("gpu.nnz_processed", b - a)
-                    if b > a:
-                        tracer.count("gpu.atomic_conflicts", conflicts)
-                fv = run.flat_val[a:b]
-                if residual:
-                    gathered = run.gather_residual(y, shared, a, b)
-                else:
-                    gathered = run.gather_shared(shared, a, b)
-                dots = run.block_dots(fv, gathered, wv, s, e, a, b)
-                deltas = rule.deltas(coords, dots, weights[coords])
-                weights[coords] += deltas
-                scaled = deltas * rule.shared_scale(coords)
-                contrib = run.expand_deltas(scaled.astype(dt, copy=False), wv, s, e)
-                np.multiply(fv, contrib, out=contrib)
-                run.scatter_shared(shared, contrib, wv, a, b)
-        if observed:
-            tracer.gauge("pool.bytes_reused", plan.pool.bytes_reused)
-    return 0
-
-
-class GlmTpaEngine:
+class GlmTpaEngine(_WaveEngine):
     """Wave-scheduled thread-block execution for any :class:`CoordinateRule`.
 
     ``indptr, indices, data`` are the coordinate-major compressed arrays
     (CSC columns for primal rules, CSR rows for dual ones); ``wave_size`` is
     the number of concurrently resident thread blocks (the staleness
     window; 1 degenerates to sequential SCD) and ``n_threads`` the threads
-    per block of the strided partials / tree reduction.  ``plan`` injects a
-    pre-compiled :class:`WavePlan`; by default the module-wide plan cache
-    is consulted (:func:`~repro.gpu.plan.get_plan`).
+    per block of the strided partials / tree reduction.  A float32 engine
+    runs every epoch as one call of the compiled ``tpa_epoch`` wherever the
+    kernel library loads; :attr:`backend` says which loop runs.
     """
 
     def __init__(
@@ -286,20 +164,17 @@ class GlmTpaEngine:
         y: np.ndarray | None = None,
         profiler: KernelProfile | None = None,
         tracer=None,
-        plan: WavePlan | None = None,
     ) -> None:
         if rule.needs not in ("residual", "shared"):
             raise ValueError(f"rule.needs must be residual|shared, got {rule.needs!r}")
         if rule.needs == "residual" and y is None:
             raise ValueError("residual rules require the label vector y")
-        self.dtype = np.dtype(dtype)
-        self.plan = _bind_plan(indptr, wave_size, n_threads, self.dtype, plan)
-        self.indices = indices
-        self.data = data.astype(self.dtype, copy=False)
+        super().__init__(
+            indptr, indices, data, wave_size=wave_size, n_threads=n_threads,
+            dtype=dtype, profiler=profiler, tracer=tracer,
+        )
         self.rule = rule
         self.y = None if y is None else y.astype(self.dtype, copy=False)
-        self.profiler = profiler
-        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def run_epoch(
         self,
@@ -309,9 +184,7 @@ class GlmTpaEngine:
         rng: np.random.Generator,
     ) -> int:
         """One pass over ``perm``; conforms to the BoundKernel contract."""
-        return _run_waves(
-            self.plan, self.indices, self.data, self.rule, self.y,
-            weights, shared, perm,
-            profiler=self.profiler, tracer=self.tracer,
+        return self._run(
+            self.rule, self.y, weights, shared, perm,
             span="glm", rule=type(self.rule).__name__,
         )

@@ -15,8 +15,10 @@ changes speed, never results.
 
 Foreign code handed a wrong dtype or an out-of-range index corrupts memory
 instead of raising, so bindings pass every array through :func:`address`
-(dtype, C order, length, writeability) and check index bounds themselves
-before the first foreign call.
+(dtype, C order, length, writeability) and every compressed matrix through
+:func:`check_structure` before the first foreign call.  The engines run the
+structure check before choosing between a kernel and its numpy twin, so a
+malformed matrix fails the same way on both.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CC", "CFLAGS", "NativeUnavailableError", "address", "load_native"]
+__all__ = [
+    "CC",
+    "CFLAGS",
+    "NativeUnavailableError",
+    "address",
+    "check_structure",
+    "load_native",
+]
 
 #: the C compiler that builds the library
 CC = "cc"
@@ -42,12 +51,12 @@ CC = "cc"
 #: (no FMA contraction, no reassociation, no flush-to-zero)
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-_P, _F32, _F64, _I64 = ctypes.c_void_p, ctypes.c_float, ctypes.c_double, ctypes.c_int64
+_P, _F64, _I64 = ctypes.c_void_p, ctypes.c_double, ctypes.c_int64
 #: every exported function's argument types (all return void)
 _SIGNATURES = {
     "syscd_exact_pass": [_P] * 5 + [_F64] + [_P] * 3 + [_I64],
     "syscd_bucket_chunk": [_P] * 5 + [_F64] + [_P] * 6 + [_I64],
-    "tpa_epoch": [_P] * 5 + [_F32] * 2 + [_P] * 3 + [_I64] * 4 + [_P] * 3,
+    "tpa_epoch": [_P] * 4 + [_I64] + [_P] * 5 + [_I64] * 3 + [_P] * 3,
 }
 
 _LOCK = threading.Lock()
@@ -162,13 +171,33 @@ def address(arr, dtype, name: str, length: int | None = None, *,
             if isinstance(arr, np.ndarray) else type(arr).__name__
         )
         raise ValueError(
-            f"native kernel: {name} must be a 1-D C-contiguous "
-            f"{dtype} array, got a {got}"
+            f"{name} must be a 1-D C-contiguous {dtype} array, got a {got}"
         )
     if length is not None and arr.shape[0] != length:
-        raise ValueError(
-            f"native kernel: {name} has length {arr.shape[0]}, expected {length}"
-        )
+        raise ValueError(f"{name} has length {arr.shape[0]}, expected {length}")
     if writeable and not arr.flags.writeable:
-        raise ValueError(f"native kernel: {name} is read-only")
+        raise ValueError(f"{name} is read-only")
     return arr.ctypes.data
+
+
+def check_structure(indptr, indices) -> int:
+    """Reject compressed arrays a wave or bucket loop cannot walk.
+
+    Coordinate ``j`` owns ``indices[indptr[j]:indptr[j + 1]]``, so both
+    arrays must be 1-D C-contiguous int64, ``indptr`` non-decreasing from
+    ``indptr[0] >= 0`` to ``indptr[-1] <= len(indices)``, and every index
+    non-negative; anything else is a ``ValueError``.  Returns the length of
+    the shortest vector every index fits in.
+    """
+    address(indptr, np.int64, "indptr")
+    address(indices, np.int64, "indices")
+    nnz = indices.shape[0]
+    if indptr.shape[0] == 0 or indptr[0] < 0 or indptr[-1] > nnz:
+        raise ValueError("indptr points outside indices")
+    if np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError("indptr must be non-decreasing")
+    if nnz == 0:
+        return 0
+    if indices.min() < 0:
+        raise ValueError("indices must be non-negative")
+    return int(indices.max()) + 1

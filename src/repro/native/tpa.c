@@ -1,7 +1,11 @@
 /*
- * One epoch of Algorithm 2 (TPA-SCD) for ridge regression, in float32: the
- * compiled twin of repro.gpu.engine.reference_epoch with RidgePrimalRule /
- * RidgeDualRule, which it replays bit for bit.
+ * One epoch of Algorithm 2 (TPA-SCD) in float32 for every coordinate rule of
+ * repro.gpu: the compiled twin of repro.gpu.engine.reference_epoch, which it
+ * replays bit for bit.  The rule is one of the RULE_* cases below; each
+ * replays the numpy `deltas` of its Python class (RidgePrimalRule,
+ * RidgeDualRule, ElasticNetPrimalRule, SvmDualRule), whose `native`
+ * attribute names the case, the per-coordinate arrays (`vecs`) and the
+ * scalars (`params`) it hands over, in the order listed at each case.
  *
  * The epoch runs perm[0:n_perm] in waves of wave_size thread blocks.  Every
  * block of a wave computes its inner product against the shared vector as
@@ -15,20 +19,22 @@
  *     lane[u] += lane[u + v] for v = n_threads/2, ..., 1.  A lane is never
  *     -0.0f (IEEE round-to-nearest gives -0 only for -0 + -0), so adding
  *     one of the +0.0f lanes past a block's length is exact and skipped;
- *   - deltas use the reference's association, ((dot - nlam*w) * inv) or
- *     (((lam*y - dot) - nlam*w) * inv), with no fused multiply-add, hence
- *     -ffp-contract=off and no -ffast-math;
+ *   - every update uses its numpy rule's association, with no fused
+ *     multiply-add, hence -ffp-contract=off and no -ffast-math; np.sign,
+ *     np.maximum and np.clip are restated with numpy's signed-zero and NaN
+ *     results, not fmaxf/fminf/copysignf;
  *   - weights take numpy's buffered `weights[coords] += deltas`: every
  *     delta reads the wave-start weight, and a coordinate repeated within
  *     a wave keeps its last update;
- *   - shared-vector contributions data[p] * delta are added in flat order,
- *     as np.add.at applies them.
+ *   - shared-vector contributions data[p] * (delta * scale) are added in
+ *     flat order, as np.add.at applies them.
  *
  * Coordinates are read through perm + indptr directly, so no per-epoch
  * gather is needed.  Every pointer is validated by the Python binding
  * (dtype, contiguity, length, index bounds) before it reaches this file.
  */
 
+#include <math.h>
 #include <stdint.h>
 
 /* stats[] slots, filled only when the caller observes the epoch */
@@ -36,6 +42,57 @@ enum {
     ST_WAVES, ST_BLOCKS, ST_NNZ, ST_CONFLICTS, ST_MIN_NNZ, ST_MAX_NNZ,
     ST_LANES_ACTIVE, ST_COUNT
 };
+
+/* the coordinate rules, in the order of _NATIVE_RULES in repro/gpu/engine.py */
+enum { RULE_RIDGE_PRIMAL, RULE_RIDGE_DUAL, RULE_ELASTIC_NET, RULE_SVM };
+
+/* np.sign on float32: +0.0f for either zero, a NaN passes through */
+static float np_sign(float x)
+{
+    return x > 0.0f ? 1.0f : x < 0.0f ? -1.0f : x == 0.0f ? 0.0f : x;
+}
+
+/* np.maximum(x, 0.0): +0.0f for either zero, a NaN passes through */
+static float np_maximum0(float x)
+{
+    return x > 0.0f || x != x ? x : 0.0f;
+}
+
+/* np.clip(x, 0.0, 1.0): -0.0f stays -0.0f, a NaN passes through */
+static float np_clip01(float x)
+{
+    return x < 0.0f ? 0.0f : x > 1.0f ? 1.0f : x;
+}
+
+/* Coordinate j's weight change from its inner product `dot` and wave-start
+ * weight `w`; the shared-vector scale goes to *scale. */
+static float rule_delta(
+    int64_t rule, const float *const *vecs, const float *params, int64_t j,
+    float dot, float w, float *scale)
+{
+    *scale = 1.0f;
+    switch (rule) {
+    case RULE_RIDGE_PRIMAL:
+        /* vecs: inv_denom; params: nlam */
+        return (dot - params[0] * w) * vecs[0][j];
+    case RULE_RIDGE_DUAL:
+        /* vecs: y, inv_denom; params: lam, nlam */
+        return ((params[0] * vecs[0][j] - dot) - params[1] * w) * vecs[1][j];
+    case RULE_ELASTIC_NET: {
+        /* vecs: norms, inv_denom; params: inv_n, threshold */
+        const float rho = (dot + vecs[0][j] * w) * params[0];
+        const float shrunk = np_sign(rho) * np_maximum0(fabsf(rho) - params[1]);
+        return shrunk * vecs[1][j] - w;
+    }
+    default: {
+        /* RULE_SVM.  vecs: y, inv_norms, zero_norm, scale; params: lam_n */
+        const float grad = params[0] * (1.0f - vecs[0][j] * dot) * vecs[1][j];
+        const float unconstrained = (w + grad) + vecs[2][j] * ((1.0f - w) - grad);
+        *scale = vecs[3][j];
+        return np_clip01(unconstrained) - w;
+    }
+    }
+}
 
 /* One block's strided partials and tree reduction; `lanes` holds n_threads. */
 static float block_dot(
@@ -92,7 +149,7 @@ static void observe_wave(
     for (int64_t k = 0; k < n; ++k) {
         const int64_t lo = indptr[perm[k]];
         const int64_t hi = indptr[perm[k] + 1];
-        const int64_t len = hi > lo ? hi - lo : 0;
+        const int64_t len = hi - lo;
         stats[ST_NNZ] += len;
         stats[ST_LANES_ACTIVE] += len < n_threads ? len : n_threads;
         if (len < stats[ST_MIN_NNZ]) {
@@ -117,9 +174,8 @@ static void observe_wave(
 }
 
 /*
- * Primal (dual == 0): coordinates are columns, dots read y - shared over the
- * minor axis, delta = (dot - nlam*w) * inv_denom.  Dual: coordinates are
- * rows, dots read shared, delta = ((lam*y[j] - dot) - nlam*w) * inv_denom.
+ * `y` is the label vector over the minor axis for residual rules (the dots
+ * read y - shared) and NULL for rules whose dots read the shared vector.
  *
  * `scratch` holds n_threads + 2 * min(wave_size, n_perm) floats.  `stats`
  * (ST_COUNT slots) and `marks` are NULL unless the epoch is observed;
@@ -127,15 +183,14 @@ static void observe_wave(
  */
 void tpa_epoch(
     const int64_t *indptr, const int64_t *indices, const float *data,
-    const float *y, const float *inv_denom, float lam, float nlam,
+    const float *y, int64_t rule, const float *const *vecs, const float *params,
     float *weights, float *shared, const int64_t *perm,
-    int64_t n_perm, int64_t wave_size, int64_t n_threads, int64_t dual,
+    int64_t n_perm, int64_t wave_size, int64_t n_threads,
     float *scratch, int64_t *stats, uint8_t *marks)
 {
     float *lanes = scratch;
     float *deltas = scratch + n_threads;
     float *updated = deltas + (wave_size < n_perm ? wave_size : n_perm);
-    const float *residual_y = dual ? 0 : y;
 
     if (stats) {
         for (int k = 0; k < ST_COUNT; ++k) {
@@ -152,16 +207,16 @@ void tpa_epoch(
         for (int64_t k = 0; k < n; ++k) {
             const int64_t j = coords[k];
             deltas[k] = block_dot(
-                indices, data, residual_y, shared, indptr[j], indptr[j + 1],
-                n_threads, lanes);
+                indices, data, y, shared, indptr[j], indptr[j + 1], n_threads,
+                lanes);
         }
         for (int64_t k = 0; k < n; ++k) {
             const int64_t j = coords[k];
-            const float dot = deltas[k];
-            const float num = dual ? (lam * y[j] - dot) - nlam * weights[j]
-                                   : dot - nlam * weights[j];
-            deltas[k] = num * inv_denom[j];
-            updated[k] = weights[j] + deltas[k];
+            float scale;
+            const float delta = rule_delta(
+                rule, vecs, params, j, deltas[k], weights[j], &scale);
+            updated[k] = weights[j] + delta;
+            deltas[k] = delta * scale;
         }
         for (int64_t k = 0; k < n; ++k) {
             const int64_t j = coords[k];

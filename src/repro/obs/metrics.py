@@ -18,11 +18,6 @@ name                       meaning
 ``gpu.waves``              thread-block waves scheduled
 ``gpu.nnz_processed``      nonzeros streamed through block kernels
 ``gpu.atomic_conflicts``   same-wave atomic adds hitting one element
-``gpu.plan_cache.hits``    epoch-plan compilations avoided by the cache
-``gpu.plan_cache.misses``  epoch plans compiled (cold binds; the compiled
-                           ridge loop compiles none)
-``pool.bytes_reused``      (gauge) scratch bytes served from the numpy
-                           wave loop's buffer pool instead of fresh allocs
 ``dist.epochs``            distributed aggregation rounds
 ``dist.gamma``             (histogram) aggregation scaling per round
 ``dist.survivors``         (histogram) update vectors arriving per round

@@ -7,8 +7,8 @@ suite of epoch micro-benchmarks over a fixed synthetic problem:
 
 * ``sequential`` — Algorithm 1, single-thread exact SCD (the normalizer);
 * ``chunked`` — the A-SCD chunked-atomic CPU kernel;
-* ``tpa_wave_planned`` — the TPA-SCD wave engine on its compiled/pooled
-  :class:`~repro.gpu.plan.WavePlan` runtime;
+* ``tpa_wave_planned`` — the TPA-SCD wave engine
+  (:class:`~repro.gpu.engine.TpaScdEngine`);
 * ``distributed`` — one full synchronous distributed epoch (K TPA workers,
   averaging aggregation, simulated fabric);
 * ``serving`` — a full seeded traffic replay through the
@@ -305,11 +305,9 @@ def _case_syscd(problem, profile: BenchProfile, n_threads: int) -> list[float]:
 def run_suite(profile: str | BenchProfile = "default") -> dict:
     """Run every case of ``profile`` and return the ``repro.bench/v1`` payload."""
     from .. import __version__
-    from ..gpu.plan import clear_plan_cache
 
     prof = PROFILES[profile] if isinstance(profile, str) else profile
     problem = _problem(prof)
-    clear_plan_cache()
 
     cases: dict[str, dict] = {}
 

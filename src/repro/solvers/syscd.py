@@ -39,6 +39,7 @@ import numpy as np
 
 from ..cpu import XEON_8C, CpuSpec
 from ..cpu.spec import _base_epoch_seconds
+from ..native import check_structure
 from ..obs import NULL_TRACER
 from ..perf.timing import EpochWorkload
 from ..sparse import CscMatrix, CsrMatrix
@@ -189,6 +190,7 @@ class SyscdKernelFactory:
             np.zeros(shared_len, dtype=np.float64) for _ in range(n_threads)
         ]
         problem = (indptr, indices, data, target, inv_denom, nlam, replicas)
+        check_structure(indptr, indices)
         if self.backend == "native":
             kernels = NativeBinding(*problem, bucket_size)
         else:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..native import NativeUnavailableError, address, load_native
+from ..native import NativeUnavailableError, address, check_structure, load_native
 from .kernels import _epoch_gather
 
 __all__ = [
@@ -253,20 +253,18 @@ class NativeBinding:
     def __init__(self, indptr, indices, data, target, inv_denom, nlam, replicas,
                  bucket_size: int):
         lib = load_native()
+        n_minor = check_structure(indptr, indices)
         n_coords = indptr.shape[0] - 1
-        nnz = indices.shape[0]
         shared_len = replicas[0].shape[0]
         head = (
             address(indptr, np.int64, "indptr"),
             address(indices, np.int64, "indices"),
-            address(data, np.float64, "data", nnz),
+            address(data, np.float64, "data", indices.shape[0]),
             address(target, np.float64, "target", n_coords),
             address(inv_denom, np.float64, "inv_denom", n_coords),
             float(nlam),
         )
-        if n_coords < 0 or indptr.min() < 0 or indptr.max() > nnz:
-            raise ValueError("native SySCD kernel: indptr points outside indices")
-        if nnz and (indices.min() < 0 or indices.max() >= shared_len):
+        if n_minor > shared_len:
             raise ValueError(
                 f"native SySCD kernel: indices outside [0, {shared_len})"
             )

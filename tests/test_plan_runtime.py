@@ -1,23 +1,21 @@
-"""Tests for Algorithm 2's two wave loops and the epoch plan compiler.
+"""Tests for Algorithm 2's wave loop: the compiled kernel and its reference.
 
-The load-bearing guarantee: both implementations of the TPA-SCD epoch — the
-compiled ``tpa_epoch`` (``repro/native/tpa.c``) and the numpy wave loop over
-a :class:`~repro.gpu.plan.WavePlan` (``glm_engine._run_waves``), which the
-engine runs where no C compiler is available — are **bit-identical** to
+The load-bearing guarantee: the compiled ``tpa_epoch``
+(``repro/native/tpa.c``) is **bit-identical** to
 :func:`repro.gpu.engine.reference_epoch` (the "seed" semantics the test
-names still refer to): same float32 lane accumulation, tree reduction and
-scatter arithmetic, across every structural regime (wave size 1/2,
-non-power-of-two coordinate counts, empty columns, deep rake buckets,
-signed-zero products, out-of-core shard streaming).  On top of that the
-native argument checks, the plan cache, the buffer pool's
-zero-steady-state-allocation property, the epoch conflict analysis, the
+names still refer to), which the engines run where no C compiler is
+available or the engine is not float32: same float32 lane accumulation,
+tree reduction, rule arithmetic and scatter, for every coordinate rule
+(ridge primal and dual, elastic net, SVM) and across every structural
+regime (wave size 1/2, non-power-of-two coordinate counts, empty columns,
+deep lane buckets, signed-zero products, out-of-core shard streaming).  The
+suites run once per loop: the numpy classes hide the compiler, the native
+ones require it.  On top of that the argument and structure checks, the
 hoisted chunked gathers, and the bench payload/regression gate are
 exercised directly.
 """
 
-import gc
 import shutil
-import weakref
 
 import numpy as np
 import pytest
@@ -28,17 +26,13 @@ from repro.core.distributed import DistributedSCD
 from repro.core.tpa_scd import TpaScdKernelFactory
 from repro.data import make_webspam_like
 from repro.gpu import (
-    BufferPool,
+    ElasticNetPrimalRule,
     GlmTpaEngine,
     KernelProfile,
     RidgeDualRule,
     RidgePrimalRule,
     SvmDualRule,
     TpaScdEngine,
-    WavePlan,
-    clear_plan_cache,
-    get_plan,
-    plan_cache_stats,
 )
 from repro.gpu.engine import reference_epoch
 from repro.objectives.ridge import RidgeProblem
@@ -84,8 +78,8 @@ def random_structure(
     ).astype(np.int64)
     data = rng.standard_normal(indptr[-1]).astype(dtype)
     if signed_zeros and data.shape[0]:
-        # sprinkle exact +0.0 / -0.0 values to hit the reduction-width
-        # signed-zero guard (x + 0.0 flips -0.0 to +0.0)
+        # sprinkle exact +0.0 / -0.0 values: x + 0.0 flips -0.0 to +0.0, so
+        # skipping the +0.0 lanes past a block's length must stay exact
         zero_at = rng.random(data.shape[0]) < 0.25
         data[zero_at] = np.where(rng.random(int(zero_at.sum())) < 0.5, 0.0, -0.0)
     return indptr, indices, data
@@ -97,8 +91,7 @@ needs_cc = pytest.mark.skipif(HOST_CC is None, reason="no C compiler on PATH")
 
 
 def build_engine(indptr, indices, data, *, wave_size, n_threads, **kw):
-    """The production engine on a cold plan cache."""
-    clear_plan_cache()
+    """The production engine."""
     return TpaScdEngine(
         indptr, indices, data, wave_size=wave_size, n_threads=n_threads, **kw
     )
@@ -127,8 +120,8 @@ def reference_dual_epoch(engine, y, inv, lam, nlam, alpha, wbar, perm):
 class _Backend:
     """Runs a class's tests on one wave loop: ``backend`` names which.
 
-    ``"numpy"`` hides the C compiler, so every :class:`TpaScdEngine` falls
-    back to the planned numpy loop; ``"native"`` requires the compiled one.
+    ``"numpy"`` hides the C compiler, so every engine falls back to
+    :func:`reference_epoch`; ``"native"`` requires the compiled loop.
     """
 
     backend = "numpy"
@@ -391,7 +384,18 @@ class TestNativeBitIdentity(TestPlannedBitIdentity):
         assert_bits_equal(ref_s, got_s, f"{formulation} shared")
 
 
-class TestGlmPlannedBitIdentity:
+def column_norms(indptr, data):
+    """float64 ``||a_j||^2`` of every coordinate."""
+    n = indptr.shape[0] - 1
+    return np.bincount(
+        np.repeat(np.arange(n), np.diff(indptr)),
+        weights=data.astype(np.float64) ** 2, minlength=n,
+    )
+
+
+class TestGlmPlannedBitIdentity(_Backend):
+    """The GLM rules through :class:`GlmTpaEngine` against the reference."""
+
     def _structure(self):
         rng = np.random.default_rng(23)
         indptr, indices, data = random_structure(
@@ -399,21 +403,22 @@ class TestGlmPlannedBitIdentity:
         )
         return rng, indptr, indices, data
 
-    def _both(
-        self, indptr, indices, data, rule, rng, *, wave_size, n_threads, y, perm_seed
-    ):
-        """(weights, shared) after 3 epochs: reference loop, production loop."""
-        clear_plan_cache()
-        eng = GlmTpaEngine(
+    def glm_engine(self, *args, **kw):
+        eng = GlmTpaEngine(*args, **kw)
+        assert eng.backend == self.backend
+        return eng
+
+    def _both(self, indptr, indices, data, rule, rng, *, wave_size, n_threads, y,
+              perms, weights0, shared0):
+        """(weights, shared) after one epoch per perm: reference loop, engine."""
+        eng = self.glm_engine(
             indptr, indices, data, rule=rule,
             wave_size=wave_size, n_threads=n_threads, y=y,
         )
         results = []
         for production in (False, True):
-            wts = np.zeros(30, np.float32)
-            shared = np.zeros(45, np.float32)
-            for ep in range(3):
-                perm = np.random.default_rng(perm_seed + ep).permutation(30)
+            wts, shared = weights0.copy(), shared0.copy()
+            for perm in perms:
                 if production:
                     eng.run_epoch(wts, shared, perm, rng)
                 else:
@@ -424,13 +429,18 @@ class TestGlmPlannedBitIdentity:
             results.append((wts, shared))
         return results
 
+    def _three_epochs(self, indptr, indices, data, rule, rng, *, perm_seed, **kw):
+        perms = [np.random.default_rng(perm_seed + ep).permutation(30) for ep in range(3)]
+        return self._both(
+            indptr, indices, data, rule, rng, perms=perms,
+            weights0=np.zeros(30, np.float32), shared0=np.zeros(45, np.float32), **kw,
+        )
+
     def test_residual_rule_bit_identical(self):
         rng, indptr, indices, data = self._structure()
-        norms = np.zeros(30)
-        np.add.at(norms, np.repeat(np.arange(30), np.diff(indptr)), data**2)
         y = rng.standard_normal(45).astype(np.float32)
-        rule = RidgePrimalRule(norms, 45, 1e-2)
-        ref, prod = self._both(
+        rule = RidgePrimalRule(column_norms(indptr, data), 45, 1e-2)
+        ref, prod = self._three_epochs(
             indptr, indices, data, rule, rng,
             wave_size=7, n_threads=16, y=y, perm_seed=40,
         )
@@ -440,16 +450,176 @@ class TestGlmPlannedBitIdentity:
     def test_shared_scale_rule_bit_identical(self):
         """SVM dual rule exercises per-coordinate shared scaling."""
         rng, indptr, indices, data = self._structure()
-        norms = np.zeros(30)
-        np.add.at(norms, np.repeat(np.arange(30), np.diff(indptr)), data**2)
         y = np.sign(rng.standard_normal(30)).astype(np.float32)
-        rule = SvmDualRule(y, norms, n=30, lam=1e-2)
-        ref, prod = self._both(
+        rule = SvmDualRule(y, column_norms(indptr, data), n=30, lam=1e-2)
+        ref, prod = self._three_epochs(
             indptr, indices, data, rule, rng,
             wave_size=5, n_threads=8, y=None, perm_seed=60,
         )
         assert_bits_equal(ref[0], prod[0], "svm alphas")
         assert_bits_equal(ref[1], prod[1], "svm shared")
+
+    @pytest.mark.parametrize("l1_ratio", [0.0, 0.5, 1.0])
+    def test_elastic_net_rule_bit_identical(self, l1_ratio):
+        # no empty columns: at l1_ratio 1 their update would be 0 * inf
+        rng = np.random.default_rng(23)
+        indptr, indices, data = random_structure(rng, 30, 45, 8)
+        y = rng.standard_normal(45).astype(np.float32)
+        rule = ElasticNetPrimalRule(column_norms(indptr, data), 45, 0.05, l1_ratio)
+        ref, prod = self._three_epochs(
+            indptr, indices, data, rule, rng,
+            wave_size=6, n_threads=8, y=y, perm_seed=80,
+        )
+        assert_bits_equal(ref[0], prod[0], "elastic-net weights")
+        assert_bits_equal(ref[1], prod[1], "elastic-net shared")
+        if l1_ratio == 1.0:
+            assert (ref[0] == 0).any(), "the l1 penalty should zero some weights"
+
+    @pytest.mark.parametrize("kind", ["elastic_net", "svm"])
+    def test_adversarial_values_bitwise(self, kind):
+        """The kernel replays a rule's arithmetic for whatever its arrays
+        hold: every per-coordinate array but the inverse denominators (which
+        keep two epochs of this stale, contended run finite) is overwritten
+        with spread values, so a reassociated or fused update shows, on the
+        adversarial structure, with a coordinate drawn twice within one wave."""
+        rng = np.random.default_rng(31)
+        n_coords, n_minor, wave_size = 40, 12, 9
+        indptr, indices, data = adversarial_structure(rng, n_coords, n_minor, 12)
+        norms = column_norms(indptr, data)
+        if kind == "elastic_net":
+            rule = ElasticNetPrimalRule(norms, n_minor, 0.3, 0.5)
+            y = spread_values(rng, n_minor)
+        else:
+            # denormal squares would overflow the inverse norms to inf
+            rule = SvmDualRule(spread_values(rng, n_coords), norms + 1.0, n_coords, 0.1)
+            y = None
+        _, arrays, _ = rule.native
+        for name in arrays:
+            if name not in ("inv_denom", "inv_norms"):
+                setattr(rule, name, spread_values(rng, n_coords))
+        second = rng.permutation(n_coords)
+        perms = [rng.permutation(n_coords), np.concatenate([second[3:7], second])]
+        assert len(set(perms[1][:wave_size].tolist())) < wave_size
+        ref, prod = self._both(
+            indptr, indices, data, rule, rng, wave_size=wave_size, n_threads=4,
+            y=y, perms=perms, weights0=spread_values(rng, n_coords),
+            shared0=spread_values(rng, n_minor),
+        )
+        assert np.isfinite(ref[0]).all() and np.isfinite(ref[1]).all()
+        assert_bits_equal(ref[0], prod[0], f"{kind} weights")
+        assert_bits_equal(ref[1], prod[1], f"{kind} shared")
+
+    @pytest.mark.parametrize("kind", ["elastic_net", "svm"])
+    def test_update_arithmetic_bitwise(self, kind):
+        """One nonzero of value 1 per coordinate, on its own minor index, so
+        every block's dot is an input: the updates run on values chosen to
+        land inside the l1 threshold and the SVM box, where a reordered or
+        fused update rounds differently."""
+        n = 256
+        rng = np.random.default_rng(37)
+        indptr = np.arange(n + 1, dtype=np.int64)
+        indices = np.arange(n, dtype=np.int64)
+        data = np.ones(n, np.float32)
+        weights0 = rng.uniform(0.0, 1.0, n).astype(np.float32)
+        if kind == "elastic_net":
+            rule = ElasticNetPrimalRule(rng.uniform(0.5, 2.0, n), 4, 0.2, 0.5)
+            y = rng.uniform(-2.0, 2.0, n).astype(np.float32)  # dot = y - shared
+            shared0 = rng.uniform(-1.0, 1.0, n).astype(np.float32)
+        else:
+            rule = SvmDualRule(np.ones(n, np.float32), rng.uniform(0.5, 2.0, n), n, 0.3 / n)
+            # the kernel replays the rule for any zero_norm, not only 0 and 1
+            rule.zero_norm = rng.uniform(0.0, 0.5, n).astype(np.float32)
+            y = None
+            shared0 = rng.uniform(0.0, 2.0, n).astype(np.float32)  # dot = shared
+        kw = dict(wave_size=32, n_threads=4, y=y, perms=[rng.permutation(n)],
+                  weights0=weights0, shared0=shared0)
+        ref, prod = self._both(indptr, indices, data, rule, rng, **kw)
+        inside = (ref[0] != 0) if kind == "elastic_net" else (0 < ref[0]) & (ref[0] < 1)
+        assert inside.mean() > 0.5
+        assert_bits_equal(ref[0], prod[0], f"{kind} weights")
+        assert_bits_equal(ref[1], prod[1], f"{kind} shared")
+        if kind == "elastic_net":
+            # a NaN threshold passes through np.maximum into every weight
+            rule.threshold = np.float32(np.nan)
+            ref, prod = self._both(indptr, indices, data, rule, rng, **kw)
+            assert np.isnan(ref[0]).all()
+            assert_bits_equal(ref[0], prod[0], "elastic-net weights, NaN threshold")
+
+    def test_signed_zeros_and_nans_bitwise(self):
+        """numpy 2's float32 edge cases, one coordinate per case.
+
+        Coordinate ``j < 4`` owns minor index ``j`` alone with value 1, so
+        its dot is whatever ``y`` and ``shared`` make it; coordinate 3's
+        value is an explicit zero (a zero-norm SVM row) and coordinate 4 is
+        empty.  ``np.sign(-0.0)`` and ``np.maximum(-0.0, 0.0)`` are ``+0.0``,
+        ``np.clip(-0.0, 0, 1)`` is ``-0.0``, and a NaN passes through all
+        three; the kernel must agree on every one.
+        """
+        indptr = np.array([0, 1, 2, 3, 4, 4], dtype=np.int64)
+        indices = np.arange(4, dtype=np.int64)
+        data = np.array([1.0, 1.0, 1.0, 0.0], dtype=np.float32)
+        norms = column_norms(indptr, data)
+        rng = np.random.default_rng(0)
+        # the second epoch draws coordinate 2 twice into one wave
+        perms = [np.arange(5), np.array([2, 2, 0, 1, 3, 4])]
+
+        # elastic net: coordinate 0's rho is -1e-45 * 0.5 == -0.0 and must
+        # shrink to +0.0, which turns shared[0] == -0.0 into +0.0;
+        # coordinate 1 reads a NaN label
+        rule = ElasticNetPrimalRule(norms, 2, 0.5, 0.5)
+        y = np.array([-1e-45, np.nan, 3.0, 2.0, 0.0], dtype=np.float32)
+        shared0 = np.array([-0.0, 0.0, 0.5, 0.0, -0.0], dtype=np.float32)
+        ref, prod = self._both(
+            indptr, indices, data, rule, rng, wave_size=2, n_threads=4, y=y,
+            perms=perms, weights0=np.zeros(5, np.float32), shared0=shared0,
+        )
+        assert not np.signbit(ref[1][0]) and np.isnan(ref[1][1])
+        assert_bits_equal(ref[0], prod[0], "elastic-net weights")
+        assert_bits_equal(ref[1], prod[1], "elastic-net shared")
+
+        # SVM: alpha_0 starts at -0.0, coordinate 1 reads a NaN shared
+        # entry, and the zero-norm rows 3 and 4 jump to alpha = 1
+        rule = SvmDualRule(
+            np.array([1.0, -1.0, 1.0, -1.0, 1.0], dtype=np.float32), norms, 5, 0.1
+        )
+        shared0 = np.array([0.25, np.nan, -0.5, 0.0, -0.0], dtype=np.float32)
+        weights0 = np.array([-0.0, 0.5, 0.0, 0.0, 0.0], dtype=np.float32)
+        ref, prod = self._both(
+            indptr, indices, data, rule, rng, wave_size=2, n_threads=4, y=None,
+            perms=perms, weights0=weights0, shared0=shared0,
+        )
+        assert np.isnan(ref[0][1]) and (ref[0][3:] == 1.0).all()
+        assert_bits_equal(ref[0], prod[0], "svm alphas")
+        assert_bits_equal(ref[1], prod[1], "svm shared")
+
+
+@needs_cc
+class TestGlmNativeBitIdentity(TestGlmPlannedBitIdentity):
+    """Every GLM test above on the compiled ``tpa_epoch``."""
+
+    backend = "native"
+
+    def test_one_foreign_call_per_epoch(self, monkeypatch):
+        """One call per epoch, one per wave under a wave-detail tracer."""
+        rng, indptr, indices, data = self._structure()
+        y = rng.standard_normal(45).astype(np.float32)
+        rule = ElasticNetPrimalRule(column_norms(indptr, data), 45, 0.05, 0.5)
+        for tracer, calls_per_epoch in ((None, 1), (Tracer(detail="wave"), 5)):
+            eng = self.glm_engine(
+                indptr, indices, data, rule=rule, wave_size=7, n_threads=8, y=y,
+                tracer=tracer,
+            )
+            calls = []
+            kernel = eng._native._fn
+            monkeypatch.setattr(
+                eng._native, "_fn", lambda *a: calls.append(kernel(*a))
+            )
+            wts, shared = np.zeros(30, np.float32), np.zeros(45, np.float32)
+            for ep in range(2):
+                eng.run_epoch(wts, shared, rng.permutation(30), rng)
+            assert len(calls) == 2 * calls_per_epoch
+        waves = [span for span in tracer.walk() if span.name == "glm.wave"]
+        assert len(waves) == 2 * 5
 
 
 class TestOutOfCoreBitIdentity(_Backend):
@@ -463,7 +633,6 @@ class TestOutOfCoreBitIdentity(_Backend):
         store = ShardStore(tmp_path)
 
         def solve():
-            clear_plan_cache()
             engine = DistributedSCD(
                 lambda rank: TpaScdKernelFactory(n_threads=16, wave_size=4),
                 "dual",
@@ -548,6 +717,19 @@ class TestNativeFailurePaths:
             engine.run_dual_epoch(
                 np.ones(2, np.float32), inv, np.float64(0.1), 0.5, beta, w, perm
             )
+        # a rule whose arrays are float64 cannot run on the float32 kernel
+        wide_rule = ElasticNetPrimalRule(np.ones(2), 3, 0.1, 0.5, dtype=np.float64)
+        glm = GlmTpaEngine(indptr, indices, data, rule=wide_rule, wave_size=2,
+                           n_threads=4, y=y)
+        monkeypatch.setattr(glm._native, "_fn", lambda *a: foreign_calls.append(a))
+        with pytest.raises(ValueError, match="norms must be a 1-D C-contiguous float32"):
+            glm.run_epoch(beta, w, perm, None)
+        # a rule declaring fewer arrays than its case reads never reaches C
+        short_rule = ElasticNetPrimalRule(np.ones(2), 3, 0.1, 0.5)
+        short_rule.native = ("svm", ("norms",), ("inv_n",))
+        glm.rule = short_rule
+        with pytest.raises(ValueError, match="no tpa.c case 'svm' reads 1 arrays"):
+            glm.run_epoch(beta, w, perm, None)
         assert foreign_calls == []
         # the same arguments, correct, do reach the (stubbed) foreign call
         engine.run_primal_epoch(y, inv, 0.5, beta, w, perm)
@@ -567,7 +749,6 @@ class TestNativeFailurePaths:
                 monkeypatch.setattr(native, "CC", "repro-no-such-cc")
             engine = build_engine(indptr, indices, data, wave_size=8, n_threads=16)
             assert engine.backend == backend
-            assert (engine.plan is None) is (backend == "native")
             b, w = np.zeros(60, np.float32), np.zeros(40, np.float32)
             for ep in range(3):
                 perm = np.random.default_rng(ep).permutation(60)
@@ -584,189 +765,40 @@ class TestNativeFailurePaths:
             build_engine(indptr, indices, data, wave_size=0, n_threads=8)
         with pytest.raises(ValueError, match="n_threads must be a positive power of two"):
             build_engine(indptr, indices, data, wave_size=2, n_threads=6)
-        assert plan_cache_stats()["misses"] == 0
 
     @needs_cc
     def test_native_engine_compiles_no_plan(self):
+        """float32 runs the compiled loop; float64 has no compiled twin and
+        runs the reference, for ridge and GLM rules alike."""
         indptr, indices, data, *_ = _tiny_native_problem()
         engine = build_engine(indptr, indices, data, wave_size=2, n_threads=4)
-        assert engine.backend == "native" and engine.plan is None
-        assert plan_cache_stats() == {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
-        # float64 has no compiled twin: it takes the planned numpy loop
+        assert engine.backend == "native"
         wide = build_engine(indptr, indices, data, wave_size=2, n_threads=4,
                             dtype=np.float64)
-        assert wide.backend == "numpy" and wide.plan is not None
+        assert wide.backend == "numpy"
+        y = np.ones(2, np.float32)
+        for dtype, backend in ((np.float32, "native"), (np.float64, "numpy")):
+            rule = SvmDualRule(y, column_norms(indptr, data), 2, 0.1, dtype=dtype)
+            glm = GlmTpaEngine(indptr, indices, data, rule=rule, wave_size=2,
+                               n_threads=4, dtype=dtype)
+            assert glm.backend == backend
 
-
-class TestPlanCache:
-    def test_hit_on_same_indptr_identity(self):
-        clear_plan_cache()
-        indptr = np.array([0, 2, 5, 5, 9], dtype=np.int64)
-        p1 = get_plan(indptr, wave_size=2, n_threads=8, dtype=np.float32)
-        p2 = get_plan(indptr, wave_size=2, n_threads=8, dtype=np.float32)
-        assert p1 is p2
-        stats = plan_cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
-
-    def test_geometry_is_part_of_the_key(self):
-        clear_plan_cache()
-        indptr = np.array([0, 2, 5, 5, 9], dtype=np.int64)
-        p1 = get_plan(indptr, wave_size=2, n_threads=8, dtype=np.float32)
-        p2 = get_plan(indptr, wave_size=4, n_threads=8, dtype=np.float32)
-        p3 = get_plan(indptr, wave_size=2, n_threads=16, dtype=np.float32)
-        p4 = get_plan(indptr, wave_size=2, n_threads=8, dtype=np.float64)
-        assert len({id(p) for p in (p1, p2, p3, p4)}) == 4
-        assert plan_cache_stats()["misses"] == 4
-
-    def test_weakref_guards_id_reuse(self):
-        """A dropped indptr frees its plan; its id never finds the stale one."""
-        clear_plan_cache()
-        indptr = np.array([0, 3, 4], dtype=np.int64)
-        plan = get_plan(indptr, wave_size=1, n_threads=4, dtype=np.float32)
-        alive = weakref.ref(indptr)
-        del indptr
-        gc.collect()
-        # the plan kept no reference to the matrix, and its entry went with it
-        assert alive() is None
-        assert plan_cache_stats()["size"] == 0
-        other = np.array([0, 1, 2], dtype=np.int64)
-        got = get_plan(other, wave_size=1, n_threads=4, dtype=np.float32)
-        assert got is not plan
-        assert got.n_coords == 2
-        # many short-lived matrices leave nothing behind
-        for i in range(70):
-            get_plan(np.array([0, 1 + i % 3], dtype=np.int64),
-                     wave_size=1, n_threads=4, dtype=np.float32)
-        gc.collect()
-        assert plan_cache_stats()["size"] == 1
-
-    def test_cache_capacity_is_bounded(self):
-        clear_plan_cache()
-        keep = []  # hold references so ids stay distinct
-        for i in range(70):
-            indptr = np.array([0, 1 + i % 3], dtype=np.int64)
-            keep.append(indptr)
-            get_plan(indptr, wave_size=1, n_threads=2, dtype=np.float32)
-        assert plan_cache_stats()["size"] <= 64
-        assert plan_cache_stats()["evictions"] >= 6
-
-    def test_clear_resets_counters(self):
-        indptr = np.array([0, 2], dtype=np.int64)
-        get_plan(indptr, wave_size=1, n_threads=2, dtype=np.float32)
-        clear_plan_cache()
-        stats = plan_cache_stats()
-        assert stats == {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
-
-    def test_invalid_geometry_rejected(self):
-        indptr = np.array([0, 2], dtype=np.int64)
-        with pytest.raises(ValueError):
-            WavePlan(indptr, wave_size=0, n_threads=8, dtype=np.float32)
-        with pytest.raises(ValueError):
-            WavePlan(indptr, wave_size=2, n_threads=6, dtype=np.float32)
-
-
-class TestBufferPool:
-    def test_take_reuses_and_grows(self):
-        pool = BufferPool()
-        a = pool.take("x", 100, np.float32)
-        assert a.shape == (100,) and pool.bytes_allocated == 400
-        b = pool.take("x", 50, np.float32)
-        assert b.base is a.base or b.base is a  # same backing allocation
-        assert pool.bytes_reused == 200
-        c = pool.take("x", 200, np.float32)
-        assert c.shape == (200,)
-        assert pool.bytes_allocated == 400 + 800
-
-    def test_dtype_change_reallocates(self):
-        pool = BufferPool()
-        pool.take("x", 10, np.float32)
-        before = pool.bytes_allocated
-        pool.take("x", 10, np.int64)
-        assert pool.bytes_allocated > before
-
-    def test_distinct_names_never_alias(self):
-        pool = BufferPool()
-        a = pool.take("a", 8, np.float32)
-        b = pool.take("b", 8, np.float32)
-        a[:] = 1.0
-        b[:] = 2.0
-        assert a[0] == 1.0 and b[0] == 2.0
-
-    def test_steady_state_epochs_allocate_nothing(self, no_compiler):
-        """After warmup, the numpy wave loop's epochs do zero pool allocations."""
-        rng = np.random.default_rng(31)
-        indptr, indices, data = random_structure(rng, 48, 64, 9)
-        eng = build_engine(indptr, indices, data, wave_size=8, n_threads=16)
-        y = rng.standard_normal(64).astype(np.float32)
-        inv = (1.0 / (1.0 + rng.random(48))).astype(np.float32)
-        b, w = np.zeros(48, np.float32), np.zeros(64, np.float32)
-
-        def one_epoch(ep):
-            perm = np.random.default_rng(ep).permutation(48)
-            eng.run_primal_epoch(y, inv, np.float32(0.3), b, w, perm)
-
-        # warm the pool over the whole permutation set (a later epoch's
-        # largest wave may be bigger, which is allowed to grow buffers once)
-        for ep in range(6):
-            one_epoch(ep)
-        pool = eng.plan.pool
-        allocated = pool.bytes_allocated
-        reused = pool.bytes_reused
-        for ep in range(6):
-            one_epoch(ep)
-        assert pool.bytes_allocated == allocated
-        assert pool.bytes_reused > reused
-
-
-class TestConflictAnalysis:
-    def _epoch(self, indptr, indices, data, perm, n_minor, **kw):
-        plan = WavePlan(indptr, wave_size=4, n_threads=8, dtype=np.float32)
-        return plan.begin_epoch(indices, data, perm, n_minor=n_minor, **kw)
-
-    def test_wave_size_one_is_conflict_free_by_construction(self):
-        rng = np.random.default_rng(41)
-        indptr, indices, data = random_structure(rng, 10, 20, 5)
-        plan = WavePlan(indptr, wave_size=1, n_threads=8, dtype=np.float32)
-        run = plan.begin_epoch(
-            indices, data, np.arange(10), n_minor=20
-        )
-        assert run.conflicts_known
-        assert all(run.wave_conflicts(wv) == 0 for wv in range(run.n_waves))
-
-    def test_forced_analysis_matches_bruteforce(self):
-        rng = np.random.default_rng(43)
-        indptr, indices, data = random_structure(rng, 25, 12, 6)
-        perm = rng.permutation(25)
-        run = self._epoch(
-            indptr, indices, data, perm, 12, analyze_conflicts=True
-        )
-        assert run.conflicts_known
-        for wv in range(run.n_waves):
-            _, _, a, b = run.bounds(wv)
-            flat = run.flat_idx[a:b]
-            expected = int(flat.shape[0] - np.unique(flat).shape[0])
-            assert run.wave_conflicts(wv) == expected
-
-    def test_skipped_analysis_claims_nothing(self):
-        rng = np.random.default_rng(47)
-        indptr, indices, data = random_structure(rng, 25, 12, 6)
-        run = self._epoch(
-            indptr, indices, data, rng.permutation(25), 12,
-            analyze_conflicts=False,
-        )
-        assert not run.conflicts_known
-        assert run.wave_conflicts(0) is None
-
-    def test_heuristic_skips_contended_epochs(self):
-        """Tiny minor dimension: birthday bound says don't pay for the sort."""
-        rng = np.random.default_rng(53)
-        indptr, indices, data = random_structure(rng, 24, 4, 4)
-        run = self._epoch(indptr, indices, data, rng.permutation(24), 4)
-        assert not run.conflicts_known
-        # huge minor dimension: conflict-free waves plausible, analysis runs
-        indptr2, indices2, data2 = random_structure(rng, 24, 10_000, 4)
-        run2 = self._epoch(indptr2, indices2, data2, rng.permutation(24), 10_000)
-        assert run2.conflicts_known
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_decreasing_indptr_is_rejected_on_both_loops(self, backend, request):
+        """Coordinate 1 would own ``indices[3:1]``: neither loop may walk it."""
+        if backend == "numpy":
+            request.getfixturevalue("no_compiler")
+        elif HOST_CC is None:
+            pytest.skip("no C compiler on PATH")
+        indptr = np.array([0, 3, 1, 4], dtype=np.int64)
+        indices = np.array([0, 1, 2, 0], dtype=np.int64)
+        data = np.ones(4, np.float32)
+        with pytest.raises(ValueError, match="indptr must be non-decreasing"):
+            TpaScdEngine(indptr, indices, data, wave_size=2, n_threads=4)
+        rule = RidgePrimalRule(np.ones(3), 3, 0.1)
+        with pytest.raises(ValueError, match="indptr must be non-decreasing"):
+            GlmTpaEngine(indptr, indices, data, rule=rule, wave_size=2,
+                         n_threads=4, y=np.ones(3, np.float32))
 
 
 class TestChunkedHoist:

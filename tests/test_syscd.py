@@ -514,6 +514,21 @@ class TestNativeFailurePaths:
         binding.bind_buckets(coef, perm, edges, assigned)(0, 0, 1)
         assert len(foreign_calls) == 2
 
+    @pytest.mark.parametrize("kernel_backend", ["native", "numpy"])
+    def test_decreasing_indptr_is_rejected_by_both_backends(self, kernel_backend):
+        """Coordinate 1 would own ``indices[3:1]``: neither backend may walk it."""
+        if kernel_backend == "native" and HOST_CC is None:
+            pytest.skip("no C compiler on PATH")
+        _, indices, data, target, inv_denom, nlam, replicas = _tiny_binding_arrays()
+        indptr = np.array([0, 3, 1], dtype=np.int64)
+        factory = SyscdKernelFactory(n_threads=2, kernel_backend=kernel_backend)
+        assert factory.backend == kernel_backend
+        with pytest.raises(ValueError, match="indptr must be non-decreasing"):
+            factory._make_run_epoch(indptr, indices, data, target, inv_denom, nlam, 2, 4)
+        if kernel_backend == "native":
+            with pytest.raises(ValueError, match="indptr must be non-decreasing"):
+                NativeBinding(indptr, indices, data, target, inv_denom, nlam, replicas, 4)
+
     def test_source_ships_as_package_data(self):
         sources = {
             entry.name: entry.read_text()

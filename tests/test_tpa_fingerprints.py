@@ -5,7 +5,11 @@ copies of the Algorithm 2 wave loop were collapsed into one (PR 16), in the
 style of ``tests/test_syscd.py``: they pin the absolute float32 bits of
 ``TpaScdKernelFactory.bind_primal`` / ``bind_dual`` and of the
 ``TpaElasticNet`` / ``TpaSvm`` front doors, so any later change of
-arithmetic in the one production loop has to say so by re-capturing them.
+arithmetic in the wave loop has to say so by re-capturing them.  Every
+constant is checked on both loops: the module-level tests run whichever the
+host has (the compiled ``tpa_epoch`` wherever ``cc`` builds it), and
+:class:`TestNumpyLoop` hides the compiler so :func:`reference_epoch
+<repro.gpu.engine.reference_epoch>` runs.
 """
 
 from __future__ import annotations
@@ -112,3 +116,21 @@ def test_elastic_net_bits_frozen():
 
 def test_svm_bits_frozen():
     assert svm_fingerprint() == SVM_SHA
+
+
+class TestNumpyLoop:
+    """The same constants with no C compiler: the numpy reference runs."""
+
+    @pytest.fixture(autouse=True)
+    def _hide_compiler(self, no_compiler):
+        pass
+
+    @pytest.mark.parametrize("formulation,wave_size", sorted(RIDGE_SHA))
+    def test_ridge_bits_frozen(self, formulation, wave_size):
+        test_ridge_bits_frozen(formulation, wave_size)
+
+    def test_elastic_net_bits_frozen(self):
+        test_elastic_net_bits_frozen()
+
+    def test_svm_bits_frozen(self):
+        test_svm_bits_frozen()
