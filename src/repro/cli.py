@@ -11,8 +11,6 @@ Usage::
     python -m repro faults                    # named fault-injection scenarios
     python -m repro shards pack out/          # pack a dataset into a shard set
     python -m repro shards info out/          # inspect a packed shard set
-    python -m repro bench                     # pinned epoch micro-benchmarks
-    python -m repro bench --baseline BENCH_PR10.json  # + regression gate
     python -m repro serve                     # train-to-serve hot-swap demo
     python -m repro eval configs/fig1.toml    # declarative eval -> HTML report
 """
@@ -166,37 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-read every shard and check its checksum",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the pinned epoch micro-benchmark suite "
-        "(sequential / chunked / TPA wave / distributed)",
-    )
-    bench.add_argument(
-        "--profile",
-        choices=["default", "smoke"],
-        default="default",
-        help="pinned benchmark profile (default: default)",
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the repro.bench/v1 payload to PATH (e.g. BENCH_PR10.json)",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="compare against a committed baseline payload; exit 1 when any "
-        "gated case's normalized throughput regresses past the threshold",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="allowed normalized-throughput drop vs the baseline (default 0.25)",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="run the train-to-serve demo: train, hot-swap published weight "
@@ -283,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--no-bench",
         action="store_true",
-        help="skip the bench-regression section even if the config enables it",
+        help="leave the committed benchmark record out of the report's bench section",
     )
     ev.add_argument(
         "--json",
@@ -421,41 +388,6 @@ def _cmd_serve(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from .perf.bench import (
-        compare,
-        find_baselines,
-        load_payload,
-        render_table,
-        render_trajectory,
-        run_suite,
-        write_payload,
-    )
-
-    payload = run_suite(args.profile)
-    print(render_table(payload))
-    if args.out:
-        write_payload(payload, args.out)
-        print(f"wrote {args.out}")
-    if args.baseline:
-        baseline = load_payload(args.baseline)
-        history = find_baselines(Path(args.baseline).resolve().parent)
-        if len(history) >= 2:
-            print()
-            print(render_trajectory(history))
-        regressions = compare(payload, baseline, threshold=args.threshold)
-        if regressions:
-            print()
-            for msg in regressions:
-                print(f"REGRESSION  {msg}")
-            return 1
-        print(f"\nno regressions vs {args.baseline} "
-              f"(threshold {args.threshold * 100:.0f}%)")
-    return 0
-
-
 def _cmd_trace(args) -> int:
     from .obs import (
         Tracer,
@@ -548,8 +480,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_trace(args)
         if args.command == "shards":
             return _cmd_shards(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "eval":

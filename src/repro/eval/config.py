@@ -23,9 +23,7 @@ executes the cells.  The schema:
 
     [report]
     sections = ["figures", "ledger", "bench"]
-    bench_profile = "default"        # repro.perf.bench profile for the dashboard
     bench_baseline = "latest"        # newest committed BENCH_PR*.json, or a path
-    bench_threshold = 0.4
     log_y = true                     # log-scale convergence plots
 
 Validation is strict: unknown sections or keys are rejected with a pointed
@@ -58,13 +56,10 @@ REPORT_SECTIONS = ("figures", "ledger", "bench")
 _TOP_LEVEL = ("experiment", "run", "matrix", "report")
 _EXPERIMENT_KEYS = ("id", "title", "description")
 _RUN_KEYS = ("scale", "seed", "jobs")
-_REPORT_KEYS = (
-    "sections",
-    "bench_profile",
-    "bench_baseline",
-    "bench_threshold",
-    "log_y",
-)
+_REPORT_KEYS = ("sections", "bench_baseline", "log_y")
+#: accepted and discarded: ``benchmarks/e2e/workloads.py`` still writes them
+#: into the Fig. 1 config its eval workloads run
+_IGNORED_REPORT_KEYS = ("bench_profile", "bench_threshold")
 #: matrix keys with dedicated handling; anything else must be a driver param
 _MATRIX_BUILTIN = ("driver", "scale")
 
@@ -78,12 +73,9 @@ class ReportConfig:
     """The ``[report]`` table, defaults applied."""
 
     sections: tuple[str, ...] = REPORT_SECTIONS
-    bench_profile: str = "default"
-    #: a payload path, or ``"latest"`` — resolved at report time to the
-    #: newest committed ``BENCH_PR*.json`` (numeric PR order), so the
-    #: dashboard never silently diffs against a stale landmark
-    bench_baseline: str | None = "latest"
-    bench_threshold: float = 0.4
+    #: a ``repro.e2e/v1`` record path, or ``"latest"`` — resolved at report
+    #: time to the newest committed ``BENCH_PR*.json`` (numeric PR order)
+    bench_baseline: str = "latest"
     log_y: bool = True
 
 
@@ -231,7 +223,10 @@ def parse_config(doc: dict, *, source: str = "<memory>") -> EvalConfig:
         axes.append((axis, tuple(values)))
 
     # [report]
-    report = doc.get("report", {})
+    report = {
+        k: v for k, v in doc.get("report", {}).items()
+        if k not in _IGNORED_REPORT_KEYS
+    }
     _check_keys(source, report, "report", _REPORT_KEYS)
     sections = report.get("sections", list(REPORT_SECTIONS))
     if not isinstance(sections, (list, tuple)):
@@ -243,27 +238,11 @@ def parse_config(doc: dict, *, source: str = "<memory>") -> EvalConfig:
                 f"[report] unknown section {section!r}; "
                 f"known sections: {', '.join(REPORT_SECTIONS)}",
             )
-    bench_profile = report.get("bench_profile", "default")
-    from ..perf.bench import PROFILES
-
-    if bench_profile not in PROFILES:
-        raise _err(
-            source,
-            f"[report] bench_profile {bench_profile!r} is not one of "
-            f"{sorted(PROFILES)}",
-        )
     bench_baseline = report.get("bench_baseline", "latest")
-    if bench_baseline is not None and not isinstance(bench_baseline, str):
+    if not isinstance(bench_baseline, str):
         raise _err(
             source, "[report] bench_baseline must be a path string or 'latest'"
         )
-    bench_threshold = report.get("bench_threshold", 0.4)
-    if (
-        not isinstance(bench_threshold, (int, float))
-        or isinstance(bench_threshold, bool)
-        or not 0.0 < float(bench_threshold) < 1.0
-    ):
-        raise _err(source, "[report] bench_threshold must be in (0, 1)")
     log_y = report.get("log_y", True)
     if not isinstance(log_y, bool):
         raise _err(source, "[report] log_y must be a boolean")
@@ -278,9 +257,7 @@ def parse_config(doc: dict, *, source: str = "<memory>") -> EvalConfig:
         axes=tuple(axes),
         report=ReportConfig(
             sections=tuple(sections),
-            bench_profile=bench_profile,
             bench_baseline=bench_baseline,
-            bench_threshold=float(bench_threshold),
             log_y=log_y,
         ),
         source=source,

@@ -10,9 +10,10 @@ config's ``[report] sections``):
   (x, y) axis pair, its data table and the driver notes;
 * **ledger** — Fig. 9-style modelled-time breakdowns: a stacked bar across
   cells plus the per-component table;
-* **bench** — the kernel micro-benchmark suite re-run at report time and
-  diffed against a committed ``BENCH_*.json`` baseline, with the regression
-  gate's verdict per case.
+* **bench** — the committed end-to-end benchmark record (``repro.e2e/v1``,
+  written by ``benchmarks/e2e/run.py``): per workload the end-to-end
+  medians with their noise, and the largest per-layer seconds.  Nothing is
+  timed at report time; the numbers belong to the host that committed them.
 
 Every run summary row links the cell's Chrome trace sidecar, and the page
 ends with the provenance footer (commit, scale, seeds, versions).
@@ -20,16 +21,32 @@ ends with the provenance footer (commit, scale, seeds, versions).
 
 from __future__ import annotations
 
+import json
 import math
+import re
+import statistics
 from html import escape
 from pathlib import Path
 
 from ..perf.ledger import COMPONENTS
+from .config import ConfigError, ReportConfig
 from .provenance import collect_provenance, html_footer
 from .runner import EvalRun
 from .svg import CHROME, line_plot, stacked_bar
 
-__all__ = ["build_report", "render_report"]
+__all__ = [
+    "RECORD_SCHEMA",
+    "build_report",
+    "latest_record",
+    "load_record",
+    "record_calibration",
+    "render_report",
+]
+
+#: the schema ``benchmarks/e2e/run.py --out`` writes for a whole suite
+RECORD_SCHEMA = "repro.e2e/v1"
+#: per-layer ``_s`` metrics drawn per workload in the record's bar chart
+_LARGEST_LAYERS = 3
 
 _STYLE = f"""
 :root {{
@@ -243,87 +260,189 @@ def _ledger_section(run: EvalRun) -> list[str]:
     return out
 
 
-def _bench_section(
-    run: EvalRun,
-    bench_new: dict | None,
-    bench_baseline: dict | None,
-    baseline_label: str | None = None,
-) -> list[str]:
-    """Bench-regression dashboard: this machine vs the committed baseline."""
-    from ..perf.bench import _GATED_CASES, compare
+def load_record(path: str | Path) -> dict:
+    """Read one committed benchmark record; ``ConfigError`` unless it is one."""
+    path = Path(path)
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"benchmark record {path}: cannot read it ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"benchmark record {path}: not JSON ({exc})") from exc
+    schema = record.get("schema") if isinstance(record, dict) else None
+    if schema != RECORD_SCHEMA or not isinstance(record.get("workloads"), dict):
+        raise ConfigError(
+            f"benchmark record {path}: schema {schema!r}, expected {RECORD_SCHEMA!r}"
+        )
+    return record
 
-    report = run.plan.config.report
-    out = ["<h2>Kernel bench regression dashboard</h2>"]
-    if bench_new is None:
-        out.append(
-            '<p class="note">Bench suite skipped for this report '
-            "(no baseline configured or --no-bench).</p>"
-        )
-        return out
-    new_rel = bench_new["derived"]["normalized_throughput"]
-    if bench_baseline is None:
-        out.append(
-            f'<p class="note">Profile <code>{escape(bench_new["profile"])}'
-            "</code>; no baseline payload available — showing this run "
-            "without a gate.</p>"
-        )
-        base_rel = {}
-        regressions: list[str] = []
-    else:
-        regressions = compare(
-            bench_new, bench_baseline, threshold=report.bench_threshold
-        )
-        base_rel = bench_baseline["derived"]["normalized_throughput"]
-        gate = (
-            f'<span class="status-icon">✗</span>{len(regressions)} regression(s)'
-            if regressions
-            else '<span class="status-icon">✓</span>no regressions'
-        )
-        label = baseline_label or report.bench_baseline or ""
-        out.append(
-            f'<p class="note">Profile <code>{escape(bench_new["profile"])}'
-            f"</code> vs baseline <code>{escape(label)}"
-            f"</code> (threshold {report.bench_threshold * 100:.0f}%): "
-            f"{gate}.</p>"
-        )
-    out.append(
-        "<table><tr><th>case</th><th>median</th><th>vs seq (this run)</th>"
-        "<th>vs seq (baseline)</th><th>ratio</th><th>gate</th></tr>"
+
+def latest_record(root: str | Path = ".") -> Path | None:
+    """The newest ``BENCH_PR<k>.json`` under ``root`` in numeric PR order."""
+    numbered = [
+        (int(match.group(1)), path)
+        for path in Path(root).glob("BENCH_PR*.json")
+        if (match := re.fullmatch(r"BENCH_PR(\d+)\.json", path.name))
+    ]
+    return max(numbered)[1] if numbered else None
+
+
+def record_calibration(record: dict) -> dict[str, float]:
+    """Each ``host.calib_*`` metric, median over the record's workloads."""
+    values: dict[str, list[float]] = {}
+    for entry in record["workloads"].values():
+        for name, metric in entry.get("per_layer", {}).items():
+            if name.startswith("host.calib_") and metric["value"] is not None:
+                values.setdefault(name, []).append(metric["value"])
+    return {name: statistics.median(v) for name, v in values.items()}
+
+
+def _layer_value(entry: dict, name: str) -> float | None:
+    metric = entry.get("per_layer", {}).get(name)
+    return None if metric is None else metric["value"]
+
+
+def _record_body(record: dict, name: str) -> list[str]:
+    """The record's end-to-end table and its largest-layers bar chart."""
+    workloads = record["workloads"]
+    metrics = list(dict.fromkeys(m for w in workloads.values() for m in w["e2e"]))
+    calib = ", ".join(
+        f"<code>{escape(k)}</code> {_fmt(v)}"
+        for k, v in record_calibration(record).items()
     )
-    for name, case in bench_new["cases"].items():
-        rel = new_rel.get(name, 0.0)
-        base = base_rel.get(name)
-        ratio = (rel / base) if base else None
-        gated = name in _GATED_CASES and base
-        regressed = any(msg.startswith(f"{name}:") for msg in regressions)
-        if not gated:
-            verdict = "—"
-        elif regressed:
-            verdict = '<span class="status-icon">✗</span>REGRESSED'
-        else:
-            verdict = '<span class="status-icon">✓</span>ok'
+    out = [
+        f'<p class="note">Record <code>{escape(name)}</code> '
+        f"(label <code>{escape(str(record.get('label')))}</code>, seed "
+        f"{escape(str(record.get('seed')))}, {_fmt(record.get('seconds'))} s of "
+        "timed reps per workload), written by <code>python3 benchmarks/e2e/run.py"
+        " --out</code>.  These numbers were measured on the host that committed "
+        "the record, not on this one; nothing is timed while this report "
+        f"renders.  Host calibration (median over workloads): {calib or '-'}.</p>",
+        '<p class="note">Each end-to-end cell reads: median (IQR, reps).</p>',
+        "<table><tr><th>workload</th>"
+        + "".join(f"<th>{escape(m)}</th>" for m in metrics)
+        + "<th>epochs_to_target</th><th>checks</th></tr>",
+    ]
+    for workload, entry in workloads.items():
+        cells = []
+        for m in metrics:
+            stats = entry["e2e"].get(m)
+            cells.append(
+                '<td class="num">-</td>' if stats is None else
+                f'<td class="num">{_fmt(stats["median"])} {escape(stats["unit"])} '
+                f'(IQR {_fmt(stats["iqr"])}, {stats["reps"]})</td>'
+            )
+        checks = entry["checks"]
+        verdict = (
+            f'<span class="status-icon">✓</span>{checks["attempted"]} passed'
+            if checks["failed"] == 0
+            else f'<span class="status-icon">✗</span>{checks["failed"]} of '
+            f'{checks["attempted"]} failed'
+        )
         out.append(
-            f"<tr><td>{escape(name)}</td>"
-            f'<td class="num">{case["median_s"] * 1e3:.3f} ms</td>'
-            f'<td class="num">{rel:.3f}×</td>'
-            f'<td class="num">{_fmt(base) + "×" if base else "-"}</td>'
-            f'<td class="num">{f"{ratio:.3f}" if ratio else "-"}</td>'
+            f'<tr class="{"pass" if checks["failed"] == 0 else "fail"}">'
+            f"<td>{escape(workload)}</td>{''.join(cells)}"
+            f'<td class="num">{_fmt(entry.get("epochs_to_target"))}</td>'
             f"<td>{verdict}</td></tr>"
         )
     out.append("</table>")
-    for msg in regressions:
-        out.append(f'<p class="note"><strong>{escape(msg)}</strong></p>')
+
+    # each workload's largest layers; host.* and bench.* are not layers
+    layers: list[str] = []
+    for entry in workloads.values():
+        timed = [
+            (value, layer)
+            for layer, metric in entry.get("per_layer", {}).items()
+            if layer.endswith("_s") and not layer.startswith(("host.", "bench."))
+            and (value := metric["value"]) is not None
+        ]
+        for _, layer in sorted(timed, reverse=True)[:_LARGEST_LAYERS]:
+            if layer not in layers:
+                layers.append(layer)
+    if layers:
+        out.append("<figure>")
+        out.append(
+            stacked_bar(
+                list(workloads),
+                {
+                    layer: [_layer_value(e, layer) or 0.0 for e in workloads.values()]
+                    for layer in layers
+                },
+                x_label="workload",
+                y_label="per-layer seconds",
+                width=840,
+                desc="each workload's largest per-layer seconds, set-up included; "
+                "layers nest, so a bar's height is no wall time",
+            )
+        )
+        out.append("</figure>")
+        out.append(
+            "<details><summary>per-layer seconds</summary><table><tr><th>workload</th>"
+            + "".join(f"<th>{escape(layer)}</th>" for layer in layers)
+            + "</tr>"
+        )
+        for workload, entry in workloads.items():
+            values = (_layer_value(entry, layer) for layer in layers)
+            out.append(
+                f"<tr><td>{escape(workload)}</td>"
+                + "".join(
+                    f'<td class="num">{"null" if v is None else _fmt(v)}</td>'
+                    for v in values
+                )
+                + "</tr>"
+            )
+        out.append("</table></details>")
+    nulls = dict.fromkeys(
+        layer
+        for entry in workloads.values()
+        for layer, metric in entry.get("per_layer", {}).items()
+        if metric["value"] is None
+    )
+    if nulls:
+        out.append(
+            '<p class="note">Per-layer metrics recorded as null (their entry '
+            "point no longer resolves): "
+            + ", ".join(f"<code>{escape(layer)}</code>" for layer in nulls)
+            + ".</p>"
+        )
     return out
 
 
-def build_report(
-    run: EvalRun,
-    *,
-    bench_new: dict | None = None,
-    bench_baseline: dict | None = None,
-    bench_baseline_label: str | None = None,
-) -> str:
-    """Assemble the full HTML document for one eval run."""
+def _bench_section(report: ReportConfig, run_bench: bool) -> list[str]:
+    """The committed end-to-end benchmark record, read and never re-timed.
+
+    An explicit ``bench_baseline`` path that is missing or is not a
+    ``repro.e2e/v1`` record raises :class:`ConfigError`; ``"latest"`` with
+    no committed record renders a note instead.
+    """
+    out = ["<h2>End-to-end benchmark record</h2>"]
+    if not run_bench:
+        out.append(
+            '<p class="note">Benchmark record skipped for this report '
+            "(--no-bench).</p>"
+        )
+        return out
+    if report.bench_baseline == "latest":
+        path = latest_record(".")
+        if path is None:
+            out.append(
+                '<p class="note">No committed <code>BENCH_PR*.json</code> record '
+                f"under <code>{escape(str(Path.cwd()))}</code>.  Write one with "
+                "<code>python3 benchmarks/e2e/run.py --out BENCH_PR&lt;k&gt;.json"
+                "</code> from the repository root.</p>"
+            )
+            return out
+    else:
+        path = Path(report.bench_baseline)
+    return out + _record_body(load_record(path), path.name)
+
+
+def build_report(run: EvalRun, *, run_bench: bool = True) -> str:
+    """Assemble the full HTML document for one eval run.
+
+    ``run_bench=False`` (``repro eval --no-bench``) leaves the benchmark
+    record out of the ``bench`` section.
+    """
     config = run.plan.config
     report = config.report
     title = config.title or f"Experiment {config.experiment_id}"
@@ -338,9 +457,7 @@ def build_report(
     if "ledger" in report.sections:
         body += _ledger_section(run)
     if "bench" in report.sections:
-        body += _bench_section(
-            run, bench_new, bench_baseline, bench_baseline_label
-        )
+        body += _bench_section(report, run_bench)
     prov = collect_provenance(seeds=[r.cell.seed for r in run.results])
     body.append(html_footer(prov))
     return (
@@ -362,34 +479,11 @@ def render_report(
 ) -> Path:
     """Write ``<out_dir>/<experiment_id>.html`` and return its path.
 
-    When the config enables the ``bench`` section, the micro-benchmark suite
-    runs here (report time), and the committed baseline named by
-    ``[report] bench_baseline`` is loaded relative to the current directory.
-    The default value ``"latest"`` resolves to the newest committed
-    ``BENCH_PR*.json`` (numeric PR order) so the dashboard always diffs
-    against the current landmark, not a hard-coded historical one.
+    ``[report] bench_baseline`` is resolved relative to the current
+    directory; see :func:`build_report` for ``run_bench``.
     """
     config = run.plan.config
-    bench_new = bench_baseline = None
-    baseline_label = None
-    if run_bench and "bench" in config.report.sections:
-        from ..perf.bench import latest_baseline, load_payload, run_suite
-
-        bench_new = run_suite(config.report.bench_profile)
-        requested = config.report.bench_baseline
-        base_path = (
-            latest_baseline(".") if requested == "latest"
-            else Path(requested) if requested else None
-        )
-        if base_path is not None and base_path.exists():
-            bench_baseline = load_payload(base_path)
-            baseline_label = base_path.name
-    html = build_report(
-        run,
-        bench_new=bench_new,
-        bench_baseline=bench_baseline,
-        bench_baseline_label=baseline_label,
-    )
+    html = build_report(run, run_bench=run_bench)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{config.experiment_id}.html"

@@ -140,6 +140,19 @@ def _axis_labels(
     )
 
 
+def _legend_rows(labels: list[str], width: int) -> int:
+    """Rows the legend needs (0 below two labels), flowed like :func:`_legend`."""
+    if len(labels) < 2:
+        return 0
+    est_x, rows = 0.0, 1
+    for label in labels:
+        est = 28 + 6.4 * len(label)
+        if est_x + est > (width - 110) and est_x > 0:
+            est_x, rows = 0.0, rows + 1
+        est_x += est
+    return rows
+
+
 def _legend(out: list, frame: _Frame, labels: list[str]) -> None:
     """Legend rows along the top of the frame (always shown for >= 2)."""
     x, y = frame.x0, 16
@@ -189,15 +202,7 @@ def line_plot(
 
     all_pts = [p for _, pts in pts_by_series for p in pts]
     n_series = len(pts_by_series)
-    legend_rows = 0
-    if n_series >= 2:
-        # estimate legend height with the same flow the renderer uses
-        est_x, legend_rows = 0.0, 1
-        for label, _ in pts_by_series:
-            est = 28 + 6.4 * len(label)
-            if est_x + est > (width - 110) and est_x > 0:
-                est_x, legend_rows = 0.0, legend_rows + 1
-            est_x += est
+    legend_rows = _legend_rows([label for label, _ in pts_by_series], width)
     pad_t = 14 + 16 * legend_rows
     frame = _Frame(width, height, 62, 16, pad_t, 34)
     out = _svg_open(width, height, desc or f"{y_label} vs {x_label}")
@@ -312,7 +317,7 @@ def stacked_bar(
         sum(components[label][i] for label in labels) for i in range(n)
     ]
     hi = max(totals) if totals else 1.0
-    legend_rows = 1 + (len(labels) > 4)
+    legend_rows = _legend_rows(labels, width)
     frame = _Frame(width, height, 62, 16, 14 + 16 * legend_rows, 34)
     out = _svg_open(
         width, height, desc or f"stacked breakdown of {y_label or 'values'}"

@@ -5,7 +5,7 @@ The drivers run at one of three scales:
 * ``tiny``  — smallest smoke scale; used by CI trace validation and anywhere
   a sub-second end-to-end run is needed.
 * ``quick`` — default; every figure regenerates in seconds.  Used by the
-  test-suite and the pytest-benchmark harness.
+  test-suite.
 * ``full``  — larger synthetic stand-ins (still laptop friendly) for closer
   convergence curves.  Select with ``REPRO_SCALE=full``.
 

@@ -1,19 +1,10 @@
 """Shared performance-model primitives: links, ledgers, timing protocol.
 
-Also home of the pinned micro-benchmark suite (:mod:`repro.perf.bench`)
-behind the ``repro bench`` CLI and its CI regression gate.
+These price the paper's *modelled* time axes.  Measured wall-clock
+performance of this codebase lives in ``benchmarks/e2e`` and its committed
+``BENCH_PR*.json`` record.
 """
 
-from .bench import (
-    BENCH_SCHEMA,
-    PROFILES,
-    BenchProfile,
-    compare,
-    load_payload,
-    run_suite,
-    validate_payload,
-    write_payload,
-)
 from .ledger import COMPONENTS, FAULT_COMPONENTS, PAPER_COMPONENTS, TimeLedger
 from .link import (
     ETHERNET_10G,
@@ -25,14 +16,6 @@ from .link import (
 from .timing import EpochWorkload, LocalTiming
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "BenchProfile",
-    "PROFILES",
-    "run_suite",
-    "validate_payload",
-    "compare",
-    "load_payload",
-    "write_payload",
     "COMPONENTS",
     "FAULT_COMPONENTS",
     "PAPER_COMPONENTS",

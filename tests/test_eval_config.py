@@ -68,9 +68,14 @@ class TestStrictValidation:
         with pytest.raises(ConfigError, match="duplicate values"):
             parse_config(_doc(matrix={"driver": ["fig1", "fig1"]}))
 
-    def test_threshold_bounds(self):
-        with pytest.raises(ConfigError, match="bench_threshold"):
-            parse_config(_doc(report={"bench_threshold": 1.5}))
+    def test_retired_bench_keys_are_accepted_and_ignored(self):
+        # any value, even one the retired micro-benchmark dashboard rejected
+        retired = {"bench_profile": "gone", "bench_threshold": 1.5}
+        assert parse_config(_doc(report=retired)) == parse_config(_doc())
+
+    def test_bench_baseline_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="bench_baseline must be a path"):
+            parse_config(_doc(report={"bench_baseline": 3}))
 
 
 class TestAxisExpansion:

@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
 from repro.cli import main
-from repro.eval import build_report, parse_config, plan, render_report, run_plan
+from repro.eval import (
+    ConfigError,
+    ReportConfig,
+    build_report,
+    parse_config,
+    plan,
+    render_report,
+    run_plan,
+)
+from repro.eval.report import latest_record, load_record
 from repro.eval.svg import PALETTE, line_plot, stacked_bar
 from repro.experiments import registry
 from repro.experiments.claims import Claim, below
@@ -86,51 +96,184 @@ class TestHtmlReport:
     def test_sections_respect_config(self, fault_run_and_html):
         _, html = fault_run_and_html
         # bench disabled in this config
-        assert "bench regression" not in html.lower()
+        assert "End-to-end benchmark record" not in html
+
+
+def _e2e_stats(median: float, iqr: float, unit: str) -> dict:
+    return {
+        "median": median, "min": median - iqr, "max": median + iqr,
+        "iqr": iqr, "reps": 7, "unit": unit,
+    }
+
+
+def _write_record(path: Path, **overrides) -> Path:
+    """A synthetic two-workload ``repro.e2e/v1`` record, as ``run.py --out`` writes."""
+    workloads = {}
+    for k, name in enumerate(("alpha_primal", "beta_replay")):
+        workloads[name] = {
+            "workload": name, "seed": 7, "seconds": 6.0, "label": "full",
+            "e2e": {
+                "setup_s": _e2e_stats(0.6125 + k, 0.0125, "s"),
+                "time_to_target_s": _e2e_stats(0.2375 + k, 0.0075, "s"),
+                "work_per_s": _e2e_stats(4.25 + k, 0.125, "1/s"),
+                "cpu_s": _e2e_stats(0.3125 + k, 0.0625, "s"),
+                "peak_rss_mb": _e2e_stats(181.5 + k, 0.0, "MB"),
+            },
+            "epochs_to_target": 12 + k,
+            "checks": {"attempted": 7, "failed": 0, "failures": []},
+            "per_layer": {
+                "solvers.epoch_s": {"value": 0.125 + k, "unit": "s"},
+                "objectives.gap_eval_s": {"value": 0.0625, "unit": "s"},
+                "gpu.plan.compile_s": {"value": None, "unit": "s"},
+                "bench.rep_s": {"value": 9.0, "unit": "s"},
+                "host.calib_matvec_s": {"value": 0.0004, "unit": "s"},
+                "host.calib_memcpy_gbps": {"value": 5.5, "unit": "GB/s"},
+            },
+        }
+    record = {
+        "schema": "repro.e2e/v1", "label": "full", "seed": 7, "seconds": 6.0,
+        "workloads": workloads,
+    }
+    record.update(overrides)
+    path.write_text(json.dumps(record), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def bench_run(tmp_path_factory):
+    doc = {
+        "experiment": {"id": "bench-rep"},
+        "run": {"scale": "tiny"},
+        "matrix": {"driver": ["ext-fault-breakdown"]},
+        "report": {"sections": ["bench"]},
+    }
+    cache = tmp_path_factory.mktemp("bench") / "cache"
+    return run_plan(plan(parse_config(doc)), cache_dir=cache)
+
+
+def _with_report(run, **report):
+    """``run`` as if its config's ``[report]`` table had been ``report``."""
+    config = replace(run.plan.config, report=ReportConfig(sections=("bench",), **report))
+    return replace(run, plan=replace(run.plan, config=config))
+
+
+def _bench_section(html: str) -> str:
+    start = html.index("<h2>End-to-end benchmark record</h2>")
+    return html[start:html.index('<footer class="provenance">')]
 
 
 class TestBenchSection:
-    def test_dashboard_against_baseline(self, tmp_path):
-        from repro.perf.bench import latest_baseline, load_payload
+    def test_section_is_a_pure_function_of_the_record(self, bench_run, tmp_path):
+        path = _write_record(tmp_path / "BENCH_PR3.json")
+        run = _with_report(bench_run, bench_baseline=str(path))
+        first = _bench_section(build_report(run))
+        assert first == _bench_section(build_report(run))
+        assert "BENCH_PR3.json" in first and "not on this one" in first
+        for k, workload in enumerate(("alpha_primal", "beta_replay")):
+            assert workload in first
+            for median, iqr in (
+                (0.6125, 0.0125), (0.2375, 0.0075), (4.25, 0.125),
+                (0.3125, 0.0625), (181.5, 0.0),
+            ):
+                assert f"{median + k:.4g}" in first
+                assert f"IQR {iqr:.4g}" in first if iqr else "IQR 0" in first
+        for metric in ("setup_s", "time_to_target_s", "work_per_s", "cpu_s", "peak_rss_mb"):
+            assert metric in first
+        # the largest layers are drawn; bench.* and host.* are not layers
+        assert "<svg" in first and "solvers.epoch_s" in first
+        assert "bench.rep_s" not in first
+        assert "host.calib_matvec_s</code> 4.000e-04" in first
+        # a null per-layer value is named, not a crash
+        assert "no longer resolves): <code>gpu.plan.compile_s</code>." in first
 
-        # the dashboard diffs against the *newest* committed landmark
-        newest = latest_baseline(".")
-        assert newest is not None and newest.name == "BENCH_PR10.json"
-        baseline = load_payload(newest)
-        doc = {
-            "experiment": {"id": "bench-rep"},
-            "run": {"scale": "tiny"},
-            "matrix": {"driver": ["ext-fault-breakdown"]},
-            "report": {"sections": ["bench"], "bench_threshold": 0.4},
-        }
-        # reuse the committed baseline as the "new" run too: zero regressions
-        run = run_plan(plan(parse_config(doc)), cache_dir=tmp_path / "cache")
-        html = build_report(
-            run,
-            bench_new=baseline,
-            bench_baseline=baseline,
-            bench_baseline_label=newest.name,
+    def test_null_layer_drawn_for_another_workload_reads_null(self, bench_run, tmp_path):
+        path = _write_record(tmp_path / "BENCH_PR3.json")
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["workloads"]["beta_replay"]["per_layer"]["solvers.epoch_s"]["value"] = None
+        path.write_text(json.dumps(record), encoding="utf-8")
+        section = _bench_section(build_report(_with_report(bench_run, bench_baseline=str(path))))
+        assert '<td class="num">null</td>' in section
+
+    def test_latest_without_a_record_renders_a_note(self, bench_run, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        section = _bench_section(build_report(_with_report(bench_run)))
+        assert "No committed <code>BENCH_PR*.json</code> record" in section
+
+    def test_latest_reads_the_newest_record(self, bench_run, tmp_path, monkeypatch):
+        _write_record(tmp_path / "BENCH_PR9.json", seed=9)
+        _write_record(tmp_path / "BENCH_PR12.json", seed=12)
+        monkeypatch.chdir(tmp_path)
+        section = _bench_section(build_report(_with_report(bench_run)))
+        assert "BENCH_PR12.json" in section and "seed 12" in section
+
+    def test_no_bench_skips_the_record(self, bench_run, tmp_path):
+        run = _with_report(bench_run, bench_baseline=str(tmp_path / "missing.json"))
+        section = _bench_section(build_report(run, run_bench=False))
+        assert "skipped for this report (--no-bench)" in section
+
+    def test_retired_bench_keys_change_nothing_in_the_html(self, bench_run, tmp_path):
+        path = str(_write_record(tmp_path / "BENCH_PR3.json"))
+        report = {"sections": ["bench"], "bench_baseline": path}
+        doc = {"experiment": {"id": "bench-rep"}, "run": {"scale": "tiny"},
+               "matrix": {"driver": ["ext-fault-breakdown"]}}
+        plain = parse_config(dict(doc, report=report))
+        retired = parse_config(dict(
+            doc, report=dict(report, bench_profile="default", bench_threshold=0.4)
+        ))
+        assert retired == plain
+        html = [
+            build_report(replace(bench_run, plan=replace(bench_run.plan, config=c)))
+            for c in (plain, retired)
+        ]
+        assert html[0].split("<footer")[0] == html[1].split("<footer")[0]
+
+
+class TestRecordLoader:
+    def test_missing_path_names_it(self, tmp_path):
+        with pytest.raises(ConfigError, match="nope.json: cannot read"):
+            load_record(tmp_path / "nope.json")
+
+    def test_other_schema_names_path_and_schema(self, tmp_path):
+        path = tmp_path / "BENCH_PR4.json"
+        path.write_text(json.dumps({"schema": "repro.run/v1", "cases": {}}))
+        with pytest.raises(ConfigError, match=r"BENCH_PR4.json: schema 'repro.run/v1'"):
+            load_record(path)
+
+    def test_truncated_json_names_it(self, tmp_path):
+        path = _write_record(tmp_path / "BENCH_PR5.json")
+        path.write_text(path.read_text(encoding="utf-8")[:200], encoding="utf-8")
+        with pytest.raises(ConfigError, match="BENCH_PR5.json: not JSON"):
+            load_record(path)
+
+    def test_latest_record_numeric_order(self, tmp_path):
+        # PR10 sorts after PR9: numeric, not lexicographic
+        for name in ("BENCH_PR10.json", "BENCH_PR4.json", "BENCH_PR9.json", "BENCH_PRx.json"):
+            (tmp_path / name).write_text("{}")
+        assert latest_record(tmp_path).name == "BENCH_PR10.json"
+        assert latest_record(tmp_path / "empty-subdir") is None
+
+    def test_committed_record_is_latest(self):
+        root = Path(__file__).resolve().parents[1]
+        path = latest_record(root)
+        assert sorted(root.glob("BENCH_PR*.json")) == [path]
+        record = load_record(path)
+        declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+        assert record["label"] == "full"
+        assert set(record["workloads"]) == {w["name"] for w in declared["workloads"]}
+        assert all(w["checks"]["failed"] == 0 for w in record["workloads"].values())
+
+    def test_bad_explicit_path_makes_repro_eval_exit_2(self, planted, tmp_path, capsys):
+        config = tmp_path / "bench.toml"
+        config.write_text(
+            '[experiment]\nid = "planted"\n[run]\nscale = "tiny"\n'
+            '[matrix]\ndriver = ["planted"]\n[report]\nsections = ["bench"]\n'
+            f'bench_baseline = "{tmp_path / "BENCH_PR1.json"}"\n'
         )
-        assert "Kernel bench regression dashboard" in html
-        assert "no regressions" in html
-        assert "BENCH_PR10.json" in html
-        assert "sequential" in html and "tpa_wave_planned" in html
-        for case in ("chunked", "distributed", "serving", "syscd_threads"):
-            assert case in html
-
-    def test_dashboard_without_baseline(self, tmp_path):
-        from repro.perf.bench import load_payload
-
-        baseline = load_payload("BENCH_PR10.json")
-        doc = {
-            "experiment": {"id": "bench-rep2"},
-            "run": {"scale": "tiny"},
-            "matrix": {"driver": ["ext-fault-breakdown"]},
-            "report": {"sections": ["bench"]},
-        }
-        run = run_plan(plan(parse_config(doc)), cache_dir=tmp_path / "cache")
-        html = build_report(run, bench_new=baseline, bench_baseline=None)
-        assert "no baseline payload available" in html
+        rc = main(["eval", str(config), "--jobs", "1",
+                   "--cache-dir", str(tmp_path / "cache"),
+                   "--out-dir", str(tmp_path / "reports")])
+        assert rc == 2
+        assert "BENCH_PR1.json: cannot read" in capsys.readouterr().err
 
 
 class TestRenderReport:

@@ -10,9 +10,8 @@ tree reduction, rule arithmetic and scatter, for every coordinate rule
 regime (wave size 1/2, non-power-of-two coordinate counts, empty columns,
 deep lane buckets, signed-zero products, out-of-core shard streaming).  The
 suites run once per loop: the numpy classes hide the compiler, the native
-ones require it.  On top of that the argument and structure checks, the
-hoisted chunked gathers, and the bench payload/regression gate are
-exercised directly.
+ones require it.  On top of that the argument and structure checks and the
+hoisted chunked gathers are exercised directly.
 """
 
 import shutil
@@ -21,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro import native
-from repro.cli import main
 from repro.core.distributed import DistributedSCD
 from repro.core.tpa_scd import TpaScdKernelFactory
 from repro.data import make_webspam_like
@@ -37,16 +35,6 @@ from repro.gpu import (
 from repro.gpu.engine import reference_epoch
 from repro.objectives.ridge import RidgeProblem
 from repro.obs import Tracer
-from repro.perf.bench import (
-    compare,
-    find_baselines,
-    latest_baseline,
-    load_payload,
-    render_trajectory,
-    run_suite,
-    validate_payload,
-    write_payload,
-)
 from repro.shards import ShardingConfig, ShardStore, pack_dataset
 from repro.solvers.kernels import (
     _chunk_conflicts,
@@ -849,131 +837,3 @@ class TestChunkedHoist:
         )
         assert lost1 == lost2 == 0
         assert_bits_equal(vec1, vec2, "conflict-free scatter")
-
-
-class TestBenchHarness:
-    @pytest.fixture(scope="class")
-    def smoke_payload(self):
-        return run_suite("smoke")
-
-    def test_smoke_payload_is_valid(self, smoke_payload):
-        validate_payload(smoke_payload)
-        cases = smoke_payload["cases"]
-        for name in (
-            "sequential", "chunked", "tpa_wave_planned", "distributed",
-            "syscd_ref", "syscd_threads",
-        ):
-            assert cases[name]["median_s"] > 0
-        assert smoke_payload["derived"]["normalized_throughput"]["sequential"] == 1.0
-        assert "tpa_wave_seed" not in cases
-        assert "tpa_planned_speedup" not in smoke_payload["derived"]
-        assert smoke_payload["derived"]["syscd_measured_speedup"] > 0
-        assert cases["syscd_threads"]["n_threads"] == 4
-
-    def test_self_compare_has_no_regressions(self, smoke_payload):
-        assert compare(smoke_payload, smoke_payload) == []
-
-    def test_injected_regression_is_flagged(self, smoke_payload):
-        import copy
-
-        slowed = copy.deepcopy(smoke_payload)
-        rel = slowed["derived"]["normalized_throughput"]
-        rel["tpa_wave_planned"] *= 0.5  # a 2x slowdown
-        msgs = compare(slowed, smoke_payload, threshold=0.25)
-        assert len(msgs) == 1 and "tpa_wave_planned" in msgs[0]
-        # within threshold: not flagged
-        mild = copy.deepcopy(smoke_payload)
-        mild["derived"]["normalized_throughput"]["chunked"] *= 0.9
-        assert compare(mild, smoke_payload, threshold=0.25) == []
-
-    def test_payload_roundtrip(self, smoke_payload, tmp_path):
-        path = tmp_path / "bench.json"
-        write_payload(smoke_payload, path)
-        assert load_payload(path) == smoke_payload
-
-    def test_validate_rejects_malformed(self, smoke_payload):
-        import copy
-
-        with pytest.raises(ValueError, match="schema"):
-            validate_payload({"schema": "bogus/v0"})
-        missing = copy.deepcopy(smoke_payload)
-        del missing["cases"]["sequential"]
-        with pytest.raises(ValueError, match="sequential"):
-            validate_payload(missing)
-        negative = copy.deepcopy(smoke_payload)
-        negative["cases"]["chunked"]["median_s"] = -1.0
-        with pytest.raises(ValueError, match="median_s"):
-            validate_payload(negative)
-
-    def test_compare_rejects_bad_threshold(self, smoke_payload):
-        with pytest.raises(ValueError, match="threshold"):
-            compare(smoke_payload, smoke_payload, threshold=1.5)
-
-    def test_cli_gate(self, smoke_payload, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        write_payload(smoke_payload, baseline)
-        # the smoke profile's threaded cases jitter between back-to-back
-        # runs; the wide band keeps this a gate-mechanics test, not a
-        # stability benchmark
-        rc = main(
-            ["bench", "--profile", "smoke", "--baseline", str(baseline),
-             "--threshold", "0.6", "--out", str(tmp_path / "new.json")]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "no regressions" in out
-        assert (tmp_path / "new.json").exists()
-        # sabotage the baseline: claim 100x the real throughput
-        import copy
-
-        inflated = copy.deepcopy(smoke_payload)
-        for name in inflated["derived"]["normalized_throughput"]:
-            inflated["derived"]["normalized_throughput"][name] *= 100.0
-        write_payload(inflated, baseline)
-        rc = main(["bench", "--profile", "smoke", "--baseline", str(baseline)])
-        assert rc == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_find_baselines_numeric_order(self, smoke_payload, tmp_path):
-        # PR10 must sort after PR9 (numeric, not lexicographic)
-        for name in ("BENCH_PR10.json", "BENCH_PR4.json", "BENCH_PR9.json"):
-            write_payload(smoke_payload, tmp_path / name)
-        (tmp_path / "BENCH_PR7.json").write_text("{not json")  # skipped
-        found = [p.name for p in find_baselines(tmp_path)]
-        assert found == ["BENCH_PR4.json", "BENCH_PR9.json", "BENCH_PR10.json"]
-        assert latest_baseline(tmp_path).name == "BENCH_PR10.json"
-        assert latest_baseline(tmp_path / "empty-subdir") is None
-
-    def test_committed_baselines_discoverable(self):
-        # the repo root must always resolve to the newest landmark payload
-        names = [p.name for p in find_baselines(".")]
-        assert names == sorted(names, key=lambda n: int(n[8:-5]))
-        assert latest_baseline(".").name == "BENCH_PR10.json"
-
-    def test_render_trajectory(self, smoke_payload, tmp_path):
-        import copy
-
-        old = copy.deepcopy(smoke_payload)
-        # older landmark predates the syscd cases entirely
-        for name in ("syscd_ref", "syscd_threads"):
-            del old["cases"][name]
-            del old["derived"]["normalized_throughput"][name]
-        write_payload(old, tmp_path / "BENCH_PR6.json")
-        write_payload(smoke_payload, tmp_path / "BENCH_PR9.json")
-        text = render_trajectory(find_baselines(tmp_path))
-        assert "PR6" in text and "PR9" in text
-        assert "syscd_threads" in text
-        # every case row carries one cell per baseline column
-        assert render_trajectory([]) == "no bench baselines found"
-
-    def test_cli_prints_trajectory(self, smoke_payload, tmp_path, capsys):
-        write_payload(smoke_payload, tmp_path / "BENCH_PR6.json")
-        write_payload(smoke_payload, tmp_path / "BENCH_PR9.json")
-        rc = main(
-            ["bench", "--profile", "smoke",
-             "--baseline", str(tmp_path / "BENCH_PR9.json")]
-        )
-        out = capsys.readouterr().out
-        assert rc in (0, 1)  # the gate may trip on a noisy runner
-        assert "trajectory" in out
-        assert "PR6" in out and "PR9" in out

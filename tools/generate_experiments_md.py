@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from repro.eval import collect_provenance, load_config, markdown_footer, run_drivers
+from repro.eval.report import latest_record, load_record, record_calibration
 from repro.experiments import active_scale
 from repro.experiments.registry import REGISTRY
 from repro.experiments.results import format_float
@@ -87,45 +88,37 @@ def claims_lines(verdicts) -> list[str]:
     return lines + [""]
 
 
-def kernel_runtime_section() -> list[str]:
-    """The pinned-bench summary, from the newest committed baseline payload."""
-    from repro.perf.bench import latest_baseline, load_payload
-
-    newest = latest_baseline(ROOT)
-    payload = load_payload(newest)
-    p = payload["params"]
-    rel = payload["derived"]["normalized_throughput"]
+def measured_section() -> list[str]:
+    """The end-to-end workloads of the newest committed benchmark record."""
+    path = latest_record(ROOT)
+    if path is None:
+        return []
+    record = load_record(path)
+    calib = ", ".join(
+        f"`{name}` {format_float(value)}"
+        for name, value in record_calibration(record).items()
+    )
     lines = [
-        "## Kernel runtime (pinned bench suite, `python -m repro bench`)",
+        "## Measured end to end",
         "",
-        f"From the newest committed baseline `{newest.name}` — profile"
-        f" `{payload['profile']}`: {p['n_examples']}x{p['n_features']},"
-        f" {p['nnz_per_example']} nnz/example, wave {p['wave_size']},"
-        f" {p['n_threads']} threads; median of {p['reps']} epochs."
-        " Throughput is normalized by the run's own sequential case, which"
-        " is what the CI regression gate compares (`docs/performance.md`).",
+        f"Wall-clock seconds from the committed record `{path.name}`"
+        f" (`python3 benchmarks/e2e/run.py --out {path.name}`, seed"
+        f" {record['seed']}, {record['seconds']:g} s of timed reps per"
+        " workload) on the host that wrote it; host calibration, median"
+        f" over workloads: {calib}.  `docs/performance.md` explains the"
+        " workloads and how a change is compared against its parent.",
         "",
-        "| case | median epoch | vs sequential |",
-        "|---|---|---|",
+        "| workload | time_to_target_s median | IQR | setup_s | epochs_to_target |",
+        "|---|---|---|---|---|",
     ]
-    for name, case in payload["cases"].items():
-        if name == "tpa_wave_seed":  # retired loop, only in old baselines
-            continue
+    for name, entry in record["workloads"].items():
+        ttt = entry["e2e"]["time_to_target_s"]
         lines.append(
-            f"| {name} | {case['median_s'] * 1e3:.2f} ms "
-            f"| {rel.get(name, 0.0):.2f}x |"
+            f"| `{name}` | {format_float(ttt['median'])} | {format_float(ttt['iqr'])} "
+            f"| {format_float(entry['e2e']['setup_s']['median'])} "
+            f"| {entry['epochs_to_target']} |"
         )
-    lines.append("")
-    syscd = payload["derived"].get("syscd_measured_speedup")
-    if syscd is not None:
-        threads = payload["cases"]["syscd_threads"].get("n_threads", "?")
-        lines += [
-            f"SySCD threaded path vs its exact single-thread numpy reference "
-            f"(**measured** wall-clock, not modelled): **{syscd:.2f}x** at "
-            f"{threads} threads; reported, not a claim (`docs/performance.md`).",
-            "",
-        ]
-    return lines
+    return lines + [""]
 
 
 def experiments_md(run, scale: str) -> list[str]:
@@ -153,7 +146,7 @@ def experiments_md(run, scale: str) -> list[str]:
         lines += [f"## {spec.title}", ""]
         lines += series_lines(r.figure)
         lines += claims_lines(r.verdicts)
-    lines += kernel_runtime_section()
+    lines += measured_section()
     return lines
 
 
