@@ -6,79 +6,80 @@ adaptive aggregation, and the paper's full benchmark suite.
 
 Public API surface re-exports the pieces most users need; subpackages expose
 the full substrates (``repro.sparse``, ``repro.gpu``, ``repro.cluster``,
-``repro.experiments``, ...).
+``repro.experiments``, ...).  Every re-export is imported on first use
+(:mod:`repro._lazy`), so ``import repro`` loads no submodule and each entry
+point pays only for the modules it runs.
 """
 
-from .api import SolverConfig, train
-from .core import (
-    CRITEO_PAPER,
-    WEBSPAM_PAPER,
-    AdaptiveAggregator,
-    AddingAggregator,
-    AveragingAggregator,
-    DistributedSCD,
-    DistributedSvm,
-    DistributedTrainResult,
-    PaperScale,
-    SvmTrainResult,
-    TpaScd,
-    TpaScdKernelFactory,
-    scaled_wave_size,
-)
-from .data import (
-    Dataset,
-    load_libsvm,
-    make_criteo_like,
-    make_dense_gaussian,
-    make_sparse_regression,
-    make_webspam_like,
-    save_libsvm,
-    train_test_split,
-)
-from .metrics import ConvergenceHistory, ConvergenceRecord, speedup
-from .shards import (
-    ShardCache,
-    ShardingConfig,
-    ShardStore,
-    ShardStreamer,
-    pack_dataset,
-)
-from .obs import (
-    MetricsRegistry,
-    NullTracer,
-    Tracer,
-    active_tracer,
-    use_tracer,
-)
-from .perf.ledger import TimeLedger
-from .serve import (
-    ModelServer,
-    ServeConfig,
-    SnapshotHub,
-    WeightSnapshot,
-    snapshot_from_result,
-    train_to_serve,
-)
-from .objectives import (
-    ElasticNetProblem,
-    LogisticProblem,
-    RidgeProblem,
-    SvmProblem,
-    solve_exact,
-)
-from .solvers import (
-    ASCD,
-    ElasticNetCD,
-    LogisticSdca,
-    PASSCoDeWild,
-    ScdSolver,
-    SequentialSCD,
-    SvmSdca,
-    SySCD,
-    TrainResult,
-    elastic_net_path,
-    lambda_grid,
-)
+from ._lazy import lazy_exports
+
+_EXPORTS = {
+    ".api": ("SolverConfig", "train"),
+    ".core": (
+        "CRITEO_PAPER",
+        "WEBSPAM_PAPER",
+        "AdaptiveAggregator",
+        "AddingAggregator",
+        "AveragingAggregator",
+        "DistributedSCD",
+        "DistributedSvm",
+        "DistributedTrainResult",
+        "PaperScale",
+        "SvmTrainResult",
+        "TpaScd",
+        "TpaScdKernelFactory",
+        "scaled_wave_size",
+    ),
+    ".data": (
+        "Dataset",
+        "load_libsvm",
+        "make_criteo_like",
+        "make_dense_gaussian",
+        "make_sparse_regression",
+        "make_webspam_like",
+        "save_libsvm",
+        "train_test_split",
+    ),
+    ".metrics": ("ConvergenceHistory", "ConvergenceRecord", "speedup"),
+    ".shards": (
+        "ShardCache",
+        "ShardingConfig",
+        "ShardStore",
+        "ShardStreamer",
+        "pack_dataset",
+    ),
+    ".obs": ("MetricsRegistry", "NullTracer", "Tracer", "active_tracer", "use_tracer"),
+    ".perf.ledger": ("TimeLedger",),
+    ".serve": (
+        "ModelServer",
+        "ServeConfig",
+        "SnapshotHub",
+        "WeightSnapshot",
+        "snapshot_from_result",
+        "train_to_serve",
+    ),
+    ".objectives": (
+        "ElasticNetProblem",
+        "LogisticProblem",
+        "RidgeProblem",
+        "SvmProblem",
+        "solve_exact",
+    ),
+    ".solvers": (
+        "ASCD",
+        "ElasticNetCD",
+        "LogisticSdca",
+        "PASSCoDeWild",
+        "ScdSolver",
+        "SequentialSCD",
+        "SvmSdca",
+        "SySCD",
+        "TrainResult",
+        "elastic_net_path",
+        "lambda_grid",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

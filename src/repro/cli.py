@@ -24,7 +24,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .experiments import ALL_EXPERIMENTS, SCALES, active_scale
+from .experiments.config import SCALES, active_scale
+from .experiments.registry import REGISTRY, driver
 
 __all__ = ["main", "build_parser"]
 
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="run one experiment and print its series")
-    run.add_argument("experiment", choices=sorted(ALL_EXPERIMENTS))
+    run.add_argument("experiment", choices=sorted(REGISTRY))
     run.add_argument(
         "--scale",
         choices=sorted(SCALES),
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment under the tracer and export Chrome-trace "
         "JSON, a metrics dump, and an ASCII flame summary",
     )
-    trace.add_argument("experiment", choices=sorted(ALL_EXPERIMENTS))
+    trace.add_argument("experiment", choices=sorted(REGISTRY))
     trace.add_argument(
         "--scale",
         choices=sorted(SCALES),
@@ -400,7 +401,7 @@ def _cmd_trace(args) -> int:
     scale = SCALES[args.scale] if args.scale else active_scale()
     tracer = Tracer(detail=args.detail)
     with use_tracer(tracer):
-        fig = ALL_EXPERIMENTS[args.experiment](scale)
+        fig = driver(args.experiment)(scale)
     out_dir = Path(args.out_dir)
     stem = f"{args.experiment}-{scale.name}"
     trace_path = out_dir / f"{stem}.trace.json"
@@ -463,7 +464,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "list":
-            for name in sorted(ALL_EXPERIMENTS):
+            for name in sorted(REGISTRY):
                 print(name)
             return 0
         if args.command == "info":
@@ -486,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_eval(args)
         if args.command == "run":
             scale = SCALES[args.scale] if args.scale else active_scale()
-            fig = ALL_EXPERIMENTS[args.experiment](scale)
+            fig = driver(args.experiment)(scale)
             if args.json:
                 payload = {
                     "schema": "repro.run/v1",

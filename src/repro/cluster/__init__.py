@@ -8,63 +8,63 @@ seams (partitioner, comm backend, local solver, aggregation, faults,
 membership).
 """
 
-from ..perf.link import ETHERNET_10G, ETHERNET_100G, Link
-from .comm import SimCommunicator
-from .faults import (
-    DEFAULT_RETRY,
-    SCENARIOS,
-    FaultInjector,
-    FaultReport,
-    FaultSpec,
-    RetryPolicy,
-    WorkerEpochFaults,
-    make_fault_injector,
-)
-from .membership import (
-    LoadBalancer,
-    MembershipEvent,
-    MembershipRecord,
-    MembershipSchedule,
-)
-from .mp_cluster import MpDistributedSCD
+from .._lazy import lazy_exports
 
-# after mp_cluster: the core package initializes during mp_cluster's import,
-# and repro.core.distributed itself imports .async_backend — importing it
-# earlier would leave it half-initialized inside that cycle
-from .async_backend import AsyncParamServerBackend
-from .partition import (
-    balanced_nnz_partition,
-    contiguous_partition,
-    proportional_partition,
-    random_partition,
-    shard_aligned_partition,
-)
-from .runtime import (
-    ClusterRuntime,
-    CommBackend,
-    FaultPolicy,
-    InProcessBackend,
-    LocalSolver,
-    PermutationStream,
-    PipeProcessBackend,
-    RoundOutcome,
-    RuntimeProfile,
-    RuntimeResult,
-    WorkerUpdate,
-    plan_partitions,
-    scatter_weights,
-    shared_sizing,
-)
-from .smart_partition import (
-    communities_of,
-    cooccurrence_graph,
-    correlation_aware_partition,
-    load_proportional_partition,
-    make_capacity_partitioner,
-    make_correlation_partitioner,
-    pack_communities,
-    validate_capacities,
-)
+_EXPORTS = {
+    "..perf.link": ("ETHERNET_10G", "ETHERNET_100G", "Link"),
+    ".comm": ("SimCommunicator",),
+    ".faults": (
+        "DEFAULT_RETRY",
+        "SCENARIOS",
+        "FaultInjector",
+        "FaultReport",
+        "FaultSpec",
+        "RetryPolicy",
+        "WorkerEpochFaults",
+        "make_fault_injector",
+    ),
+    ".membership": (
+        "LoadBalancer",
+        "MembershipEvent",
+        "MembershipRecord",
+        "MembershipSchedule",
+    ),
+    ".mp_cluster": ("MpDistributedSCD",),
+    ".async_backend": ("AsyncParamServerBackend",),
+    ".partition": (
+        "balanced_nnz_partition",
+        "contiguous_partition",
+        "proportional_partition",
+        "random_partition",
+        "shard_aligned_partition",
+    ),
+    ".runtime": (
+        "ClusterRuntime",
+        "CommBackend",
+        "FaultPolicy",
+        "InProcessBackend",
+        "LocalSolver",
+        "PermutationStream",
+        "PipeProcessBackend",
+        "RoundOutcome",
+        "RuntimeProfile",
+        "RuntimeResult",
+        "WorkerUpdate",
+        "plan_partitions",
+        "scatter_weights",
+        "shared_sizing",
+    ),
+    ".smart_partition": (
+        "communities_of",
+        "correlation_aware_partition",
+        "load_proportional_partition",
+        "make_capacity_partitioner",
+        "make_correlation_partitioner",
+        "pack_communities",
+        "validate_capacities",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "SimCommunicator",
@@ -96,7 +96,6 @@ __all__ = [
     "balanced_nnz_partition",
     "proportional_partition",
     "shard_aligned_partition",
-    "cooccurrence_graph",
     "communities_of",
     "pack_communities",
     "correlation_aware_partition",

@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..core.aggregation import make_aggregator
 from ..core.distributed import DistributedTrainResult
 from ..objectives.ridge import RidgeProblem, gap_and_objective
-from ..shards import ShardingConfig, ShardStore
 from ..solvers.kernels import dual_epoch_sequential, primal_epoch_sequential
 from .faults import FaultInjector, FaultSpec, make_fault_injector
 from .partition import random_partition
@@ -58,7 +57,11 @@ from .runtime import (
     PipeProcessBackend,
     RuntimeProfile,
     plan_partitions,
+    sharding_config,
 )
+
+if TYPE_CHECKING:
+    from ..shards import ShardingConfig, ShardStore
 
 __all__ = ["MpDistributedSCD"]
 
@@ -158,9 +161,7 @@ class MpDistributedSCD:
         self.seed = int(seed)
         self.faults = make_fault_injector(faults)
         self.partitioner = partitioner or random_partition
-        if isinstance(shards, ShardStore):
-            shards = ShardingConfig(store=shards)
-        self.shards = shards
+        self.shards = sharding_config(shards)
         if self.shards is not None:
             axis = "cols" if formulation == "primal" else "rows"
             if self.shards.store.axis != axis:

@@ -51,14 +51,13 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
 from ..core.aggregation import AggregationStats, Aggregator
 from ..metrics import ConvergenceHistory, ConvergenceRecord
 from ..obs import resolve_tracer
-from ..shards import ShardingConfig
 from ..solvers.base import EpochEvent
 from .comm import SimCommunicator
 from .faults import (
@@ -68,6 +67,9 @@ from .faults import (
     RetryPolicy,
     WorkerEpochFaults,
 )
+
+if TYPE_CHECKING:
+    from ..shards import ShardingConfig, ShardStore
 
 __all__ = [
     "ClusterRuntime",
@@ -82,6 +84,7 @@ __all__ = [
     "RoundOutcome",
     "PermutationStream",
     "plan_partitions",
+    "sharding_config",
     "scatter_weights",
     "shared_sizing",
 ]
@@ -129,6 +132,19 @@ def scatter_weights(
     for coords, values in pairs:
         out[coords] = values.astype(np.float64)
     return out
+
+
+def sharding_config(shards: ShardingConfig | ShardStore | None) -> ShardingConfig | None:
+    """An engine's ``shards`` argument as a config: a bare store gets defaults.
+
+    The shard package is imported only for an out-of-core run, so in-memory
+    training never loads it.
+    """
+    if shards is None:
+        return None
+    from ..shards import ShardingConfig, ShardStore
+
+    return ShardingConfig(store=shards) if isinstance(shards, ShardStore) else shards
 
 
 def plan_partitions(

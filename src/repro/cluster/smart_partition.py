@@ -10,10 +10,10 @@ This module implements that intelligent partitioning: coordinates that
 co-occur (features sharing examples, or examples sharing features) are
 correlated, and the distributed per-epoch slow-down comes precisely from
 correlated coordinates living on *different* workers updating against stale
-state.  We build the coordinate co-occurrence graph, find its communities
-(connected components, refined by greedy modularity via networkx when a
-component is too large), and bin communities onto workers balancing
-coordinate counts — so correlated coordinates stay together.
+state.  We find the communities of the coordinate co-occurrence relation
+(its connected components, by a numpy union-find) and bin communities onto
+workers balancing coordinate counts — so correlated coordinates stay
+together.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Sequence
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
-    "cooccurrence_graph",
     "communities_of",
     "pack_communities",
     "correlation_aware_partition",
@@ -103,67 +101,42 @@ def make_capacity_partitioner(capacities):
     return partitioner
 
 
-def cooccurrence_graph(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n_coords: int,
-    *,
-    max_clique: int = 12,
-) -> nx.Graph:
-    """Build the co-occurrence graph over the *minor*-axis coordinates.
-
-    For a CSC matrix, pass its arrays with ``n_coords = n_columns``?  No —
-    this helper walks *major*-axis segments and connects the minor indices
-    they contain.  To partition features (primal), pass the **CSR** arrays
-    (each row's features co-occur); to partition examples (dual), pass the
-    **CSC** arrays (each column's examples co-occur).
-
-    Short segments contribute a full clique; longer ones contribute a ring,
-    which keeps the construction O(nnz) while preserving connectivity (what
-    community detection needs).
-    """
-    g = nx.Graph()
-    g.add_nodes_from(range(n_coords))
-    n_major = indptr.shape[0] - 1
-    for j in range(n_major):
-        seg = indices[indptr[j] : indptr[j + 1]]
-        k = seg.shape[0]
-        if k < 2:
-            continue
-        if k <= max_clique:
-            pairs = [(int(seg[a]), int(seg[b])) for a in range(k) for b in range(a + 1, k)]
-        else:
-            nxt = np.roll(seg, -1)
-            pairs = list(zip(seg.tolist(), nxt.tolist()))
-        for u, v in pairs:
-            if g.has_edge(u, v):
-                g[u][v]["weight"] += 1
-            else:
-                g.add_edge(u, v, weight=1)
-    return g
-
-
 def communities_of(
-    graph: nx.Graph, *, refine_above: int | None = None
+    indptr: np.ndarray, indices: np.ndarray, n_coords: int
 ) -> list[np.ndarray]:
-    """Coordinate communities: connected components, optionally refined.
+    """Coordinate communities: connected components of co-occurrence.
 
-    Block-structured data (one-hot groups, topic clusters) typically yields
-    many components directly.  A component larger than ``refine_above`` is
-    split further with greedy modularity maximization.
+    Walks the *major*-axis segments and joins the minor indices each one
+    contains.  To partition features (primal), pass the **CSR** arrays (each
+    row's features co-occur); to partition examples (dual), pass the **CSC**
+    arrays (each column's examples co-occur).  A coordinate in no segment is
+    a community of its own.
+
+    Each segment is linked as a chain of adjacent members, which connects
+    exactly what a clique over the segment would, and the components come
+    from a union-find run as whole-array passes (hook roots, then jump
+    pointers), so no Python loop walks the nonzeros.  A label only ever
+    moves to a smaller coordinate of its component, so each ends at the
+    component's smallest member.  Communities are sorted and ordered by
+    smallest member.  Block-structured data (one-hot groups, topic clusters)
+    typically yields many of them.
     """
-    out: list[np.ndarray] = []
-    for comp in nx.connected_components(graph):
-        comp = sorted(comp)
-        if refine_above is not None and len(comp) > refine_above:
-            sub = graph.subgraph(comp)
-            for community in nx.algorithms.community.greedy_modularity_communities(
-                sub, weight="weight"
-            ):
-                out.append(np.fromiter(sorted(community), dtype=np.int64))
-        else:
-            out.append(np.asarray(comp, dtype=np.int64))
-    return out
+    segment = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    linked = segment[1:] == segment[:-1]
+    u, v = indices[:-1][linked], indices[1:][linked]
+    label = np.arange(n_coords)  # every label is a root at the top of the loop
+    while True:
+        ru, rv = label[u], label[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        # hook the larger root of every split link under the smaller one ...
+        np.minimum.at(label, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
+        # ... then jump pointers until each label is a root again
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def pack_communities(
@@ -216,21 +189,14 @@ def pack_communities(
 
 
 def correlation_aware_partition(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n_coords: int,
-    n_parts: int,
-    *,
-    refine_above: int | None = None,
+    indptr: np.ndarray, indices: np.ndarray, n_coords: int, n_parts: int
 ) -> list[np.ndarray]:
-    """End-to-end: graph -> communities -> balanced packing."""
-    graph = cooccurrence_graph(indptr, indices, n_coords)
-    comms = communities_of(graph, refine_above=refine_above)
-    return pack_communities(comms, n_parts)
+    """End-to-end: communities -> balanced packing."""
+    return pack_communities(communities_of(indptr, indices, n_coords), n_parts)
 
 
 def make_correlation_partitioner(
-    matrix, *, refine_above: int | None = None
+    matrix,
 ) -> Callable[[int, int, np.random.Generator], list[np.ndarray]]:
     """Adapter producing the partitioner signature ``DistributedSCD`` wants.
 
@@ -248,11 +214,7 @@ def make_correlation_partitioner(
                 f"asked to split {n_items}"
             )
         return correlation_aware_partition(
-            matrix.indptr,
-            matrix.indices,
-            n_items,
-            n_parts,
-            refine_above=refine_above,
+            matrix.indptr, matrix.indices, n_items, n_parts
         )
 
     return partitioner

@@ -4,22 +4,27 @@ Also hosts the extensions: the additional aggregation rules, and the
 asynchronous parameter-server alternative as ``DistributedSCD(comm="async")``.
 """
 
-from .aggregation import (
-    AdaptiveAggregator,
-    AddingAggregator,
-    AggregationStats,
-    Aggregator,
-    AveragingAggregator,
-    LineSearchAggregator,
-    ScaledAggregator,
-    make_aggregator,
-)
-from .distributed import DistributedSCD, DistributedTrainResult, HostModel
-from .distributed_svm import DistributedSvm, SvmTrainResult
-from .glm_tpa import TpaElasticNet, TpaSvm
-from .planner import ClusterSpec, ExecutionPlan, plan_execution
-from .scale import CRITEO_PAPER, WEBSPAM_PAPER, PaperScale
-from .tpa_scd import TpaScd, TpaScdKernelFactory, scaled_wave_size
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".aggregation": (
+        "AdaptiveAggregator",
+        "AddingAggregator",
+        "AggregationStats",
+        "Aggregator",
+        "AveragingAggregator",
+        "LineSearchAggregator",
+        "ScaledAggregator",
+        "make_aggregator",
+    ),
+    ".distributed": ("DistributedSCD", "DistributedTrainResult", "HostModel"),
+    ".distributed_svm": ("DistributedSvm", "SvmTrainResult"),
+    ".glm_tpa": ("TpaElasticNet", "TpaSvm"),
+    ".planner": ("ClusterSpec", "ExecutionPlan", "plan_execution"),
+    ".scale": ("CRITEO_PAPER", "WEBSPAM_PAPER", "PaperScale"),
+    ".tpa_scd": ("TpaScd", "TpaScdKernelFactory", "scaled_wave_size"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AdaptiveAggregator",

@@ -25,7 +25,7 @@ read-out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -42,16 +42,19 @@ from ..cluster.runtime import (
     RuntimeProfile,
     WorkerUpdate,
     plan_partitions,
+    sharding_config,
     scatter_weights,
     shared_sizing,
 )
 from ..cluster.smart_partition import make_capacity_partitioner
 from ..objectives.ridge import RidgeProblem, gap_and_objective
 from ..perf.link import Link
-from ..shards import ShardingConfig, ShardStore, ShardStreamer
 from ..solvers.base import BoundKernel, KernelFactory, TrainResult
 from .aggregation import Aggregator, make_aggregator
 from .scale import PaperScale
+
+if TYPE_CHECKING:
+    from ..shards import ShardingConfig, ShardStore, ShardStreamer
 
 __all__ = ["DistributedSCD", "DistributedTrainResult", "HostModel"]
 
@@ -145,6 +148,8 @@ class _ScdWorkerPool:
         for rank, coords in enumerate(parts):
             streamer = None
             if groups is not None:
+                from ..shards import ShardStreamer
+
                 streamer = ShardStreamer(
                     eng.shards, groups[rank], tracer=tracer, worker=rank
                 )
@@ -285,6 +290,8 @@ class _ScdWorkerPool:
         for rank, coords in enumerate(parts):
             streamer = None
             if groups is not None:
+                from ..shards import ShardStreamer
+
                 streamer = ShardStreamer(
                     eng.shards, groups[rank], tracer=tracer, worker=rank
                 )
@@ -498,9 +505,7 @@ class DistributedSCD:
         #: populated by :meth:`solve`: applied membership/rebalance steps
         self.membership_log: list = []
         self.faults = make_fault_injector(faults)
-        if isinstance(shards, ShardStore):
-            shards = ShardingConfig(store=shards)
-        self.shards = shards
+        self.shards = sharding_config(shards)
         if self.shards is not None:
             axis = "cols" if formulation == "primal" else "rows"
             if self.shards.store.axis != axis:

@@ -21,7 +21,7 @@ the CPU cost models and the binomial-tree communicator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -37,15 +37,18 @@ from ..cluster.runtime import (
     RuntimeProfile,
     WorkerUpdate,
     plan_partitions,
+    sharding_config,
 )
 from ..cpu import XEON_8C, CpuSpec, SequentialCpuTiming
 from ..objectives.svm import SvmProblem
 from ..perf.link import Link
 from ..perf.timing import EpochWorkload
-from ..shards import ShardingConfig, ShardStore, ShardStreamer
 from ..solvers.base import TrainResult
 from .aggregation import ScaledAggregator
 from .scale import PaperScale
+
+if TYPE_CHECKING:
+    from ..shards import ShardingConfig, ShardStore
 
 __all__ = ["DistributedSvm", "SvmTrainResult"]
 
@@ -96,6 +99,8 @@ class _SvmWorkerPool:
         eng = self.engine
         streamer = None
         if groups is not None:
+            from ..shards import ShardStreamer
+
             streamer = ShardStreamer(
                 eng.shards, groups[rank], tracer=tracer, worker=rank
             )
@@ -315,9 +320,7 @@ class DistributedSvm:
         self.seed = int(seed)
         self.faults = make_fault_injector(faults)
         self.partitioner = partitioner or random_partition
-        if isinstance(shards, ShardStore):
-            shards = ShardingConfig(store=shards)
-        self.shards = shards
+        self.shards = sharding_config(shards)
         if self.shards is not None and self.shards.store.axis != "rows":
             raise ValueError(
                 "DistributedSvm partitions examples: needs a 'rows'-axis "

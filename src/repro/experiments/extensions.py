@@ -2,7 +2,7 @@
 
 * ``run_smart_partition`` — Section IV's closing remark ([22]): on data with
   block structure, partitioning correlated coordinates onto the same worker
-  (networkx community detection over the co-occurrence graph) plus adaptive
+  (connected components of the co-occurrence relation) plus adaptive
   aggregation recovers near-sequential convergence at K=8.
 * ``run_comm_tradeoff`` — the computation/communication ratio ([23]): the
   paper notes "by carefully tuning the ratio of communication to

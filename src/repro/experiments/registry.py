@@ -1,6 +1,6 @@
 """The single experiment-driver registry.
 
-Every figure, ablation, extension, and scenario driver registers here once,
+Every figure, ablation, extension, and scenario driver has one row here,
 with the metadata the orchestration layers need:
 
 * the public ``driver_id`` (``fig1``, ``ext-fault-tolerance``, ``serving``),
@@ -11,16 +11,19 @@ with the metadata the orchestration layers need:
 * the paper claims its figure reproduces (:mod:`repro.experiments.claims`),
   declared in the driver's module and checked by :meth:`DriverSpec.check`.
 
-Both the ``repro.eval`` subsystem and ``tools/generate_experiments_md.py``
-discover drivers from this table (and the CLI's ``ALL_EXPERIMENTS`` mapping
-is derived from it), so adding a driver means one :func:`register` call —
-not another bespoke import site in every orchestration script.
+The ``repro.eval`` subsystem, the CLI and ``tools/generate_experiments_md.py``
+all discover drivers from this table, so adding a driver means one row in
+``_DRIVERS`` — not another bespoke import site in every orchestration
+script.  Listing ids imports no driver; :data:`REGISTRY` imports a driver's
+module on its first lookup, so a command pays only for the drivers it runs.
 """
 
 from __future__ import annotations
 
+import importlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .claims import Claim, Verdict
 from .results import FigureResult
@@ -65,8 +68,185 @@ class DriverSpec:
         return self.fn(scale, **params)
 
 
+class _Row(NamedTuple):
+    """One built-in driver: ``function`` and a ``CLAIMS`` table live in ``module``."""
+
+    driver_id: str
+    title: str
+    #: submodule of this package that defines ``function`` and ``CLAIMS``
+    module: str
+    function: str
+    #: when set, the driver is ``function(arg, scale)``
+    arg: str | None = None
+    kind: str = "figure"
+    params: tuple[str, ...] = ()
+
+
+#: the built-in drivers, in presentation order
+_DRIVERS: tuple[_Row, ...] = (
+    _Row("fig1", "Fig. 1 — primal convergence (five solvers)", "convergence", "run_fig1"),
+    _Row("fig2", "Fig. 2 — dual convergence (five solvers)", "convergence", "run_fig2"),
+    *(
+        _Row(
+            f"fig{number}-{formulation}",
+            f"Fig. {number} — {title} ({formulation})",
+            "distributed_figs",
+            f"run_fig{number}",
+            formulation,
+        )
+        for number, title in (
+            (3, "distributed SCD vs epochs"),
+            (4, "adaptive vs averaging aggregation"),
+            (5, "optimal gamma evolution"),
+            (6, "time to gap vs workers"),
+        )
+        for formulation in ("primal", "dual")
+    ),
+    _Row("fig8-m4000", "Fig. 8a — M4000 cluster (10 GbE)", "gpu_cluster", "run_fig8", "m4000"),
+    _Row("fig8-titanx", "Fig. 8b — Titan X cluster (PCIe)", "gpu_cluster", "run_fig8", "titanx"),
+    _Row("fig9", "Fig. 9 — computation vs communication breakdown", "gpu_cluster", "run_fig9"),
+    _Row("fig10", "Fig. 10 — criteo-like large-scale training", "large_scale", "run_fig10"),
+    _Row(
+        "fig10-outofcore",
+        "Fig. 10 (out-of-core) — 40 GB footprint on one 12 GB GPU",
+        "large_scale",
+        "run_fig10_outofcore",
+    ),
+    _Row("headline", "Headline speedups (abstract / Sections I & VI)", "headline", "run_headline"),
+    *(
+        _Row(driver_id, f"Ablation — {title}", "ablations", function, kind="ablation")
+        for driver_id, title, function in (
+            ("ablation-wave", "wave size vs convergence and throughput", "run_wave_ablation"),
+            ("ablation-gpu-write", "GPU global-write strategies", "run_gpu_write_ablation"),
+            ("ablation-aggregation", "aggregation policies", "run_aggregation_ablation"),
+            ("ablation-precision", "fp32 vs fp64 accumulation", "run_precision_ablation"),
+            ("ablation-pcie", "PCIe generation sensitivity", "run_pcie_ablation"),
+        )
+    ),
+    *(
+        _Row(driver_id, f"Extension — {title}", "extensions", function, kind="extension")
+        for driver_id, title, function in (
+            ("ext-smart-partition", "correlation-aware partitioning", "run_smart_partition"),
+            ("ext-comm-tradeoff", "aggregation granularity vs fabric", "run_comm_tradeoff"),
+            ("ext-sigma-sweep", "sigma' scaling sweep", "run_sigma_sweep"),
+            ("ext-async-vs-sync", "asynchronous vs synchronous updates", "run_async_vs_sync"),
+            ("ext-heterogeneous", "heterogeneous GPU cluster", "run_heterogeneous_cluster"),
+            ("ext-glm-gpu", "TPA engine on elastic-net and SVM GLMs", "run_glm_gpu"),
+            ("ext-batch-vs-stochastic", "batch vs stochastic methods", "run_batch_vs_stochastic"),
+            ("ext-weak-scaling", "weak scaling as data grows with K", "run_weak_scaling"),
+        )
+    ),
+    _Row(
+        "ext-fault-tolerance",
+        "Extension — duality gap under injected fault scenarios",
+        "faults",
+        "run_fault_tolerance",
+        kind="extension",
+        params=("scenario",),
+    ),
+    _Row(
+        "ext-fault-breakdown",
+        "Extension — execution-time breakdown under faults",
+        "faults",
+        "run_fault_breakdown",
+        kind="extension",
+        params=("scenario",),
+    ),
+    _Row(
+        "serving",
+        "Online serving — train-to-serve hot-swap under seeded traffic",
+        "serving_fig",
+        "run_serving",
+        kind="scenario",
+        params=("solver", "seed"),
+    ),
+    _Row(
+        "syscd",
+        "SySCD — bucketed parallel CPU solver thread scaling (measured)",
+        "syscd_fig",
+        "run_syscd_scaling",
+        kind="scenario",
+        params=("threads", "buckets", "merge_every"),
+    ),
+    _Row(
+        "elastic",
+        "Elastic membership — fixed vs join/leave cluster on one seed",
+        "elastic_fig",
+        "run_elastic",
+        kind="scenario",
+        params=("workers", "comm", "rebalance_every", "seed"),
+    ),
+)
+
+
+def _bind(fn, arg):
+    def _run(scale=None):
+        return fn(arg, scale)
+
+    _run.__name__ = f"{fn.__name__}_{arg}"
+    return _run
+
+
+def _load(row: _Row) -> DriverSpec:
+    """Import ``row``'s module and build its spec with the claims declared there.
+
+    A module's ``CLAIMS`` must cover each of its drivers and name no other
+    id, so a typo in a claims table fails the first lookup of any driver of
+    that module.
+    """
+    module = importlib.import_module(f"{__package__}.{row.module}")
+    ids = {r.driver_id for r in _DRIVERS if r.module == row.module}
+    stray = sorted(set(module.CLAIMS) - ids)
+    if stray:
+        raise RuntimeError(f"claims declared for unknown drivers in {module.__name__}: {stray}")
+    if row.driver_id not in module.CLAIMS:
+        raise RuntimeError(f"{module.__name__} declares no claims for {row.driver_id!r}")
+    fn = getattr(module, row.function)
+    return DriverSpec(
+        row.driver_id,
+        row.title,
+        fn if row.arg is None else _bind(fn, row.arg),
+        kind=row.kind,
+        params=row.params,
+        claims=tuple(module.CLAIMS[row.driver_id]),
+    )
+
+
+class _Registry(Mapping):
+    """``driver_id -> DriverSpec``; a driver's module is imported on its first lookup.
+
+    Iterating ids, ``len`` and ``in`` read the table and import nothing.
+    """
+
+    def __init__(self) -> None:
+        #: every id in presentation order; ``None`` for a spec added by ``register``
+        self._rows: dict[str, _Row | None] = {row.driver_id: row for row in _DRIVERS}
+        self._specs: dict[str, DriverSpec] = {}
+
+    def __getitem__(self, driver_id: str) -> DriverSpec:
+        spec = self._specs.get(driver_id)
+        if spec is None:
+            # setdefault: threads racing on a first lookup all get one spec
+            spec = self._specs.setdefault(driver_id, _load(self._rows[driver_id]))
+        return spec
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __contains__(self, driver_id) -> bool:
+        return driver_id in self._rows
+
+    def kind(self, driver_id: str) -> str:
+        """The driver's kind, read without importing its module."""
+        row = self._rows[driver_id]
+        return self[driver_id].kind if row is None else row.kind
+
+
 #: driver_id -> spec, in registration (presentation) order
-REGISTRY: dict[str, DriverSpec] = {}
+REGISTRY = _Registry()
 
 
 def register(
@@ -84,24 +264,25 @@ def register(
     spec = DriverSpec(
         driver_id, title, fn, kind=kind, params=params, claims=tuple(claims)
     )
-    REGISTRY[driver_id] = spec
+    REGISTRY._rows[driver_id] = None
+    REGISTRY._specs[driver_id] = spec
     return spec
 
 
 def unregister(driver_id: str) -> None:
     """Remove a registered driver (test scaffolding)."""
-    REGISTRY.pop(driver_id, None)
+    REGISTRY._rows.pop(driver_id, None)
+    REGISTRY._specs.pop(driver_id, None)
 
 
 def get_driver(driver_id: str) -> DriverSpec:
     """Resolve ``driver_id`` or fail with the list of known ids."""
-    try:
-        return REGISTRY[driver_id]
-    except KeyError:
+    if driver_id not in REGISTRY:
         raise KeyError(
             f"unknown experiment driver {driver_id!r}; known drivers: "
             f"{', '.join(sorted(REGISTRY))}"
-        ) from None
+        )
+    return REGISTRY[driver_id]
 
 
 def driver(driver_id: str) -> Callable[..., FigureResult]:
@@ -111,176 +292,9 @@ def driver(driver_id: str) -> Callable[..., FigureResult]:
 
 def driver_ids(kind: str | None = None) -> list[str]:
     """All registered ids, optionally restricted to one ``kind``."""
-    return [
-        spec.driver_id
-        for spec in REGISTRY.values()
-        if kind is None or spec.kind == kind
-    ]
+    return [d for d in REGISTRY if kind is None or REGISTRY.kind(d) == kind]
 
 
 def run_driver(driver_id: str, scale=None, **params) -> FigureResult:
     """One-call convenience: resolve and run."""
     return get_driver(driver_id).run(scale, **params)
-
-
-def _populate() -> None:
-    """Register the built-in drivers (import-cycle-free, called once)."""
-    from . import ablations, convergence, distributed_figs, elastic_fig, extensions
-    from . import faults, gpu_cluster, headline, large_scale, serving_fig, syscd_fig
-
-    claims: dict[str, tuple[Claim, ...]] = {}
-    for module in (ablations, convergence, distributed_figs, elastic_fig, extensions):
-        claims.update(module.CLAIMS)
-    for module in (faults, gpu_cluster, headline, large_scale, serving_fig, syscd_fig):
-        claims.update(module.CLAIMS)
-
-    def add(driver_id: str, title: str, fn, **kwargs) -> None:
-        """``register`` with the claims the driver's module declares."""
-        register(driver_id, title, fn, claims=claims.pop(driver_id), **kwargs)
-
-    def _bind(fn, arg):
-        def _run(scale=None):
-            return fn(arg, scale)
-
-        _run.__name__ = f"{fn.__name__}_{arg}"
-        return _run
-
-    add("fig1", "Fig. 1 — primal convergence (five solvers)", convergence.run_fig1)
-    add("fig2", "Fig. 2 — dual convergence (five solvers)", convergence.run_fig2)
-    for number, fn, title in (
-        (3, distributed_figs.run_fig3, "distributed SCD vs epochs"),
-        (4, distributed_figs.run_fig4, "adaptive vs averaging aggregation"),
-        (5, distributed_figs.run_fig5, "optimal gamma evolution"),
-        (6, distributed_figs.run_fig6, "time to gap vs workers"),
-    ):
-        for formulation in ("primal", "dual"):
-            add(
-                f"fig{number}-{formulation}",
-                f"Fig. {number} — {title} ({formulation})",
-                _bind(fn, formulation),
-            )
-    add("fig8-m4000", "Fig. 8a — M4000 cluster (10 GbE)", _bind(gpu_cluster.run_fig8, "m4000"))
-    add("fig8-titanx", "Fig. 8b — Titan X cluster (PCIe)", _bind(gpu_cluster.run_fig8, "titanx"))
-    add("fig9", "Fig. 9 — computation vs communication breakdown", gpu_cluster.run_fig9)
-    add("fig10", "Fig. 10 — criteo-like large-scale training", large_scale.run_fig10)
-    add(
-        "fig10-outofcore",
-        "Fig. 10 (out-of-core) — 40 GB footprint on one 12 GB GPU",
-        large_scale.run_fig10_outofcore,
-    )
-    add("headline", "Headline speedups (abstract / Sections I & VI)", headline.run_headline)
-
-    for driver_id, title, fn in (
-        (
-            "ablation-wave",
-            "Ablation — wave size vs convergence and throughput",
-            ablations.run_wave_ablation,
-        ),
-        (
-            "ablation-gpu-write",
-            "Ablation — GPU global-write strategies",
-            ablations.run_gpu_write_ablation,
-        ),
-        (
-            "ablation-aggregation",
-            "Ablation — aggregation policies",
-            ablations.run_aggregation_ablation,
-        ),
-        (
-            "ablation-precision",
-            "Ablation — fp32 vs fp64 accumulation",
-            ablations.run_precision_ablation,
-        ),
-        (
-            "ablation-pcie",
-            "Ablation — PCIe generation sensitivity",
-            ablations.run_pcie_ablation,
-        ),
-    ):
-        add(driver_id, title, fn, kind="ablation")
-
-    for driver_id, title, fn in (
-        (
-            "ext-smart-partition",
-            "Extension — correlation-aware partitioning",
-            extensions.run_smart_partition,
-        ),
-        (
-            "ext-comm-tradeoff",
-            "Extension — aggregation granularity vs fabric",
-            extensions.run_comm_tradeoff,
-        ),
-        (
-            "ext-sigma-sweep",
-            "Extension — sigma' scaling sweep",
-            extensions.run_sigma_sweep,
-        ),
-        (
-            "ext-async-vs-sync",
-            "Extension — asynchronous vs synchronous updates",
-            extensions.run_async_vs_sync,
-        ),
-        (
-            "ext-heterogeneous",
-            "Extension — heterogeneous GPU cluster",
-            extensions.run_heterogeneous_cluster,
-        ),
-        (
-            "ext-glm-gpu",
-            "Extension — TPA engine on elastic-net and SVM GLMs",
-            extensions.run_glm_gpu,
-        ),
-        (
-            "ext-batch-vs-stochastic",
-            "Extension — batch vs stochastic methods",
-            extensions.run_batch_vs_stochastic,
-        ),
-        (
-            "ext-weak-scaling",
-            "Extension — weak scaling as data grows with K",
-            extensions.run_weak_scaling,
-        ),
-    ):
-        add(driver_id, title, fn, kind="extension")
-    add(
-        "ext-fault-tolerance",
-        "Extension — duality gap under injected fault scenarios",
-        faults.run_fault_tolerance,
-        kind="extension",
-        params=("scenario",),
-    )
-    add(
-        "ext-fault-breakdown",
-        "Extension — execution-time breakdown under faults",
-        faults.run_fault_breakdown,
-        kind="extension",
-        params=("scenario",),
-    )
-
-    add(
-        "serving",
-        "Online serving — train-to-serve hot-swap under seeded traffic",
-        serving_fig.run_serving,
-        kind="scenario",
-        params=("solver", "seed"),
-    )
-    add(
-        "syscd",
-        "SySCD — bucketed parallel CPU solver thread scaling (measured)",
-        syscd_fig.run_syscd_scaling,
-        kind="scenario",
-        params=("threads", "buckets", "merge_every"),
-    )
-    add(
-        "elastic",
-        "Elastic membership — fixed vs join/leave cluster on one seed",
-        elastic_fig.run_elastic,
-        kind="scenario",
-        params=("workers", "comm", "rebalance_every", "seed"),
-    )
-
-    if claims:
-        raise RuntimeError(f"claims declared for unknown drivers: {sorted(claims)}")
-
-
-_populate()

@@ -1,17 +1,22 @@
 """Simulated GPU substrate: specs, memory, execution engine, timing."""
 
-from .device import GpuDevice
-from .engine import RidgeDualRule, RidgePrimalRule, TpaScdEngine, block_tree_dots
-from .glm_engine import (
-    CoordinateRule,
-    ElasticNetPrimalRule,
-    GlmTpaEngine,
-    SvmDualRule,
-)
-from .memory import DeviceMemory, GpuOutOfMemoryError
-from .profiler import KernelProfile
-from .spec import GTX_TITAN_X, QUADRO_M4000, TESLA_P100, GpuSpec
-from .timing import BYTES_PER_NNZ, GpuTimingModel
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".device": ("GpuDevice",),
+    ".engine": ("RidgeDualRule", "RidgePrimalRule", "TpaScdEngine", "block_tree_dots"),
+    ".glm_engine": (
+        "CoordinateRule",
+        "ElasticNetPrimalRule",
+        "GlmTpaEngine",
+        "SvmDualRule",
+    ),
+    ".memory": ("DeviceMemory", "GpuOutOfMemoryError"),
+    ".profiler": ("KernelProfile",),
+    ".spec": ("GTX_TITAN_X", "QUADRO_M4000", "TESLA_P100", "GpuSpec"),
+    ".timing": ("BYTES_PER_NNZ", "GpuTimingModel"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "GpuDevice",

@@ -1,8 +1,13 @@
 """Convergence histories, derived metrics, and cross-validation."""
 
-from .history import ConvergenceHistory, ConvergenceRecord, speedup
-from .cv import CvResult, cross_validate_path, kfold_indices
-from .rates import linear_rate, slowdown_factor
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".history": ("ConvergenceHistory", "ConvergenceRecord", "speedup"),
+    ".cv": ("CvResult", "cross_validate_path", "kfold_indices"),
+    ".rates": ("linear_rate", "slowdown_factor"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ConvergenceHistory",

@@ -1,15 +1,20 @@
 """Training objectives: ridge regression (paper) and GLM extensions."""
 
-from .elasticnet import ElasticNetProblem, soft_threshold
-from .logistic import LogisticProblem
-from .ridge import (
-    ExactSolution,
-    RidgeProblem,
-    dual_coordinate_delta,
-    primal_coordinate_delta,
-    solve_exact,
-)
-from .svm import SvmProblem
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".elasticnet": ("ElasticNetProblem", "soft_threshold"),
+    ".logistic": ("LogisticProblem",),
+    ".ridge": (
+        "ExactSolution",
+        "RidgeProblem",
+        "dual_coordinate_delta",
+        "primal_coordinate_delta",
+        "solve_exact",
+    ),
+    ".svm": ("SvmProblem",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ElasticNetProblem",

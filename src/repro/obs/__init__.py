@@ -21,26 +21,31 @@ installed (explicitly via ``solve(..., tracer=...)`` or ambiently via
 :func:`use_tracer`).
 """
 
-from .metrics import Histogram, MetricsRegistry
-from .tracer import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    active_tracer,
-    resolve_tracer,
-    traced,
-    use_tracer,
-)
-from .export import (
-    chrome_trace,
-    flame_summary,
-    metrics_json,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_metrics_json,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".metrics": ("Histogram", "MetricsRegistry"),
+    ".tracer": (
+        "NULL_SPAN",
+        "NULL_TRACER",
+        "NullTracer",
+        "Span",
+        "Tracer",
+        "active_tracer",
+        "resolve_tracer",
+        "traced",
+        "use_tracer",
+    ),
+    ".export": (
+        "chrome_trace",
+        "flame_summary",
+        "metrics_json",
+        "validate_chrome_trace",
+        "write_chrome_trace",
+        "write_metrics_json",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Span",

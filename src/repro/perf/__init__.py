@@ -5,15 +5,20 @@ performance of this codebase lives in ``benchmarks/e2e`` and its committed
 ``BENCH_PR*.json`` record.
 """
 
-from .ledger import COMPONENTS, FAULT_COMPONENTS, PAPER_COMPONENTS, TimeLedger
-from .link import (
-    ETHERNET_10G,
-    ETHERNET_100G,
-    PCIE3_X16_PAGEABLE,
-    PCIE3_X16_PINNED,
-    Link,
-)
-from .timing import EpochWorkload, LocalTiming
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".ledger": ("COMPONENTS", "FAULT_COMPONENTS", "PAPER_COMPONENTS", "TimeLedger"),
+    ".link": (
+        "ETHERNET_10G",
+        "ETHERNET_100G",
+        "PCIE3_X16_PAGEABLE",
+        "PCIE3_X16_PINNED",
+        "Link",
+    ),
+    ".timing": ("EpochWorkload", "LocalTiming"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "COMPONENTS",

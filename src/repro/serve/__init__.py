@@ -18,17 +18,27 @@ train-to-serve loop on the repo's modelled clock:
   response bitwise against the offline ``X @ w`` oracle.
 """
 
-from .demo import ServeDemoReport, train_to_serve
-from .server import ModelServer, PredictRequest, PredictResponse, ServeConfig
-from .snapshot import SnapshotHub, WeightSnapshot, serve_weights, snapshot_from_result
-from .traffic import (
-    EpochNote,
-    RequestSource,
-    SwapEvent,
-    bursty_arrivals,
-    poisson_arrivals,
-    replay,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".demo": ("ServeDemoReport", "train_to_serve"),
+    ".server": ("ModelServer", "PredictRequest", "PredictResponse", "ServeConfig"),
+    ".snapshot": (
+        "SnapshotHub",
+        "WeightSnapshot",
+        "serve_weights",
+        "snapshot_from_result",
+    ),
+    ".traffic": (
+        "EpochNote",
+        "RequestSource",
+        "SwapEvent",
+        "bursty_arrivals",
+        "poisson_arrivals",
+        "replay",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "WeightSnapshot",

@@ -14,18 +14,23 @@ contiguous shard runs, and streaming only adds modelled time — it never
 touches solver random streams or data values.
 """
 
-from .cache import CacheLookup, ShardCache
-from .format import (
-    MANIFEST_NAME,
-    SHARD_SCHEMA,
-    ShardManifest,
-    ShardMeta,
-    load_manifest,
-    pack_dataset,
-)
-from .prefetch import Prefetcher
-from .store import Shard, ShardHandle, ShardReadError, ShardStore
-from .streaming import ShardingConfig, ShardStreamer
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".cache": ("CacheLookup", "ShardCache"),
+    ".format": (
+        "MANIFEST_NAME",
+        "SHARD_SCHEMA",
+        "ShardManifest",
+        "ShardMeta",
+        "load_manifest",
+        "pack_dataset",
+    ),
+    ".prefetch": ("Prefetcher",),
+    ".store": ("Shard", "ShardHandle", "ShardReadError", "ShardStore"),
+    ".streaming": ("ShardingConfig", "ShardStreamer"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "SHARD_SCHEMA",

@@ -1,14 +1,19 @@
 """CPU coordinate-descent solvers: sequential SCD, async baselines, extensions."""
 
-from .ascd import ASCD, AsyncCpuKernelFactory, PASSCoDeWild
-from .batch_gd import BatchGD, power_iteration_lipschitz
-from .base import BoundKernel, KernelFactory, ScdSolver, TrainResult
-from .elasticnet import ElasticNetCD, elastic_net_path, lambda_grid
-from .logistic import LogisticSdca
-from .scd import SequentialKernelFactory, SequentialSCD
-from .sgd import SgdSolver
-from .syscd import SySCD, SyscdKernelFactory
-from .svm import SvmSdca
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".ascd": ("ASCD", "AsyncCpuKernelFactory", "PASSCoDeWild"),
+    ".batch_gd": ("BatchGD", "power_iteration_lipschitz"),
+    ".base": ("BoundKernel", "KernelFactory", "ScdSolver", "TrainResult"),
+    ".elasticnet": ("ElasticNetCD", "elastic_net_path", "lambda_grid"),
+    ".logistic": ("LogisticSdca",),
+    ".scd": ("SequentialKernelFactory", "SequentialSCD"),
+    ".sgd": ("SgdSolver",),
+    ".syscd": ("SySCD", "SyscdKernelFactory"),
+    ".svm": ("SvmSdca",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ASCD",

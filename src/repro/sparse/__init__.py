@@ -1,19 +1,24 @@
 """Sparse matrix substrate: CSC/CSR formats implemented from scratch."""
 
-from .matrix import (
-    CscMatrix,
-    CsrMatrix,
-    from_coo,
-    from_dense_csc,
-    from_dense_csr,
-)
-from .ops import (
-    check_compressed,
-    expand_by_segments,
-    segment_lengths,
-    segment_sums,
-    transpose_compressed,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".matrix": (
+        "CscMatrix",
+        "CsrMatrix",
+        "from_coo",
+        "from_dense_csc",
+        "from_dense_csr",
+    ),
+    ".ops": (
+        "check_compressed",
+        "expand_by_segments",
+        "segment_lengths",
+        "segment_sums",
+        "transpose_compressed",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CscMatrix",

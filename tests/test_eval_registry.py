@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import convergence
 from repro.experiments.registry import (
     REGISTRY,
     driver,
@@ -12,12 +12,6 @@ from repro.experiments.registry import (
     get_driver,
     run_driver,
 )
-
-
-def test_all_experiments_is_derived_from_the_registry():
-    assert set(ALL_EXPERIMENTS) == set(REGISTRY)
-    for driver_id, fn in ALL_EXPERIMENTS.items():
-        assert fn is REGISTRY[driver_id].fn
 
 
 def test_known_figures_registered():
@@ -56,3 +50,36 @@ def test_run_driver_end_to_end():
 
     fig = run_driver("ext-fault-breakdown", SCALES["tiny"], scenario="chaos")
     assert fig.series
+
+
+def test_lookup_is_cached():
+    assert REGISTRY["fig1"] is REGISTRY["fig1"]
+    assert driver_ids("figure")[:2] == ["fig1", "fig2"]
+
+
+@pytest.fixture
+def fresh_registry(monkeypatch):
+    """The registry with no spec loaded yet, restored afterwards."""
+    monkeypatch.setattr(REGISTRY, "_specs", {})
+    return REGISTRY
+
+
+def test_stray_claims_key_is_an_error(fresh_registry, monkeypatch):
+    stray = dict(convergence.CLAIMS, **{"fig1-typo": convergence.CLAIMS["fig1"]})
+    monkeypatch.setattr(convergence, "CLAIMS", stray)
+    with pytest.raises(RuntimeError, match=r"unknown drivers in .*convergence: \['fig1-typo'\]"):
+        get_driver("fig2")
+
+
+def test_driver_without_claims_is_an_error(fresh_registry, monkeypatch):
+    claims = {k: v for k, v in convergence.CLAIMS.items() if k != "fig1"}
+    monkeypatch.setattr(convergence, "CLAIMS", claims)
+    with pytest.raises(RuntimeError, match="declares no claims for 'fig1'"):
+        get_driver("fig1")
+    assert get_driver("fig2").claims
+
+
+def test_full_registry_builds_with_claims_everywhere(fresh_registry):
+    """Building every spec runs both claims checks on every driver module."""
+    specs = list(fresh_registry.values())
+    assert len(specs) == len(fresh_registry) and all(s.claims for s in specs)

@@ -1,12 +1,13 @@
-"""Tests for the correlation-aware partitioner (networkx-based)."""
+"""Tests for the correlation-aware partitioner."""
 
-import networkx as nx
+import hashlib
+from collections import deque
+
 import numpy as np
 import pytest
 
 from repro.cluster.smart_partition import (
     communities_of,
-    cooccurrence_graph,
     correlation_aware_partition,
     load_proportional_partition,
     make_capacity_partitioner,
@@ -16,6 +17,7 @@ from repro.cluster.smart_partition import (
 )
 from repro.core import DistributedSCD
 from repro.data import make_block_correlated
+from repro.experiments.config import SCALES
 from repro.objectives import RidgeProblem
 from repro.solvers.scd import SequentialKernelFactory
 from repro.sparse import from_dense_csr
@@ -28,58 +30,110 @@ def block_data():
     )
 
 
-class TestCooccurrenceGraph:
-    def test_small_rows_form_cliques(self):
+def bfs_communities(indptr, indices, n_coords):
+    """Independent oracle: breadth-first search over "share a segment"."""
+    segments_of = [[] for _ in range(n_coords)]
+    for j in range(len(indptr) - 1):
+        for i in indices[indptr[j] : indptr[j + 1]]:
+            segments_of[int(i)].append(j)
+    seen = [False] * n_coords
+    out = []
+    for start in range(n_coords):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, queue = [], deque([start])
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for j in segments_of[u]:
+                for v in indices[indptr[j] : indptr[j + 1]]:
+                    if not seen[int(v)]:
+                        seen[int(v)] = True
+                        queue.append(int(v))
+        out.append(sorted(comp))
+    return out
+
+
+def random_csr(rng, n_rows, n_cols, density):
+    dense = np.where(rng.random((n_rows, n_cols)) < density, 1.0, 0.0)
+    return from_dense_csr(dense)
+
+
+class TestCommunities:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.08, 0.3])
+    def test_matches_breadth_first_search(self, seed, density):
+        rng = np.random.default_rng(seed)
+        csr = random_csr(rng, int(rng.integers(1, 40)), int(rng.integers(1, 60)), density)
+        got = communities_of(csr.indptr, csr.indices, csr.shape[1])
+        want = bfs_communities(csr.indptr, csr.indices, csr.shape[1])
+        assert [c.tolist() for c in got] == want
+        assert all(c.dtype == np.int64 for c in got)
+
+    def test_rows_join_their_features(self):
         dense = np.zeros((2, 5))
         dense[0, [0, 1, 2]] = 1.0
         dense[1, [3, 4]] = 1.0
         csr = from_dense_csr(dense)
-        g = cooccurrence_graph(csr.indptr, csr.indices, 5)
-        assert g.has_edge(0, 1) and g.has_edge(0, 2) and g.has_edge(1, 2)
-        assert g.has_edge(3, 4)
-        assert not g.has_edge(2, 3)
+        got = communities_of(csr.indptr, csr.indices, 5)
+        assert [c.tolist() for c in got] == [[0, 1, 2], [3, 4]]
 
-    def test_long_rows_form_rings(self):
+    def test_row_longer_than_a_clique_is_one_community(self):
+        # longer than the 12-member cliques the old graph builder switched at
         dense = np.zeros((1, 20))
         dense[0, :] = 1.0
         csr = from_dense_csr(dense)
-        g = cooccurrence_graph(csr.indptr, csr.indices, 20, max_clique=4)
-        # a ring over all 20 features: connected, sparse
-        assert nx.is_connected(g)
-        assert g.number_of_edges() <= 20
+        got = communities_of(csr.indptr, csr.indices, 20)
+        assert [c.tolist() for c in got] == [list(range(20))]
 
-    def test_edge_weights_count_cooccurrences(self):
-        dense = np.zeros((3, 3))
-        dense[:, [0, 1]] = 1.0  # features 0,1 co-occur in 3 rows
+    def test_isolated_coordinates_are_singletons(self):
+        dense = np.zeros((3, 4))
+        dense[0, 2] = 1.0  # single-entry row; rows 1 and 2 are empty segments
         csr = from_dense_csr(dense)
-        g = cooccurrence_graph(csr.indptr, csr.indices, 3)
-        assert g[0][1]["weight"] == 3
+        got = communities_of(csr.indptr, csr.indices, 4)
+        assert [c.tolist() for c in got] == [[0], [1], [2], [3]]
 
-    def test_isolated_coordinates_are_nodes(self):
-        dense = np.zeros((1, 4))
-        dense[0, 0] = 1.0
+    def test_chains_merge_through_shared_coordinates(self):
+        # rows {5, 9}, {1, 9}, {1, 0} link 0-1-9-5; {3, 7} stays apart
+        rows = [[5, 9], [1, 9], [0, 1], [3, 7]]
+        dense = np.zeros((4, 10))
+        for r, cols in enumerate(rows):
+            dense[r, cols] = 1.0
         csr = from_dense_csr(dense)
-        g = cooccurrence_graph(csr.indptr, csr.indices, 4)
-        assert g.number_of_nodes() == 4
+        got = communities_of(csr.indptr, csr.indices, 10)
+        assert [c.tolist() for c in got] == [[0, 1, 5, 9], [2], [3, 7], [4], [6], [8]]
 
-
-class TestCommunities:
     def test_block_data_splits_into_blocks(self, block_data):
         csr = block_data.csr
-        g = cooccurrence_graph(csr.indptr, csr.indices, block_data.n_features)
-        comms = communities_of(g)
+        comms = communities_of(csr.indptr, csr.indices, block_data.n_features)
         # with zero cross-block leakage: >= n_blocks communities (plus
         # possibly isolated never-drawn features)
         big = [c for c in comms if c.shape[0] > 10]
         assert len(big) == 4
 
-    def test_refinement_splits_large_components(self):
-        # one big clique-ish component
-        g = nx.barbell_graph(10, 0)  # two cliques joined by an edge
-        for u, v in g.edges:
-            g[u][v]["weight"] = 1
-        comms = communities_of(g, refine_above=5)
-        assert len(comms) >= 2
+
+def test_ext_smart_partition_partitions_are_frozen():
+    """The ext-smart-partition dataset's partitions, bitwise as first recorded."""
+    scale = SCALES["tiny"]
+    ds = make_block_correlated(
+        n_examples=max(600, scale.webspam_n), n_features=1_600, n_blocks=8, seed=17
+    )
+    digests = {}
+    for n_parts in (1, 3, 8):
+        parts = make_correlation_partitioner(ds.csr)(
+            ds.n_features, n_parts, np.random.default_rng(0)
+        )
+        h = hashlib.sha256()
+        for p in parts:
+            h.update(np.int64(p.shape[0]).tobytes())
+            h.update(np.ascontiguousarray(p, dtype=np.int64).tobytes())
+        digests[n_parts] = h.hexdigest()[:16]
+    assert digests == {
+        1: "e5e4c7cab0ba4df6",
+        3: "8b1806ed9841e1a9",
+        8: "0c6a78841c98df5f",
+    }
 
 
 class TestPackCommunities:
