@@ -18,15 +18,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..core.scale import CRITEO_PAPER, WEBSPAM_PAPER, PaperScale
-from ..core.tpa_scd import TpaScdKernelFactory, scaled_wave_size
 from ..data import Dataset, make_criteo_like, make_webspam_like
 from ..gpu.device import GpuDevice
 from ..gpu.spec import GpuSpec
 from ..objectives.ridge import RidgeProblem
 from ..solvers.ascd import AsyncCpuKernelFactory
 from ..solvers.scd import SequentialKernelFactory
+
+if TYPE_CHECKING:
+    from ..core.tpa_scd import TpaScdKernelFactory
 
 __all__ = [
     "ScaleConfig",
@@ -189,6 +192,10 @@ def tpa_factory(
     ``n_workers`` shrinks both the scaled and the paper coordinate counts so
     per-worker wave sizing stays consistent in the distributed setting.
     """
+    # imported here so a resumed ``repro eval`` never loads the engine (and
+    # with it the native loader)
+    from ..core.tpa_scd import TpaScdKernelFactory, scaled_wave_size
+
     n_coords_scaled = (
         problem.m if formulation == "primal" else problem.n
     ) // n_workers

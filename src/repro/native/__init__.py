@@ -2,8 +2,11 @@
 
 The C sources next to this module are the compiled twins of numpy kernels
 elsewhere in the package — ``syscd.c`` of :mod:`repro.solvers.syscd_kernels`,
-``tpa.c`` of Algorithm 2's wave loop (:mod:`repro.gpu.engine`).  They are
-built together on first use with the host's C compiler (:data:`CC`,
+``tpa.c`` of Algorithm 2's wave loop (:mod:`repro.gpu.engine`), ``sparse.c``
+of the float64 products of :class:`~repro.sparse.CscMatrix` and
+:class:`~repro.sparse.CsrMatrix` (``matvec`` / ``rmatvec`` from
+``repro.sparse.matrix.NATIVE_MIN_NNZ`` nonzeros up).  They are built
+together on first use with the host's C compiler (:data:`CC`,
 :data:`CFLAGS`) into a per-user cache directory and loaded through
 :mod:`ctypes`, which releases the GIL for the duration of every call.
 
@@ -15,10 +18,11 @@ changes speed, never results.
 
 Foreign code handed a wrong dtype or an out-of-range index corrupts memory
 instead of raising, so bindings pass every array through :func:`address`
-(dtype, C order, length, writeability) and every compressed matrix through
-:func:`check_structure` before the first foreign call.  The engines run the
-structure check before choosing between a kernel and its numpy twin, so a
-malformed matrix fails the same way on both.
+(dtype, C order, length, writeability).  The engines also pass every
+compressed matrix through :func:`check_structure` before choosing between a
+kernel and its numpy twin, so a malformed matrix fails the same way on
+both; the sparse products instead check the structure inside the C loop,
+on every call, and return a status the binding raises as ``ValueError``.
 """
 
 from __future__ import annotations
@@ -52,11 +56,13 @@ CC = "cc"
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _P, _F64, _I64 = ctypes.c_void_p, ctypes.c_double, ctypes.c_int64
-#: every exported function's argument types (all return void)
+#: every exported function's result type (None: void) and argument types
 _SIGNATURES = {
-    "syscd_exact_pass": [_P] * 5 + [_F64] + [_P] * 3 + [_I64],
-    "syscd_bucket_chunk": [_P] * 5 + [_F64] + [_P] * 6 + [_I64],
-    "tpa_epoch": [_P] * 4 + [_I64] + [_P] * 5 + [_I64] * 3 + [_P] * 3,
+    "syscd_exact_pass": (None, [_P] * 5 + [_F64] + [_P] * 3 + [_I64]),
+    "syscd_bucket_chunk": (None, [_P] * 5 + [_F64] + [_P] * 6 + [_I64]),
+    "tpa_epoch": (None, [_P] * 4 + [_I64] + [_P] * 5 + [_I64] * 3 + [_P] * 3),
+    "sparse_scatter": (_I64, [_P] * 3 + [_I64] * 3 + [_P] * 2),
+    "sparse_gather": (_I64, [_P] * 3 + [_I64] * 3 + [_P] * 2),
 }
 
 _LOCK = threading.Lock()
@@ -89,8 +95,8 @@ def load_native() -> ctypes.CDLL:
             _NATIVE[CC] = lib
     if isinstance(lib, str):
         raise NativeUnavailableError(
-            "the native C kernels are unavailable (kernel_backend='auto' and "
-            f"TPA-SCD fall back to numpy): {lib}"
+            "the native C kernels are unavailable (kernel_backend='auto', "
+            f"TPA-SCD and the sparse products fall back to numpy): {lib}"
         )
     return lib
 
@@ -143,10 +149,10 @@ def _build_and_load() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     lib = ctypes.CDLL(str(target))
-    for name, argtypes in _SIGNATURES.items():
+    for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
-        fn.restype = None
+        fn.restype = restype
     return lib
 
 

@@ -7,6 +7,11 @@ examples, i.e. rows).  Both formats are implemented here with exactly the
 views the solvers need: O(1) access to one coordinate's nonzeros, vectorized
 matvec / rmatvec, per-coordinate squared norms, and cheap sub-selection along
 the major axis for distributed partitioning.
+
+The two products run in numpy, which is also their reference.  A float64
+product over at least :data:`NATIVE_MIN_NNZ` nonzeros runs the bit-identical
+compiled twin instead (``repro/native/sparse.c``), built and loaded on the
+first such product, never at import; without a C compiler it stays on numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +30,19 @@ from .ops import (
 __all__ = ["CscMatrix", "CsrMatrix", "from_coo", "from_dense_csc", "from_dense_csr"]
 
 _INDEX_DTYPE = np.int64
+
+#: nnz from which a float64 product calls the compiled kernel: below it the
+#: foreign call's fixed cost loses to numpy (measured, docs/performance.md)
+NATIVE_MIN_NNZ = 4096
+
+#: what each non-zero ``repro/native/sparse.c`` status says is wrong
+_NATIVE_DEFECTS = {
+    1: "indptr must start at 0",
+    2: "indptr must be non-decreasing",
+    3: "indptr points past the last stored entry",
+    4: "indptr[-1] is less than nnz",
+    5: "an index lies outside the minor axis",
+}
 
 
 class _CompressedBase:
@@ -113,6 +131,10 @@ class _CompressedBase:
             raise ValueError(
                 f"operand has length {x_major.shape[0]}, expected {self.n_major}"
             )
+        if self.indices.shape[0] >= NATIVE_MIN_NNZ:
+            out = _native_product("sparse_scatter", self, x_major, self.n_minor)
+            if out is not None:
+                return out
         out = np.zeros(self.n_minor, dtype=np.result_type(self.dtype, x_major.dtype))
         contrib = self.data * expand_by_segments(x_major, self.indptr)
         np.add.at(out, self.indices, contrib)
@@ -127,6 +149,10 @@ class _CompressedBase:
             raise ValueError(
                 f"operand has length {x_minor.shape[0]}, expected {self.n_minor}"
             )
+        if self.indices.shape[0] >= NATIVE_MIN_NNZ:
+            out = _native_product("sparse_gather", self, x_minor, self.n_major)
+            if out is not None:
+                return out
         prods = self.data * x_minor[self.indices]
         return segment_sums(prods, self.indptr)
 
@@ -188,6 +214,49 @@ class _CompressedBase:
             f"{type(self).__name__}(shape={self.shape}, nnz={self.nnz}, "
             f"dtype={self.dtype})"
         )
+
+
+def _native_product(kernel: str, matrix: _CompressedBase, x: np.ndarray,
+                    n_out: int) -> np.ndarray | None:
+    """``kernel`` of ``repro/native/sparse.c`` on ``matrix`` and ``x``.
+
+    The caller calls it only from :data:`NATIVE_MIN_NNZ` nonzeros up, which
+    keeps small products (serving's per-request rows) to one comparison.
+    Returns ``None``, and the caller runs numpy, unless the product is a
+    float64 one (float64 data, and ``x`` a vector numpy would promote to
+    float64, to which it is cast) and the library builds or loads.  The
+    kernel checks the structure as it walks it, so a matrix corrupted after
+    construction is a ``ValueError`` naming the defect (numpy raises
+    ``IndexError`` for an index past the minor axis and wraps a negative one
+    silently).
+    """
+    if not (
+        matrix.data.dtype == np.float64
+        and x.ndim == 1
+        and np.result_type(matrix.data, x) == np.float64
+    ):
+        return None
+    from .. import native
+
+    try:
+        lib = native.load_native()
+    except native.NativeUnavailableError:
+        return None
+    x = np.ascontiguousarray(x, np.float64)
+    out = np.zeros(n_out, np.float64)
+    status = getattr(lib, kernel)(
+        native.address(matrix.indptr, np.int64, "indptr", matrix.n_major + 1),
+        native.address(matrix.indices, np.int64, "indices"),
+        native.address(matrix.data, np.float64, "data", matrix.nnz),
+        matrix.n_major,
+        matrix.n_minor,
+        matrix.nnz,
+        native.address(x, np.float64, "x"),
+        native.address(out, np.float64, "out", writeable=True),
+    )
+    if status:
+        raise ValueError(f"{type(matrix).__name__}: {_NATIVE_DEFECTS[status]}")
+    return out
 
 
 def _ranges_concat(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@ These helpers operate on raw ``(indptr, indices, data)`` triplets so the hot
 paths of the solvers can stay allocation-light and fully vectorized.  They are
 written against plain :mod:`numpy` only — no scipy.sparse — because the
 compressed formats themselves are part of the substrate this project builds
-from scratch.
+from scratch.  :func:`segment_sums` is also the arithmetic the compiled
+gather product (``repro/native/sparse.c``) replays bit for bit: one float64
+running prefix over all entries, each segment's sum a difference of two of
+its values.
 """
 
 from __future__ import annotations

@@ -71,10 +71,36 @@ class TestFreshInterpreter:
             f" '--out-dir', {str(args['out_dir'])!r}, '--cache-dir', {str(args['cache_dir'])!r}])\n"
             "assert code == 0, code\n"
         )
-        for package in ("repro.cluster", "repro.serve", "repro.shards"):
+        for package in ("repro.cluster", "repro.serve", "repro.shards", "repro.native"):
             assert not under(loaded, package), package
         drivers = {f"repro.experiments.{row.module}" for row in registry._DRIVERS}
         assert drivers & loaded == {"repro.experiments.convergence"}
+
+    def test_import_sparse_loads_no_native_library_and_no_ctypes(self):
+        loaded = modules_after("import repro.sparse")
+        assert "repro.native" not in loaded
+        assert "ctypes" not in loaded
+
+    def test_native_library_loads_on_the_first_product_above_the_crossover(self):
+        """Small products (serving's per-request rows) and float32 ones never
+        import the loader; importing it builds nothing; the first float64
+        product over ``NATIVE_MIN_NNZ`` nonzeros builds or loads the library
+        (or, without a compiler, records why it cannot)."""
+        modules_after(
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.sparse import CscMatrix, CsrMatrix\n"
+            "from repro.sparse.matrix import NATIVE_MIN_NNZ as n\n"
+            "small = CsrMatrix((2, 5), [0, 2, 3], [0, 4, 1], [1.0, 2.0, 3.0])\n"
+            "small.matvec(np.ones(5)), small.rmatvec(np.ones(2))\n"
+            "big = CscMatrix((n, 1), [0, n], np.arange(n), np.ones(n))\n"
+            "big.astype(np.float32).matvec(np.ones(1))\n"
+            "assert 'repro.native' not in sys.modules\n"
+            "from repro import native\n"
+            "assert native._NATIVE == {}, native._NATIVE\n"
+            "big.matvec(np.ones(1))\n"
+            "assert list(native._NATIVE) == [native.CC], native._NATIVE\n"
+        )
 
 
 @pytest.mark.parametrize("name", LAZY_PACKAGES)
