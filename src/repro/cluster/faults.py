@@ -245,7 +245,7 @@ class FaultInjector:
 
         Keyed on ``(seed, shard_id, read_index)`` rather than any global
         counter, so the schedule is independent of how reads from multiple
-        workers or prefetch threads interleave.
+        workers interleave and of which thread performs them.
         """
         rate = self.spec.shard_read_failure_rate
         if rate <= 0.0:

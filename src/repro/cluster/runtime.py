@@ -412,11 +412,15 @@ class InProcessBackend:
             if wf.dropout:
                 report.dropouts += 1
                 continue
+            streamer = solver.streamer(rank)
+            if streamer is not None:
+                # with prefetch the shard pass reads on the streamer's thread
+                # while the local round computes
+                streamer.begin_epoch()
             upd = solver.local_round(rank, shared)
             out.fault_free_compute_s = max(out.fault_free_compute_s, upd.compute_s)
             worker_wall = upd.compute_s * wf.straggler_multiplier
             out.max_compute_s = max(out.max_compute_s, worker_wall)
-            streamer = solver.streamer(rank)
             if streamer is not None:
                 # stream the shard group once per local round; with prefetch
                 # only the excess over compute extends this worker's wall clock

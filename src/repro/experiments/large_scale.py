@@ -152,8 +152,9 @@ def run_fig10_outofcore(scale: ScaleConfig | None = None) -> FigureResult:
 
     The criteo-like sample is packed into a rows-axis shard set billed at
     the paper's 40 GB footprint; a single Titan X worker streams the shard
-    groups through a device-budgeted LRU cache (double-buffered prefetch
-    over the PCIe link model) instead of holding the dataset resident.
+    groups through a device-budgeted LRU cache (prefetch: each epoch's shard
+    pass reads during compute, billed double-buffered over the PCIe link
+    model) instead of holding the dataset resident.
     The run must finish without :class:`GpuOutOfMemoryError`, evict shards
     along the way, and produce weights bit-identical to the resident run.
     """

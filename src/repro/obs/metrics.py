@@ -31,7 +31,7 @@ name                       meaning
 ``faults.*``               fault-report totals (dropouts, stragglers,
                            dropped/stale updates, retry exhaustion)
 ``shards.cache.hit``       shard served warm from the LRU cache
-``shards.cache.miss``      shard read from disk (foreground or prefetch)
+``shards.cache.miss``      shard read from disk (training or streamer thread)
 ``shards.cache.evict``     shard evicted to stay under the byte budget
 ``shards.cache.bytes``     (gauge) bytes currently resident in the cache
 ``shards.cache.bytes_read`` bytes loaded from disk into the cache

@@ -1,11 +1,12 @@
 """repro.shards — out-of-core sharded dataset store.
 
-Packs a :class:`~repro.data.Dataset` into contiguous on-disk shards
-(:mod:`.format`), serves them lazily with integrity checks and injectable
-read faults (:mod:`.store`), keeps a byte-budgeted LRU residency optionally
-backed by simulated GPU memory (:mod:`.cache`), reads ahead on a background
-thread (:mod:`.prefetch`), and bills every disk read as a modelled
-host→device transfer so streaming cost lands in the
+Packs a :class:`~repro.data.Dataset` into contiguous raw on-disk shards
+(:mod:`.format`), serves them on demand with size and CRC checks and
+injectable read faults (:mod:`.store`), keeps a byte-budgeted LRU residency
+optionally backed by simulated GPU memory (:mod:`.cache`), and streams each
+worker's shard group once per epoch — on the streamer's own thread during
+the worker's compute when prefetch is on — billing every disk read as a
+modelled host→device transfer so streaming cost lands in the
 :class:`~repro.perf.ledger.TimeLedger` (:mod:`.streaming`).
 
 The design contract: out-of-core training is **bit-identical** to in-memory
@@ -26,7 +27,6 @@ _EXPORTS = {
         "load_manifest",
         "pack_dataset",
     ),
-    ".prefetch": ("Prefetcher",),
     ".store": ("Shard", "ShardHandle", "ShardReadError", "ShardStore"),
     ".streaming": ("ShardingConfig", "ShardStreamer"),
 }
@@ -45,7 +45,6 @@ __all__ = [
     "ShardReadError",
     "ShardCache",
     "CacheLookup",
-    "Prefetcher",
     "ShardingConfig",
     "ShardStreamer",
 ]

@@ -20,24 +20,20 @@ Two budget modes:
 Billing uses ``byte_scale`` to price the scaled-down reproduction data at
 paper-scale footprints (e.g. a few-MB synthetic criteo billed as 40 GB).
 
-Thread-safety: :meth:`fetch` may be called concurrently by the training
-thread and a :class:`~repro.shards.prefetch.Prefetcher`.  A per-shard
-in-flight latch deduplicates concurrent loads of the same shard.  Only the
-*foreground* path opens tracer spans (the span stack is single-threaded by
-design); metric counters are plain dict updates and safe from both sides.
-
-Accounting semantics (deterministic with or without prefetch):
-
-* ``shards.cache.miss`` counts disk reads, wherever they run;
-* a prefetched shard is inserted *fresh* — the first foreground fetch of a
-  fresh entry reports ``loaded=True`` so the streaming model bills its
-  transfer exactly once, same as an unprefetched miss;
-* ``shards.cache.hit`` counts foreground fetches served warm (non-fresh).
+Threading: one thread fetches at a time.  The
+:class:`~repro.shards.streaming.ShardStreamer` that owns a cache runs each
+epoch's pass either on the training thread or, with prefetch, on its own
+thread while the training thread computes — and joins that thread before
+anything else touches the cache.  So the cache holds no lock, and its
+accounting is deterministic: every :meth:`fetch` is exactly one
+``shards.cache.hit`` (served warm) or one ``shards.cache.miss`` (one disk
+read), wherever it runs.  The tracer it is given decides whether fetches
+open ``shard.load`` / ``shard.evict`` spans; the streamer hands its thread
+a counters-only view, because the span stack is single-threaded.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -54,20 +50,22 @@ class CacheLookup:
     shard: Shard
     #: served from residency (False = this call went to disk)
     hit: bool
-    #: this fetch consumed a disk read the caller should bill (a miss, or
-    #: the first foreground touch of a prefetched shard)
-    loaded: bool
-    #: transient read failures survived by the billed load
-    read_failures: int = 0
+
+    @property
+    def loaded(self) -> bool:
+        """This fetch performed a disk read the caller should bill."""
+        return not self.hit
+
+    @property
+    def read_failures(self) -> int:
+        """Transient read failures survived by this fetch's disk read."""
+        return 0 if self.hit else self.shard.read_failures
 
 
 @dataclass
 class _Entry:
     shard: Shard
     billed: int
-    #: inserted by the prefetcher and not yet consumed by the foreground
-    fresh: bool = False
-    read_failures: int = 0
 
 
 class ShardCache:
@@ -91,8 +89,6 @@ class ShardCache:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._device = None  # DeviceMemory once attached
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
-        self._lock = threading.RLock()
-        self._inflight: dict[int, threading.Event] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -104,8 +100,7 @@ class ShardCache:
 
     @property
     def used_bytes(self) -> int:
-        with self._lock:
-            return sum(e.billed for e in self._entries.values())
+        return sum(e.billed for e in self._entries.values())
 
     def attach_device(self, device_memory) -> None:
         """Back residency with a simulated GPU's ``DeviceMemory``.
@@ -114,10 +109,9 @@ class ShardCache:
         before the first epoch streams), so every resident shard has a
         matching device allocation.
         """
-        with self._lock:
-            if self._entries:
-                raise RuntimeError("attach_device requires an empty cache")
-            self._device = device_memory
+        if self._entries:
+            raise RuntimeError("attach_device requires an empty cache")
+        self._device = device_memory
 
     def _fits(self, billed: int) -> bool:
         if self._device is not None:
@@ -127,127 +121,70 @@ class ShardCache:
         return True
 
     # -- core --------------------------------------------------------------
-    def fetch(self, shard_id: int, *, background: bool = False) -> CacheLookup:
-        """Return the shard, loading and caching it if necessary.
-
-        ``background=True`` marks a prefetcher call: the load is counted as
-        a miss and inserted fresh, but no tracer spans are opened and no hit
-        is recorded.
-        """
+    def fetch(self, shard_id: int) -> CacheLookup:
+        """Return the shard, loading and caching it if necessary."""
         shard_id = int(shard_id)
-        while True:
-            with self._lock:
-                entry = self._entries.get(shard_id)
-                if entry is not None:
-                    self._entries.move_to_end(shard_id)
-                    if background:
-                        return CacheLookup(entry.shard, hit=True, loaded=False)
-                    if entry.fresh:
-                        # first foreground touch of a prefetched shard: the
-                        # disk read already happened, bill its transfer now
-                        entry.fresh = False
-                        return CacheLookup(
-                            entry.shard,
-                            hit=True,
-                            loaded=True,
-                            read_failures=entry.read_failures,
-                        )
-                    self.hits += 1
-                    self.tracer.count("shards.cache.hit")
-                    return CacheLookup(entry.shard, hit=True, loaded=False)
-                latch = self._inflight.get(shard_id)
-                if latch is None:
-                    self._inflight[shard_id] = latch = threading.Event()
-                    break  # this thread owns the load
-            # another thread is loading this shard: wait, then re-check
-            latch.wait()
+        entry = self._entries.get(shard_id)
+        if entry is not None:
+            self._entries.move_to_end(shard_id)
+            self.hits += 1
+            self.tracer.count("shards.cache.hit")
+            return CacheLookup(entry.shard, hit=True)
+        return CacheLookup(self._load(shard_id), hit=False)
 
-        try:
-            shard = self._load(shard_id, background=background)
-        finally:
-            with self._lock:
-                self._inflight.pop(shard_id).set()
-        return CacheLookup(
-            shard,
-            hit=False,
-            loaded=not background,
-            read_failures=shard.read_failures,
-        )
-
-    def _load(self, shard_id: int, *, background: bool) -> Shard:
+    def _load(self, shard_id: int) -> Shard:
         billed = self.billed_bytes(shard_id)
-        span = (
-            NULL_TRACER.span("")
-            if background
-            else self.tracer.span(
-                "shard.load",
-                category="shards",
-                shard=shard_id,
-                nbytes=billed,
-            )
-        )
-        with span:
+        with self.tracer.span(
+            "shard.load", category="shards", shard=shard_id, nbytes=billed
+        ):
             shard = self.store.read(shard_id)
-        with self._lock:
-            # counters are read-modify-write: keep them under the lock so
-            # concurrent prefetch/foreground loads of different shards
-            # cannot lose increments
-            self.misses += 1
-            self.tracer.count("shards.cache.miss")
-            self.tracer.count("shards.cache.bytes_read", billed)
-            self._evict_until_fits(billed, background=background)
-            if self._fits(billed):
-                if self._device is not None:
-                    self._device.alloc(self._buffer_name(shard_id), billed)
-                self._entries[shard_id] = _Entry(
-                    shard=shard,
-                    billed=billed,
-                    fresh=background,
-                    read_failures=shard.read_failures,
-                )
-            # else: shard larger than the whole budget — serve it transient
-            self.tracer.gauge("shards.cache.bytes", self.used_bytes)
+        self.misses += 1
+        self.tracer.count("shards.cache.miss")
+        self.tracer.count("shards.cache.bytes_read", billed)
+        self._evict_until_fits(billed)
+        if self._fits(billed):
+            if self._device is not None:
+                self._device.alloc(self._buffer_name(shard_id), billed)
+            self._entries[shard_id] = _Entry(shard=shard, billed=billed)
+        # else: shard larger than the whole budget — serve it transient
+        self.tracer.gauge("shards.cache.bytes", self.used_bytes)
         return shard
 
     def _buffer_name(self, shard_id: int) -> str:
         return f"shard:{self.store.manifest.name}:{shard_id}"
 
-    def _evict_until_fits(self, billed: int, *, background: bool) -> None:
-        """Drop LRU entries (lock held) until ``billed`` fits the budget."""
+    def _evict_until_fits(self, billed: int) -> None:
+        """Drop LRU entries until ``billed`` fits the budget."""
         while self._entries and not self._fits(billed):
             victim_id, victim = self._entries.popitem(last=False)
             if self._device is not None:
                 self._device.free(self._buffer_name(victim_id))
             self.evictions += 1
             self.tracer.count("shards.cache.evict")
-            if not background:
-                with self.tracer.span(
-                    "shard.evict",
-                    category="shards",
-                    shard=victim_id,
-                    nbytes=victim.billed,
-                ):
-                    pass
+            with self.tracer.span(
+                "shard.evict",
+                category="shards",
+                shard=victim_id,
+                nbytes=victim.billed,
+            ):
+                pass
 
     # -- maintenance -------------------------------------------------------
     def contains(self, shard_id: int) -> bool:
-        with self._lock:
-            return int(shard_id) in self._entries
+        return int(shard_id) in self._entries
 
     def clear(self) -> None:
-        with self._lock:
-            if self._device is not None:
-                for shard_id in self._entries:
-                    self._device.free(self._buffer_name(shard_id))
-            self._entries.clear()
-            self.tracer.gauge("shards.cache.bytes", 0)
+        if self._device is not None:
+            for shard_id in self._entries:
+                self._device.free(self._buffer_name(shard_id))
+        self._entries.clear()
+        self.tracer.gauge("shards.cache.bytes", 0)
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "resident": len(self._entries),
-                "used_bytes": sum(e.billed for e in self._entries.values()),
-            }
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "resident": len(self._entries),
+            "used_bytes": self.used_bytes,
+        }

@@ -2,16 +2,16 @@
 
 A *shard set* is a directory holding contiguous major-axis slices of one
 compressed matrix — rows of the CSR layout (dual coordinates / examples) or
-columns of the CSC layout (primal coordinates / features) — one uncompressed
-``.npz`` per shard plus a JSON manifest describing the whole set:
+columns of the CSC layout (primal coordinates / features) — one raw
+``.bin`` file per shard plus a JSON manifest describing the whole set:
 
 .. code-block:: text
 
     shardset/
-        shardset.manifest.json      # schema repro.shards/v1
+        shardset.manifest.json      # schema repro.shards/v2
         labels.npy                  # the full label vector, stored once
-        shard-0000.npz              # indptr / indices / data of slice 0
-        shard-0001.npz
+        shard-0000.bin              # indptr ‖ indices ‖ data of slice 0
+        shard-0001.bin
         ...
 
 Contiguity is the load-bearing property: re-concatenating a run of shards
@@ -20,16 +20,21 @@ what lets out-of-core training promise bit-identical trajectories to the
 in-memory path.  Shards are cut to near-equal byte sizes (not equal
 coordinate counts) so the streaming cost per shard is balanced.
 
-Each shard records a CRC-32 over its three arrays so a corrupted or
-truncated file is detected at read time rather than silently training on
-garbage.  Shard files use uncompressed ``np.savez``: members of an ``.npz``
-are only decoded when accessed, so opening an archive is cheap and the cost
-of a shard read is proportional to the arrays actually pulled.
+A shard file is its three arrays back to back with no header: ``indptr``
+(``stop - start + 1`` entries), then ``indices`` and ``data`` (``nnz``
+entries each), in the dtypes the manifest records with their byte order
+(``dtype.str``, e.g. ``<i8`` / ``<f8``).  Every offset is a multiple of its
+array's item size, so a reader takes all three as aligned views of one
+buffer filled by a single read.  Each shard records a CRC-32 over its file
+(equal to the CRC chained over the three arrays), so a corrupted file is
+detected at read time rather than silently training on garbage; a file
+whose size differs from the manifest's is always rejected.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +55,7 @@ __all__ = [
 ]
 
 #: manifest schema identifier (bump on incompatible layout changes)
-SHARD_SCHEMA = "repro.shards/v1"
+SHARD_SCHEMA = "repro.shards/v2"
 
 #: fixed manifest filename inside a shard-set directory
 MANIFEST_NAME = "shardset.manifest.json"
@@ -58,15 +63,21 @@ MANIFEST_NAME = "shardset.manifest.json"
 #: fixed filename of the label vector (stored once, not per shard)
 LABELS_NAME = "labels.npy"
 
-#: index/data dtypes a v1 shard set stores (matches ``repro.sparse``)
+#: index dtype a shard set stores (matches ``repro.sparse``)
 _INDEX_DTYPE = np.int64
+
+#: the arrays of one shard file, in file order
+ARRAYS = ("indptr", "indices", "data")
 
 
 def _crc_arrays(*arrays: np.ndarray) -> int:
-    """CRC-32 chained over the raw bytes of ``arrays`` (order-sensitive)."""
+    """CRC-32 chained over the raw bytes of ``arrays`` (order-sensitive).
+
+    Equal to the CRC of their concatenation, i.e. of a shard file.
+    """
     crc = 0
     for arr in arrays:
-        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
+        crc = zlib.crc32(np.ascontiguousarray(arr), crc)
     return crc & 0xFFFFFFFF
 
 
@@ -117,7 +128,8 @@ class ShardManifest:
     name: str
     axis: str  # "rows" (CSR slices) or "cols" (CSC slices)
     shape: tuple[int, int]
-    dtype: str  # value dtype of the data arrays
+    #: ``dtype.str`` (byte order included) of each array in :data:`ARRAYS`
+    dtypes: dict
     total_nbytes: int  # sum of per-shard payload bytes
     shards: tuple[ShardMeta, ...]
     meta: dict
@@ -131,14 +143,18 @@ class ShardManifest:
         """Major-axis length: rows for ``rows`` shard sets, columns for ``cols``."""
         return self.shape[0] if self.axis == "rows" else self.shape[1]
 
+    @property
+    def dtype(self) -> str:
+        """Value dtype name of the data arrays (e.g. ``float64``)."""
+        return np.dtype(self.dtypes["data"]).name
+
     def to_dict(self) -> dict:
         return {
             "schema": SHARD_SCHEMA,
             "name": self.name,
             "axis": self.axis,
             "shape": list(self.shape),
-            "dtype": self.dtype,
-            "index_dtype": np.dtype(_INDEX_DTYPE).name,
+            "dtypes": dict(self.dtypes),
             "labels_path": LABELS_NAME,
             "total_nbytes": self.total_nbytes,
             "n_shards": self.n_shards,
@@ -152,13 +168,14 @@ class ShardManifest:
         if schema != SHARD_SCHEMA:
             raise ValueError(
                 f"unsupported shard manifest schema {schema!r} "
-                f"(expected {SHARD_SCHEMA!r})"
+                f"(expected {SHARD_SCHEMA!r}); re-pack the dataset with "
+                "`repro shards pack`"
             )
         return cls(
             name=str(d["name"]),
             axis=str(d["axis"]),
             shape=(int(d["shape"][0]), int(d["shape"][1])),
-            dtype=str(d["dtype"]),
+            dtypes={name: str(d["dtypes"][name]) for name in ARRAYS},
             total_nbytes=int(d["total_nbytes"]),
             shards=tuple(ShardMeta.from_dict(s) for s in d["shards"]),
             meta=dict(d.get("meta", {})),
@@ -242,10 +259,10 @@ def pack_dataset(
         )
         indices = matrix.indices[lo:hi]
         data = matrix.data[lo:hi]
-        fname = f"shard-{shard_id:04d}.npz"
-        # uncompressed savez: npz members decode lazily, so shard opens are
-        # cheap and read cost tracks the arrays actually accessed
-        np.savez(out / fname, indptr=indptr, indices=indices, data=data)
+        fname = f"shard-{shard_id:04d}.bin"
+        with open(out / fname, "wb") as fh:
+            for arr in (indptr, indices, data):
+                fh.write(np.ascontiguousarray(arr))
         metas.append(
             ShardMeta(
                 shard_id=shard_id,
@@ -262,7 +279,11 @@ def pack_dataset(
         name=dataset.name,
         axis=axis,
         shape=matrix.shape,
-        dtype=matrix.data.dtype.name,
+        dtypes={
+            "indptr": np.dtype(_INDEX_DTYPE).str,
+            "indices": matrix.indices.dtype.str,
+            "data": matrix.data.dtype.str,
+        },
         total_nbytes=sum(m.nbytes for m in metas),
         shards=tuple(metas),
         meta=dict(dataset.meta),
@@ -290,6 +311,34 @@ def load_manifest(root: str | Path) -> ShardManifest:
         or any(a != b for a, b in zip(stops[:-1], starts[1:]))
     ):
         raise ValueError(f"{path}: shards do not tile the major axis")
+    for name, code in manifest.dtypes.items():
+        if not np.dtype(code).isnative:
+            raise ValueError(
+                f"{path}: shard array {name!r} is stored as {code!r}, which "
+                f"is not this {sys.byteorder}-endian host's byte order; "
+                "re-pack the dataset on this host with `repro shards pack`"
+            )
+    index, data = np.dtype(_INDEX_DTYPE), np.dtype(manifest.dtypes["data"])
+    if (
+        np.dtype(manifest.dtypes["indptr"]) != index
+        or np.dtype(manifest.dtypes["indices"]) != index
+        or data not in (np.float32, np.float64)
+    ):
+        # int64 indices keep every array offset a multiple of its item size
+        raise ValueError(
+            f"{path}: unsupported shard dtypes {manifest.dtypes} "
+            f"(indptr and indices {index.str}, data float32 or float64)"
+        )
+    per_entry = index.itemsize + data.itemsize
+    for s in manifest.shards:
+        # a reader slices the file by these lengths: they must add up
+        expected = (s.n_major + 1) * index.itemsize + s.nnz * per_entry
+        if s.nbytes != expected:
+            raise ValueError(
+                f"{path}: shard {s.shard_id} records {s.nbytes} bytes, but "
+                f"{s.n_major + 1} indptr entries and {s.nnz} nonzeros "
+                f"take {expected}"
+            )
     return manifest
 
 

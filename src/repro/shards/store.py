@@ -3,8 +3,11 @@
 A :class:`ShardStore` opens a packed shard set (see :mod:`.format`) and
 serves individual shards on demand.  Nothing is materialized up front: a
 :class:`ShardHandle` is a cheap descriptor (slice, byte size, file path),
-and the arrays only leave disk when :meth:`ShardStore.read` is called —
-via ``np.load(..., mmap_mode="r")``, whose archive members decode lazily.
+and the arrays only leave disk when :meth:`ShardStore.read` is called.  A
+read opens the file unbuffered, requires its size to equal the manifest's
+exactly, fills one fresh buffer with ``readinto``, runs one ``zlib.crc32``
+over it (both release the GIL, so a read on the streamer's thread overlaps
+compute) and returns the three arrays as aligned views of that buffer.
 
 Reads are the unit of fault injection: when the store carries a
 :class:`~repro.cluster.faults.FaultInjector` with a nonzero
@@ -14,12 +17,14 @@ within the :class:`~repro.cluster.faults.RetryPolicy` budget are retried
 (the caller bills their modelled cost); past the budget the read raises
 :class:`ShardReadError`.  Keying the draw on the *per-shard* read count —
 not a global counter — keeps fault schedules identical however reads
-interleave across prefetch threads.
+interleave across workers.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+import zlib
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,11 +41,11 @@ from ..cluster.faults import (
 from ..data.dataset import Dataset
 from ..sparse import CscMatrix, CsrMatrix
 from .format import (
+    ARRAYS,
     LABELS_NAME,
     MATRIX_CLS,
     ShardManifest,
     ShardMeta,
-    _crc_arrays,
     load_manifest,
 )
 
@@ -48,7 +53,7 @@ __all__ = ["ShardHandle", "Shard", "ShardStore", "ShardReadError"]
 
 
 class ShardReadError(RuntimeError):
-    """A shard read failed more times than the retry policy tolerates."""
+    """A shard read failed: retries exhausted, wrong file size, or bad CRC."""
 
 
 @dataclass(frozen=True)
@@ -102,9 +107,10 @@ class ShardStore:
     retry:
         Policy deciding when repeated read failures become fatal.
     verify_checksums:
-        When True every read re-computes the CRC-32 and raises
-        :class:`ShardReadError` on mismatch (used by ``repro shards info``
-        and the round-trip tests; off by default in the training hot path).
+        When True (the default) every read re-computes the CRC-32 of the
+        file and raises :class:`ShardReadError` on mismatch.  False skips
+        only the CRC: a file whose size differs from the manifest's is
+        rejected either way.
     """
 
     def __init__(
@@ -113,7 +119,7 @@ class ShardStore:
         *,
         faults: FaultInjector | FaultSpec | str | None = None,
         retry: RetryPolicy = DEFAULT_RETRY,
-        verify_checksums: bool = False,
+        verify_checksums: bool = True,
     ) -> None:
         self.root = Path(root)
         self.manifest: ShardManifest = load_manifest(self.root)
@@ -129,9 +135,11 @@ class ShardStore:
             )
             for meta in self.manifest.shards
         ]
+        # dtype of each array, in file order
+        self._dtypes = [np.dtype(self.manifest.dtypes[n]) for n in ARRAYS]
         self._y: np.ndarray | None = None
         # per-shard read counters drive the deterministic fault schedule;
-        # the lock keeps them exact under concurrent prefetch reads
+        # the lock keeps them exact if several threads read one store
         self._read_counts: dict[int, int] = defaultdict(int)
         self._lock = threading.Lock()
 
@@ -184,21 +192,48 @@ class ShardStore:
                     f"shard {shard_id} of {self.manifest.name!r}: read failed "
                     f"{failures} times (retry budget {self.retry.max_retries})"
                 )
-        with np.load(handle.path, mmap_mode="r") as archive:
-            indptr = np.asarray(archive["indptr"])
-            indices = np.asarray(archive["indices"])
-            data = np.asarray(archive["data"])
+        buf = self._read_file(handle)
         if self.verify_checksums:
-            crc = _crc_arrays(indptr, indices, data)
+            crc = zlib.crc32(buf)
             if crc != handle.meta.crc32:
                 raise ShardReadError(
                     f"shard {shard_id} of {self.manifest.name!r}: checksum "
                     f"mismatch (manifest {handle.meta.crc32:#010x}, "
                     f"file {crc:#010x})"
                 )
+        meta = handle.meta
+        arrays, offset = [], 0
+        for dtype, count in zip(self._dtypes, (meta.n_major + 1, meta.nnz, meta.nnz)):
+            end = offset + count * dtype.itemsize
+            arrays.append(buf[offset:end].view(dtype))
+            offset = end
         cls = MATRIX_CLS[self.manifest.axis]
-        matrix = cls(handle.shape, indptr, indices, data, check=False)
+        matrix = cls(handle.shape, *arrays, check=False)
         return Shard(handle=handle, matrix=matrix, read_failures=failures)
+
+    def _read_file(self, handle: ShardHandle) -> np.ndarray:
+        """The shard file's bytes in a fresh buffer; its size must match."""
+        expected = handle.nbytes
+        with open(handle.path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise ShardReadError(
+                    f"shard {handle.shard_id} of {self.manifest.name!r}: "
+                    f"{handle.path.name} holds {size} bytes, the manifest "
+                    f"expects {expected}"
+                )
+            buf = np.empty(expected, dtype=np.uint8)
+            view, filled = memoryview(buf), 0
+            while filled < expected:  # one call unless the OS splits it
+                n = fh.readinto(view[filled:])
+                if not n:
+                    raise ShardReadError(
+                        f"shard {handle.shard_id} of {self.manifest.name!r}: "
+                        f"{handle.path.name} ended after {filled} of "
+                        f"{expected} bytes"
+                    )
+                filled += n
+        return buf
 
     # -- grouping / assembly ------------------------------------------------
     def coords_of(self, shard_ids) -> np.ndarray:

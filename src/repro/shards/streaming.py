@@ -13,10 +13,17 @@ the engine builds from it.  The streamer does three jobs:
    host→device transfer over the configured PCIe/link model into the
    ledger's ``shard_stream`` phase, and retried read failures into
    ``shard_retry``;
-3. **overlap** — with ``prefetch=True`` a background thread reads the next
-   shard while the solver computes, so only the streaming time *exceeding*
-   compute extends the epoch (double buffering); without it, streaming
-   serializes after compute.
+3. **overlap** — with ``prefetch=True``, :meth:`ShardStreamer.begin_epoch`
+   (called by the round loop just before the worker's local round) starts
+   the epoch's whole pass on the streamer's own thread, so the reads run
+   while the solver computes, and :meth:`ShardStreamer.stream_epoch` joins
+   it after compute.  The model bills only the streaming time *exceeding*
+   compute (double buffering).  Without prefetch the pass runs
+   synchronously after compute and the model serializes it.  Either way
+   the pass fetches the same shards in the same order, so cache counters,
+   ledger phases and fault draws are identical; an error in the
+   background pass is re-raised by ``stream_epoch`` on the training
+   thread, exactly as the synchronous pass would raise it.
 
 Streaming never touches the solver's random streams, which is what makes
 out-of-core training bit-identical to in-memory: the cache only changes
@@ -25,15 +32,15 @@ out-of-core training bit-identical to in-memory: the cache only changes
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cluster.faults import DEFAULT_RETRY, RetryPolicy
-from ..obs import NULL_TRACER
+from ..obs import NULL_SPAN, NULL_TRACER
 from ..perf.link import PCIE3_X16_PINNED, Link
 from .cache import ShardCache
-from .prefetch import Prefetcher
 from .store import ShardStore
 
 __all__ = ["ShardingConfig", "ShardStreamer"]
@@ -55,7 +62,8 @@ class ShardingConfig:
     link:
         The host→device link each shard read is billed over.
     prefetch:
-        Enable background readahead (overlaps streaming with compute).
+        Run each epoch's shard pass on the streamer's thread during the
+        worker's compute (overlaps streaming with compute).
     simulated_total_nbytes:
         Paper-scale footprint of the *whole* shard set; shards are billed at
         ``simulated_total_nbytes / store.total_nbytes`` times their actual
@@ -80,6 +88,22 @@ class ShardingConfig:
         return self.simulated_total_nbytes / actual
 
 
+class _CountersOnly:
+    """The tracer view the streamer's thread works through: no spans.
+
+    The span stack is single-threaded; the counters and gauges a pass
+    records are keys nothing else touches while it runs.
+    """
+
+    def __init__(self, tracer) -> None:
+        self.count = tracer.count
+        self.gauge = tracer.gauge
+
+    @staticmethod
+    def span(name: str, category: str = "", **attrs):
+        return NULL_SPAN
+
+
 class ShardStreamer:
     """Per-worker streaming runtime over one contiguous shard group."""
 
@@ -101,9 +125,12 @@ class ShardStreamer:
             config.store,
             budget_bytes=config.cache_budget_bytes,
             byte_scale=config.byte_scale,
-            tracer=self.tracer,
+            # with prefetch every pass runs on the streamer's thread
+            tracer=_CountersOnly(self.tracer) if config.prefetch else self.tracer,
         )
-        self._prefetcher: Prefetcher | None = None
+        self._pass: threading.Thread | None = None
+        #: the pending pass's disk reads, or the exception it raised
+        self._outcome: list = []
 
     # -- setup -------------------------------------------------------------
     def coords(self) -> np.ndarray:
@@ -138,42 +165,76 @@ class ShardStreamer:
         self.cache.attach_device(device_memory)
 
     # -- per-epoch streaming -------------------------------------------------
+    def _fetch_group(self) -> list[tuple[int, int]]:
+        """Fetch the group once; ``(shard id, read failures)`` per disk read.
+
+        Keeps no reference to the shards, so an evicted shard's buffer is
+        freed as the pass moves on.
+        """
+        loads = []
+        for shard_id in self.shard_ids:
+            lookup = self.cache.fetch(shard_id)
+            if lookup.loaded:
+                loads.append((shard_id, lookup.read_failures))
+        return loads
+
+    def begin_epoch(self) -> None:
+        """Start this epoch's shard pass on the streamer's thread.
+
+        Only with prefetch, and only if no pass is pending; otherwise a
+        no-op.  The pass is joined by :meth:`stream_epoch` (or
+        :meth:`close`).
+        """
+        if not self.config.prefetch or self._pass is not None:
+            return
+        outcome = self._outcome = []
+
+        def run() -> None:
+            try:
+                outcome.append(self._fetch_group())
+            except BaseException as exc:  # re-raised by stream_epoch
+                outcome.append(exc)
+
+        self._pass = threading.Thread(
+            target=run, name=f"shard-stream-{self.worker}", daemon=True
+        )
+        self._pass.start()
+
+    def _join(self) -> list:
+        """Wait for the pending pass; clear it; return its outcome."""
+        thread, self._pass = self._pass, None
+        thread.join()
+        return self._outcome.pop()
+
     def stream_epoch(self, ledger, *, compute_s: float = 0.0) -> float:
         """Stream the group once; book modelled cost; return added wall time.
 
-        Every disk read this pass performs (or consumes from the
-        prefetcher) is billed as one transfer of the shard's scaled bytes
-        over ``config.link`` into the ``shard_stream`` ledger phase; retried
+        With prefetch this joins the pass :meth:`begin_epoch` started
+        (starting one first if none is pending) and re-raises its error;
+        without, it runs the pass here.  Every disk read of the pass is
+        billed as one transfer of the shard's scaled bytes over
+        ``config.link`` into the ``shard_stream`` ledger phase; retried
         read failures are billed into ``shard_retry``.  The returned seconds
         are what the pass adds to the worker's epoch beyond ``compute_s``:
         with prefetch the transfers overlap compute and only the excess
         counts; without it they serialize.
         """
         cfg = self.config
-        if cfg.prefetch and self._prefetcher is None:
-            self._prefetcher = Prefetcher(self.cache)
-        ids = self.shard_ids
+        if cfg.prefetch:
+            self.begin_epoch()
+            loads = self._join()
+            if isinstance(loads, BaseException):
+                raise loads
+        else:
+            loads = self._fetch_group()
         stream_s = 0.0
         retry_s = 0.0
-        if self._prefetcher is not None:
-            self._prefetcher.schedule(ids[:1])
-        for i, shard_id in enumerate(ids):
-            if self._prefetcher is not None and i + 1 < len(ids):
-                # double buffering: next shard loads while this one is used
-                self._prefetcher.schedule(ids[i + 1 : i + 2])
-            lookup = self.cache.fetch(shard_id)
-            if lookup.loaded:
-                transfer = cfg.link.transfer_seconds(
-                    self.cache.billed_bytes(shard_id)
-                )
-                stream_s += transfer
-                if lookup.read_failures:
-                    retry_s += cfg.retry.penalty_seconds(
-                        lookup.read_failures, transfer
-                    )
-                    self.tracer.count(
-                        "shards.read_retries", lookup.read_failures
-                    )
+        for shard_id, failures in loads:
+            transfer = cfg.link.transfer_seconds(self.cache.billed_bytes(shard_id))
+            stream_s += transfer
+            if failures:
+                retry_s += cfg.retry.penalty_seconds(failures, transfer)
+                self.tracer.count("shards.read_retries", failures)
         if stream_s > 0.0:
             ledger.add("shard_stream", stream_s)
         if retry_s > 0.0:
@@ -182,9 +243,10 @@ class ShardStreamer:
         return exposed + retry_s
 
     def close(self) -> None:
-        if self._prefetcher is not None:
-            self._prefetcher.close()
-            self._prefetcher = None
+        """Join a pending pass (its outcome is dropped: close runs on error
+        paths, where the error that is already propagating wins)."""
+        if self._pass is not None:
+            self._join()
 
     def __enter__(self) -> "ShardStreamer":
         return self

@@ -8,6 +8,9 @@ and when injected shard-read faults are retried.  Streaming only changes
 """
 
 import json
+import sys
+import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from repro.objectives.svm import SvmProblem
 from repro.obs import Tracer
 from repro.perf.ledger import PAPER_COMPONENTS, TimeLedger
 from repro.shards import (
-    Prefetcher,
     ShardCache,
     ShardingConfig,
     ShardReadError,
@@ -36,9 +38,11 @@ from repro.shards import (
 from repro.shards.format import (
     MANIFEST_NAME,
     SHARD_SCHEMA,
+    _crc_arrays,
     load_manifest,
 )
 from repro.solvers import SequentialSCD
+from repro.sparse.ops import check_compressed
 from repro.solvers.scd import SequentialKernelFactory
 
 
@@ -203,14 +207,118 @@ class TestShardStore:
     def test_checksum_verification_catches_corruption(self, dataset, tmp_path):
         manifest = pack_dataset(dataset, tmp_path, n_shards=3)
         shard_file = tmp_path / manifest.shards[1].path
-        with np.load(shard_file) as z:
-            arrays = {k: z[k].copy() for k in z.files}
-        arrays["data"][0] += 1.0  # silent corruption: valid file, wrong bytes
-        np.savez(shard_file, **arrays)
-        store = ShardStore(tmp_path, verify_checksums=True)
+        raw = bytearray(shard_file.read_bytes())
+        raw[-1] ^= 0x01  # silent corruption: right size, wrong bytes
+        shard_file.write_bytes(bytes(raw))
+        store = ShardStore(tmp_path)
         store.read(0)  # untouched shard still verifies
         with pytest.raises(ShardReadError, match="checksum"):
             store.read(1)
+
+
+class TestShardFileFormat:
+    """The v2 layout: one raw ``indptr ‖ indices ‖ data`` file per shard."""
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["truncated", "too-long"])
+    def test_wrong_file_size_rejected(self, dataset, tmp_path, verify, delta):
+        manifest = pack_dataset(dataset, tmp_path, n_shards=3)
+        meta = manifest.shards[2]
+        shard_file = tmp_path / meta.path
+        raw = shard_file.read_bytes()
+        shard_file.write_bytes(raw[:-1] if delta < 0 else raw + b"\0")
+        store = ShardStore(tmp_path, verify_checksums=verify)
+        actual = meta.nbytes + delta
+        with pytest.raises(
+            ShardReadError, match=rf"holds {actual} bytes.*expects {meta.nbytes}"
+        ):
+            store.read(2)
+
+    def test_v1_manifest_rejected(self, dataset, tmp_path):
+        pack_dataset(dataset, tmp_path, n_shards=2)
+        path = tmp_path / MANIFEST_NAME
+        payload = json.loads(path.read_text())
+        payload["schema"] = "repro.shards/v1"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            ValueError, match=r"'repro\.shards/v1'.*re-pack.*repro shards pack"
+        ):
+            ShardStore(tmp_path)
+
+    def test_foreign_byte_order_rejected(self, dataset, tmp_path):
+        pack_dataset(dataset, tmp_path, n_shards=2)
+        path = tmp_path / MANIFEST_NAME
+        payload = json.loads(path.read_text())
+        native = payload["dtypes"]["data"]
+        swapped = np.dtype(native).newbyteorder("S").str
+        assert swapped != native
+        payload["dtypes"]["data"] = swapped
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"'data'.*{swapped}.*byte order"):
+            ShardStore(tmp_path)
+
+    def test_inconsistent_shard_lengths_rejected(self, dataset, tmp_path):
+        pack_dataset(dataset, tmp_path, n_shards=2)
+        path = tmp_path / MANIFEST_NAME
+        payload = json.loads(path.read_text())
+        payload["shards"][1]["nnz"] -= 1  # nbytes and the file disagree now
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="shard 1 records"):
+            ShardStore(tmp_path)
+
+    def test_manifest_records_dtypes_with_byte_order(self, dataset, tmp_path):
+        pack_dataset(dataset, tmp_path, n_shards=2)
+        payload = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert payload["schema"] == "repro.shards/v2"
+        assert payload["dtypes"] == {
+            "indptr": np.dtype(np.int64).str,
+            "indices": dataset.csr.indices.dtype.str,
+            "data": dataset.csr.data.dtype.str,
+        }
+        assert all(s["path"].endswith(".bin") for s in payload["shards"])
+
+    def test_crc_equals_chained_array_crc(self, dataset, tmp_path):
+        manifest = pack_dataset(dataset, tmp_path, n_shards=4)
+        csr = dataset.csr
+        for meta in manifest.shards:
+            lo, hi = csr.indptr[meta.start], csr.indptr[meta.stop]
+            arrays = (
+                csr.indptr[meta.start : meta.stop + 1] - lo,
+                csr.indices[lo:hi],
+                csr.data[lo:hi],
+            )
+            chained = 0
+            for arr in arrays:  # the v1 manifest's checksum
+                chained = zlib.crc32(arr.tobytes(), chained)
+            assert meta.crc32 == chained == _crc_arrays(*arrays)
+            file_bytes = (tmp_path / meta.path).read_bytes()
+            assert zlib.crc32(file_bytes) == meta.crc32
+            assert len(file_bytes) == meta.nbytes
+
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_reads_equal_take_major(self, dataset, tmp_path, axis, dtype):
+        ds = dataset.astype(dtype)
+        pack_dataset(ds, tmp_path, axis=axis, n_shards=5)
+        matrix = ds.csr if axis == "rows" else ds.csc
+        store = ShardStore(tmp_path)
+        for handle in store.handles:
+            got = store.read(handle.shard_id).matrix
+            expect = matrix.take_major(handle.coords())
+            assert type(got) is type(expect)
+            assert got.shape == expect.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(expect, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+                assert a.flags.aligned and a.flags.c_contiguous, name
+            # built with check=False; the structure is still valid
+            check_compressed(
+                got.indptr, got.indices, got.data, got.n_major, got.n_minor
+            )
+
+    def test_checksums_verified_by_default(self, rows_store):
+        assert rows_store.verify_checksums
 
 
 class TestShardReadFaults:
@@ -299,17 +407,6 @@ class TestShardCache:
         cache = ShardCache(rows_store, byte_scale=1000.0)
         assert cache.billed_bytes(0) == 1000 * rows_store.handles[0].nbytes
 
-    def test_prefetched_shard_billed_exactly_once(self, rows_store):
-        cache = ShardCache(rows_store)
-        cache.fetch(3, background=True)  # prefetcher path: inserted fresh
-        first = cache.fetch(3)
-        second = cache.fetch(3)
-        # the first foreground touch consumes the fresh entry and bills the
-        # transfer; after that it is a plain warm hit
-        assert first.hit and first.loaded
-        assert second.hit and not second.loaded
-        assert cache.misses == 1
-
     def test_device_backed_residency(self, rows_store):
         cache = ShardCache(rows_store)
         budget = rows_store.handles[0].nbytes + rows_store.handles[1].nbytes
@@ -348,42 +445,6 @@ class TestShardCache:
         assert m.counter("shards.cache.bytes_read") > 0
         assert len(_spans_named(tracer, "shard.load")) == 2
         assert len(_spans_named(tracer, "shard.evict")) == 1
-
-
-class TestPrefetcher:
-    def test_background_loads_land_in_cache(self, rows_store):
-        cache = ShardCache(rows_store)
-        with Prefetcher(cache) as pf:
-            pf.schedule([0, 1, 2])
-            pf.wait()
-            assert cache.contains(0) and cache.contains(1) and cache.contains(2)
-            assert cache.misses == 3
-        assert pf.errors == []
-
-    def test_background_errors_recorded_not_raised(self, dataset, tmp_path):
-        pack_dataset(dataset, tmp_path, n_shards=2)
-        store = ShardStore(
-            tmp_path,
-            faults=FaultSpec(
-                shard_read_failure_rate=1.0,
-                max_consecutive_failures=10,
-                seed=0,
-            ),
-            retry=RetryPolicy(max_retries=1),
-        )
-        cache = ShardCache(store)
-        with Prefetcher(cache) as pf:
-            pf.schedule([0])
-            pf.wait()
-        assert len(pf.errors) == 1
-        assert isinstance(pf.errors[0], ShardReadError)
-
-    def test_close_is_idempotent(self, rows_store):
-        pf = Prefetcher(ShardCache(rows_store))
-        pf.close()
-        pf.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pf.schedule([0])
 
 
 class TestShardStreamer:
@@ -455,6 +516,231 @@ class TestShardStreamer:
     def test_empty_group_rejected(self, rows_store):
         with pytest.raises(ValueError, match="at least one shard"):
             ShardStreamer(ShardingConfig(rows_store), [])
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_each_disk_read_billed_exactly_once(self, rows_store, prefetch):
+        # a budget of one shard: every pass re-reads all three
+        cfg = ShardingConfig(
+            rows_store,
+            cache_budget_bytes=max(h.nbytes for h in rows_store.handles) + 16,
+            prefetch=prefetch,
+        )
+        ids = [0, 1, 2]
+        per_pass = sum(
+            cfg.link.transfer_seconds(cfg.store.handles[i].nbytes) for i in ids
+        )
+        ledger = TimeLedger()
+        with ShardStreamer(cfg, ids) as streamer:
+            for epoch in range(3):
+                streamer.begin_epoch()
+                streamer.stream_epoch(ledger)
+                assert streamer.cache.misses == 3 * (epoch + 1)
+            assert streamer.cache.hits == 0
+        assert ledger.get("shard_stream") == pytest.approx(3 * per_pass)
+
+    def test_warm_pass_costs_nothing_with_prefetch(self, rows_store):
+        cfg = ShardingConfig(rows_store, prefetch=True)  # unbounded
+        ledger = TimeLedger()
+        with ShardStreamer(cfg, [0, 1]) as streamer:
+            streamer.begin_epoch()
+            first = streamer.stream_epoch(ledger, compute_s=0.0)
+            streamer.begin_epoch()
+            second = streamer.stream_epoch(ledger, compute_s=0.0)
+            assert first > 0 and second == 0.0
+            assert streamer.cache.stats()["hits"] == 2
+            assert streamer.cache.stats()["misses"] == 2
+
+    def test_begin_epoch_without_prefetch_reads_nothing(self, rows_store):
+        with ShardStreamer(ShardingConfig(rows_store), [0, 1]) as streamer:
+            streamer.begin_epoch()
+            assert streamer.cache.misses == 0
+            streamer.stream_epoch(TimeLedger())
+            assert streamer.cache.misses == 2
+
+    def test_pass_runs_on_the_streamer_thread(self, rows_store, monkeypatch):
+        readers = []
+        read = ShardStore.read
+
+        def spy(store, shard_id):
+            readers.append(threading.current_thread())
+            return read(store, shard_id)
+
+        monkeypatch.setattr(ShardStore, "read", spy)
+        cfg = ShardingConfig(rows_store, prefetch=True)
+        with ShardStreamer(cfg, [0, 1], worker=3) as streamer:
+            streamer.begin_epoch()
+            streamer.stream_epoch(TimeLedger())
+        assert [t.name for t in readers] == ["shard-stream-3"] * 2
+        assert threading.main_thread() not in readers
+
+    def test_prefetch_pass_records_counters_not_spans(self, rows_store):
+        # the tracer's span stack is single-threaded: the streamer's thread
+        # must only count
+        tracer = Tracer()
+        cfg = ShardingConfig(rows_store, prefetch=True)
+        with ShardStreamer(cfg, [0, 1], tracer=tracer) as streamer:
+            streamer.begin_epoch()
+            streamer.stream_epoch(TimeLedger())
+        assert tracer.metrics.counter("shards.cache.miss") == 2
+        assert _spans_named(tracer, "shard.load") == []
+
+
+class TestStreamerThread:
+    """The prefetch pass's failure paths and thread lifetime."""
+
+    @staticmethod
+    def _failing_store(tmp_path, dataset):
+        pack_dataset(dataset, tmp_path, axis="rows", n_shards=4)
+        return ShardStore(
+            tmp_path,
+            faults=FaultSpec(
+                shard_read_failure_rate=1.0,
+                max_consecutive_failures=10,
+                seed=0,
+            ),
+            retry=RetryPolicy(max_retries=1),
+        )
+
+    def test_background_read_error_reraised_like_foreground(
+        self, dataset, tmp_path
+    ):
+        errors = {}
+        for prefetch in (False, True):
+            store = self._failing_store(tmp_path / str(prefetch), dataset)
+            cfg = ShardingConfig(store, prefetch=prefetch)
+            ledger = TimeLedger()
+            with ShardStreamer(cfg, [1, 2]) as streamer:
+                streamer.begin_epoch()
+                with pytest.raises(ShardReadError) as info:
+                    streamer.stream_epoch(ledger)
+            errors[prefetch] = info.value
+            assert ledger.get("shard_stream") == 0.0
+        assert type(errors[True]) is type(errors[False])
+        assert str(errors[True]) == str(errors[False])
+        assert "read failed" in str(errors[True])
+
+    def test_close_joins_pending_pass(self, rows_store):
+        before = set(threading.enumerate())
+        streamer = ShardStreamer(ShardingConfig(rows_store, prefetch=True), [0, 1, 2])
+        streamer.begin_epoch()
+        streamer.close()
+        assert set(threading.enumerate()) <= before
+        assert streamer.cache.misses == 3  # the pass ran to completion
+        streamer.close()  # idempotent
+
+    def test_close_drops_a_failed_pass(self, dataset, tmp_path):
+        store = self._failing_store(tmp_path, dataset)
+        streamer = ShardStreamer(ShardingConfig(store, prefetch=True), [0])
+        streamer.begin_epoch()
+        streamer.close()  # the error is not re-raised from close
+
+    @staticmethod
+    def _engine(store, **kwargs):
+        budget = 2 * max(h.nbytes for h in store.handles) + 16
+        return DistributedSCD(
+            lambda rank: TpaScdKernelFactory(GTX_TITAN_X, wave_size=4),
+            "dual",
+            n_workers=2,
+            seed=4,
+            shards=ShardingConfig(
+                store, cache_budget_bytes=budget, prefetch=True
+            ),
+            **kwargs,
+        )
+
+    def test_no_thread_outlives_solve(self, dataset, rows_store):
+        before = set(threading.enumerate())
+        self._engine(rows_store).solve(RidgeProblem(dataset, 5e-3), 3)
+        assert set(threading.enumerate()) <= before
+
+    def test_failing_local_round_still_joins_pass(
+        self, dataset, rows_store, monkeypatch
+    ):
+        from repro.core.distributed import _ScdWorkerPool
+
+        engine = self._engine(rows_store)
+        streamers = []
+
+        def boom(pool, rank, shared):
+            streamers.append(pool.streamer(rank))
+            raise RuntimeError("local round failed")
+
+        monkeypatch.setattr(_ScdWorkerPool, "local_round", boom)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="local round failed"):
+            engine.solve(RidgeProblem(dataset, 5e-3), 3)
+        assert set(threading.enumerate()) <= before
+        # the pass begun before the failing round read its whole group
+        (streamer,) = streamers
+        assert streamer.cache.misses == len(streamer.shard_ids)
+
+    def test_failing_pass_surfaces_from_solve(self, dataset, tmp_path):
+        store = self._failing_store(tmp_path, dataset)
+        before = set(threading.enumerate())
+        with pytest.raises(ShardReadError, match="read failed"):
+            self._engine(store).solve(RidgeProblem(dataset, 5e-3), 3)
+        assert set(threading.enumerate()) <= before
+
+
+class TestDeterministicAccounting:
+    """Prefetch changes when reads happen, never what is counted or billed."""
+
+    COUNTERS = ("shards.cache.miss", "shards.cache.hit", "shards.cache.evict")
+
+    def _run(self, dataset, store, prefetch):
+        tracer = Tracer()
+        # each worker streams 3 shards through a 2-shard budget: evicts
+        budget = 2 * max(h.nbytes for h in store.handles) + 16
+        result = DistributedSCD(
+            SequentialKernelFactory(),
+            "dual",
+            n_workers=2,
+            seed=4,
+            shards=ShardingConfig(
+                store, cache_budget_bytes=budget, prefetch=prefetch
+            ),
+        ).solve(RidgeProblem(dataset, 5e-3), 6, tracer=tracer)
+        counters = {n: tracer.metrics.counter(n) for n in self.COUNTERS}
+        phases = {p: result.ledger.get(p) for p in ("shard_stream", "shard_retry")}
+        return counters, phases, result.weights
+
+    @pytest.mark.parametrize(
+        "faults", [None, FaultSpec(shard_read_failure_rate=0.3, seed=9)]
+    )
+    def test_counters_ledger_and_weights_identical(self, dataset, tmp_path, faults):
+        pack_dataset(dataset, tmp_path, axis="rows", n_shards=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            runs = [
+                self._run(dataset, ShardStore(tmp_path, faults=faults), prefetch)
+                for prefetch in (True, True, False)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        counters, phases, weights = runs[0]
+        assert counters["shards.cache.miss"] == 6 * 6  # 6 epochs x 6 shards
+        assert counters["shards.cache.evict"] > 0
+        if faults is not None:
+            assert phases["shard_retry"] > 0
+        for other in runs[1:]:
+            assert other[0] == counters
+            assert other[1] == phases
+            assert np.array_equal(other[2], weights)
+
+    def test_fig10_outofcore_misses_every_shard_every_epoch(self):
+        from repro.experiments.config import SCALES
+        from repro.experiments.large_scale import run_fig10_outofcore
+        from repro.obs import use_tracer
+
+        # traced with a real tracer: the streamer thread must open no spans
+        for _ in range(3):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                fig = run_fig10_outofcore(SCALES["tiny"])
+            assert fig.meta["cache_misses"] == fig.meta["n_epochs"] * 8
+            assert fig.meta["bit_identical"]
+            assert _spans_named(tracer, "shard.load")  # bind-time reads
 
 
 class TestShardAlignedPartition:
