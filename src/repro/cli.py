@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .experiments.config import SCALES, active_scale
 from .experiments.registry import REGISTRY, driver
+from .experiments.scales import SCALES, active_scale
 
 __all__ = ["main", "build_parser"]
 

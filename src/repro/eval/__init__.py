@@ -31,7 +31,7 @@ from .config import (
     parse_config,
 )
 from .planner import CELL_SCHEMA, EvalPlan, RunCell, cell_hash, plan
-from .provenance import collect_provenance, html_footer, markdown_footer
+from .provenance import collect_provenance, html_footer, markdown_footer, recorded_numpy
 from .report import build_report, render_report
 from .runner import (
     DEFAULT_CACHE_DIR,
@@ -60,6 +60,7 @@ __all__ = [
     "markdown_footer",
     "parse_config",
     "plan",
+    "recorded_numpy",
     "render_report",
     "run_drivers",
     "run_eval",

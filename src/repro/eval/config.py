@@ -38,8 +38,8 @@ import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..experiments.config import SCALES
-from ..experiments.registry import get_driver
+from ..experiments.registry import REGISTRY
+from ..experiments.scales import SCALES
 
 __all__ = [
     "EvalConfig",
@@ -188,14 +188,15 @@ def parse_config(doc: dict, *, source: str = "<memory>") -> EvalConfig:
     if "driver" not in matrix:
         raise _err(source, "[matrix] must declare a 'driver' axis")
     drivers = _as_list(matrix["driver"], source, "[matrix] driver")
-    specs = []
+    # read from the registry's table: validating a config imports no driver
+    params: dict[str, tuple[str, ...]] = {}
     for driver_id in drivers:
         if not isinstance(driver_id, str):
             raise _err(source, f"[matrix] driver ids must be strings, got {driver_id!r}")
         try:
-            specs.append(get_driver(driver_id))
+            params[driver_id] = REGISTRY.params(driver_id)
         except KeyError as exc:
-            raise _err(source, str(exc).strip('"')) from None
+            raise _err(source, exc.args[0]) from None
 
     scales = _as_list(matrix.get("scale", [scale]), source, "[matrix] scale")
     for s in scales:
@@ -212,13 +213,13 @@ def parse_config(doc: dict, *, source: str = "<memory>") -> EvalConfig:
         if axis in _MATRIX_BUILTIN:
             continue
         values = _as_list(values, source, f"[matrix] {axis}")
-        for spec in specs:
-            if axis not in spec.params:
+        for driver_id, declared in params.items():
+            if axis not in declared:
                 raise _err(
                     source,
                     f"[matrix] axis {axis!r} is not a sweepable parameter of "
-                    f"driver {spec.driver_id!r} (declared params: "
-                    f"{list(spec.params) or 'none'})",
+                    f"driver {driver_id!r} (declared params: "
+                    f"{list(declared) or 'none'})",
                 )
         axes.append((axis, tuple(values)))
 

@@ -23,7 +23,7 @@ from .config import EvalConfig
 __all__ = ["RunCell", "EvalPlan", "plan", "plan_cells", "cell_hash"]
 
 #: bump when the cached cell payload layout changes incompatibly
-CELL_SCHEMA = "repro.eval-cell/v1"
+CELL_SCHEMA = "repro.eval-cell/v2"
 
 
 def cell_hash(driver_id: str, scale: str, seed: int, params: dict) -> str:

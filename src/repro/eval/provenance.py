@@ -3,7 +3,9 @@
 Generated artifacts (HTML reports, EXPERIMENTS.md) end with a footer
 recording exactly what produced them: the git commit (and whether the tree
 was dirty), the ``REPRO_SCALE`` in effect, the seeds, and the software
-versions.  Collection is best-effort — a missing ``git`` binary or a
+versions.  The numpy version is the one each cell recorded when it computed
+its numbers (:func:`recorded_numpy`), so rendering from cached cells never
+imports numpy.  Collection is best-effort — a missing ``git`` binary or a
 non-repo checkout degrades to ``"unknown"`` rather than failing the run.
 """
 
@@ -15,7 +17,7 @@ import subprocess
 import time
 from pathlib import Path
 
-__all__ = ["collect_provenance", "markdown_footer", "html_footer"]
+__all__ = ["collect_provenance", "recorded_numpy", "markdown_footer", "html_footer"]
 
 
 def _git(args: list[str], cwd: Path) -> str | None:
@@ -37,9 +39,11 @@ def _git(args: list[str], cwd: Path) -> str | None:
 def collect_provenance(
     *, seeds: list[int] | None = None, root: str | Path | None = None
 ) -> dict:
-    """Snapshot the run context as a flat JSON-serialisable dict."""
-    import numpy
+    """Snapshot the run context as a flat JSON-serialisable dict.
 
+    It names no numpy version: a cell adds the one that computed it, and a
+    footer takes the cells' (:func:`recorded_numpy`).
+    """
     from .. import __version__
 
     root = Path(root) if root is not None else Path.cwd()
@@ -55,9 +59,14 @@ def collect_provenance(
         "seeds": sorted(set(seeds or [])),
         "repro_version": __version__,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
         "generated_at": time.strftime("%Y-%m-%d %H:%M:%S %Z"),
     }
+
+
+def recorded_numpy(provenances) -> str:
+    """The numpy versions recorded in cell provenances, e.g. ``"2.1.3"``."""
+    versions = sorted({p.get("numpy", "unknown") for p in provenances})
+    return ", ".join(versions) or "unknown"
 
 
 def _commit_label(prov: dict) -> str:

@@ -7,7 +7,8 @@ config's ``[report] sections``):
 
 * **figures** — per cell, the verdict on each paper claim its driver
   declares (measured value, band, ✓/✗), then one convergence/line chart per
-  (x, y) axis pair, its data table and the driver notes;
+  (x, y) axis pair, its data table and the driver notes, all drawn from the
+  cell payload's ``figure`` dict (lists of floats, no numpy);
 * **ledger** — Fig. 9-style modelled-time breakdowns: a stacked bar across
   cells plus the per-component table;
 * **bench** — the committed end-to-end benchmark record (``repro.e2e/v1``,
@@ -16,7 +17,8 @@ config's ``[report] sections``):
   timed at report time; the numbers belong to the host that committed them.
 
 Every run summary row links the cell's Chrome trace sidecar, and the page
-ends with the provenance footer (commit, scale, seeds, versions).
+ends with the provenance footer (commit, scale, seeds, versions; the numpy
+version is the one the cells recorded when they computed their numbers).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 
 from ..perf.ledger import COMPONENTS
 from .config import ConfigError, ReportConfig
-from .provenance import collect_provenance, html_footer
+from .provenance import collect_provenance, html_footer, recorded_numpy
 from .runner import EvalRun
 from .svg import CHROME, line_plot, stacked_bar
 
@@ -106,24 +108,25 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _series_table(figure) -> str:
+def _series_table(figure: dict) -> str:
     """Accessible data-table view of every series in a figure."""
     rows = []
-    for s in figure.series:
+    for s in figure["series"]:
+        x_name, y_name = s["x_name"], s["y_name"]
         head = (
-            f"<tr><th>{escape(s.label)}</th>"
-            f"<th colspan=99>{escape(s.x_name)} → {escape(s.y_name)}</th></tr>"
+            f"<tr><th>{escape(s['label'])}</th>"
+            f"<th colspan=99>{escape(x_name)} → {escape(y_name)}</th></tr>"
         )
-        n = len(s.x)
+        n = len(s["x"])
         idx = range(n) if n <= 10 else sorted(
             {round(i * (n - 1) / 9) for i in range(10)}
         )
-        xs = "".join(f'<td class="num">{_fmt(float(s.x[i]))}</td>' for i in idx)
-        ys = "".join(f'<td class="num">{_fmt(float(s.y[i]))}</td>' for i in idx)
+        xs = "".join(f'<td class="num">{_fmt(float(s["x"][i]))}</td>' for i in idx)
+        ys = "".join(f'<td class="num">{_fmt(float(s["y"][i]))}</td>' for i in idx)
         rows.append(
             head
-            + f"<tr><td>{escape(s.x_name)}</td>{xs}</tr>"
-            + f"<tr><td>{escape(s.y_name)}</td>{ys}</tr>"
+            + f"<tr><td>{escape(x_name)}</td>{xs}</tr>"
+            + f"<tr><td>{escape(y_name)}</td>{ys}</tr>"
         )
     return (
         "<details><summary>data table</summary><table>"
@@ -151,33 +154,30 @@ def _claims_table(verdicts) -> str:
 
 def _figure_section(result, log_y: bool) -> list[str]:
     """Charts for one cell: its claims, then one plot per (x, y) pair."""
-    figure = result.figure
-    out = [f"<h3>{escape(result.cell.cell_id)} — {escape(figure.title)}</h3>"]
+    figure = result.payload["figure"]
+    out = [f"<h3>{escape(result.cell.cell_id)} — {escape(figure['title'])}</h3>"]
     if result.verdicts:
         out.append(_claims_table(result.verdicts))
     groups: dict[tuple[str, str], list] = {}
-    for s in figure.series:
-        groups.setdefault((s.x_name, s.y_name), []).append(s)
+    for s in figure["series"]:
+        groups.setdefault((s["x_name"], s["y_name"]), []).append(s)
     for (x_name, y_name), group in groups.items():
-        series = [
-            {"label": s.label, "x": list(s.x), "y": list(s.y)} for s in group
-        ]
         # log-y only suits positive, decaying quantities (gaps, errors)
         use_log = log_y and all(
-            float(y) > 0 for s in group for y in s.y if math.isfinite(float(y))
+            float(y) > 0 for s in group for y in s["y"] if math.isfinite(float(y))
         )
         out.append("<figure>")
         out.append(
             line_plot(
-                series,
+                group,
                 x_label=x_name,
                 y_label=y_name,
                 log_y=use_log,
-                desc=f"{figure.title}: {y_name} vs {x_name}",
+                desc=f"{figure['title']}: {y_name} vs {x_name}",
             )
         )
         out.append("</figure>")
-    for note in figure.notes:
+    for note in figure["notes"]:
         out.append(f'<p class="note">{escape(note)}</p>')
     out.append(_series_table(figure))
     return out
@@ -459,6 +459,7 @@ def build_report(run: EvalRun, *, run_bench: bool = True) -> str:
     if "bench" in report.sections:
         body += _bench_section(report, run_bench)
     prov = collect_provenance(seeds=[r.cell.seed for r in run.results])
+    prov["numpy"] = recorded_numpy(r.payload["provenance"] for r in run.results)
     body.append(html_footer(prov))
     return (
         "<!DOCTYPE html>\n<html lang='en'>\n<head>\n"

@@ -1,13 +1,20 @@
 """Execute planned cells: parallel where independent, resumable on rerun.
 
 Every cell runs its driver under a fresh :class:`~repro.obs.Tracer` and
-produces one JSON payload (schema ``repro.eval-cell/v1``) holding the
-figure, the modelled-time ledger breakdown, the metrics counters, and the
-cell's provenance.  Payloads are persisted to ``<cache_dir>/<hash>.json``
-— the hash is the planner's content hash of the cell's inputs — so a rerun
-of the same config loads every completed cell instead of recomputing it.
-A Chrome trace (``<hash>.trace.json``) is written beside each payload and
-linked from the HTML report.
+produces one JSON payload (schema ``repro.eval-cell/v2``) holding the
+figure, the verdict on each of the driver's claims, the modelled-time
+ledger breakdown, the metrics counters, and the cell's provenance.
+Payloads are persisted to ``<cache_dir>/<hash>.json`` — the hash is the
+planner's content hash of the cell's inputs — so a rerun of the same config
+loads every completed cell instead of recomputing it.  A payload of any
+other shape is a cache miss.  A Chrome trace (``<hash>.trace.json``) is
+written beside each payload and linked from the HTML report.
+
+The verdicts are stored under :func:`~repro.experiments.registry.claims_digest`.
+A resumed cell whose digest still matches shows them as stored, so it loads
+neither numpy nor its driver's module; after an edit to a claim or measure
+(or for a driver added with ``register``) the cell is re-checked on its
+cached figure instead — re-checked, never recomputed.
 
 Independent cells run in a ``ProcessPoolExecutor`` when ``jobs > 1``; the
 parent process does all cache writes, so parallelism never races on files.
@@ -26,9 +33,9 @@ from functools import cached_property
 from pathlib import Path
 
 from ..experiments.claims import Verdict
-from ..experiments.config import SCALES
-from ..experiments.registry import get_driver
+from ..experiments.registry import claims_digest, get_driver
 from ..experiments.results import FigureResult
+from ..experiments.scales import SCALES
 from ..obs import Tracer, chrome_trace, metrics_json, use_tracer
 from .config import EvalConfig, ReportConfig
 from .planner import CELL_SCHEMA, EvalPlan, RunCell, plan
@@ -59,7 +66,14 @@ class CellResult:
 
     @cached_property
     def verdicts(self) -> tuple[Verdict, ...]:
-        """The driver's declared claims checked on this cell's figure."""
+        """The driver's declared claims checked on this cell's figure.
+
+        Read from the payload while its ``claims_digest`` matches the
+        sources; otherwise checked again on the cached figure.
+        """
+        digest = claims_digest(self.cell.driver_id)
+        if digest is not None and self.payload.get("claims_digest") == digest:
+            return tuple(Verdict.from_dict(v) for v in self.payload["verdicts"])
         return get_driver(self.cell.driver_id).check(self.figure, self.cell.scale)
 
     @property
@@ -103,6 +117,8 @@ class EvalRun:
 
 def _execute_cell(cell_doc: dict) -> dict:
     """Run one cell (importable top-level so process pools can pickle it)."""
+    import numpy
+
     driver_id = cell_doc["driver"]
     scale_name = cell_doc["scale"]
     params = dict(cell_doc["params"])
@@ -122,29 +138,103 @@ def _execute_cell(cell_doc: dict) -> dict:
         "schema": CELL_SCHEMA,
         "cell": cell_doc,
         "figure": fig.to_dict(),
+        "verdicts": [v.to_dict() for v in spec.check(fig, scale_name)],
+        "claims_digest": claims_digest(driver_id),
         "elapsed_s": elapsed,
         "ledger": {k: v for k, v in tracer.ledger.breakdown().items() if v},
         "modelled_total_s": tracer.ledger.total,
         "counters": metrics["metrics"].get("counters", {}),
         "trace": chrome_trace(tracer),
-        "provenance": collect_provenance(seeds=[cell_doc["seed"]]),
+        "provenance": {
+            **collect_provenance(seeds=[cell_doc["seed"]]),
+            "numpy": numpy.__version__,
+        },
     }
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _strings(doc: dict, *keys: str) -> bool:
+    return all(isinstance(doc.get(key), str) for key in keys)
+
+
+def _series_ok(doc) -> bool:
+    return (
+        isinstance(doc, dict)
+        and _strings(doc, "label", "x_name", "y_name")
+        and isinstance(doc.get("x"), list)
+        and isinstance(doc.get("y"), list)
+        and len(doc["x"]) == len(doc["y"])
+        and all(map(_number, doc["x"] + doc["y"]))
+        and isinstance(doc.get("meta"), dict)
+    )
+
+
+def _figure_ok(doc) -> bool:
+    return (
+        isinstance(doc, dict)
+        and _strings(doc, "figure_id", "title")
+        and isinstance(doc.get("series"), list)
+        and all(map(_series_ok, doc["series"]))
+        and isinstance(doc.get("notes"), list)
+        and all(isinstance(note, str) for note in doc["notes"])
+        and isinstance(doc.get("meta"), dict)
+    )
+
+
+def _verdict_ok(doc) -> bool:
+    if not isinstance(doc, dict) or set(doc) != set(Verdict.FIELDS):
+        return False
+    band, value = doc["band"], doc["value"]
+    return (
+        _strings(doc, "claim_id", "figure", "sentence", "scale")
+        and isinstance(band, dict)
+        and set(band) == {"lo", "hi", "strict"}
+        and _number(band["lo"])
+        and _number(band["hi"])
+        and isinstance(band["strict"], bool)
+        and doc["status"] in ("pass", "fail", "skip")
+        and (value is None or isinstance(value, bool) or _number(value))
+    )
+
+
+def _payload_ok(payload, cell: RunCell) -> bool:
+    """Whether ``payload`` is a whole ``CELL_SCHEMA`` payload of ``cell``."""
+    if not isinstance(payload, dict) or payload.get("schema") != CELL_SCHEMA:
+        return False
+    cached_cell, ledger = payload.get("cell"), payload.get("ledger")
+    provenance, verdicts = payload.get("provenance"), payload.get("verdicts")
+    digest = payload.get("claims_digest", False)
+    return (
+        isinstance(cached_cell, dict)
+        and cached_cell.get("hash") == cell.config_hash
+        and _figure_ok(payload.get("figure"))
+        and isinstance(verdicts, list)
+        and all(map(_verdict_ok, verdicts))
+        and (digest is None or isinstance(digest, str))
+        and _number(payload.get("elapsed_s"))
+        and isinstance(ledger, dict)
+        and all(map(_number, ledger.values()))
+        and isinstance(provenance, dict)
+        and _strings(provenance, "numpy")
+        and ("trace_path" not in payload or _strings(payload, "trace_path"))
+    )
+
+
 def _load_cached(path: Path, cell: RunCell) -> dict | None:
-    """A valid cached payload for ``cell``, or ``None`` to recompute."""
+    """A valid cached payload for ``cell``, or ``None`` to recompute.
+
+    Anything but a whole payload of this cell — unreadable, not JSON,
+    another schema, another cell, or the right keys holding the wrong
+    shapes — is a miss, never an error.
+    """
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
-    if not isinstance(payload, dict) or payload.get("schema") != CELL_SCHEMA:
-        return None
-    cached_cell = payload.get("cell", {})
-    if cached_cell.get("hash") != cell.config_hash:
-        return None
-    if "figure" not in payload:
-        return None
-    return payload
+    return payload if _payload_ok(payload, cell) else None
 
 
 def _persist(payload: dict, cache_dir: Path, cell: RunCell) -> dict:
@@ -261,7 +351,7 @@ def run_drivers(
     generator uses this): same cache, same hashing, same spans as
     ``repro eval`` — one cell per driver, in ``driver_ids`` order.
     """
-    from ..experiments.config import active_scale
+    from ..experiments.scales import active_scale
 
     scale = scale or active_scale().name
     config = EvalConfig(

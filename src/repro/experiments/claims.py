@@ -11,6 +11,10 @@ render.  A claim is stated once and checked everywhere it is shown.
 
 A claim is asserted at its declared scale and every larger one; below it
 the verdict is ``skip`` (shown, never failed).
+
+A verdict round-trips through JSON (:meth:`Verdict.to_dict` /
+:meth:`Verdict.from_dict`), which is how ``repro eval`` stores it in a cached
+cell and shows it again without re-measuring the figure.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from .config import SCALES
 from .results import CurveSeries, FigureResult, format_float
+from .scales import SCALES
 
 __all__ = [
     "Band",
@@ -91,6 +93,7 @@ class Claim:
     claim_id: str
     #: where the claim lives, e.g. "Fig. 1b", "§VI", "Ext. [22]"
     figure: str
+    #: ``None`` on a claim read back from a stored verdict (``Verdict.from_dict``)
     measure: Callable[[FigureResult], float] = field(repr=False)
     band: Band
     #: what the paper (or the extension) says, and what is measured
@@ -100,6 +103,8 @@ class Claim:
 
     def verdict(self, figure: FigureResult, scale: str) -> "Verdict":
         """Measure ``figure`` (run at ``scale``) against the band."""
+        import numpy as np
+
         order = list(SCALES)
         if order.index(scale) < order.index(self.scale):
             return Verdict(self, "skip")
@@ -115,6 +120,35 @@ class Verdict:
     claim: Claim
     status: str
     value: float | bool | None = None
+
+    #: the keys of :meth:`to_dict`, in order
+    FIELDS = ("claim_id", "figure", "sentence", "scale", "band", "status", "value")
+
+    def to_dict(self) -> dict:
+        """JSON form: the claim's statement, its band, the outcome."""
+        claim, band = self.claim, self.claim.band
+        return {
+            "claim_id": claim.claim_id,
+            "figure": claim.figure,
+            "sentence": claim.sentence,
+            "scale": claim.scale,
+            "band": {"lo": band.lo, "hi": band.hi, "strict": band.strict},
+            "status": self.status,
+            "value": self.value,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Verdict":
+        """Inverse of :meth:`to_dict`; the claim comes back without its measure."""
+        claim = Claim(
+            doc["claim_id"],
+            doc["figure"],
+            None,
+            Band(**doc["band"]),
+            doc["sentence"],
+            doc["scale"],
+        )
+        return cls(claim, doc["status"], doc["value"])
 
     @property
     def failed(self) -> bool:
@@ -139,5 +173,7 @@ def final_ratio(num: str, den: str) -> Callable[[FigureResult], float]:
 
 def time_to(series: CurveSeries, eps: float) -> float:
     """First x at which ``series`` reaches ``eps`` (inf if it never does)."""
+    import numpy as np
+
     hits = np.nonzero(series.y <= eps)[0]
     return float(series.x[hits[0]]) if hits.size else math.inf

@@ -1,23 +1,14 @@
-"""Shared experiment configuration: dataset scales and solver builders.
+"""Shared experiment configuration: problems and solver builders per scale.
 
-The drivers run at one of three scales:
-
-* ``tiny``  — smallest smoke scale; used by CI trace validation and anywhere
-  a sub-second end-to-end run is needed.
-* ``quick`` — default; every figure regenerates in seconds.  Used by the
-  test-suite.
-* ``full``  — larger synthetic stand-ins (still laptop friendly) for closer
-  convergence curves.  Select with ``REPRO_SCALE=full``.
-
-Both scales pair the scaled-down data with the *paper-scale* dimensions
+The scales themselves (``tiny``, ``quick``, ``full``) live in the numpy-free
+leaf :mod:`repro.experiments.scales`; this module re-exports them.  Every
+scale pairs the scaled-down data with the *paper-scale* dimensions
 (:class:`~repro.core.scale.PaperScale`) used by the device cost models, so
 the reproduced time axes stay comparable to the published ones.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.scale import CRITEO_PAPER, WEBSPAM_PAPER, PaperScale
@@ -27,6 +18,7 @@ from ..gpu.spec import GpuSpec
 from ..objectives.ridge import RidgeProblem
 from ..solvers.ascd import AsyncCpuKernelFactory
 from ..solvers.scd import SequentialKernelFactory
+from .scales import SCALES, ScaleConfig, active_scale
 
 if TYPE_CHECKING:
     from ..core.tpa_scd import TpaScdKernelFactory
@@ -58,65 +50,6 @@ PAPER_LAMBDA = 1e-3
 #: dual SCD converging in a handful of epochs, primal in tens, and every
 #: distributed gap target reachable at all K.
 LAMBDA = 5e-3
-
-
-@dataclass(frozen=True)
-class ScaleConfig:
-    """Sizes and epoch budgets for one experiment scale."""
-
-    name: str
-    webspam_n: int
-    webspam_m: int
-    webspam_nnz_per_example: int
-    criteo_n: int
-    criteo_groups: int
-    criteo_cardinality: int
-    epoch_factor: float  # multiplies the per-figure epoch budgets
-
-
-SCALES: dict[str, ScaleConfig] = {
-    "tiny": ScaleConfig(
-        name="tiny",
-        webspam_n=400,
-        webspam_m=1_200,
-        webspam_nnz_per_example=20,
-        criteo_n=1_000,
-        criteo_groups=12,
-        criteo_cardinality=120,
-        epoch_factor=0.25,
-    ),
-    "quick": ScaleConfig(
-        name="quick",
-        webspam_n=1_000,
-        webspam_m=3_000,
-        webspam_nnz_per_example=40,
-        criteo_n=3_000,
-        criteo_groups=20,
-        criteo_cardinality=300,
-        epoch_factor=0.5,
-    ),
-    "full": ScaleConfig(
-        name="full",
-        webspam_n=2_600,
-        webspam_m=6_800,
-        webspam_nnz_per_example=100,
-        criteo_n=8_000,
-        criteo_groups=26,
-        criteo_cardinality=600,
-        epoch_factor=1.0,
-    ),
-}
-
-
-def active_scale() -> ScaleConfig:
-    """Resolve the scale from ``REPRO_SCALE`` (default ``quick``)."""
-    name = os.environ.get("REPRO_SCALE", "quick")
-    try:
-        return SCALES[name]
-    except KeyError:
-        raise ValueError(
-            f"REPRO_SCALE={name!r} is not one of {sorted(SCALES)}"
-        ) from None
 
 
 def epochs(base: int, scale: ScaleConfig) -> int:

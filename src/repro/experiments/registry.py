@@ -14,15 +14,19 @@ with the metadata the orchestration layers need:
 The ``repro.eval`` subsystem, the CLI and ``tools/generate_experiments_md.py``
 all discover drivers from this table, so adding a driver means one row in
 ``_DRIVERS`` — not another bespoke import site in every orchestration
-script.  Listing ids imports no driver; :data:`REGISTRY` imports a driver's
+script.  Listing ids, reading a driver's kind or params and
+:func:`claims_digest` import no driver; :data:`REGISTRY` imports a driver's
 module on its first lookup, so a command pays only for the drivers it runs.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import importlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .claims import Claim, Verdict
@@ -36,6 +40,7 @@ __all__ = [
     "driver",
     "driver_ids",
     "run_driver",
+    "claims_digest",
 ]
 
 
@@ -223,11 +228,20 @@ class _Registry(Mapping):
         self._rows: dict[str, _Row | None] = {row.driver_id: row for row in _DRIVERS}
         self._specs: dict[str, DriverSpec] = {}
 
+    def _row(self, driver_id: str) -> _Row | None:
+        try:
+            return self._rows[driver_id]
+        except KeyError:
+            raise KeyError(
+                f"unknown experiment driver {driver_id!r}; known drivers: "
+                f"{', '.join(sorted(self._rows))}"
+            ) from None
+
     def __getitem__(self, driver_id: str) -> DriverSpec:
         spec = self._specs.get(driver_id)
         if spec is None:
             # setdefault: threads racing on a first lookup all get one spec
-            spec = self._specs.setdefault(driver_id, _load(self._rows[driver_id]))
+            spec = self._specs.setdefault(driver_id, _load(self._row(driver_id)))
         return spec
 
     def __iter__(self):
@@ -241,8 +255,13 @@ class _Registry(Mapping):
 
     def kind(self, driver_id: str) -> str:
         """The driver's kind, read without importing its module."""
-        row = self._rows[driver_id]
+        row = self._row(driver_id)
         return self[driver_id].kind if row is None else row.kind
+
+    def params(self, driver_id: str) -> tuple[str, ...]:
+        """The driver's sweepable params, read without importing its module."""
+        row = self._row(driver_id)
+        return self[driver_id].params if row is None else row.params
 
 
 #: driver_id -> spec, in registration (presentation) order
@@ -277,11 +296,6 @@ def unregister(driver_id: str) -> None:
 
 def get_driver(driver_id: str) -> DriverSpec:
     """Resolve ``driver_id`` or fail with the list of known ids."""
-    if driver_id not in REGISTRY:
-        raise KeyError(
-            f"unknown experiment driver {driver_id!r}; known drivers: "
-            f"{', '.join(sorted(REGISTRY))}"
-        )
     return REGISTRY[driver_id]
 
 
@@ -298,3 +312,24 @@ def driver_ids(kind: str | None = None) -> list[str]:
 def run_driver(driver_id: str, scale=None, **params) -> FigureResult:
     """One-call convenience: resolve and run."""
     return get_driver(driver_id).run(scale, **params)
+
+
+@functools.cache
+def _sources_digest() -> str:
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        h.update(f"{path.name}\0{len(source)}\0".encode())
+        h.update(source)
+    return h.hexdigest()
+
+
+def claims_digest(driver_id: str) -> str | None:
+    """A sha256 over the sources of ``repro/experiments/*.py``.
+
+    Every built-in driver, claim and measure is declared there, so a verdict
+    stored under this digest still holds for the figure it was measured on.
+    ``None`` for a driver added with :func:`register`: its claims live in
+    the caller's code, which no digest covers, so they are always re-checked.
+    """
+    return None if REGISTRY._row(driver_id) is None else _sources_digest()

@@ -5,15 +5,19 @@ Every experiment driver returns a :class:`FigureResult` holding one
 containers render to aligned text so the benchmark harness can print exactly
 the rows/series the paper reports, and EXPERIMENTS.md is generated from the
 same structures.
+
+numpy is imported only inside the functions that compute on arrays, so a
+reader of cached figures (the ``repro eval`` report) never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CurveSeries", "FigureResult", "format_float"]
 
@@ -33,6 +37,8 @@ def format_float(x: float) -> str:
 
 def _jsonify(value):
     """Recursively convert numpy scalars/arrays so ``json.dumps`` accepts it."""
+    import numpy as np
+
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -56,6 +62,8 @@ class CurveSeries:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.x.shape != self.y.shape:
@@ -83,8 +91,8 @@ class CurveSeries:
         """Inverse of :meth:`to_dict` (used by the eval result cache)."""
         return cls(
             label=doc["label"],
-            x=np.asarray(doc["x"], dtype=np.float64),
-            y=np.asarray(doc["y"], dtype=np.float64),
+            x=doc["x"],
+            y=doc["y"],
             x_name=doc.get("x_name", "x"),
             y_name=doc.get("y_name", "y"),
             meta=dict(doc.get("meta", {})),
@@ -137,6 +145,8 @@ class FigureResult:
     # -- rendering --------------------------------------------------------
     def render_text(self, *, max_rows: int = 12) -> str:
         """Aligned text rendering of every series (downsampled for length)."""
+        import numpy as np
+
         lines = [f"== {self.figure_id}: {self.title} =="]
         for s in self.series:
             lines.append(f"-- {s.label}  ({s.x_name} -> {s.y_name})")

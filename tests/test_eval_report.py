@@ -22,7 +22,7 @@ from repro.eval import (
 from repro.eval.report import latest_record, load_record
 from repro.eval.svg import PALETTE, line_plot, stacked_bar
 from repro.experiments import registry
-from repro.experiments.claims import Claim, below
+from repro.experiments.claims import TRUE, Claim, Verdict, above, at_least, below
 from repro.experiments.results import CurveSeries, FigureResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -406,3 +406,110 @@ class TestEvalVerdicts:
         html = (tmp_path / "reports" / "fig1.html").read_text(encoding="utf-8")
         assert '<tr class="claim pass">' in html
         assert 'class="claim fail"' not in html
+
+
+def _mixed_figure(scale=None):
+    fig = FigureResult(figure_id="mixed", title="every kind of verdict")
+    fig.add(CurveSeries("gap", [0.0, 1.0, 2.0], [1.0, 0.5, 0.1 + 0.2]))
+    return fig
+
+
+@pytest.fixture
+def mixed(tmp_path):
+    """A registered driver with a bool, a skipped, an open and a closed-band claim."""
+    gap = lambda fig: fig.get("gap").final()  # noqa: E731
+    registry.register(
+        "mixed",
+        "every kind of verdict",
+        _mixed_figure,
+        claims=(
+            Claim("mixed-bool", "none", lambda fig: gap(fig) > 0, TRUE, "a fact"),
+            Claim("mixed-skip", "none", gap, below(1.0), "not at tiny", scale="quick"),
+            Claim("mixed-above", "none", gap, above(0.3), "strict, +inf above"),
+            Claim("mixed-at-least", "none", gap, at_least(0.25), "closed, +inf above"),
+        ),
+    )
+    config = tmp_path / "mixed.toml"
+    config.write_text(
+        '[experiment]\nid = "mixed"\n[run]\nscale = "tiny"\n'
+        '[matrix]\ndriver = ["mixed"]\n[report]\nsections = ["figures"]\n'
+    )
+    yield config
+    registry.unregister("mixed")
+
+
+def _cell(config, tmp_path):
+    from repro.eval import load_config
+
+    return run_plan(
+        plan(load_config(config), scale_override="tiny"), cache_dir=tmp_path / "cache"
+    )
+
+
+def _key(verdict):
+    """Everything a stored verdict must reproduce, values bit for bit."""
+    value = verdict.value
+    return (
+        verdict.claim.claim_id, verdict.claim.figure, verdict.claim.sentence,
+        verdict.claim.scale, str(verdict.claim.band), verdict.status,
+        float.hex(value) if type(value) is float else value, type(value),
+    )
+
+
+class TestStoredVerdicts:
+    @pytest.mark.parametrize("which", ["fig1", "planted", "mixed"])
+    def test_stored_verdicts_equal_a_fresh_check(self, which, planted, mixed, tmp_path):
+        config = {"fig1": CONFIGS / "fig1.toml", "planted": planted, "mixed": mixed}[which]
+        payload = _cell(config, tmp_path).results[0].payload
+        spec = registry.get_driver(payload["cell"]["driver"])
+        fresh = spec.check(FigureResult.from_dict(payload["figure"]), "tiny")
+        stored = [Verdict.from_dict(v) for v in payload["verdicts"]]
+        assert len(stored) == len(spec.claims) > 0
+        assert list(map(_key, stored)) == list(map(_key, fresh))
+        if which == "mixed":
+            assert [(v.status, v.value) for v in stored] == [
+                ("pass", True), ("skip", None), ("pass", 0.1 + 0.2), ("pass", 0.1 + 0.2),
+            ]
+            assert [str(v.claim.band) for v in stored] == ["true", "< 1", "> 0.3", "≥ 0.25"]
+
+    def test_matching_digest_reads_verdicts_without_the_driver(self, tmp_path, monkeypatch):
+        run = _cell(CONFIGS / "fig1.toml", tmp_path)
+        expected = list(map(_key, run.results[0].verdicts))
+
+        def no_driver(row):
+            raise AssertionError(f"driver module {row.module} imported")
+
+        monkeypatch.setattr(registry.REGISTRY, "_specs", {})
+        monkeypatch.setattr(registry, "_load", no_driver)
+        rerun = _cell(CONFIGS / "fig1.toml", tmp_path)
+        assert rerun.executed == 0
+        assert list(map(_key, rerun.results[0].verdicts)) == expected
+
+    def test_stale_digest_is_rechecked_on_the_cached_figure(self, tmp_path):
+        run = _cell(CONFIGS / "fig1.toml", tmp_path)
+        path = Path(run.cache_dir) / f"{run.results[0].cell.config_hash}.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        # as if a measure was edited since the cell ran: the stored outcome is stale
+        payload["claims_digest"] = "0" * 64
+        for verdict in payload["verdicts"]:
+            verdict["status"], verdict["value"] = "fail", -1.0
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        rerun = _cell(CONFIGS / "fig1.toml", tmp_path)
+        assert rerun.executed == 0 and rerun.resumed == 1
+        assert not rerun.failed_claims()
+        assert list(map(_key, rerun.results[0].verdicts)) == list(
+            map(_key, run.results[0].verdicts)
+        )
+
+    def test_edited_band_flips_the_resumed_verdict(self, planted, tmp_path, capsys):
+        assert _eval(planted, tmp_path) == 1
+        spec = registry.get_driver("planted")
+        registry.unregister("planted")
+        registry.register(
+            "planted", spec.title, spec.fn,
+            claims=(replace(spec.claims[0], band=below(1.0)),),
+        )
+        capsys.readouterr()
+        assert _eval(planted, tmp_path, "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["executed"] == 0 and doc["claims_failed"] == 0

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 
+import numpy as np
 import pytest
 
 from repro.eval import EvalConfig, cell_hash, parse_config, plan, run_plan
@@ -148,9 +150,13 @@ class TestRunnerResume:
         cfg = _probe_config()
         run = run_plan(plan(cfg), cache_dir=tmp_path / "cache")
         payload = run.results[0].payload
-        assert payload["schema"] == "repro.eval-cell/v1"
+        assert payload["schema"] == "repro.eval-cell/v2"
         assert payload["cell"]["hash"] == run.results[0].cell.config_hash
         assert "git_commit" in payload["provenance"]
+        # the numpy that computed the figure, which the report's footer names
+        assert payload["provenance"]["numpy"] == np.__version__
+        # a registered driver declares no claims here and is digested never
+        assert payload["verdicts"] == [] and payload["claims_digest"] is None
         # the trace sidecar is a valid chrome trace next to the payload
         trace = json.loads(
             (tmp_path / "cache").joinpath(
@@ -198,3 +204,100 @@ class TestParallelAndScaleOverride:
         # second call resumes from the same cache: no new executions
         run_drivers(["test-probe"], scale="tiny", cache_dir=tmp_path / "cache")
         assert len(counting_driver.read_text().splitlines()) == 1
+
+
+def _rewrite(path, edit) -> None:
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _verdicts(payload, value) -> None:
+    payload["verdicts"] = value
+
+
+#: payloads that parse as JSON but are not a whole v2 cell: each must be a miss
+MALFORMED = {
+    "cell-is-a-list": lambda p: p.update(cell=[]),
+    "figure-is-a-list": lambda p: p.update(figure=[1, 2]),
+    "series-x-is-a-number": lambda p: p["figure"]["series"][0].update(x=3.0),
+    "series-lengths-differ": lambda p: p["figure"]["series"][0]["y"].pop(),
+    "verdicts-missing": lambda p: p.pop("verdicts"),
+    "verdicts-not-a-list": lambda p: _verdicts(p, {"claim_id": "x"}),
+    "verdict-not-a-dict": lambda p: _verdicts(p, ["pass"]),
+    "verdict-missing-a-key": lambda p: _verdicts(
+        p, [{"claim_id": "x", "status": "pass", "value": 1.0}]
+    ),
+    "verdict-band-not-numbers": lambda p: _verdicts(
+        p,
+        [
+            {
+                "claim_id": "x", "figure": "Fig. 1", "sentence": "s", "scale": "tiny",
+                "band": {"lo": "0", "hi": 1.0, "strict": False},
+                "status": "pass", "value": 0.5,
+            }
+        ],
+    ),
+    "claims-digest-missing": lambda p: p.pop("claims_digest"),
+    "provenance-without-numpy": lambda p: p["provenance"].pop("numpy"),
+    "v1-payload": lambda p: (
+        p.update(schema="repro.eval-cell/v1"),
+        p.pop("verdicts"),
+        p.pop("claims_digest"),
+    ),
+}
+
+
+class TestMalformedCache:
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_wrong_shape_recomputes_and_reports(self, counting_driver, tmp_path, shape):
+        from repro.eval import build_report
+
+        cfg = _probe_config()
+        cache = tmp_path / "cache"
+        run = run_plan(plan(cfg), cache_dir=cache)
+        path = cache / f"{run.results[0].cell.config_hash}.json"
+        _rewrite(path, MALFORMED[shape])
+        rerun = run_plan(plan(cfg), cache_dir=cache)
+        assert rerun.executed == 1 and rerun.resumed == 0
+        assert "probe" in build_report(rerun, run_bench=False)
+        # the recomputed cell replaced the bad file and now resumes
+        assert run_plan(plan(cfg), cache_dir=cache).resumed == 1
+
+
+class TestInterruptedEval:
+    def test_ctrl_c_while_persisting_leaves_a_resumable_cache(
+        self, counting_driver, tmp_path, monkeypatch
+    ):
+        from repro.eval import runner
+
+        cfg = _probe_config(knob=["a", "b"])
+        first, second = (c.config_hash for c in plan(cfg).cells)
+        cache = tmp_path / "cache"
+        replace = os.replace
+        calls = []
+
+        def interrupted(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            replace(src, dst)
+
+        monkeypatch.setattr(runner.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_plan(plan(cfg), cache_dir=cache)
+        monkeypatch.setattr(runner.os, "replace", replace)
+
+        assert (cache / f"{first}.json").is_file()
+        assert not (cache / f"{second}.json").exists()
+        stray = cache / f"{second}.json.tmp"
+        assert stray.is_file()
+        stray.write_text('{"partial', encoding="utf-8")
+
+        rerun = run_plan(plan(cfg), cache_dir=cache)
+        assert [r.cached for r in rerun.results] == [True, False]
+        assert counting_driver.read_text().splitlines() == ["a:0", "b:0", "b:0"]
+        assert not stray.exists()
+        saved = json.loads((cache / f"{second}.json").read_text(encoding="utf-8"))
+        assert saved["cell"]["hash"] == second
+        assert run_plan(plan(cfg), cache_dir=cache).resumed == 2

@@ -6,6 +6,7 @@ whatever this test process has already imported cannot hide a regression.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -56,7 +57,9 @@ class TestFreshInterpreter:
         for package in ("repro.serve", "repro.shards", "repro.eval", "repro.experiments"):
             assert not under(loaded, package), package
 
-    def test_resumed_eval_loads_only_its_driver(self, tmp_path):
+    def test_resumed_eval_loads_no_numpy_and_no_driver(self, tmp_path):
+        """A resumed cell shows its stored verdicts and draws its stored
+        figure: no numpy, no driver module, no runtime package."""
         from repro.eval import run_eval
 
         args = dict(scale="tiny", out_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
@@ -71,10 +74,39 @@ class TestFreshInterpreter:
             f" '--out-dir', {str(args['out_dir'])!r}, '--cache-dir', {str(args['cache_dir'])!r}])\n"
             "assert code == 0, code\n"
         )
+        assert "numpy" not in loaded
         for package in ("repro.cluster", "repro.serve", "repro.shards", "repro.native"):
             assert not under(loaded, package), package
         drivers = {f"repro.experiments.{row.module}" for row in registry._DRIVERS}
-        assert drivers & loaded == {"repro.experiments.convergence"}
+        assert not drivers & loaded
+        assert "repro.experiments.config" not in loaded
+
+    @pytest.mark.parametrize("argv", [["--help"], ["list"], ["info"]])
+    def test_cli_listing_commands_load_no_numpy(self, argv):
+        loaded = modules_after(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        main({argv!r})\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+        )
+        assert "numpy" not in loaded
+        drivers = {f"repro.experiments.{row.module}" for row in registry._DRIVERS}
+        assert not drivers & loaded
+
+    def test_load_config_loads_no_driver(self):
+        configs = sorted(str(path) for path in (REPO / "configs").glob("*.toml"))
+        assert configs
+        loaded = modules_after(
+            "from repro.eval import load_config\n"
+            f"for path in {configs!r}:\n"
+            "    load_config(path)\n"
+        )
+        drivers = {f"repro.experiments.{row.module}" for row in registry._DRIVERS}
+        assert not drivers & loaded
+        assert "numpy" not in loaded
 
     def test_import_sparse_loads_no_native_library_and_no_ctypes(self):
         loaded = modules_after("import repro.sparse")
@@ -132,3 +164,42 @@ class TestLazySurface:
         package = importlib.import_module(name)
         with pytest.raises(AttributeError, match=f"module '{name}' has no attribute 'nope'"):
             package.nope
+
+
+#: modules on the resumed-eval and listing paths: numpy only inside functions
+NUMPY_FREE = [
+    "experiments/scales.py",
+    "experiments/claims.py",
+    "experiments/results.py",
+    "experiments/registry.py",
+    "cli.py",
+    *sorted(
+        str(path.relative_to(REPO / "src" / "repro"))
+        for path in (REPO / "src" / "repro" / "eval").glob("*.py")
+    ),
+]
+
+
+def module_level_imports(nodes):
+    """Import statements that run on import: not in a function body and not
+    under ``if TYPE_CHECKING:``."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from module_level_imports(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node, [node.module]
+        yield from module_level_imports(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", NUMPY_FREE)
+def test_no_module_level_numpy_import(module):
+    tree = ast.parse((REPO / "src" / "repro" / module).read_text(encoding="utf-8"))
+    for node, names in module_level_imports(tree.body):
+        assert not any(n == "numpy" or n.startswith("numpy.") for n in names), (
+            f"{module}:{node.lineno} imports numpy at module level"
+        )

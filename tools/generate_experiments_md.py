@@ -23,7 +23,13 @@ import platform
 import sys
 from pathlib import Path
 
-from repro.eval import collect_provenance, load_config, markdown_footer, run_drivers
+from repro.eval import (
+    collect_provenance,
+    load_config,
+    markdown_footer,
+    recorded_numpy,
+    run_drivers,
+)
 from repro.eval.report import latest_record, load_record, record_calibration
 from repro.experiments import active_scale
 from repro.experiments.registry import REGISTRY
@@ -237,7 +243,11 @@ def main() -> int:
         s: run_drivers(list(REGISTRY), scale=s, jobs=args.jobs, force=args.force)
         for s in dict.fromkeys(("tiny", scale))
     }
-    footer = markdown_footer(collect_provenance(seeds=[0]))
+    prov = collect_provenance(seeds=[0])
+    prov["numpy"] = recorded_numpy(
+        r.payload["provenance"] for run in runs.values() for r in run.results
+    )
+    footer = markdown_footer(prov)
     for path, lines in (
         (ROOT / "EXPERIMENTS.md", experiments_md(runs[scale], scale)),
         (ROOT / "docs" / "REPRODUCTION.md", reproduction_md(runs)),
