@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .cluster.mp_cluster import MpDistributedSCD
 from .core.distributed import DistributedSCD
 from .core.distributed_svm import DistributedSvm, SvmTrainResult
 from .core.scale import PaperScale
@@ -235,18 +234,21 @@ def train(
             batch_fraction=cfg.batch_fraction,
             comm_overlap=cfg.comm_overlap,
             staleness_bound=cfg.staleness_bound,
+            mp_context=cfg.mp_context,
             membership=cfg.membership,
             rebalance_every=cfg.rebalance_every,
             capacities=cfg.capacities,
         )
     elif kind == "mp":
-        engine = MpDistributedSCD(
+        engine = DistributedSCD(
+            SequentialKernelFactory(),
             cfg.formulation,
             n_workers=cfg.n_workers,
             aggregation=cfg.aggregation,
             seed=cfg.seed,
-            mp_context=cfg.mp_context,
             faults=cfg.faults,
+            comm="process",
+            mp_context=cfg.mp_context,
         )
     else:  # distributed-svm
         engine = DistributedSvm(

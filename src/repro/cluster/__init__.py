@@ -1,8 +1,10 @@
 """Cluster substrate: the unified runtime, partitioners, simulated MPI.
 
 ``repro.cluster.runtime`` is the single epoch engine behind
-``DistributedSCD`` / ``DistributedSvm`` / ``MpDistributedSCD`` — synchronous
-Algorithm 3 rounds or the asynchronous parameter-server schedule, selected
+``DistributedSCD`` and ``DistributedSvm`` — synchronous Algorithm 3 rounds
+in-process (``comm="sync"``) or over real worker processes
+(``comm="process"``, ``process_backend``), or the asynchronous
+parameter-server schedule (``comm="async"``, ``async_backend``), selected
 by the CommBackend; see ``docs/architecture.md`` for its six pluggable
 seams (partitioner, comm backend, local solver, aggregation, faults,
 membership).
@@ -29,8 +31,8 @@ _EXPORTS = {
         "MembershipRecord",
         "MembershipSchedule",
     ),
-    ".mp_cluster": ("MpDistributedSCD",),
     ".async_backend": ("AsyncParamServerBackend",),
+    ".process_backend": ("PipeProcessBackend",),
     ".partition": (
         "balanced_nnz_partition",
         "contiguous_partition",
@@ -45,9 +47,7 @@ _EXPORTS = {
         "InProcessBackend",
         "LocalSolver",
         "PermutationStream",
-        "PipeProcessBackend",
         "RoundOutcome",
-        "RuntimeProfile",
         "RuntimeResult",
         "WorkerUpdate",
         "plan_partitions",
@@ -68,9 +68,7 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "SimCommunicator",
-    "MpDistributedSCD",
     "ClusterRuntime",
-    "RuntimeProfile",
     "RuntimeResult",
     "FaultPolicy",
     "LocalSolver",

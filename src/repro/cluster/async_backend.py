@@ -72,6 +72,7 @@ class AsyncParamServerBackend:
 
     models_time = True
     asynchronous = True
+    elastic = True
 
     def __init__(
         self,

@@ -4,20 +4,24 @@ The paper's distributed algorithms (Alg. 3, Alg. 4, and the Section V
 distributed TPA-SCD composition) are one synchronous scheme — local solve ->
 Reduce deltas -> gamma*_t aggregation -> Broadcast -> workers fold
 ``gamma_t * dmodel``.  This module implements that scheme *once* with six
-pluggable seams, and the engine classes (`DistributedSCD`, `DistributedSvm`,
-`MpDistributedSCD`) become thin facades that assemble a runtime from parts:
+pluggable seams, and the two engine classes (`DistributedSCD` with its
+``comm="sync" | "process" | "async"`` backends, and `DistributedSvm`) are
+thin facades that assemble a runtime from parts:
 
 * **Partitioner** — :func:`plan_partitions`: feature/example random (or
   custom) partitions, or shard-group-aligned partitions for out-of-core
   stores;
 * **CommBackend** — :class:`InProcessBackend` (workers execute in-process,
   communication priced by :class:`~repro.cluster.comm.SimCommunicator`) vs
-  :class:`PipeProcessBackend` (real ``multiprocessing`` workers over pipes,
-  real wall-clock) vs the asynchronous
+  :class:`~repro.cluster.process_backend.PipeProcessBackend` (real
+  ``multiprocessing`` workers over pipes, real wall-clock) vs the
+  asynchronous
   :class:`~repro.cluster.async_backend.AsyncParamServerBackend`
   (bounded-staleness parameter-server cycles; the runtime skips
   aggregation and takes its clock from the backend); one interface carries
-  Reduce/Broadcast plus the adaptive rule's extra scalars;
+  Reduce/Broadcast plus the adaptive rule's extra scalars, and each backend
+  declares its capabilities (``models_time``, ``asynchronous``,
+  ``elastic``);
 * **LocalSolver** — the :class:`LocalSolver` protocol adapts what a worker
   does between barriers: CPU/GPU SCD kernels (``core/distributed.py``) or
   SVM dual updates (``core/distributed_svm.py``);
@@ -36,20 +40,20 @@ pluggable seams, and the engine classes (`DistributedSCD`, `DistributedSvm`,
 The epoch loop, ledger booking (compute / PCIe / reduce+broadcast /
 wait_straggler / retry phases), tracer spans, shard streaming hookup,
 convergence-history recording and early stopping all live in
-:meth:`ClusterRuntime.run`.
+:meth:`ClusterRuntime.run`, with one observable surface for every engine: a
+``distributed.train`` root span over ``bind`` / ``local_compute`` /
+``aggregate`` / ``gap_eval``, and a ``gamma`` history extra (plus
+``survivors`` under fault injection) on every synchronous backend.
 
-Bit-identity contract: every facade must produce bitwise-identical weights,
-histories and ledger totals to the pre-refactor engines.  The operation
-*order* here is therefore load-bearing — accumulation order, the float
-association of the per-epoch time folds (:attr:`RuntimeProfile.group_net_retry`),
-and the exact placement of RNG draws are all pinned by
-``tests/data/runtime_goldens.json``.
+Bit-identity contract: the operation *order* here is load-bearing —
+accumulation order, the float association of the per-epoch time fold
+(``epoch_time += net_s + retry_s``) and the exact placement of RNG draws
+are all pinned by ``tests/data/runtime_goldens.json``.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
 
@@ -73,13 +77,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ClusterRuntime",
-    "RuntimeProfile",
     "RuntimeResult",
     "FaultPolicy",
     "LocalSolver",
     "CommBackend",
     "InProcessBackend",
-    "PipeProcessBackend",
     "WorkerUpdate",
     "RoundOutcome",
     "PermutationStream",
@@ -247,14 +249,12 @@ class FaultPolicy:
     ``stale_buffering`` — a delayed update is buffered and joins the *next*
     aggregation round (the simulated SCD engine); when ``False`` stale
     updates are simply lost (SDCA keeps no stale buffer; real processes have
-    no next-round buffer either).  ``count_retry_exhausted`` preserves each
-    engine's historical report bookkeeping: only the stale-buffering engine
-    itemizes retry-exhausted losses separately.
+    no next-round buffer either).  Either way a loss by retry exhaustion is
+    itemized in the report's ``retry_exhausted`` count.
     """
 
     injector: FaultInjector | None = None
     stale_buffering: bool = True
-    count_retry_exhausted: bool = True
     retry: RetryPolicy = DEFAULT_RETRY
 
     def open_report(self) -> FaultReport | None:
@@ -337,6 +337,14 @@ class CommBackend(Protocol):
     #: (sim_time = modelled seconds); False when epochs run on real
     #: wall-clock (sim_time = elapsed seconds, ledger bills real compute)
     models_time: bool
+    #: True when the backend applies every push to the shared vector itself
+    #: and keeps its own clock (``sim_seconds``): the runtime then skips the
+    #: Reduce / gamma / Broadcast round
+    asynchronous: bool
+    #: True when the backend implements ``resize(problem, tracer, n_workers,
+    #: capacities)`` and ``partition_sizes()``, so it can run elastic
+    #: membership and load rebalancing
+    elastic: bool
     n_workers: int
 
     def install(self, tracer) -> None: ...
@@ -371,6 +379,8 @@ class InProcessBackend:
     """
 
     models_time = True
+    asynchronous = False
+    elastic = True
 
     def __init__(self, comm: SimCommunicator, solver: LocalSolver) -> None:
         self.comm = comm
@@ -441,7 +451,7 @@ class InProcessBackend:
                 # the update never reached the master; the worker restores
                 # state consistent with the broadcast shared vector
                 report.dropped_updates += 1
-                if exhausted and policy.count_retry_exhausted:
+                if exhausted:
                     report.retry_exhausted += 1
                 solver.discard(rank, upd)
                 continue
@@ -501,173 +511,9 @@ class InProcessBackend:
         self.solver.close()
 
 
-class PipeProcessBackend:
-    """Real ``multiprocessing`` workers over pipes; time is real wall-clock.
-
-    The parent broadcasts the shared vector, children run one local epoch and
-    reply ``(dshared, dweights, stats, elapsed)``; after aggregation the
-    parent sends gamma back (0 for a lost update, so the child reverts and
-    stays consistent with the broadcast).  Dropout faults skip the send
-    entirely — the child's permutation stream does not advance, matching the
-    simulated engine's semantics.  Time-only faults (stragglers, retry
-    latency) have no meaning against real wall-clock and are ignored by the
-    caller's :class:`FaultPolicy` configuration (``models_time = False``).
-    """
-
-    models_time = False
-
-    def __init__(
-        self,
-        *,
-        ctx,
-        worker_target: Callable,
-        payloads: list[dict],
-        parts: list[np.ndarray],
-        n_model_coords: int,
-        gap_fn: Callable[[np.ndarray], tuple[float, float]],
-    ) -> None:
-        self.ctx = ctx
-        self.worker_target = worker_target
-        self.payloads = payloads
-        self.parts = parts
-        self.n_model_coords = n_model_coords
-        self.gap_fn = gap_fn
-        self.n_workers = len(payloads)
-        self.weights_by_rank = [np.zeros(p.shape[0]) for p in parts]
-        self.pipes: list[Any] = []
-        self.procs: list[Any] = []
-        self._active: list[int] = []
-        self._dweights: dict[int, np.ndarray] = {}
-
-    def install(self, tracer) -> None:
-        pass
-
-    def open(self, problem, tracer) -> None:
-        for payload in self.payloads:
-            parent_conn, child_conn = self.ctx.Pipe()
-            proc = self.ctx.Process(
-                target=self.worker_target, args=(child_conn, payload), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            self.pipes.append(parent_conn)
-            self.procs.append(proc)
-
-    def run_round(
-        self, epoch, shared, plan, report, policy, ledger, comm_bytes, needs_stats
-    ) -> RoundOutcome:
-        out = RoundOutcome()
-        active = [
-            rank
-            for rank in range(self.n_workers)
-            if plan is None or not plan[rank].dropout
-        ]
-        if report is not None:
-            report.dropouts += self.n_workers - len(active)
-        for rank in active:
-            self.pipes[rank].send(("epoch", shared))
-        self._active = active
-        self._dweights = {}
-        for rank in active:
-            dshared, dweights, stats, elapsed = self.pipes[rank].recv()
-            wf = plan[rank] if plan is not None else _BENIGN
-            out.fault_free_compute_s = max(out.fault_free_compute_s, elapsed)
-            out.n_updates += self.parts[rank].shape[0]
-            out.worker_wall[rank] = elapsed
-            self._dweights[rank] = dweights
-            verdict, _ = policy.verdict(wf)
-            if verdict == "lost":
-                if report is not None:
-                    report.dropped_updates += 1
-                continue
-            out.delivered.append(
-                WorkerUpdate(
-                    rank=rank,
-                    dshared=dshared,
-                    dmodel=dweights,
-                    compute_s=elapsed,
-                    n_updates=self.parts[rank].shape[0],
-                )
-            )
-            out.model_dot += stats[0]
-            out.dmodel_norm_sq += stats[1]
-            out.dmodel_dot_y += stats[2]
-        out.any_computed = bool(active)
-        return out
-
-    def reduce(self, parts: list[np.ndarray], like: np.ndarray) -> np.ndarray:
-        # master-side accumulation over whatever arrived, in rank order
-        out = np.zeros_like(like)
-        for p in parts:
-            out += p
-        return out
-
-    def finish_round(self, gamma: float, outcome: RoundOutcome) -> None:
-        arrived = {upd.rank for upd in outcome.delivered}
-        for rank in self._active:
-            # a lost update folds gamma = 0 so the child reverts and stays
-            # consistent with the broadcast shared vector
-            g = gamma if rank in arrived else 0.0
-            self.pipes[rank].send(g)
-            self.weights_by_rank[rank] = (
-                self.weights_by_rank[rank] + g * self._dweights[rank]
-            )
-        self._active = []
-        self._dweights = {}
-
-    def network_seconds(self, nbytes: int, n_scalars: int) -> float:
-        return 0.0  # real pipes: network time is inside the measured elapsed
-
-    def global_weights(self) -> np.ndarray:
-        return scatter_weights(
-            zip(self.parts, self.weights_by_rank), self.n_model_coords
-        )
-
-    def gap_objective(self, problem) -> tuple[float, float]:
-        return self.gap_fn(self.global_weights())
-
-    def global_model(self, problem, shared: np.ndarray) -> np.ndarray:
-        return self.global_weights()
-
-    def close(self) -> None:
-        for conn in self.pipes:
-            try:
-                conn.send(("stop", None))
-                conn.close()
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self.procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - hung child guard
-                proc.terminate()
-        self.pipes = []
-        self.procs = []
-
-
 # ---------------------------------------------------------------------------
 # the runtime
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class RuntimeProfile:
-    """Per-facade surface configuration (spans, history extras, time folds).
-
-    These knobs exist to keep each facade's observable surface — span names,
-    history ``extras`` and the exact float association of the per-epoch time
-    accumulation — bitwise identical to its pre-runtime implementation.
-    """
-
-    root_span: str = "distributed.train"
-    bind_span: bool = True
-    local_compute_span: bool = True
-    aggregate_span: bool = True
-    #: "gamma+survivors" | "gamma" | "none"
-    extras: str = "gamma+survivors"
-    #: True  -> epoch_time += (net_s + retry_s)   (ridge engines)
-    #: False -> epoch_time = (epoch_time + net_s) + retry_s  (SVM engine);
-    #: the two differ by float association, which the goldens pin
-    group_net_retry: bool = True
-
-
 @dataclass
 class RuntimeResult:
     """What one :meth:`ClusterRuntime.run` produced (facades shape results)."""
@@ -702,7 +548,6 @@ class ClusterRuntime:
         aggregator: Aggregator,
         formulation: str,
         faults: FaultPolicy | None = None,
-        profile: RuntimeProfile | None = None,
         name: Callable[[], str] | str = "cluster",
         pcie=None,
         host_model=None,
@@ -713,7 +558,6 @@ class ClusterRuntime:
         self.aggregator = aggregator
         self.formulation = formulation
         self.faults = faults or FaultPolicy()
-        self.profile = profile or RuntimeProfile()
         self._name = name if callable(name) else (lambda: name)
         self.pcie = pcie
         self.host_model = host_model
@@ -721,9 +565,7 @@ class ClusterRuntime:
         self.membership = membership
         #: optional :class:`~repro.cluster.membership.LoadBalancer`
         self.rebalance = rebalance
-        if (membership is not None or rebalance is not None) and not hasattr(
-            backend, "resize"
-        ):
+        if (membership is not None or rebalance is not None) and not backend.elastic:
             raise ValueError(
                 f"{type(backend).__name__} does not support elastic "
                 "membership: its workers are bound at open() and cannot be "
@@ -813,7 +655,6 @@ class ClusterRuntime:
             raise ValueError("monitor_every must be >= 1")
         tracer = resolve_tracer(tracer)
         backend = self.backend
-        profile = self.profile
         policy = self.faults
         aggregator = self.aggregator
         needs_stats = getattr(aggregator, "needs_stats", True)
@@ -822,22 +663,17 @@ class ClusterRuntime:
         shared = np.zeros(shared_len, dtype=np.float64)
         gammas: list[float] = []
         report = policy.open_report()
-        asynchronous = bool(getattr(backend, "asynchronous", False))
+        asynchronous = backend.asynchronous
         elastic = self.membership is not None or self.rebalance is not None
         membership_log: list = []
         consec_down: dict[int, int] = {}
         root = tracer.span(
-            profile.root_span, category="driver", solver=self._name(),
+            "distributed.train", category="driver", solver=self._name(),
             n_workers=backend.n_workers, n_epochs=n_epochs,
         )
         with root:
             try:
-                bind_cm = (
-                    tracer.span("bind", category="driver")
-                    if profile.bind_span
-                    else nullcontext()
-                )
-                with bind_cm:
+                with tracer.span("bind", category="driver"):
                     backend.open(problem, tracer)
                 history = ConvergenceHistory(label=self._name())
                 ledger = tracer.open_ledger()
@@ -862,14 +698,9 @@ class ClusterRuntime:
                         plan = policy.plan(epoch, backend.n_workers)
                         if report is not None:
                             report.epochs += 1
-                        lc_cm = (
-                            tracer.span(
-                                "local_compute", category="cluster", epoch=epoch
-                            )
-                            if profile.local_compute_span
-                            else nullcontext()
-                        )
-                        with lc_cm:
+                        with tracer.span(
+                            "local_compute", category="cluster", epoch=epoch
+                        ):
                             out = backend.run_round(
                                 epoch, shared, plan, report, policy, ledger,
                                 comm_bytes, needs_stats,
@@ -888,15 +719,10 @@ class ClusterRuntime:
                             gamma = 1.0
                             sim_time = backend.sim_seconds
                         else:
-                            agg_cm = (
-                                tracer.span(
-                                    "aggregate", category="cluster",
-                                    epoch=epoch, survivors=n_arrived,
-                                )
-                                if profile.aggregate_span
-                                else nullcontext()
-                            )
-                            with agg_cm:
+                            with tracer.span(
+                                "aggregate", category="cluster",
+                                epoch=epoch, survivors=n_arrived,
+                            ):
                                 if n_arrived:
                                     dshared = backend.reduce(
                                         [u.dshared for u in out.delivered], shared
@@ -961,10 +787,7 @@ class ClusterRuntime:
                                 ledger.add("comm_network", net_s)
                                 if out.retry_s > 0.0:
                                     ledger.add("comm_retry", out.retry_s)
-                                if profile.group_net_retry:
-                                    epoch_time += net_s + out.retry_s
-                                else:
-                                    epoch_time = epoch_time + net_s + out.retry_s
+                                epoch_time += net_s + out.retry_s
                                 sim_time += epoch_time
                         if elastic:
                             if plan is not None:
@@ -985,14 +808,11 @@ class ClusterRuntime:
                     if epoch % monitor_every == 0 or epoch == n_epochs:
                         with tracer.span("gap_eval", category="monitor", epoch=epoch):
                             gap, obj = backend.gap_objective(problem)
-                        record_kwargs: dict = {}
-                        if profile.extras == "gamma+survivors":
-                            extras = {"gamma": gamma}
+                        extras: dict = {}
+                        if not asynchronous:
+                            extras["gamma"] = gamma
                             if policy.injector is not None:
                                 extras["survivors"] = float(n_arrived)
-                            record_kwargs["extras"] = extras
-                        elif profile.extras == "gamma":
-                            record_kwargs["extras"] = {"gamma": gamma}
                         history.append(
                             ConvergenceRecord(
                                 epoch=epoch,
@@ -1005,7 +825,7 @@ class ClusterRuntime:
                                 ),
                                 wall_time=time.perf_counter() - t0,
                                 updates=updates,
-                                **record_kwargs,
+                                extras=extras,
                             )
                         )
                         if on_epoch is not None:

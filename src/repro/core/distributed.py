@@ -8,6 +8,11 @@ One facade covers all three distributed configurations in the paper:
 * Section V   — distributed TPA-SCD: GPU local solvers, with the shared
   vector crossing PCIe on and off each device every epoch.
 
+``comm="process"`` runs the same rounds over real worker processes
+(:mod:`repro.cluster.process_backend`, the validation backend) and
+``comm="async"`` swaps the barrier for the parameter-server alternative
+(:mod:`repro.cluster.async_backend`).
+
 The synchronous epoch scheme itself — local solve, Reduce, gamma_t
 aggregation, Broadcast, ledger booking — lives in
 :class:`~repro.cluster.runtime.ClusterRuntime`; this module contributes the
@@ -39,7 +44,6 @@ from ..cluster.runtime import (
     FaultPolicy,
     InProcessBackend,
     PermutationStream,
-    RuntimeProfile,
     WorkerUpdate,
     plan_partitions,
     sharding_config,
@@ -91,16 +95,6 @@ class _WorkerState:
     stream: PermutationStream
     #: out-of-core data path for this worker's shard group (None = in-memory)
     streamer: ShardStreamer | None = None
-
-
-#: span surface of the asynchronous backend: the parameter server has no
-#: aggregate round, and the retired engine recorded no per-epoch extras
-_ASYNC_PROFILE = RuntimeProfile(
-    root_span="async_ps.train",
-    local_compute_span=False,
-    aggregate_span=False,
-    extras="none",
-)
 
 
 @dataclass(kw_only=True)
@@ -415,6 +409,18 @@ class DistributedSCD:
         bit-identical to the in-memory path under
         :func:`~repro.cluster.partition.shard_aligned_partition`.  See
         ``docs/data_pipeline.md``.
+    comm:
+        The CommBackend: ``"sync"`` (Algorithm 3/4 in-process, modelled
+        time), ``"process"`` (the same rounds over real OS worker processes
+        and pipes, real wall-clock; sequential float64 SCD workers only —
+        see :mod:`repro.cluster.process_backend`) or ``"async"`` (the
+        bounded-staleness parameter server of
+        :mod:`repro.cluster.async_backend`, tuned by ``batch_fraction``,
+        ``comm_overlap`` and ``staleness_bound``).
+    mp_context:
+        ``multiprocessing`` start method for ``comm="process"`` (``"fork"``,
+        ``"spawn"``, ``"forkserver"``; ``None`` = the platform default);
+        the other backends ignore it.
     """
 
     def __init__(
@@ -438,6 +444,7 @@ class DistributedSCD:
         batch_fraction: float = 1 / 16,
         comm_overlap: float = 0.9,
         staleness_bound: int = 0,
+        mp_context: str | None = None,
         membership: MembershipSchedule | Sequence | None = None,
         rebalance_every: int = 0,
         capacities: Sequence[float] | None = None,
@@ -448,8 +455,10 @@ class DistributedSCD:
             raise ValueError("n_workers must be >= 1")
         if not 0.0 < round_fraction <= 1.0:
             raise ValueError("round_fraction must be in (0, 1]")
-        if comm not in ("sync", "async"):
-            raise ValueError(f"unknown comm mode {comm!r}; use 'sync' or 'async'")
+        if comm not in ("sync", "process", "async"):
+            raise ValueError(
+                f"unknown comm mode {comm!r}; use 'sync', 'process' or 'async'"
+            )
         if not 0.0 < batch_fraction <= 1.0:
             raise ValueError("batch_fraction must be in (0, 1]")
         if not 0.0 <= comm_overlap <= 1.0:
@@ -474,6 +483,24 @@ class DistributedSCD:
                     "round_fraction is a synchronous knob; tune "
                     "batch_fraction for comm='async'"
                 )
+        if comm == "process":
+            from ..solvers.scd import SequentialKernelFactory
+
+            if not (
+                isinstance(worker_factory, SequentialKernelFactory)
+                and worker_factory.dtype == np.float64
+            ):
+                raise ValueError(
+                    "comm='process' runs float64 sequential SCD in each child "
+                    "process; pass SequentialKernelFactory()"
+                )
+            if pcie is not None or paper_scale is not None:
+                raise ValueError(
+                    "comm='process' runs on real wall-clock; pcie and "
+                    "paper_scale price modelled time (use comm='sync')"
+                )
+            if round_fraction != 1.0:
+                raise ValueError("comm='process' runs whole-epoch rounds only")
         self._factory_for: Callable[[int], KernelFactory]
         if callable(worker_factory) and not hasattr(worker_factory, "bind_primal"):
             self._factory_for = worker_factory  # type: ignore[assignment]
@@ -498,6 +525,7 @@ class DistributedSCD:
         self.batch_fraction = float(batch_fraction)
         self.comm_overlap = float(comm_overlap)
         self.staleness_bound = int(staleness_bound)
+        self.mp_context = mp_context
         if membership is not None and not isinstance(membership, MembershipSchedule):
             membership = MembershipSchedule(membership)
         self.membership = membership
@@ -524,9 +552,10 @@ class DistributedSCD:
                 f"b={self.batch_fraction:g}, {self.formulation}]"
             )
         agg = self.aggregator.name
+        where = ", process" if self.comm_mode == "process" else ""
         return (
             f"Distributed[{self._solver_label or 'SCD'} x{self.n_workers}, "
-            f"{agg}, {self.formulation}]"
+            f"{agg}, {self.formulation}{where}]"
         )
 
     def _set_label(self, label: str) -> None:
@@ -545,7 +574,19 @@ class DistributedSCD:
         on_epoch=None,
     ) -> DistributedTrainResult:
         pool = None
-        if self.comm_mode == "async":
+        if self.comm_mode == "process":
+            # imported on use: in-process training never loads multiprocessing
+            from ..cluster.process_backend import PipeProcessBackend
+
+            backend = PipeProcessBackend(
+                self.formulation,
+                self.n_workers,
+                seed=self.seed,
+                partitioner=self.partitioner,
+                shards=self.shards,
+                mp_context=self.mp_context,
+            )
+        elif self.comm_mode == "async":
             backend = AsyncParamServerBackend(
                 self.comm,
                 self._factory_for,
@@ -557,17 +598,19 @@ class DistributedSCD:
                 seed=self.seed,
                 on_label=self._set_label,
             )
-            profile = _ASYNC_PROFILE
         else:
             pool = _ScdWorkerPool(self)
             backend = InProcessBackend(self.comm, pool)
-            profile = None
         runtime = ClusterRuntime(
             backend=backend,
             aggregator=self.aggregator,
             formulation=self.formulation,
-            faults=FaultPolicy(injector=self.faults, retry=self.comm.retry),
-            profile=profile,
+            faults=FaultPolicy(
+                injector=self.faults,
+                # real processes have no next-round buffer: stale is lost
+                stale_buffering=self.comm_mode != "process",
+                retry=self.comm.retry,
+            ),
             name=lambda: self.name,
             pcie=self.pcie,
             host_model=self.host_model,
@@ -590,12 +633,13 @@ class DistributedSCD:
         )
         self._last_report = rt.report
         self.membership_log = rt.membership_log
-        if self.comm_mode == "async":
-            weights = backend.global_weights(problem)
+        weights = backend.global_model(problem, rt.shared)
+        if pool is not None:
+            partitions = [wk.coords for wk in pool.workers]
+        elif self.comm_mode == "async":
             partitions = [wk["coords"] for wk in backend.workers]
         else:
-            weights = pool.global_weights(problem)
-            partitions = [wk.coords for wk in pool.workers]
+            partitions = list(backend.parts)
         return DistributedTrainResult(
             formulation=self.formulation,
             weights=weights,

@@ -34,7 +34,6 @@ from ..cluster.runtime import (
     ClusterRuntime,
     FaultPolicy,
     InProcessBackend,
-    RuntimeProfile,
     WorkerUpdate,
     plan_partitions,
     sharding_config,
@@ -51,13 +50,6 @@ if TYPE_CHECKING:
     from ..shards import ShardingConfig, ShardStore
 
 __all__ = ["DistributedSvm", "SvmTrainResult"]
-
-_SVM_PROFILE = RuntimeProfile(
-    bind_span=False,
-    local_compute_span=False,
-    extras="none",
-    group_net_retry=False,
-)
 
 
 @dataclass(kw_only=True)
@@ -355,10 +347,8 @@ class DistributedSvm:
             faults=FaultPolicy(
                 injector=self.faults,
                 stale_buffering=False,  # SDCA keeps no stale buffer: lost
-                count_retry_exhausted=False,
                 retry=self.comm.retry,
             ),
-            profile=_SVM_PROFILE,
             name=lambda: self.name,
             membership=self.membership,
             rebalance=self.rebalance,

@@ -1,15 +1,17 @@
 """The seed scenario matrix pinning the distributed engines' trajectories.
 
 ``tests/test_runtime.py`` replays every scenario here against the golden
-fingerprints in ``tests/data/runtime_goldens.json``, which were captured
-from the pre-refactor engines (``tools/capture_runtime_goldens.py``).  The
-unified cluster runtime must reproduce each engine's weights, histories and
-ledger phase totals **bitwise** — this module is the contract that lets the
-multi-layer refactor prove it changed no numbers.
+fingerprints in ``tests/data/runtime_goldens.json``, captured with
+``tools/capture_runtime_goldens.py``.  The unified cluster runtime must
+reproduce each engine's weights, histories and ledger phase totals
+**bitwise** — a refactor proves it changed no numbers by leaving that file
+alone, and a deliberate change of arithmetic re-captures it and says which
+fields moved.
 
-Scenario coverage, per the refactor issue:
+Scenario coverage:
 
-* each engine (``DistributedSCD``, ``DistributedSvm``, ``MpDistributedSCD``),
+* each engine (``DistributedSCD``, ``DistributedSvm``) and each
+  ``DistributedSCD`` backend (``comm="sync"``, ``"process"``, ``"async"``),
 * with and without faults (incl. the stale-buffer path only the simulated
   SCD engine supports),
 * with and without out-of-core shards (incl. shard-read faults),
@@ -213,11 +215,7 @@ SCENARIOS: dict = {
 
 
 def _mp(formulation, k, agg, **kw):
-    from repro.cluster.mp_cluster import MpDistributedSCD
-
-    return MpDistributedSCD(
-        formulation, n_workers=k, aggregation=agg, seed=7, **kw
-    )
+    return _scd(formulation, k, agg, comm="process", **kw)
 
 
 def run_scenario(name: str, tmp: Path) -> dict:

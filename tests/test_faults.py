@@ -405,11 +405,7 @@ class TestMpFaults:
         ids=["dropout", "drop"],
     )
     def test_mp_matches_simulation_under_faults(self, problem, spec):
-        from repro.cluster.mp_cluster import MpDistributedSCD
-
-        mp_res = MpDistributedSCD(
-            "dual", n_workers=2, aggregation="adaptive", seed=7, faults=spec
-        ).solve(problem, 4)
+        mp_res = _engine("dual", 2, faults=spec, comm="process").solve(problem, 4)
         sim_res = _engine("dual", 2, faults=spec).solve(problem, 4)
         assert mp_res.fault_report.dropouts == sim_res.fault_report.dropouts
         assert np.allclose(mp_res.gammas, sim_res.gammas, rtol=1e-10)
@@ -453,6 +449,17 @@ class TestDistributedSvmFaults:
         assert np.all(res.weights == 0.0)
         assert np.all(res.alpha == 0.0)
         assert eng.fault_report.dropped_updates == 3 * 3
+
+    def test_retry_exhausted_losses_itemised(self, svm_problem):
+        """Every engine itemises losses by retry exhaustion the same way."""
+        from repro.obs import Tracer
+
+        spec = FaultSpec(send_failure_rate=0.9, max_consecutive_failures=8, seed=1)
+        res = DistributedSvm(n_workers=4, seed=3, faults=spec).solve(
+            svm_problem, 6, tracer=Tracer()
+        )
+        assert "14 dropped updates (14 retry-exhausted)" in res.fault_report.note()
+        assert res.metrics.counter("faults.retry_exhausted") == 14
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.cluster.membership import (
     MembershipEvent,
     MembershipSchedule,
 )
-from repro.cluster.mp_cluster import MpDistributedSCD
 from repro.core.distributed import DistributedSCD, _ScdWorkerPool
 from repro.core.distributed_svm import DistributedSvm, _SvmWorkerPool
 from repro.obs import resolve_tracer
@@ -369,8 +368,9 @@ class TestShardAlignedElastic:
 
 class TestUnsupportedBackends:
     def test_mp_backend_rejects_membership(self):
-        eng = MpDistributedSCD(
-            "dual", n_workers=2, membership=MembershipSchedule([(2, "join")])
+        eng = DistributedSCD(
+            SequentialKernelFactory(), "dual", n_workers=2, comm="process",
+            membership=MembershipSchedule([(2, "join")]),
         )
         with pytest.raises(ValueError, match="elastic membership"):
             eng.solve(_ridge(), 2)

@@ -3,9 +3,8 @@
 Three layers of evidence that ``repro.cluster.runtime`` changed no numbers:
 
 1. **Golden replay** — every scenario in ``tests/runtime_scenarios.py`` is
-   re-run through the refactored engines and compared *field by field,
-   bitwise* against fingerprints captured from the pre-refactor engines
-   (``tests/data/runtime_goldens.json``).
+   re-run through the engines and compared *field by field, bitwise*
+   against the captured fingerprints (``tests/data/runtime_goldens.json``).
 2. **Cross-backend parity** — the simulated :class:`InProcessBackend` and
    the real-process :class:`PipeProcessBackend` drive the *same*
    :class:`ClusterRuntime` epoch loop; with identical seeds they must
@@ -32,7 +31,6 @@ from repro.cluster.runtime import (
     shared_sizing,
 )
 from repro.core import DistributedSCD
-from repro.cluster.mp_cluster import MpDistributedSCD
 from repro.cluster.partition import contiguous_partition, random_partition
 from repro.core.distributed_svm import DistributedSvm, SvmTrainResult
 from repro.cluster.faults import FaultSpec
@@ -86,8 +84,9 @@ class TestCrossBackendParity:
             SequentialKernelFactory(), formulation, n_workers=2,
             aggregation=aggregation, seed=11,
         ).solve(parity_problem, 4)
-        real = MpDistributedSCD(
-            formulation, n_workers=2, aggregation=aggregation, seed=11
+        real = DistributedSCD(
+            SequentialKernelFactory(), formulation, n_workers=2,
+            aggregation=aggregation, seed=11, comm="process",
         ).solve(parity_problem, 4)
         assert np.array_equal(sim.weights, real.weights)
         assert np.array_equal(sim.shared, real.shared)
@@ -97,8 +96,9 @@ class TestCrossBackendParity:
             SequentialKernelFactory(), "dual", n_workers=3,
             aggregation="adaptive", seed=11,
         ).solve(parity_problem, 5, monitor_every=2)
-        real = MpDistributedSCD(
-            "dual", n_workers=3, aggregation="adaptive", seed=11
+        real = DistributedSCD(
+            SequentialKernelFactory(), "dual", n_workers=3,
+            aggregation="adaptive", seed=11, comm="process",
         ).solve(parity_problem, 5, monitor_every=2)
         assert [r.epoch for r in sim.history.records] == [
             r.epoch for r in real.history.records
@@ -115,8 +115,9 @@ class TestCrossBackendParity:
             SequentialKernelFactory(), "dual", n_workers=2,
             aggregation="adaptive", seed=11, faults=spec,
         ).solve(parity_problem, 4)
-        real = MpDistributedSCD(
-            "dual", n_workers=2, aggregation="adaptive", seed=11, faults=spec
+        real = DistributedSCD(
+            SequentialKernelFactory(), "dual", n_workers=2,
+            aggregation="adaptive", seed=11, faults=spec, comm="process",
         ).solve(parity_problem, 4)
         assert np.array_equal(sim.weights, real.weights)
         assert sim.fault_report.dropped_updates > 0
@@ -126,6 +127,48 @@ class TestCrossBackendParity:
         assert (
             sim.fault_report.survivor_counts == real.fault_report.survivor_counts
         )
+
+
+def _svm_problem():
+    return SvmProblem(make_webspam_like(120, 240, nnz_per_example=10, seed=6), 1e-2)
+
+
+#: every engine the runtime drives, on its own problem type
+SURFACE_ENGINES = {
+    "sync": lambda: DistributedSCD(
+        SequentialKernelFactory(), "dual", n_workers=2, seed=3
+    ),
+    "svm": lambda: DistributedSvm(n_workers=2, seed=3),
+    "process": lambda: DistributedSCD(
+        SequentialKernelFactory(), "dual", n_workers=2, seed=3, comm="process"
+    ),
+    "async": lambda: DistributedSCD(
+        SequentialKernelFactory(), "dual", n_workers=2, seed=3, comm="async",
+        batch_fraction=0.5,
+    ),
+}
+
+
+class TestUnifiedSurface:
+    """One observable surface for every engine: same spans, same extras."""
+
+    @pytest.mark.parametrize("engine", sorted(SURFACE_ENGINES))
+    def test_spans_and_history_extras(self, parity_problem, engine):
+        from repro.obs import Tracer
+
+        problem = _svm_problem() if engine == "svm" else parity_problem
+        tracer = Tracer()
+        res = SURFACE_ENGINES[engine]().solve(problem, 2, tracer=tracer)
+        (root,) = tracer.roots
+        assert root.name == "distributed.train"
+        names = {span.name for span in root.walk()}
+        assert {"bind", "local_compute", "gap_eval"} <= names
+        synchronous = engine != "async"
+        # the parameter server applies pushes itself: no aggregation round
+        assert ("aggregate" in names) == synchronous
+        for record in res.history.records[1:]:
+            assert ("gamma" in record.extras) == synchronous
+            assert "survivors" not in record.extras  # no faults injected
 
 
 # ---------------------------------------------------------------------------

@@ -906,14 +906,16 @@ class TestBitIdentity:
 
 class TestMpClusterShards:
     def test_mp_payloads_match_take_major(self, dataset, rows_store):
-        from repro.cluster.mp_cluster import MpDistributedSCD
+        from repro.cluster.partition import random_partition
+        from repro.cluster.process_backend import build_payloads
+        from repro.cluster.runtime import plan_partitions
 
-        mp_engine = MpDistributedSCD(
-            "dual", n_workers=2, seed=5, shards=rows_store
-        )
+        config = ShardingConfig(rows_store)
         problem = RidgeProblem(dataset, 5e-3)
-        parts = mp_engine._partitions(problem)
-        payloads = mp_engine._payloads(problem, parts)
+        parts, groups = plan_partitions(
+            problem.n, 2, 5, random_partition, config, dataset.csr.shape
+        )
+        payloads = build_payloads("dual", problem, parts, 5, config, groups)
         for coords, payload in zip(parts, payloads):
             expect = dataset.csr.take_rows(coords)
             assert np.array_equal(payload["indptr"], expect.indptr)
@@ -921,8 +923,6 @@ class TestMpClusterShards:
             assert np.array_equal(payload["data"], expect.data)
 
     def test_mp_training_matches_simulated_engine(self, dataset, rows_store):
-        from repro.cluster.mp_cluster import MpDistributedSCD
-
         problem = RidgeProblem(dataset, 5e-3)
         sim = DistributedSCD(
             SequentialKernelFactory(),
@@ -931,8 +931,9 @@ class TestMpClusterShards:
             seed=5,
             shards=ShardingConfig(rows_store),
         ).solve(problem, 3)
-        real = MpDistributedSCD(
-            "dual", n_workers=2, seed=5, shards=rows_store
+        real = DistributedSCD(
+            SequentialKernelFactory(), "dual", n_workers=2, seed=5,
+            shards=rows_store, comm="process",
         ).solve(problem, 3)
         assert np.allclose(sim.weights, real.weights, atol=1e-12)
 
