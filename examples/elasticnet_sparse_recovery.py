@@ -27,9 +27,10 @@ def main() -> None:
     print("l1_ratio   objective      KKT violation   nnz(beta)")
     for l1_ratio in (0.0, 0.25, 0.5, 0.75, 0.95):
         problem = ElasticNetProblem(data, lam, l1_ratio=l1_ratio)
-        beta, history = ElasticNetCD(seed=0).solve(
-            problem, n_epochs=150, monitor_every=25, tol=1e-12
+        result = ElasticNetCD(seed=0).solve(
+            problem, n_epochs=150, monitor_every=25, target_gap=1e-12
         )
+        beta, history = result.weights, result.history
         rec = history.records[-1]
         print(
             f"{l1_ratio:8.2f}   {rec.objective:11.6f}   {rec.gap:13.3e}"
@@ -38,7 +39,7 @@ def main() -> None:
 
     # the l1_ratio = 0 limit must agree with the closed-form ridge optimum
     problem = ElasticNetProblem(data, lam, l1_ratio=0.0)
-    beta, _ = ElasticNetCD(seed=0).solve(problem, n_epochs=200, monitor_every=50)
+    beta = ElasticNetCD(seed=0).solve(problem, n_epochs=200, monitor_every=50).weights
     exact = solve_exact(RidgeProblem(data, lam))
     err = float(np.abs(beta - exact.beta).max())
     print(f"\nmax |beta_enet(l1=0) - beta_ridge_exact| = {err:.2e}")

@@ -30,32 +30,32 @@ def main() -> None:
 
     # elastic net: CPU coordinate descent vs GPU TPA engine
     enp = ElasticNetProblem(data, lam=5e-3, l1_ratio=0.5)
-    beta_cpu, h_cpu = ElasticNetCD(seed=0).solve(enp, 20, monitor_every=4)
-    beta_gpu, h_gpu = TpaElasticNet(GTX_TITAN_X, wave_size=2, seed=0).solve(
+    cpu = ElasticNetCD(seed=0).solve(enp, 20, monitor_every=4)
+    gpu = TpaElasticNet(GTX_TITAN_X, wave_size=2, seed=0).solve(
         enp, 20, monitor_every=4
     )
     print("elastic net (l1_ratio=0.5)   KKT violation per epoch")
     print("  epoch      CPU          TPA (Titan X)")
-    for rc, rg in zip(h_cpu, h_gpu):
+    for rc, rg in zip(cpu.history, gpu.history):
         print(f"  {rc.epoch:5d}  {rc.gap:11.3e}  {rg.gap:11.3e}")
     print(
-        f"  nnz(beta): CPU {np.count_nonzero(beta_cpu)}, "
-        f"GPU {np.count_nonzero(beta_gpu)} of {data.n_features}\n"
+        f"  nnz(beta): CPU {np.count_nonzero(cpu.weights)}, "
+        f"GPU {np.count_nonzero(gpu.weights)} of {data.n_features}\n"
     )
 
     # SVM: SDCA vs GPU TPA engine, with kernel profiling
     svm = SvmProblem(data, lam=1e-2)
     prof = KernelProfile()
-    w_cpu, _, hs_cpu = SvmSdca(seed=0).solve(svm, 15, monitor_every=3)
-    w_gpu, _, hs_gpu = TpaSvm(
+    cpu = SvmSdca(seed=0).solve(svm, 15, monitor_every=3)
+    gpu = TpaSvm(
         GTX_TITAN_X, wave_size=2, seed=0, profiler=prof
     ).solve(svm, 15, monitor_every=3)
     print("SVM (hinge, SDCA)   duality gap per epoch")
     print("  epoch      CPU          TPA (Titan X)")
-    for rc, rg in zip(hs_cpu, hs_gpu):
+    for rc, rg in zip(cpu.history, gpu.history):
         print(f"  {rc.epoch:5d}  {rc.gap:11.3e}  {rg.gap:11.3e}")
-    acc_cpu = float(np.mean(svm.predict(w_cpu) == data.y))
-    acc_gpu = float(np.mean(svm.predict(w_gpu) == data.y))
+    acc_cpu = float(np.mean(svm.predict(cpu.weights) == data.y))
+    acc_gpu = float(np.mean(svm.predict(gpu.weights) == data.y))
     print(f"  train accuracy: CPU {acc_cpu:.3f}, GPU {acc_gpu:.3f}\n")
 
     print("simulated-kernel profile (SVM run):")

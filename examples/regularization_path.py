@@ -44,9 +44,10 @@ def main() -> None:
     spam = make_webspam_like(1_500, 3_000, nnz_per_example=40, seed=13)
     train, test = train_test_split(spam, 0.25, rng)
     problem = LogisticProblem(train, lam=1e-2)
-    w, alpha, history = LogisticSdca(seed=0).solve(
+    result = LogisticSdca(seed=0).solve(
         problem, 20, monitor_every=4, target_gap=1e-10
     )
+    w, history = result.weights, result.history
     print("logistic SDCA (entropy dual, bisection coordinate steps)")
     for rec in history:
         print(f"   epoch {rec.epoch:3d}   duality gap {rec.gap:11.3e}")

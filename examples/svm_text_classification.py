@@ -22,7 +22,8 @@ def main() -> None:
 
     problem = SvmProblem(train, lam=1e-2)
     solver = SvmSdca(seed=0)
-    w, alpha, history = solver.solve(problem, n_epochs=25, monitor_every=5)
+    result = solver.solve(problem, n_epochs=25, monitor_every=5)
+    w, history = result.weights, result.history
 
     print("\nepoch   duality gap   support vectors")
     for rec in history:

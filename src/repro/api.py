@@ -15,7 +15,11 @@ one) and an optional :class:`~repro.obs.Tracer`; it dispatches on the
 ``solver`` name and always returns a :class:`~repro.solvers.base.TrainResult`
 (or a subclass) carrying ``history``, ``ledger`` and — when tracing —
 ``trace``/``metrics``.  The original solver classes remain available and are
-what ``train`` constructs under the hood.
+what ``train`` constructs under the hood.  The GLM extension solvers
+(``SvmSdca``, ``LogisticSdca``, ``ElasticNetCD``, ``TpaSvm``,
+``TpaElasticNet``) have no ``train`` kind, but they run the same
+:meth:`~repro.solvers.base.ScdSolver.solve` and return the same shape
+(:class:`SvmTrainResult` for the SDCA solvers, as ``"distributed-svm"``).
 """
 
 from __future__ import annotations

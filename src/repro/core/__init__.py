@@ -1,7 +1,11 @@
 """The paper's contributions: TPA-SCD, distributed SCD, adaptive aggregation.
 
-Also hosts the extensions: the additional aggregation rules, and the
-asynchronous parameter-server alternative as ``DistributedSCD(comm="async")``.
+Also hosts the extensions: the additional aggregation rules, the
+asynchronous parameter-server alternative as ``DistributedSCD(comm="async")``,
+and the GLM solvers on the TPA engine (``TpaSvm``, ``TpaElasticNet``), which
+are :class:`~repro.solvers.ScdSolver` subclasses over
+``TpaScdKernelFactory.bind_rule``.  ``SvmTrainResult`` is re-exported from
+:mod:`repro.solvers.svm`.
 """
 
 from .._lazy import lazy_exports

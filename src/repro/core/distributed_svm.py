@@ -10,17 +10,20 @@ aggregates the workers' ``delta w`` with gamma = sigma'/K.
 
 The synchronous epoch loop is :class:`~repro.cluster.runtime.ClusterRuntime`
 with a :class:`ScaledAggregator` aggregation policy; this module contributes
-the SDCA local solver (:class:`_SvmWorkerPool`), whose model state is the
-dual variables ``alpha`` — a lost update reverts them, a gamma-scaled
-aggregation rescales them to stay consistent with the global ``w``.
+the local-solver adapter (:class:`_SvmWorkerPool`).  Each worker runs the
+single-node SVM's bound kernel (:class:`~repro.solvers.svm.SdcaKernelFactory`
+with the hinge step) over its rows; the model state is the dual variables
+``alpha`` — a lost update reverts them, a gamma-scaled aggregation rescales
+them to stay consistent with the global ``w``.  The result is the
+:class:`~repro.solvers.svm.SvmTrainResult` that :class:`~repro.solvers.SvmSdca`
+also returns.
 
-Monitoring uses the true hinge duality gap; the per-epoch time model reuses
-the CPU cost models and the binomial-tree communicator.
+Monitoring uses the true hinge duality gap; the per-epoch time model is the
+kernel's single-thread CPU cost model and the binomial-tree communicator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -38,11 +41,11 @@ from ..cluster.runtime import (
     plan_partitions,
     sharding_config,
 )
-from ..cpu import XEON_8C, CpuSpec, SequentialCpuTiming
-from ..objectives.svm import SvmProblem
+from ..cpu import XEON_8C, CpuSpec
+from ..objectives.svm import SvmProblem, hinge_step
 from ..perf.link import Link
 from ..perf.timing import EpochWorkload
-from ..solvers.base import TrainResult
+from ..solvers.svm import SdcaKernelFactory, SvmTrainResult
 from .aggregation import ScaledAggregator
 from .scale import PaperScale
 
@@ -52,29 +55,18 @@ if TYPE_CHECKING:
 __all__ = ["DistributedSvm", "SvmTrainResult"]
 
 
-@dataclass(kw_only=True)
-class SvmTrainResult(TrainResult):
-    """SVM outcome: the canonical shape plus the dual variables."""
-
-    alpha: np.ndarray
-    fault_report: FaultReport | None = None
-    #: applied membership/rebalance steps, in epoch order (empty when static)
-    membership_log: list = field(default_factory=list)
-
-    def primal_weights(self, problem=None) -> np.ndarray:
-        """The SVM's shared vector *is* the primal model."""
-        return self.weights
-
-
 class _SvmWorkerPool:
     """LocalSolver adapter: per-worker clipped SDCA over example partitions.
 
-    Model state is the dual vector ``alpha`` (updated in place during the
-    local round); the shared-vector delta is ``local_w - w``.  Because the
-    dual update is applied eagerly, consistency with the gamma-scaled global
-    step is restored *after* aggregation: a delivered update rescales
-    ``alpha -= (1 - gamma) * pending`` (clipped to the box), a lost one
-    reverts ``alpha -= pending``.
+    Each worker runs :class:`~repro.solvers.svm.SdcaKernelFactory`'s hinge
+    kernel — the single-node :class:`~repro.solvers.svm.SvmSdca` epoch — on
+    its rows against a copy of ``w``.  Model state is the dual vector
+    ``alpha`` (updated in place during the local round); the round's model
+    delta is ``alpha_after - alpha_before`` and its shared-vector delta
+    ``local_w - w``.  Because the dual update is applied eagerly,
+    consistency with the gamma-scaled global step is restored *after*
+    aggregation: a delivered update rescales ``alpha -= (1 - gamma) *
+    pending`` (clipped to the box), a lost one reverts ``alpha -= pending``.
     """
 
     def __init__(self, engine: "DistributedSvm") -> None:
@@ -82,7 +74,7 @@ class _SvmWorkerPool:
         self.n_workers = engine.n_workers
         self.workers: list[dict] = []
         self.problem: SvmProblem | None = None
-        self.timing: SequentialCpuTiming | None = None
+        self.factory: SdcaKernelFactory | None = None
         self._generation = 0
 
     def _bind_worker(
@@ -105,20 +97,27 @@ class _SvmWorkerPool:
             alpha = alpha_global[rows].copy()
         return {
             "rows": rows,
-            "indptr": local.indptr,
-            "indices": local.indices,
-            "data": local.data.astype(np.float64),
-            "norms": local.row_norms_sq().astype(np.float64),
-            "y": y[rows],
+            "kernel": self.factory.bind_dual(
+                local, y[rows], self.problem.n, self.problem.lam
+            ),
             "alpha": alpha,
             "rng": np.random.default_rng(rng_seed),
-            "nnz": local.nnz,
             "streamer": streamer,
         }
 
     def bind(self, problem: SvmProblem, tracer) -> None:
         eng = self.engine
         self.problem = problem
+        ps = eng.paper_scale
+        self.factory = SdcaKernelFactory(
+            hinge_step,
+            spec=eng.spec,
+            timing_workload=None if ps is None else EpochWorkload(
+                n_coords=max(1, ps.n_examples // eng.n_workers),
+                nnz=max(1, ps.nnz // eng.n_workers),
+                shared_len=problem.m,
+            ),
+        )
         csr = problem.dataset.csr
         parts, groups = plan_partitions(
             problem.n, eng.n_workers, eng.seed, eng.partitioner,
@@ -131,7 +130,6 @@ class _SvmWorkerPool:
                     rank, rows, csr, y, tracer, groups, eng.seed + 1000 + rank
                 )
             )
-        self.timing = SequentialCpuTiming(eng.spec)
 
     def partition_sizes(self) -> list[int]:
         return [wk["rows"].shape[0] for wk in self.workers]
@@ -177,49 +175,17 @@ class _SvmWorkerPool:
         self.n_workers = int(n_workers)
 
     def local_round(self, rank: int, shared: np.ndarray) -> WorkerUpdate:
-        eng = self.engine
-        problem = self.problem
-        inv_lam_n = 1.0 / (problem.lam * problem.n)
         wk = self.workers[rank]
+        kernel, alpha, rng = wk["kernel"], wk["alpha"], wk["rng"]
+        before = alpha.copy()
         local_w = shared.copy()
-        indptr, indices, data = wk["indptr"], wk["indices"], wk["data"]
-        alpha, y_loc, norms = wk["alpha"], wk["y"], wk["norms"]
-        pending = np.zeros(alpha.shape[0])
-        for i in wk["rng"].permutation(alpha.shape[0]):
-            lo, hi = indptr[i], indptr[i + 1]
-            idx = indices[lo:hi]
-            v = data[lo:hi]
-            margin = float(v @ local_w[idx]) if lo != hi else 0.0
-            # inline clipped SDCA step with the *local* labels
-            if norms[i] > 0.0:
-                grad = (
-                    problem.lam * problem.n * (1.0 - y_loc[i] * margin)
-                    / norms[i]
-                )
-                new_a = min(max(alpha[i] + grad, 0.0), 1.0)
-            else:
-                new_a = 1.0
-            d = new_a - alpha[i]
-            if d != 0.0:
-                pending[i] += d
-                alpha[i] = new_a
-                if lo != hi:
-                    local_w[idx] += v * (d * y_loc[i] * inv_lam_n)
-        wl = EpochWorkload(
-            n_coords=alpha.shape[0]
-            if eng.paper_scale is None
-            else max(1, eng.paper_scale.n_examples // eng.n_workers),
-            nnz=wk["nnz"]
-            if eng.paper_scale is None
-            else max(1, eng.paper_scale.nnz // eng.n_workers),
-            shared_len=problem.m,
-        )
+        kernel.run_epoch(alpha, local_w, rng.permutation(kernel.n_coords), rng)
         return WorkerUpdate(
             rank=rank,
             dshared=local_w - shared,
-            dmodel=pending,
-            compute_s=self.timing.epoch_seconds(wl),
-            n_updates=alpha.shape[0],
+            dmodel=alpha - before,
+            compute_s=kernel.epoch_seconds(),
+            n_updates=kernel.n_coords,
         )
 
     def delivery_stats(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.device import GpuDevice
-from ..gpu.engine import TpaScdEngine
+from ..gpu.engine import CoordinateRule, TpaScdEngine
 from ..gpu.profiler import KernelProfile
 from ..gpu.spec import GTX_TITAN_X, GpuSpec
 from ..gpu.timing import GpuTimingModel
@@ -129,6 +129,21 @@ class TpaScdKernelFactory:
             self.device.memory.alloc("dataset", int(nbytes))
         self.device.alloc_vector("vectors", n_vec_elems, self.dtype.itemsize)
 
+    def _bound(self, matrix, run_epoch) -> BoundKernel:
+        """``run_epoch`` over ``matrix``'s coordinates, priced on this GPU."""
+        return BoundKernel(
+            run_epoch=run_epoch,
+            workload=self._priced(
+                EpochWorkload(
+                    n_coords=matrix.n_major, nnz=matrix.nnz, shared_len=matrix.n_minor
+                )
+            ),
+            timing=GpuTimingModel(self.device.spec),
+            n_coords=matrix.n_major,
+            shared_len=matrix.n_minor,
+            dtype=self.dtype,
+        )
+
     def bind_primal(
         self, csc: CscMatrix, y: np.ndarray, n_global: int, lam: float
     ) -> BoundKernel:
@@ -143,18 +158,7 @@ class TpaScdKernelFactory:
         def run_epoch(beta, w, perm, rng):
             return engine.run_primal_epoch(y32, inv_denom, nlam, beta, w, perm)
 
-        return BoundKernel(
-            run_epoch=run_epoch,
-            workload=self._priced(
-                EpochWorkload(
-                    n_coords=csc.n_major, nnz=csc.nnz, shared_len=csc.shape[0]
-                )
-            ),
-            timing=GpuTimingModel(self.device.spec),
-            n_coords=csc.n_major,
-            shared_len=csc.shape[0],
-            dtype=self.dtype,
-        )
+        return self._bound(csc, run_epoch)
 
     def bind_dual(
         self, csr: CsrMatrix, y_local: np.ndarray, n_global: int, lam: float
@@ -173,18 +177,29 @@ class TpaScdKernelFactory:
                 y32, inv_denom, lam_t, nlam, alpha, wbar, perm
             )
 
-        return BoundKernel(
-            run_epoch=run_epoch,
-            workload=self._priced(
-                EpochWorkload(
-                    n_coords=csr.n_major, nnz=csr.nnz, shared_len=csr.shape[1]
-                )
-            ),
-            timing=GpuTimingModel(self.device.spec),
-            n_coords=csr.n_major,
-            shared_len=csr.shape[1],
-            dtype=self.dtype,
-        )
+        return self._bound(csr, run_epoch)
+
+    def bind_rule(
+        self,
+        matrix: CscMatrix | CsrMatrix,
+        rule: CoordinateRule,
+        y: np.ndarray | None = None,
+    ) -> BoundKernel:
+        """Bind any :class:`~repro.gpu.engine.CoordinateRule` to ``matrix``.
+
+        The GLM extensions run here: :class:`~repro.gpu.engine.ElasticNetPrimalRule`
+        on CSC columns (with the labels ``y``) and
+        :class:`~repro.gpu.engine.SvmDualRule` on CSR rows.
+        """
+        self._book_memory(matrix, matrix.n_major + matrix.n_minor)
+        engine = self._build_engine(matrix)
+        if y is not None:
+            y = y.astype(self.dtype, copy=False)
+
+        def run_epoch(weights, shared, perm, rng):
+            return engine.run_epoch(rule, weights, shared, perm, y=y)
+
+        return self._bound(matrix, run_epoch)
 
 
 class TpaScd(ScdSolver):

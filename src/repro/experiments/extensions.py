@@ -324,10 +324,10 @@ def run_glm_gpu(scale: ScaleConfig | None = None) -> FigureResult:
     monitor = max(1, n_epochs // 8)
 
     enp = ElasticNetProblem(ds, LAMBDA, l1_ratio=0.5)
-    _, h_cpu = ElasticNetCD(seed=0).solve(enp, n_epochs, monitor_every=monitor)
-    _, h_gpu = TpaElasticNet(GTX_TITAN_X, wave_size=2, seed=0).solve(
+    h_cpu = ElasticNetCD(seed=0).solve(enp, n_epochs, monitor_every=monitor).history
+    h_gpu = TpaElasticNet(GTX_TITAN_X, wave_size=2, seed=0).solve(
         enp, n_epochs, monitor_every=monitor
-    )
+    ).history
     fig.add(
         CurveSeries(
             "elastic-net CPU", h_cpu.epochs, h_cpu.gaps, "epochs", "KKT violation"
@@ -340,10 +340,10 @@ def run_glm_gpu(scale: ScaleConfig | None = None) -> FigureResult:
     )
 
     svm = SvmProblem(ds, lam=1e-2)
-    _, _, h_cpu = SvmSdca(seed=0).solve(svm, n_epochs, monitor_every=monitor)
-    _, _, h_gpu = TpaSvm(GTX_TITAN_X, wave_size=2, seed=0).solve(
+    h_cpu = SvmSdca(seed=0).solve(svm, n_epochs, monitor_every=monitor).history
+    h_gpu = TpaSvm(GTX_TITAN_X, wave_size=2, seed=0).solve(
         svm, n_epochs, monitor_every=monitor
-    )
+    ).history
     fig.add(CurveSeries("SVM CPU", h_cpu.epochs, h_cpu.gaps, "epochs", "gap"))
     fig.add(CurveSeries("SVM TPA", h_gpu.epochs, h_gpu.gaps, "epochs", "gap"))
     return fig

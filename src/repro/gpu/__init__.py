@@ -4,12 +4,14 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     ".device": ("GpuDevice",),
-    ".engine": ("RidgeDualRule", "RidgePrimalRule", "TpaScdEngine", "block_tree_dots"),
-    ".glm_engine": (
+    ".engine": (
         "CoordinateRule",
         "ElasticNetPrimalRule",
-        "GlmTpaEngine",
+        "RidgeDualRule",
+        "RidgePrimalRule",
         "SvmDualRule",
+        "TpaScdEngine",
+        "block_tree_dots",
     ),
     ".memory": ("DeviceMemory", "GpuOutOfMemoryError"),
     ".profiler": ("KernelProfile",),
@@ -23,7 +25,6 @@ __all__ = [
     "TpaScdEngine",
     "block_tree_dots",
     "CoordinateRule",
-    "GlmTpaEngine",
     "RidgePrimalRule",
     "RidgeDualRule",
     "ElasticNetPrimalRule",

@@ -26,26 +26,40 @@ way in numpy, for any coordinate rule; ``tpa_epoch`` in
 ``repro/native/tpa.c`` is its compiled twin, one foreign call per epoch,
 with one ``switch`` case per rule.  An engine runs the compiled loop when
 the library loads and the engine is float32, and the reference otherwise;
-the two are bit-identical.  :class:`RidgePrimalRule` / :class:`RidgeDualRule`
-(Eqs. 2 and 4) are Algorithm 2's own updates; :mod:`repro.gpu.glm_engine`
-adds the elastic-net and SVM rules.
+the two are bit-identical.
+
+TpaScd's two-level parallel structure is agnostic to the per-coordinate
+math: a thread block always gathers its coordinate's nonzeros, takes an
+inner product against the shared vector (or the residual), applies a
+closed-form scalar update and scatters the scaled column/row back.  Only
+the update, and the scaling of its scatter, is objective specific, so a
+:class:`CoordinateRule` states both in numpy and names the ``tpa.c`` case
+that replays them.  :class:`RidgePrimalRule` / :class:`RidgeDualRule`
+(Eqs. 2 and 4) are Algorithm 2's own updates; :class:`ElasticNetPrimalRule`
+soft-thresholds (Friedman et al. [4]) and :class:`SvmDualRule` applies the
+box-clipped SDCA step ([9]).  :class:`TpaScdEngine` runs every rule.
 """
 
 from __future__ import annotations
+
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .. import native
 from ..obs import NULL_SPAN, NULL_TRACER
 from ..solvers.kernels import gather_chunk
-from .plan import check_geometry
 from .profiler import KernelProfile
 
 __all__ = [
     "block_tree_dots",
+    "check_geometry",
     "reference_epoch",
+    "CoordinateRule",
     "RidgePrimalRule",
     "RidgeDualRule",
+    "ElasticNetPrimalRule",
+    "SvmDualRule",
     "TpaScdEngine",
 ]
 
@@ -57,6 +71,40 @@ _NATIVE_RULES = {
     "elastic_net": (2, 2),
     "svm": (4, 1),
 }
+
+
+def check_geometry(wave_size: int, n_threads: int) -> None:
+    """Reject a kernel geometry Algorithm 2 cannot run: an empty wave, or a
+    thread block whose tree reduction does not halve down to one lane."""
+    if wave_size < 1:
+        raise ValueError("wave_size must be >= 1")
+    if n_threads < 1 or (n_threads & (n_threads - 1)) != 0:
+        raise ValueError("n_threads must be a positive power of two")
+
+
+@runtime_checkable
+class CoordinateRule(Protocol):
+    """Objective-specific scalar update, vectorized over a wave."""
+
+    #: ``"residual"`` gathers ``y - shared`` for the inner products (primal
+    #: least-squares rules); ``"shared"`` gathers the shared vector itself
+    needs: str
+
+    #: ``(case, arrays, scalars)``: the ``tpa.c`` case that replays
+    #: :meth:`deltas` and :meth:`shared_scale` in float32, then the names of
+    #: the per-coordinate arrays and of the scalars it reads, in the case's
+    #: order
+    native: tuple[str, tuple[str, ...], tuple[str, ...]]
+
+    def deltas(
+        self, coords: np.ndarray, dots: np.ndarray, weights: np.ndarray
+    ) -> np.ndarray:
+        """Closed-form weight changes for the wave's coordinates."""
+        ...
+
+    def shared_scale(self, coords: np.ndarray) -> np.ndarray | float:
+        """Multiplier applied to ``deltas`` when scattering into shared."""
+        ...
 
 
 class RidgePrimalRule:
@@ -120,6 +168,79 @@ class RidgeDualRule:
 
     def shared_scale(self, coords):
         return 1.0
+
+
+class ElasticNetPrimalRule:
+    """Soft-thresholded coordinate minimizer of the elastic net.
+
+    With ``l1_ratio = 0`` this reduces exactly to :class:`RidgePrimalRule`'s
+    update (tested), so the generalized engine strictly extends Algorithm 2.
+    """
+
+    needs = "residual"
+    native = ("elastic_net", ("norms", "inv_denom"), ("inv_n", "threshold"))
+
+    def __init__(
+        self,
+        norms_sq: np.ndarray,
+        n: int,
+        lam: float,
+        l1_ratio: float,
+        dtype=np.float32,
+    ):
+        dt = np.dtype(dtype)
+        if not 0.0 <= l1_ratio <= 1.0:
+            raise ValueError("l1_ratio must be in [0, 1]")
+        self.norms = norms_sq.astype(dt)
+        self.inv_n = dt.type(1.0 / n)
+        self.threshold = dt.type(lam * l1_ratio)
+        self.inv_denom = (
+            1.0 / (norms_sq.astype(np.float64) / n + lam * (1.0 - l1_ratio))
+        ).astype(dt)
+
+    def deltas(self, coords, dots, weights):
+        # rho = (<y - w, a_m> + ||a_m||^2 beta_m) / N
+        rho = (dots + self.norms[coords] * weights) * self.inv_n
+        shrunk = np.sign(rho) * np.maximum(np.abs(rho) - self.threshold, 0.0)
+        new = (shrunk * self.inv_denom[coords]).astype(dots.dtype)
+        return new - weights
+
+    def shared_scale(self, coords):
+        return 1.0
+
+
+class SvmDualRule:
+    """Box-clipped SDCA step for the hinge-loss SVM.
+
+    The shared vector is the primal ``w`` itself; a coordinate's scatter is
+    scaled by ``y_i / (lam N)`` (the SDCA primal-dual mapping).
+    """
+
+    needs = "shared"
+    native = ("svm", ("y", "inv_norms", "zero_norm", "scale"), ("lam_n",))
+
+    def __init__(
+        self, y_local: np.ndarray, norms_sq: np.ndarray, n: int, lam: float, dtype=np.float32
+    ):
+        dt = np.dtype(dtype)
+        self.y = y_local.astype(dt, copy=False)
+        self.lam_n = dt.type(lam * n)
+        norms64 = norms_sq.astype(np.float64)
+        with np.errstate(divide="ignore"):
+            inv = np.where(norms64 > 0.0, 1.0 / norms64, 0.0)
+        self.inv_norms = inv.astype(dt)
+        self.zero_norm = (norms64 <= 0.0).astype(dt)
+        self.scale = (self.y / (lam * n)).astype(dt)
+
+    def deltas(self, coords, dots, weights):
+        grad = self.lam_n * (1.0 - self.y[coords] * dots) * self.inv_norms[coords]
+        # zero-norm rows: dual maximizer is alpha = 1
+        unconstrained = weights + grad + self.zero_norm[coords] * (1.0 - weights - grad)
+        new = np.clip(unconstrained, 0.0, 1.0)
+        return (new - weights).astype(dots.dtype)
+
+    def shared_scale(self, coords):
+        return self.scale[coords]
 
 
 def block_tree_dots(
@@ -332,8 +453,19 @@ class _NativeWaveLoop:
         return run
 
 
-class _WaveEngine:
-    """One bound matrix and the wave loop that runs its epochs.
+class TpaScdEngine:
+    """One bound matrix and the wave loop that runs its epochs, for any rule.
+
+    Parameters
+    ----------
+    indptr, indices, data:
+        The coordinate-major compressed arrays (CSC columns for primal
+        rules, CSR rows for dual ones); ``data`` is cast to ``dtype``.
+    wave_size:
+        Number of concurrently resident thread blocks (staleness window;
+        1 degenerates to sequential SCD).
+    n_threads:
+        Threads per block used for the strided partials / tree reduction.
 
     The structure check and the geometry check run first, for both loops.
     Two observable facts then choose the loop, with no option: a float32
@@ -431,20 +563,6 @@ class _WaveEngine:
             self.profiler.record_waves(self.n_threads, **stats)
 
 
-class TpaScdEngine(_WaveEngine):
-    """One bound ridge TPA-SCD kernel: the data arrays and their wave loop.
-
-    Parameters
-    ----------
-    indptr, indices, data:
-        The coordinate-major compressed arrays (CSC columns for primal,
-        CSR rows for dual); ``data`` is cast to ``dtype``.
-    wave_size:
-        Number of concurrently resident thread blocks (staleness window).
-    n_threads:
-        Threads per block used for the strided partials / tree reduction.
-    """
-
     def run_primal_epoch(
         self,
         y: np.ndarray,
@@ -475,3 +593,27 @@ class TpaScdEngine(_WaveEngine):
         """One dual epoch: blocks compute ``<wbar, a_n>`` then update."""
         rule = RidgeDualRule.from_arrays(y_local, inv_denom, lam, nlam)
         return self._run(rule, None, alpha, wbar, perm, span="tpa")
+
+    def run_epoch(
+        self,
+        rule: CoordinateRule,
+        weights: np.ndarray,
+        shared: np.ndarray,
+        perm: np.ndarray,
+        *,
+        y: np.ndarray | None = None,
+    ) -> int:
+        """One epoch of any :class:`CoordinateRule` over ``perm``.
+
+        A ``"residual"`` rule needs the label vector ``y``; returns 0, like
+        the ridge epochs.
+        """
+        if rule.needs not in ("residual", "shared"):
+            raise ValueError(f"rule.needs must be residual|shared, got {rule.needs!r}")
+        if rule.needs == "residual" and y is None:
+            raise ValueError("residual rules require the label vector y")
+        if y is not None:
+            y = y.astype(self.dtype, copy=False)
+        return self._run(
+            rule, y, weights, shared, perm, span="glm", rule=type(rule).__name__
+        )

@@ -1,22 +1,14 @@
-"""Kernel geometry check for Algorithm 2's wave loop.
+"""No-op stand-ins for the retired epoch-plan cache.
 
-The two no-op stubs below remain only because the benchmark harness
+The two functions below remain only because the benchmark harness
 (``benchmarks/e2e/workloads.py``) imports them at load time; nothing in the
-package or its tests calls them.  There is no plan cache to clear or count.
+package or its tests calls them.  There is no plan cache to clear or count;
+the wave loop's geometry check lives in :mod:`repro.gpu.engine`.
 """
 
 from __future__ import annotations
 
-__all__ = ["check_geometry", "clear_plan_cache", "plan_cache_stats"]
-
-
-def check_geometry(wave_size: int, n_threads: int) -> None:
-    """Reject a kernel geometry Algorithm 2 cannot run: an empty wave, or a
-    thread block whose tree reduction does not halve down to one lane."""
-    if wave_size < 1:
-        raise ValueError("wave_size must be >= 1")
-    if n_threads < 1 or (n_threads & (n_threads - 1)) != 0:
-        raise ValueError("n_threads must be a positive power of two")
+__all__ = ["clear_plan_cache", "plan_cache_stats"]
 
 
 def clear_plan_cache() -> None:

@@ -3,8 +3,8 @@
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    ".elasticnet": ("ElasticNetProblem", "soft_threshold"),
-    ".logistic": ("LogisticProblem",),
+    ".elasticnet": ("ElasticNetProblem", "elastic_net_delta", "soft_threshold"),
+    ".logistic": ("LogisticProblem", "logistic_step"),
     ".ridge": (
         "ExactSolution",
         "RidgeProblem",
@@ -12,12 +12,13 @@ _EXPORTS = {
         "primal_coordinate_delta",
         "solve_exact",
     ),
-    ".svm": ("SvmProblem",),
+    ".svm": ("SvmProblem", "hinge_step"),
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ElasticNetProblem",
+    "elastic_net_delta",
     "soft_threshold",
     "ExactSolution",
     "RidgeProblem",
@@ -25,5 +26,7 @@ __all__ = [
     "primal_coordinate_delta",
     "solve_exact",
     "SvmProblem",
+    "hinge_step",
     "LogisticProblem",
+    "logistic_step",
 ]

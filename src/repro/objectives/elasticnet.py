@@ -21,7 +21,7 @@ import numpy as np
 
 from ..data import Dataset
 
-__all__ = ["ElasticNetProblem", "soft_threshold"]
+__all__ = ["ElasticNetProblem", "elastic_net_delta", "soft_threshold"]
 
 
 def soft_threshold(z: float, t: float) -> float:
@@ -31,6 +31,28 @@ def soft_threshold(z: float, t: float) -> float:
     if z < -t:
         return z + t
     return 0.0
+
+
+def elastic_net_delta(
+    beta_m: float,
+    residual_dot: float,
+    col_norm_sq: float,
+    n: int,
+    lam: float,
+    l1_ratio: float,
+) -> float:
+    """Exact coordinate minimizer step for one feature.
+
+    ``residual_dot = <y - w, a_m>`` with the current shared vector; the
+    new optimal value of the coordinate is the soft-thresholded
+    least-squares solution and the returned delta moves ``beta_m`` there.
+    """
+    # rho = (1/N) <y - w + a_m beta_m, a_m>: the coordinate-wise
+    # least-squares target with coordinate m removed from the residual
+    rho = (residual_dot + col_norm_sq * beta_m) / n
+    denom = col_norm_sq / n + lam * (1.0 - l1_ratio)
+    new_val = soft_threshold(rho, lam * l1_ratio) / denom
+    return new_val - beta_m
 
 
 class ElasticNetProblem:
@@ -79,23 +101,6 @@ class ElasticNetProblem:
             r @ r / (2.0 * self.n)
             + self.lam * (self.l1_ratio * l1 + 0.5 * (1.0 - self.l1_ratio) * l2)
         )
-
-    def coordinate_delta(
-        self, m: int, beta_m: float, residual_dot: float, col_norm_sq: float
-    ) -> float:
-        """Exact coordinate minimizer step for feature ``m``.
-
-        ``residual_dot = <y - w, a_m>`` with the current shared vector; the
-        new optimal value of the coordinate is the soft-thresholded
-        least-squares solution and the returned delta moves ``beta_m`` there.
-        """
-        n = self.n
-        # rho = (1/N) <y - w + a_m beta_m, a_m>: the coordinate-wise
-        # least-squares target with coordinate m removed from the residual
-        rho = (residual_dot + col_norm_sq * beta_m) / n
-        denom = col_norm_sq / n + self.lam * (1.0 - self.l1_ratio)
-        new_val = soft_threshold(rho, self.lam * self.l1_ratio) / denom
-        return new_val - beta_m
 
     def subgradient_optimality(
         self, beta: np.ndarray, w: np.ndarray | None = None

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..data import Dataset
 
-__all__ = ["LogisticProblem"]
+__all__ = ["LogisticProblem", "logistic_step"]
 
 _EPS = 1e-12
 
@@ -33,6 +33,42 @@ def _entropy(alpha: np.ndarray) -> np.ndarray:
     """H(a) = -a log a - (1-a) log(1-a), continuous at the endpoints."""
     a = np.clip(alpha, _EPS, 1.0 - _EPS)
     return -(a * np.log(a) + (1.0 - a) * np.log(1.0 - a))
+
+
+def logistic_step(
+    y_i: float,
+    alpha_i: float,
+    margin_dot: float,
+    row_norm_sq: float,
+    lam_n: float,
+) -> float:
+    """The new optimal ``alpha_i`` of one SDCA step, by safeguarded bisection.
+
+    ``margin_dot = <w, x_i>`` with the current shared vector and
+    ``lam_n = lam * N``.  Solves ``log((1-a)/a) - m - q (a - alpha_i) = 0``
+    where ``m = y_i margin`` and ``q = ||x_i||^2 / (lam N)``.
+    """
+    m = y_i * margin_dot
+    q = row_norm_sq / lam_n
+    if row_norm_sq <= 0.0:
+        # the quadratic term vanishes: closed-form sigmoid maximizer
+        return 1.0 / (1.0 + np.exp(m))
+
+    def g(a: float) -> float:
+        return np.log((1.0 - a) / a) - m - q * (a - alpha_i)
+
+    lo, hi = _EPS, 1.0 - _EPS
+    if g(lo) <= 0.0:
+        return lo
+    if g(hi) >= 0.0:
+        return hi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class LogisticProblem:
@@ -86,43 +122,6 @@ class LogisticProblem:
         if w is None:
             w = self.weights_from_alpha(alpha)
         return self.primal_objective(w) - self.dual_objective(alpha)
-
-    # -- coordinate update --------------------------------------------------------
-    def coordinate_solve(
-        self,
-        i: int,
-        alpha_i: float,
-        margin_dot: float,
-        row_norm_sq: float,
-        *,
-        iters: int = 50,
-    ) -> float:
-        """Return the new optimal alpha_i by safeguarded bisection.
-
-        ``margin_dot = <w, x_i>`` with the current shared vector.  Solves
-        ``log((1-a)/a) - m - q (a - alpha_i) = 0`` where ``m = y_i margin``.
-        """
-        m = self.y[i] * margin_dot
-        q = row_norm_sq / (self.lam * self.n)
-        if row_norm_sq <= 0.0:
-            # the quadratic term vanishes: closed-form sigmoid maximizer
-            return 1.0 / (1.0 + np.exp(m))
-
-        def g(a: float) -> float:
-            return np.log((1.0 - a) / a) - m - q * (a - alpha_i)
-
-        lo, hi = _EPS, 1.0 - _EPS
-        if g(lo) <= 0.0:
-            return lo
-        if g(hi) >= 0.0:
-            return hi
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
     def predict(self, w: np.ndarray, matrix=None) -> np.ndarray:
         """Signed predictions (+/-1) on a CSR matrix (defaults to training)."""

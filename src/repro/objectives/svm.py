@@ -21,7 +21,24 @@ import numpy as np
 
 from ..data import Dataset
 
-__all__ = ["SvmProblem"]
+__all__ = ["SvmProblem", "hinge_step"]
+
+
+def hinge_step(
+    y_i: float, alpha_i: float, margin_dot: float, row_norm_sq: float, lam_n: float
+) -> float:
+    """The new ``alpha_i`` of one closed-form clipped SDCA step ([9]).
+
+    ``margin_dot = <w, x_i>`` with the current shared vector and
+    ``lam_n = lam * N``; the unconstrained maximizer is projected onto the
+    box [0, 1].
+    """
+    if row_norm_sq <= 0.0:
+        # example with no features contributes alpha_i/N to the dual and
+        # nothing to the quadratic term: the box maximizer is alpha_i = 1
+        return 1.0
+    grad = lam_n * (1.0 - y_i * margin_dot) / row_norm_sq
+    return min(max(alpha_i + grad, 0.0), 1.0)
 
 
 class SvmProblem:
@@ -75,23 +92,6 @@ class SvmProblem:
         if w is None:
             w = self.weights_from_alpha(alpha)
         return self.primal_objective(w) - self.dual_objective(alpha)
-
-    # -- coordinate update --------------------------------------------------------
-    def coordinate_delta(
-        self, i: int, alpha_i: float, margin_dot: float, row_norm_sq: float
-    ) -> float:
-        """Closed-form clipped SDCA step for example ``i``.
-
-        ``margin_dot = <w, x_i>`` with the current shared vector; the
-        unconstrained maximizer is projected onto the box [0, 1].
-        """
-        if row_norm_sq <= 0.0:
-            # example with no features contributes alpha_i/N to the dual and
-            # nothing to the quadratic term: the box maximizer is alpha_i = 1
-            return 1.0 - alpha_i
-        grad = self.lam * self.n * (1.0 - self.y[i] * margin_dot) / row_norm_sq
-        new_alpha = min(max(alpha_i + grad, 0.0), 1.0)
-        return new_alpha - alpha_i
 
     def predict(self, w: np.ndarray, matrix=None) -> np.ndarray:
         """Signed predictions (+/-1) on a CSR matrix (defaults to training)."""

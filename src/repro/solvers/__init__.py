@@ -1,4 +1,11 @@
-"""CPU coordinate-descent solvers: sequential SCD, async baselines, extensions."""
+"""CPU coordinate-descent solvers: sequential SCD, async baselines, extensions.
+
+Every coordinate solver here (and the GPU ones in :mod:`repro.core`) runs
+:meth:`ScdSolver.solve` over a kernel factory and returns a
+:class:`TrainResult`; the SVM and logistic solvers return its
+:class:`SvmTrainResult` subclass.  ``SgdSolver`` and ``BatchGD`` are the
+gradient baselines and keep their own loops.
+"""
 
 from .._lazy import lazy_exports
 
@@ -6,12 +13,17 @@ _EXPORTS = {
     ".ascd": ("ASCD", "AsyncCpuKernelFactory", "PASSCoDeWild"),
     ".batch_gd": ("BatchGD", "power_iteration_lipschitz"),
     ".base": ("BoundKernel", "KernelFactory", "ScdSolver", "TrainResult"),
-    ".elasticnet": ("ElasticNetCD", "elastic_net_path", "lambda_grid"),
+    ".elasticnet": (
+        "ElasticNetCD",
+        "ElasticNetKernelFactory",
+        "elastic_net_path",
+        "lambda_grid",
+    ),
     ".logistic": ("LogisticSdca",),
     ".scd": ("SequentialKernelFactory", "SequentialSCD"),
     ".sgd": ("SgdSolver",),
     ".syscd": ("SySCD", "SyscdKernelFactory"),
-    ".svm": ("SvmSdca",),
+    ".svm": ("SdcaKernelFactory", "SvmSdca", "SvmTrainResult"),
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
@@ -31,8 +43,11 @@ __all__ = [
     "SySCD",
     "SyscdKernelFactory",
     "ElasticNetCD",
+    "ElasticNetKernelFactory",
     "elastic_net_path",
     "lambda_grid",
     "LogisticSdca",
+    "SdcaKernelFactory",
     "SvmSdca",
+    "SvmTrainResult",
 ]

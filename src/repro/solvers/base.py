@@ -7,10 +7,19 @@ That split is captured here:
 
 * a :class:`KernelFactory` binds a data partition to an executable epoch
   kernel plus a device timing model, producing a :class:`BoundKernel`;
-* :class:`ScdSolver` is the generic training driver: permutation stream,
-  epoch loop, modelled-time accumulation, duality-gap monitoring;
-* the distributed engine (``repro.core.distributed``) reuses the same
-  factories to bind each worker's local partition.
+* :class:`ScdSolver` is the generic training driver and the only epoch
+  loop of the coordinate methods: permutation stream, epoch loop,
+  modelled-time ledger, tracer spans, duality-gap monitoring, the
+  ``on_epoch`` publish hook and the :class:`TrainResult`;
+* the GLM extensions (SVM and logistic SDCA, elastic-net CD, and their
+  TPA twins) are subclasses over their own factories that override only
+  what their objective changes: :meth:`ScdSolver._bind`,
+  :meth:`ScdSolver._start` (the start point), :meth:`ScdSolver._monitor`
+  (gap, objective, record extras) and :meth:`ScdSolver._model` /
+  :meth:`ScdSolver._result` (what is published and returned);
+* the distributed engines (``repro.core.distributed``,
+  ``repro.core.distributed_svm``) reuse the same factories to bind each
+  worker's local partition.
 """
 
 from __future__ import annotations
@@ -42,7 +51,8 @@ class EpochEvent:
     """What an ``on_epoch`` training callback observes at a monitored epoch.
 
     ``weights`` is a private copy of the model vector in its native
-    formulation (primal beta / dual alpha) — never the engine's live buffer,
+    formulation (primal beta / dual alpha; the primal ``w`` for the SDCA
+    solvers, whose shared vector is the model) — never the engine's live buffer,
     so a consumer may retain the event past the callback (deferred
     snapshotting sees each epoch's weights, not aliases of the final ones).
     This is the continuous-training publish point: a serving hub subscribes
@@ -180,16 +190,35 @@ class ScdSolver:
             problem.dataset.csr, problem.y, problem.n, problem.lam
         )
 
-    def _gap(self, problem: RidgeProblem, weights: np.ndarray) -> tuple[float, float]:
-        """Offline (gap, objective) evaluation; never counted in sim time.
+    def _start(self, problem, bound: BoundKernel) -> tuple[np.ndarray, np.ndarray]:
+        """The initial ``(weights, shared)``: zeros, where Algorithm 1 starts."""
+        return (
+            np.zeros(bound.n_coords, dtype=bound.dtype),
+            np.zeros(bound.shared_len, dtype=bound.dtype),
+        )
+
+    def _monitor(
+        self, problem, weights: np.ndarray, shared: np.ndarray
+    ) -> tuple[float, float, dict]:
+        """Offline ``(gap, objective, extras)``; never counted in sim time.
 
         The shared vector is deliberately *recomputed* from the weights: for
         wild write semantics the maintained shared vector drifts away from
         ``A beta`` and the paper evaluates the quality of the model weights
-        themselves.
+        themselves.  ``extras`` lands in the monitored epoch's record.
         """
-        w64 = weights.astype(np.float64)
-        return gap_and_objective(problem, w64, self.formulation)
+        gap, obj = gap_and_objective(problem, weights.astype(np.float64), self.formulation)
+        return gap, obj, {}
+
+    def _model(self, weights: np.ndarray, shared: np.ndarray) -> np.ndarray:
+        """The vector an ``on_epoch`` event carries: the native weights."""
+        return weights
+
+    def _result(self, weights: np.ndarray, shared: np.ndarray, **fields) -> TrainResult:
+        """Package a finished run; ``fields`` are the driver's bookkeeping."""
+        return TrainResult(
+            formulation=self.formulation, weights=weights, shared=shared, **fields
+        )
 
     def solve(
         self,
@@ -230,15 +259,14 @@ class ScdSolver:
             with tracer.span("bind", category="driver"):
                 bound = self._bind(problem)
             rng = np.random.default_rng(self.seed)
-            weights = np.zeros(bound.n_coords, dtype=bound.dtype)
-            shared = np.zeros(bound.shared_len, dtype=bound.dtype)
+            weights, shared = self._start(problem, bound)
             history = ConvergenceHistory(label=self.name)
             sim_time = 0.0
             lost_total = 0
             t0 = time.perf_counter()
 
             with tracer.span("gap_eval", category="monitor", epoch=0):
-                gap, obj = self._gap(problem, weights)
+                gap, obj, _ = self._monitor(problem, weights, shared)
             history.append(
                 ConvergenceRecord(
                     epoch=0,
@@ -267,7 +295,7 @@ class ScdSolver:
                     tracer.count("scd.lost_updates", lost)
                 if epoch % monitor_every == 0 or epoch == n_epochs:
                     with tracer.span("gap_eval", category="monitor", epoch=epoch):
-                        gap, obj = self._gap(problem, weights)
+                        gap, obj, extras = self._monitor(problem, weights, shared)
                     history.append(
                         ConvergenceRecord(
                             epoch=epoch,
@@ -276,7 +304,7 @@ class ScdSolver:
                             sim_time=sim_time,
                             wall_time=time.perf_counter() - t0,
                             updates=updates,
-                            extras={"lost_updates": lost_total},
+                            extras={"lost_updates": lost_total, **extras},
                         )
                     )
                     if on_epoch is not None:
@@ -285,7 +313,7 @@ class ScdSolver:
                                 epoch=epoch,
                                 # copy: the event must not alias the live
                                 # buffer mutated by later epochs
-                                weights=weights.copy(),
+                                weights=self._model(weights, shared).copy(),
                                 formulation=self.formulation,
                                 sim_time=sim_time,
                                 gap=gap,
@@ -295,10 +323,9 @@ class ScdSolver:
                     if target_gap is not None and gap <= target_gap:
                         break
 
-        return TrainResult(
-            formulation=self.formulation,
-            weights=weights,
-            shared=shared,
+        return self._result(
+            weights,
+            shared,
             history=history,
             solver_name=self.name,
             lost_updates=lost_total,

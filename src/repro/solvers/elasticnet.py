@@ -2,108 +2,122 @@
 
 Structurally identical to Algorithm 1: a random permutation of the feature
 coordinates per epoch, a maintained shared vector ``w = A beta``, and the
-closed-form coordinate step (here soft-thresholded).  Convergence is
-monitored through the objective value and the KKT violation, since the
-elastic net has no duality gap as convenient as ridge's.
+closed-form coordinate step (here soft-thresholded) — so the epoch loop is
+:meth:`ScdSolver.solve` over :class:`ElasticNetKernelFactory`'s kernel.
+Convergence is monitored through the objective value and the KKT
+violation, since the elastic net has no duality gap as convenient as
+ridge's; ``target_gap`` stops on that violation.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..metrics import ConvergenceHistory, ConvergenceRecord
+from ..cpu import XEON_8C, CpuSpec, SequentialCpuTiming
 from ..objectives.elasticnet import ElasticNetProblem
+from ..perf.timing import EpochWorkload
+from ..sparse import CscMatrix
+from .base import BoundKernel, ScdSolver, TrainResult
+from .kernels import elastic_net_epoch
 
-__all__ = ["ElasticNetCD", "elastic_net_path", "lambda_grid"]
+__all__ = [
+    "ElasticNetCD",
+    "ElasticNetKernelFactory",
+    "elastic_net_path",
+    "lambda_grid",
+]
 
 
-class ElasticNetCD:
-    """Cyclic-random coordinate descent for elastic-net regression."""
+class ElasticNetKernelFactory:
+    """Binds exact elastic-net CD epochs with single-thread timing.
+
+    ``timing_workload`` optionally overrides the workload an epoch is
+    priced at, as in :class:`~repro.solvers.scd.SequentialKernelFactory`.
+    """
+
+    def __init__(
+        self, *, spec: CpuSpec = XEON_8C, timing_workload: EpochWorkload | None = None
+    ) -> None:
+        self.spec = spec
+        self.timing_workload = timing_workload
+        self.name = "CD(1 thread)"
+
+    def bind_primal(
+        self, csc: CscMatrix, y: np.ndarray, n_global: int, lam: float, l1_ratio: float
+    ) -> BoundKernel:
+        """Bind the soft-thresholded update to a column set (shared ``w = A beta``)."""
+        indptr, indices = csc.indptr, csc.indices
+        data = csc.data.astype(np.float64, copy=False)
+        y = y.astype(np.float64, copy=False)
+        norms = csc.col_norms_sq().astype(np.float64)
+
+        def run_epoch(beta, w, perm, rng):
+            elastic_net_epoch(
+                indptr, indices, data, y, norms, n_global, lam, l1_ratio, beta, w, perm
+            )
+            return 0
+
+        return BoundKernel(
+            run_epoch=run_epoch,
+            workload=self.timing_workload
+            or EpochWorkload(n_coords=csc.n_major, nnz=csc.nnz, shared_len=csc.shape[0]),
+            timing=SequentialCpuTiming(self.spec),
+            n_coords=csc.n_major,
+            shared_len=csc.shape[0],
+        )
+
+
+class ElasticNetCD(ScdSolver):
+    """Cyclic-random coordinate descent for elastic-net regression.
+
+    :meth:`solve` takes ``init_beta`` to warm-start the weights — the key
+    ingredient of Friedman et al.'s pathwise strategy (the paper's [4]).
+    """
+
+    name = "ElasticNetCD"
+    #: the warm start of the solve in progress
+    _init_beta: np.ndarray | None = None
 
     def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
-        self.name = "ElasticNetCD"
+        super().__init__(ElasticNetKernelFactory(), "primal", seed)
 
     def solve(
         self,
         problem: ElasticNetProblem,
         n_epochs: int,
         *,
-        monitor_every: int = 1,
-        tol: float | None = None,
         init_beta: np.ndarray | None = None,
-    ):
-        """Train for up to ``n_epochs`` epochs.
-
-        ``tol`` stops early once the KKT violation drops below it (checked
-        at monitored epochs).  ``init_beta`` warm-starts the weights — the
-        key ingredient of Friedman et al.'s pathwise strategy (the paper's
-        [4]).  Returns ``(beta, history)``.
-        """
-        if n_epochs < 0:
-            raise ValueError("n_epochs must be non-negative")
-        if monitor_every < 1:
-            raise ValueError("monitor_every must be >= 1")
-        csc = problem.dataset.csc
-        y = problem.y.astype(np.float64)
-        indptr, indices, data = csc.indptr, csc.indices, csc.data
-        norms = csc.col_norms_sq().astype(np.float64)
-        if init_beta is not None:
-            if init_beta.shape != (problem.m,):
-                raise ValueError(
-                    f"init_beta has shape {init_beta.shape}, expected ({problem.m},)"
-                )
-            beta = init_beta.astype(np.float64).copy()
-            w = csc.matvec(beta)
-        else:
-            beta = np.zeros(problem.m, dtype=np.float64)
-            w = np.zeros(problem.n, dtype=np.float64)
-        rng = np.random.default_rng(self.seed)
-        history = ConvergenceHistory(label=self.name)
-        t0 = time.perf_counter()
-        history.append(
-            ConvergenceRecord(
-                epoch=0,
-                gap=problem.subgradient_optimality(beta, w),
-                objective=problem.objective(beta, w),
-                sim_time=0.0,
-                wall_time=0.0,
-                updates=0,
+        **kwargs,
+    ) -> TrainResult:
+        """:meth:`ScdSolver.solve`, started from ``init_beta`` when given."""
+        if init_beta is not None and init_beta.shape != (problem.m,):
+            raise ValueError(
+                f"init_beta has shape {init_beta.shape}, expected ({problem.m},)"
             )
+        self._init_beta = init_beta
+        try:
+            return super().solve(problem, n_epochs, **kwargs)
+        finally:
+            self._init_beta = None
+
+    def _bind(self, problem: ElasticNetProblem) -> BoundKernel:
+        return self.factory.bind_primal(
+            problem.dataset.csc, problem.y, problem.n, problem.lam, problem.l1_ratio
         )
-        updates = 0
-        for epoch in range(1, n_epochs + 1):
-            for m in rng.permutation(problem.m):
-                lo, hi = indptr[m], indptr[m + 1]
-                idx = indices[lo:hi]
-                v = data[lo:hi]
-                residual_dot = float(v @ (y[idx] - w[idx])) if lo != hi else 0.0
-                delta = problem.coordinate_delta(
-                    m, float(beta[m]), residual_dot, float(norms[m])
-                )
-                if delta != 0.0:
-                    beta[m] += delta
-                    if lo != hi:
-                        w[idx] += v * delta
-                updates += 1
-            if epoch % monitor_every == 0 or epoch == n_epochs:
-                kkt = problem.subgradient_optimality(beta, w)
-                history.append(
-                    ConvergenceRecord(
-                        epoch=epoch,
-                        gap=kkt,
-                        objective=problem.objective(beta, w),
-                        sim_time=time.perf_counter() - t0,
-                        wall_time=time.perf_counter() - t0,
-                        updates=updates,
-                        extras={"nnz_beta": int(np.count_nonzero(beta))},
-                    )
-                )
-                if tol is not None and kkt <= tol:
-                    break
-        return beta, history
+
+    def _start(self, problem: ElasticNetProblem, bound: BoundKernel):
+        if self._init_beta is None:
+            return super()._start(problem, bound)
+        beta = self._init_beta.astype(np.float64)
+        w = problem.dataset.csc.matvec(beta)
+        return beta.astype(bound.dtype, copy=False), w.astype(bound.dtype, copy=False)
+
+    def _monitor(self, problem: ElasticNetProblem, weights, shared):
+        return (
+            problem.subgradient_optimality(weights, shared),
+            problem.objective(weights, shared),
+            {"nnz_beta": int(np.count_nonzero(weights))},
+        )
 
 
 def lambda_grid(
@@ -159,8 +173,9 @@ def elastic_net_path(
     beta = None
     for lam in lambdas:
         problem = ElasticNetProblem(dataset, float(lam), l1_ratio=l1_ratio)
-        beta, history = solver.solve(
-            problem, n_epochs, monitor_every=1, tol=tol, init_beta=beta
+        result = solver.solve(
+            problem, n_epochs, monitor_every=1, target_gap=tol, init_beta=beta
         )
-        path.append((float(lam), beta.copy(), history))
+        beta = result.weights
+        path.append((float(lam), beta.copy(), result.history))
     return path

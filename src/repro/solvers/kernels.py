@@ -22,6 +22,11 @@ library — see the profiling notes in DESIGN.md):
   ``chunk_size=1`` reduces exactly to the sequential semantics, which the
   property tests verify.
 
+:func:`sdca_epoch` and :func:`elastic_net_epoch` are Algorithm 1 for the GLM
+extensions: the same one-coordinate-at-a-time loop around an objective's
+scalar step (SDCA for the SVM and logistic duals, soft-thresholded CD for
+the elastic net).
+
 The GPU TPA-SCD kernel lives in :mod:`repro.gpu.kernels`; it shares the
 chunk framing (a chunk = one wave of resident thread blocks) but emulates
 per-thread-block float32 arithmetic including the shared-memory tree
@@ -32,11 +37,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..objectives.elasticnet import elastic_net_delta
 from ..sparse.matrix import _ranges_concat
 
 __all__ = [
     "primal_epoch_sequential",
     "dual_epoch_sequential",
+    "sdca_epoch",
+    "elastic_net_epoch",
     "primal_epoch_chunked",
     "dual_epoch_chunked",
     "gather_chunk",
@@ -104,6 +112,74 @@ def dual_epoch_sequential(
         alpha[i] += delta
         if lo != hi:
             wbar[idx] += v * delta
+
+
+def sdca_epoch(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    y: np.ndarray,
+    norms: np.ndarray,
+    lam_n: float,
+    step,
+    alpha: np.ndarray,
+    w: np.ndarray,
+    perm: np.ndarray,
+) -> None:
+    """One exact SDCA epoch for a GLM dual over the permuted examples.
+
+    ``step(y_i, alpha_i, <w, x_i>, ||x_i||^2, lam N)`` returns example
+    ``i``'s new dual value; the shared vector is the primal model
+    ``w = A^T(alpha*y)/(lam N)``, kept consistent with every change.
+    ``alpha`` and ``w`` are updated in place.
+    """
+    inv_lam_n = 1.0 / lam_n
+    for i in perm:
+        lo = indptr[i]
+        hi = indptr[i + 1]
+        idx = indices[lo:hi]
+        v = data[lo:hi]
+        margin = float(v @ w[idx]) if lo != hi else 0.0
+        new_alpha = step(y[i], float(alpha[i]), margin, float(norms[i]), lam_n)
+        delta = new_alpha - alpha[i]
+        if delta != 0.0:
+            alpha[i] = new_alpha
+            if lo != hi:
+                w[idx] += v * (delta * y[i] * inv_lam_n)
+
+
+def elastic_net_epoch(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    y: np.ndarray,
+    norms: np.ndarray,
+    n: int,
+    lam: float,
+    l1_ratio: float,
+    beta: np.ndarray,
+    w: np.ndarray,
+    perm: np.ndarray,
+) -> None:
+    """One exact elastic-net CD epoch over the permuted features.
+
+    Each feature takes :func:`~repro.objectives.elasticnet.elastic_net_delta`
+    against the residual ``y - w``; ``beta`` and ``w = A beta`` are updated
+    in place.
+    """
+    for m in perm:
+        lo = indptr[m]
+        hi = indptr[m + 1]
+        idx = indices[lo:hi]
+        v = data[lo:hi]
+        residual_dot = float(v @ (y[idx] - w[idx])) if lo != hi else 0.0
+        delta = elastic_net_delta(
+            float(beta[m]), residual_dot, float(norms[m]), n, lam, l1_ratio
+        )
+        if delta != 0.0:
+            beta[m] += delta
+            if lo != hi:
+                w[idx] += v * delta
 
 
 # ---------------------------------------------------------------------------

@@ -1,91 +1,27 @@
 """SDCA solver for L2-regularized logistic regression (extension).
 
-Same loop structure as the other dual solvers; the per-coordinate maximizer
-is found by the problem's safeguarded bisection (no closed form for the
-logistic conjugate).
+The SVM's SDCA driver with two overrides: the per-coordinate maximizer is
+the problem's safeguarded bisection (no closed form for the logistic
+conjugate), and the dual starts strictly inside the box.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..metrics import ConvergenceHistory, ConvergenceRecord
-from ..objectives.logistic import LogisticProblem
+from ..objectives.logistic import LogisticProblem, logistic_step
+from .svm import SvmSdca
 
 __all__ = ["LogisticSdca"]
 
 
-class LogisticSdca:
+class LogisticSdca(SvmSdca):
     """SDCA for logistic regression with entropy-regularized dual."""
 
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
-        self.name = "LogisticSdca"
+    name = "LogisticSdca"
+    step = staticmethod(logistic_step)
 
-    def solve(
-        self,
-        problem: LogisticProblem,
-        n_epochs: int,
-        *,
-        monitor_every: int = 1,
-        target_gap: float | None = None,
-    ):
-        """Train for up to ``n_epochs``; returns ``(w, alpha, history)``."""
-        if n_epochs < 0:
-            raise ValueError("n_epochs must be non-negative")
-        if monitor_every < 1:
-            raise ValueError("monitor_every must be >= 1")
-        csr = problem.dataset.csr
-        y = problem.y.astype(np.float64)
-        indptr, indices, data = csr.indptr, csr.indices, csr.data
-        norms = csr.row_norms_sq().astype(np.float64)
-        inv_lam_n = 1.0 / (problem.lam * problem.n)
+    def _start(self, problem: LogisticProblem, bound):
         # start strictly inside the box: the entropy term is singular at 0/1
-        alpha = np.full(problem.n, 0.5, dtype=np.float64)
-        w = problem.weights_from_alpha(alpha)
-        rng = np.random.default_rng(self.seed)
-        history = ConvergenceHistory(label=self.name)
-        t0 = time.perf_counter()
-        history.append(
-            ConvergenceRecord(
-                epoch=0,
-                gap=problem.duality_gap(alpha, w),
-                objective=problem.dual_objective(alpha),
-                sim_time=0.0,
-                wall_time=0.0,
-                updates=0,
-            )
-        )
-        updates = 0
-        for epoch in range(1, n_epochs + 1):
-            for i in rng.permutation(problem.n):
-                lo, hi = indptr[i], indptr[i + 1]
-                idx = indices[lo:hi]
-                v = data[lo:hi]
-                margin_dot = float(v @ w[idx]) if lo != hi else 0.0
-                new_alpha = problem.coordinate_solve(
-                    i, float(alpha[i]), margin_dot, float(norms[i])
-                )
-                delta = new_alpha - alpha[i]
-                if delta != 0.0:
-                    alpha[i] = new_alpha
-                    if lo != hi:
-                        w[idx] += v * (delta * y[i] * inv_lam_n)
-                updates += 1
-            if epoch % monitor_every == 0 or epoch == n_epochs:
-                gap = problem.duality_gap(alpha, w)
-                history.append(
-                    ConvergenceRecord(
-                        epoch=epoch,
-                        gap=gap,
-                        objective=problem.dual_objective(alpha),
-                        sim_time=time.perf_counter() - t0,
-                        wall_time=time.perf_counter() - t0,
-                        updates=updates,
-                    )
-                )
-                if target_gap is not None and gap <= target_gap:
-                    break
-        return w, alpha, history
+        alpha = np.full(bound.n_coords, 0.5, dtype=np.float64)
+        return alpha, problem.weights_from_alpha(alpha)

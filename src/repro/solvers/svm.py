@@ -4,88 +4,125 @@ One epoch is a random permutation over the training examples; the shared
 vector is the primal weight vector ``w = A^T(alpha*y)/(lam N)`` itself, kept
 exactly consistent with the dual variables (the SDCA invariant).  Monitored
 through the true hinge duality gap.
+
+:class:`SdcaKernelFactory` binds the SDCA epoch for any GLM dual whose
+per-example maximizer is a scalar ``step`` (the hinge step here, the
+logistic bisection in :mod:`repro.solvers.logistic`); the distributed SVM
+runs the same bound kernel on every worker.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..metrics import ConvergenceHistory, ConvergenceRecord
-from ..objectives.svm import SvmProblem
+from ..cpu import XEON_8C, CpuSpec, SequentialCpuTiming
+from ..objectives.svm import SvmProblem, hinge_step
+from ..perf.timing import EpochWorkload
+from ..sparse import CsrMatrix
+from .base import BoundKernel, ScdSolver, TrainResult
+from .kernels import sdca_epoch
 
-__all__ = ["SvmSdca"]
+if TYPE_CHECKING:
+    from ..cluster.faults import FaultReport
+
+__all__ = ["SdcaKernelFactory", "SvmSdca", "SvmTrainResult"]
 
 
-class SvmSdca:
-    """SDCA solver for the L2-regularized hinge-loss SVM."""
+@dataclass(kw_only=True)
+class SvmTrainResult(TrainResult):
+    """SDCA outcome: the canonical shape plus the dual variables.
+
+    ``weights`` (and ``shared``) is the primal model ``w``; ``alpha`` the
+    dual variables.  The distributed SVM also fills the fault and
+    membership fields.
+    """
+
+    alpha: np.ndarray
+    fault_report: FaultReport | None = None
+    #: applied membership/rebalance steps, in epoch order (empty when static)
+    membership_log: list = field(default_factory=list)
+
+    def primal_weights(self, problem=None) -> np.ndarray:
+        """The SVM's shared vector *is* the primal model."""
+        return self.weights
+
+
+class SdcaKernelFactory:
+    """Binds exact SDCA epochs for a GLM dual with single-thread timing.
+
+    ``step(y_i, alpha_i, <w, x_i>, ||x_i||^2, lam N)`` returns an example's
+    new dual value (:func:`~repro.objectives.svm.hinge_step`,
+    :func:`~repro.objectives.logistic.logistic_step`).  ``timing_workload``
+    optionally overrides the workload an epoch is priced at, as in
+    :class:`~repro.solvers.scd.SequentialKernelFactory`.
+    """
+
+    def __init__(
+        self,
+        step: Callable[[float, float, float, float, float], float],
+        *,
+        spec: CpuSpec = XEON_8C,
+        timing_workload: EpochWorkload | None = None,
+    ) -> None:
+        self.step = step
+        self.spec = spec
+        self.timing_workload = timing_workload
+        self.name = "SDCA(1 thread)"
+
+    def bind_dual(
+        self, csr: CsrMatrix, y_local: np.ndarray, n_global: int, lam: float
+    ) -> BoundKernel:
+        indptr, indices = csr.indptr, csr.indices
+        data = csr.data.astype(np.float64, copy=False)
+        y = y_local.astype(np.float64, copy=False)
+        norms = csr.row_norms_sq().astype(np.float64)
+        lam_n = lam * n_global
+        step = self.step
+
+        def run_epoch(alpha, w, perm, rng):
+            sdca_epoch(indptr, indices, data, y, norms, lam_n, step, alpha, w, perm)
+            return 0
+
+        return BoundKernel(
+            run_epoch=run_epoch,
+            workload=self.timing_workload
+            or EpochWorkload(n_coords=csr.n_major, nnz=csr.nnz, shared_len=csr.shape[1]),
+            timing=SequentialCpuTiming(self.spec),
+            n_coords=csr.n_major,
+            shared_len=csr.shape[1],
+        )
+
+
+class SvmSdca(ScdSolver):
+    """SDCA solver for the L2-regularized hinge-loss SVM.
+
+    The epoch loop is :meth:`ScdSolver.solve`; this class supplies the
+    hinge step, the hinge duality gap on the maintained ``w`` and the
+    :class:`SvmTrainResult` shape.
+    """
+
+    name = "SvmSdca"
+    #: the per-example dual maximizer the SDCA kernel runs
+    step = staticmethod(hinge_step)
 
     def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
-        self.name = "SvmSdca"
+        super().__init__(SdcaKernelFactory(self.step), "dual", seed)
 
-    def solve(
-        self,
-        problem: SvmProblem,
-        n_epochs: int,
-        *,
-        monitor_every: int = 1,
-        target_gap: float | None = None,
-    ):
-        """Train for up to ``n_epochs``; returns ``(w, alpha, history)``."""
-        if n_epochs < 0:
-            raise ValueError("n_epochs must be non-negative")
-        if monitor_every < 1:
-            raise ValueError("monitor_every must be >= 1")
-        csr = problem.dataset.csr
-        y = problem.y.astype(np.float64)
-        indptr, indices, data = csr.indptr, csr.indices, csr.data
-        norms = csr.row_norms_sq().astype(np.float64)
-        inv_lam_n = 1.0 / (problem.lam * problem.n)
-        alpha = np.zeros(problem.n, dtype=np.float64)
-        w = np.zeros(problem.m, dtype=np.float64)
-        rng = np.random.default_rng(self.seed)
-        history = ConvergenceHistory(label=self.name)
-        t0 = time.perf_counter()
-        history.append(
-            ConvergenceRecord(
-                epoch=0,
-                gap=problem.duality_gap(alpha, w),
-                objective=problem.dual_objective(alpha),
-                sim_time=0.0,
-                wall_time=0.0,
-                updates=0,
-            )
+    def _monitor(self, problem: SvmProblem, weights, shared):
+        return (
+            problem.duality_gap(weights, shared),
+            problem.dual_objective(weights),
+            {"support_vectors": int(np.count_nonzero(weights))},
         )
-        updates = 0
-        for epoch in range(1, n_epochs + 1):
-            for i in rng.permutation(problem.n):
-                lo, hi = indptr[i], indptr[i + 1]
-                idx = indices[lo:hi]
-                v = data[lo:hi]
-                margin_dot = float(v @ w[idx]) if lo != hi else 0.0
-                delta = problem.coordinate_delta(
-                    i, float(alpha[i]), margin_dot, float(norms[i])
-                )
-                if delta != 0.0:
-                    alpha[i] += delta
-                    if lo != hi:
-                        w[idx] += v * (delta * y[i] * inv_lam_n)
-                updates += 1
-            if epoch % monitor_every == 0 or epoch == n_epochs:
-                gap = problem.duality_gap(alpha, w)
-                history.append(
-                    ConvergenceRecord(
-                        epoch=epoch,
-                        gap=gap,
-                        objective=problem.dual_objective(alpha),
-                        sim_time=time.perf_counter() - t0,
-                        wall_time=time.perf_counter() - t0,
-                        updates=updates,
-                        extras={"support_vectors": int(np.count_nonzero(alpha))},
-                    )
-                )
-                if target_gap is not None and gap <= target_gap:
-                    break
-        return w, alpha, history
+
+    def _model(self, weights, shared):
+        # the shared vector is the serveable primal model w, not alpha
+        return shared
+
+    def _result(self, weights, shared, **fields) -> SvmTrainResult:
+        return SvmTrainResult(
+            formulation="dual", weights=shared, shared=shared, alpha=weights, **fields
+        )

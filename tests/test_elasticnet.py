@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.data import make_dense_gaussian
-from repro.objectives import ElasticNetProblem, RidgeProblem, soft_threshold, solve_exact
+from repro.objectives import (
+    ElasticNetProblem,
+    RidgeProblem,
+    elastic_net_delta,
+    soft_threshold,
+    solve_exact,
+)
 from repro.solvers import ElasticNetCD
 
 
@@ -47,8 +53,9 @@ class TestElasticNetProblem:
         w = dense @ beta
         m = 4
         a_m = dense[:, m]
-        delta = p.coordinate_delta(
-            m, float(beta[m]), float((p.y - w) @ a_m), float(a_m @ a_m)
+        delta = elastic_net_delta(
+            float(beta[m]), float((p.y - w) @ a_m), float(a_m @ a_m),
+            p.n, p.lam, p.l1_ratio,
         )
         moved = beta.copy()
         moved[m] += delta
@@ -62,20 +69,20 @@ class TestElasticNetProblem:
 class TestElasticNetCD:
     def test_objective_monotone(self, small_dense):
         p = ElasticNetProblem(small_dense, 0.05, l1_ratio=0.5)
-        _, hist = ElasticNetCD(seed=0).solve(p, 20, monitor_every=2)
+        hist = ElasticNetCD(seed=0).solve(p, 20, monitor_every=2).history
         objs = hist.objectives
         assert np.all(np.diff(objs) <= 1e-12)
 
     def test_kkt_converges(self, small_dense):
         p = ElasticNetProblem(small_dense, 0.05, l1_ratio=0.5)
-        _, hist = ElasticNetCD(seed=0).solve(p, 100, monitor_every=20)
+        hist = ElasticNetCD(seed=0).solve(p, 100, monitor_every=20).history
         assert hist.final_gap() < 1e-8
 
     def test_ridge_limit_matches_exact(self, small_dense):
         """l1_ratio = 0 must reproduce the closed-form ridge optimum."""
         lam = 0.05
         p = ElasticNetProblem(small_dense, lam, l1_ratio=0.0)
-        beta, _ = ElasticNetCD(seed=0).solve(p, 150, monitor_every=50)
+        beta = ElasticNetCD(seed=0).solve(p, 150, monitor_every=50).weights
         exact = solve_exact(RidgeProblem(small_dense, lam))
         assert np.allclose(beta, exact.beta, atol=1e-8)
 
@@ -84,18 +91,21 @@ class TestElasticNetCD:
         dense_count = []
         for l1_ratio in (0.0, 0.95):
             p = ElasticNetProblem(data, 0.2, l1_ratio=l1_ratio)
-            beta, _ = ElasticNetCD(seed=0).solve(p, 80, monitor_every=80)
+            beta = ElasticNetCD(seed=0).solve(p, 80, monitor_every=80).weights
             dense_count.append(np.count_nonzero(beta))
         assert dense_count[1] < dense_count[0]
 
     def test_early_stop_on_tol(self, small_dense):
         p = ElasticNetProblem(small_dense, 0.05, l1_ratio=0.5)
-        _, hist = ElasticNetCD(seed=0).solve(p, 500, monitor_every=1, tol=1e-6)
+        hist = ElasticNetCD(seed=0).solve(
+            p, 500, monitor_every=1, target_gap=1e-6
+        ).history
         assert hist.records[-1].epoch < 500
 
     def test_nnz_recorded(self, small_dense):
         p = ElasticNetProblem(small_dense, 0.05, l1_ratio=0.9)
-        beta, hist = ElasticNetCD(seed=0).solve(p, 10)
+        res = ElasticNetCD(seed=0).solve(p, 10)
+        beta, hist = res.weights, res.history
         assert hist.records[-1].extras["nnz_beta"] == np.count_nonzero(beta)
 
     def test_validation(self, small_dense):

@@ -32,7 +32,7 @@ class TestLambdaGrid:
     def test_lambda_max_zeros_the_model(self, path_data):
         grid = lambda_grid(path_data, 0.9, n_lambdas=5)
         problem = ElasticNetProblem(path_data, float(grid[0]), l1_ratio=0.9)
-        beta, _ = ElasticNetCD(seed=0).solve(problem, 30, monitor_every=30)
+        beta = ElasticNetCD(seed=0).solve(problem, 30, monitor_every=30).weights
         assert np.count_nonzero(beta) == 0
 
     def test_validation(self, path_data):
@@ -66,9 +66,9 @@ class TestElasticNetPath:
         )
         warm_epochs = path[-1][2].records[-1].epoch
         cold_problem = ElasticNetProblem(path_data, grid[-1], l1_ratio=0.9)
-        _, cold_history = ElasticNetCD(seed=0).solve(
-            cold_problem, 200, monitor_every=1, tol=1e-9
-        )
+        cold_history = ElasticNetCD(seed=0).solve(
+            cold_problem, 200, monitor_every=1, target_gap=1e-9
+        ).history
         assert warm_epochs <= cold_history.records[-1].epoch
 
     def test_warm_start_matches_cold_solution(self, path_data):
@@ -76,9 +76,9 @@ class TestElasticNetPath:
         path = elastic_net_path(path_data, grid, l1_ratio=0.5, n_epochs=150)
         lam, beta_warm, _ = path[-1]
         problem = ElasticNetProblem(path_data, lam, l1_ratio=0.5)
-        beta_cold, _ = ElasticNetCD(seed=0).solve(
-            problem, 300, monitor_every=50, tol=1e-12
-        )
+        beta_cold = ElasticNetCD(seed=0).solve(
+            problem, 300, monitor_every=50, target_gap=1e-12
+        ).weights
         assert np.allclose(beta_warm, beta_cold, atol=1e-5)
 
     def test_increasing_grid_rejected(self, path_data):

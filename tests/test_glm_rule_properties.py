@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import SimCommunicator
-from repro.gpu.glm_engine import (
+from repro.gpu.engine import (
     ElasticNetPrimalRule,
     RidgeDualRule,
     RidgePrimalRule,

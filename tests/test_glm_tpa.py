@@ -1,4 +1,4 @@
-"""Tests for the generalized GLM TPA engine and its GPU solvers."""
+"""Tests for the GLM rules on the TPA engine and the GPU GLM solvers."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,12 @@ from repro.data import make_webspam_like
 from repro.gpu import (
     GTX_TITAN_X,
     ElasticNetPrimalRule,
-    GlmTpaEngine,
     GpuDevice,
     KernelProfile,
     RidgeDualRule,
     RidgePrimalRule,
     SvmDualRule,
+    TpaScdEngine,
 )
 from repro.objectives import (
     ElasticNetProblem,
@@ -42,10 +42,7 @@ class TestEngineValidation:
             ridge_sparse.dataset.csc.col_norms_sq(), ridge_sparse.n, ridge_sparse.lam
         )
         with pytest.raises(ValueError, match="wave_size"):
-            GlmTpaEngine(
-                indptr, indices, data, rule=rule, wave_size=0, n_threads=32,
-                y=ridge_sparse.y,
-            )
+            TpaScdEngine(indptr, indices, data, wave_size=0, n_threads=32)
 
     def test_front_doors_reject_wave_size_zero(self, small_dense, svm_sparse):
         """An explicit 0 is invalid — only ``None`` means the device default."""
@@ -60,18 +57,18 @@ class TestEngineValidation:
             ridge_sparse.dataset.csc.col_norms_sq(), ridge_sparse.n, ridge_sparse.lam
         )
         with pytest.raises(ValueError, match="power of two"):
-            GlmTpaEngine(
-                indptr, indices, data, rule=rule, wave_size=1, n_threads=6,
-                y=ridge_sparse.y,
-            )
+            TpaScdEngine(indptr, indices, data, wave_size=1, n_threads=6)
 
     def test_residual_rule_requires_y(self, ridge_sparse):
         indptr, indices, data = self._arrays(ridge_sparse)
         rule = RidgePrimalRule(
             ridge_sparse.dataset.csc.col_norms_sq(), ridge_sparse.n, ridge_sparse.lam
         )
+        engine = TpaScdEngine(indptr, indices, data, wave_size=1, n_threads=32)
+        beta = np.zeros(ridge_sparse.m, np.float32)
+        w = np.zeros(ridge_sparse.n, np.float32)
         with pytest.raises(ValueError, match="label vector"):
-            GlmTpaEngine(indptr, indices, data, rule=rule, wave_size=1, n_threads=32)
+            engine.run_epoch(rule, beta, w, np.arange(ridge_sparse.m))
 
     def test_bad_needs(self, ridge_sparse):
         indptr, indices, data = self._arrays(ridge_sparse)
@@ -85,8 +82,11 @@ class TestEngineValidation:
             def shared_scale(self, c):
                 return 1.0
 
+        engine = TpaScdEngine(indptr, indices, data, wave_size=1, n_threads=32)
+        beta = np.zeros(ridge_sparse.m, np.float32)
+        w = np.zeros(ridge_sparse.n, np.float32)
         with pytest.raises(ValueError, match="residual|shared"):
-            GlmTpaEngine(indptr, indices, data, rule=Odd(), wave_size=1, n_threads=32)
+            engine.run_epoch(Odd(), beta, w, np.arange(ridge_sparse.m))
 
 
 class TestRidgeRuleEquivalence:
@@ -97,15 +97,15 @@ class TestRidgeRuleEquivalence:
         rule = RidgePrimalRule(
             csc.col_norms_sq(), ridge_sparse.n, ridge_sparse.lam, dtype=np.float64
         )
-        engine = GlmTpaEngine(
-            csc.indptr, csc.indices, csc.data, rule=rule, wave_size=4,
-            n_threads=64, dtype=np.float64, y=ridge_sparse.y,
+        engine = TpaScdEngine(
+            csc.indptr, csc.indices, csc.data, wave_size=4, n_threads=64,
+            dtype=np.float64,
         )
         beta = np.zeros(ridge_sparse.m)
         w = np.zeros(ridge_sparse.n)
         rng = np.random.default_rng(0)
         perm = rng.permutation(ridge_sparse.m)
-        engine.run_epoch(beta, w, perm, rng)
+        engine.run_epoch(rule, beta, w, perm, y=ridge_sparse.y)
 
         fac = TpaScdKernelFactory(
             GpuDevice(GTX_TITAN_X), wave_size=4, n_threads=64, dtype=np.float64
@@ -125,15 +125,15 @@ class TestRidgeRuleEquivalence:
             ridge_sparse.y, csr.row_norms_sq(), ridge_sparse.n, ridge_sparse.lam,
             dtype=np.float64,
         )
-        engine = GlmTpaEngine(
-            csr.indptr, csr.indices, csr.data, rule=rule, wave_size=1,
-            n_threads=64, dtype=np.float64,
+        engine = TpaScdEngine(
+            csr.indptr, csr.indices, csr.data, wave_size=1, n_threads=64,
+            dtype=np.float64,
         )
         alpha = np.zeros(ridge_sparse.n)
         wbar = np.zeros(ridge_sparse.m)
         rng = np.random.default_rng(1)
         perm = rng.permutation(ridge_sparse.n)
-        engine.run_epoch(alpha, wbar, perm, rng)
+        engine.run_epoch(rule, alpha, wbar, perm)
 
         seq = SequentialSCD("dual", seed=123)
         bound = seq._bind(ridge_sparse)
@@ -166,26 +166,28 @@ class TestRidgeRuleEquivalence:
 class TestTpaElasticNet:
     def test_converges_and_matches_cpu(self, small_dense):
         enp = ElasticNetProblem(small_dense, 0.05, l1_ratio=0.5)
-        beta_gpu, h_gpu = TpaElasticNet(wave_size=1, seed=0, dtype=np.float64).solve(
+        gpu = TpaElasticNet(wave_size=1, seed=0, dtype=np.float64).solve(
             enp, 80, monitor_every=40
         )
-        beta_cpu, _ = ElasticNetCD(seed=0).solve(enp, 80, monitor_every=40)
-        assert h_gpu.final_gap() < 1e-8
-        assert np.allclose(beta_gpu, beta_cpu, atol=1e-8)
+        cpu = ElasticNetCD(seed=0).solve(enp, 80, monitor_every=40)
+        assert gpu.history.final_gap() < 1e-8
+        assert np.allclose(gpu.weights, cpu.weights, atol=1e-8)
 
     def test_fp32_converges(self, small_dense):
         enp = ElasticNetProblem(small_dense, 0.05, l1_ratio=0.5)
-        beta, h = TpaElasticNet(wave_size=2, seed=0).solve(enp, 60, monitor_every=30)
+        h = TpaElasticNet(wave_size=2, seed=0).solve(enp, 60, monitor_every=30).history
         assert h.final_gap() < 1e-4
 
     def test_sparsifies(self, small_dense):
         enp = ElasticNetProblem(small_dense, 0.3, l1_ratio=0.95)
-        beta, h = TpaElasticNet(wave_size=1, seed=0).solve(enp, 60, monitor_every=30)
+        beta = TpaElasticNet(wave_size=1, seed=0).solve(
+            enp, 60, monitor_every=30
+        ).weights
         assert np.count_nonzero(beta) < small_dense.n_features
 
     def test_sim_time_positive(self, small_dense):
         enp = ElasticNetProblem(small_dense, 0.05)
-        _, h = TpaElasticNet(wave_size=1, seed=0).solve(enp, 3)
+        h = TpaElasticNet(wave_size=1, seed=0).solve(enp, 3).history
         assert h.sim_times[-1] > 0
 
     def test_validation(self, small_dense):
@@ -197,25 +199,23 @@ class TestTpaElasticNet:
 class TestTpaSvm:
     def test_converges_and_tracks_cpu(self, svm_sparse):
         svm = SvmProblem(svm_sparse, lam=1e-2)
-        w_gpu, a_gpu, h_gpu = TpaSvm(wave_size=2, seed=0).solve(
-            svm, 25, monitor_every=5
-        )
-        assert h_gpu.final_gap() < 1e-6
-        w_cpu, a_cpu, h_cpu = SvmSdca(seed=0).solve(svm, 25, monitor_every=5)
+        gpu = TpaSvm(wave_size=2, seed=0).solve(svm, 25, monitor_every=5)
+        assert gpu.history.final_gap() < 1e-6
+        cpu = SvmSdca(seed=0).solve(svm, 25, monitor_every=5)
         # same accuracy on the training set
-        acc_gpu = float(np.mean(svm.predict(w_gpu) == svm_sparse.y))
-        acc_cpu = float(np.mean(svm.predict(w_cpu) == svm_sparse.y))
+        acc_gpu = float(np.mean(svm.predict(gpu.weights) == svm_sparse.y))
+        acc_cpu = float(np.mean(svm.predict(cpu.weights) == svm_sparse.y))
         assert abs(acc_gpu - acc_cpu) < 0.05
 
     def test_alpha_in_box(self, svm_sparse):
         svm = SvmProblem(svm_sparse, lam=1e-2)
-        _, alpha, _ = TpaSvm(wave_size=2, seed=0).solve(svm, 5)
+        alpha = TpaSvm(wave_size=2, seed=0).solve(svm, 5).alpha
         assert np.all(alpha >= 0.0) and np.all(alpha <= 1.0)
 
     def test_sdca_invariant_held_to_fp32(self, svm_sparse):
         svm = SvmProblem(svm_sparse, lam=1e-2)
-        w, alpha, _ = TpaSvm(wave_size=1, seed=0, dtype=np.float64).solve(svm, 5)
-        assert np.allclose(w, svm.weights_from_alpha(alpha), atol=1e-9)
+        res = TpaSvm(wave_size=1, seed=0, dtype=np.float64).solve(svm, 5)
+        assert np.allclose(res.weights, svm.weights_from_alpha(res.alpha), atol=1e-9)
 
     def test_profiler_integration(self, svm_sparse):
         svm = SvmProblem(svm_sparse, lam=1e-2)
@@ -226,7 +226,7 @@ class TestTpaSvm:
 
     def test_early_stop(self, svm_sparse):
         svm = SvmProblem(svm_sparse, lam=1e-2)
-        _, _, h = TpaSvm(wave_size=1, seed=0).solve(
+        h = TpaSvm(wave_size=1, seed=0).solve(
             svm, 200, monitor_every=1, target_gap=1e-3
-        )
+        ).history
         assert h.records[-1].epoch < 200

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq, minimize
 
 from repro.data import make_webspam_like
-from repro.objectives import LogisticProblem
+from repro.objectives import LogisticProblem, logistic_step
 from repro.solvers import LogisticSdca
 
 
@@ -60,7 +60,8 @@ class TestLogisticProblem:
             return problem.primal_objective(w)
 
         oracle = minimize(primal, np.zeros(8), method="BFGS", tol=1e-12)
-        w_sdca, _, h = LogisticSdca(seed=0).solve(problem, 200, monitor_every=50)
+        res = LogisticSdca(seed=0).solve(problem, 200, monitor_every=50)
+        w_sdca, h = res.weights, res.history
         assert problem.primal_objective(w_sdca) == pytest.approx(
             oracle.fun, rel=1e-6
         )
@@ -80,7 +81,10 @@ class TestLogisticProblem:
                 return np.log((1 - a) / a) - m - q * (a - alpha_i)
 
             expected = brentq(g, 1e-12, 1 - 1e-12, xtol=1e-12)
-            got = logit_problem.coordinate_solve(i, alpha_i, margin, float(norms[i]))
+            got = logistic_step(
+                logit_problem.y[i], alpha_i, margin, float(norms[i]),
+                logit_problem.lam * logit_problem.n,
+            )
             assert got == pytest.approx(expected, abs=1e-8)
 
     def test_zero_norm_row_closed_form(self, logit_data):
@@ -92,7 +96,7 @@ class TestLogisticProblem:
         ds = Dataset(matrix=from_dense_csr(dense), y=logit_data.y)
         p = LogisticProblem(ds, lam=1e-2)
         # m = 0 -> sigmoid(0) = 0.5 regardless of the current alpha
-        assert p.coordinate_solve(0, 0.9, 0.0, 0.0) == pytest.approx(0.5)
+        assert logistic_step(p.y[0], 0.9, 0.0, 0.0, p.lam * p.n) == pytest.approx(0.5)
 
     def test_predict_proba_in_unit_interval(self, logit_problem):
         rng = np.random.default_rng(4)
@@ -103,35 +107,36 @@ class TestLogisticProblem:
 
 class TestLogisticSdca:
     def test_gap_converges(self, logit_problem):
-        _, _, h = LogisticSdca(seed=0).solve(logit_problem, 25, monitor_every=5)
+        h = LogisticSdca(seed=0).solve(logit_problem, 25, monitor_every=5).history
         assert h.final_gap() < 1e-8
 
     def test_dual_monotone(self, logit_problem):
-        _, _, h = LogisticSdca(seed=0).solve(logit_problem, 10, monitor_every=1)
+        h = LogisticSdca(seed=0).solve(logit_problem, 10, monitor_every=1).history
         assert np.all(np.diff(h.objectives) >= -1e-10)
 
     def test_sdca_invariant(self, logit_problem):
-        w, alpha, _ = LogisticSdca(seed=0).solve(logit_problem, 5)
+        res = LogisticSdca(seed=0).solve(logit_problem, 5)
+        w, alpha = res.weights, res.alpha
         assert np.allclose(w, logit_problem.weights_from_alpha(alpha), atol=1e-10)
 
     def test_alpha_interior(self, logit_problem):
-        _, alpha, _ = LogisticSdca(seed=0).solve(logit_problem, 10)
+        alpha = LogisticSdca(seed=0).solve(logit_problem, 10).alpha
         assert np.all(alpha > 0) and np.all(alpha < 1)
 
     def test_accuracy_beats_chance(self, logit_problem, logit_data):
-        w, _, _ = LogisticSdca(seed=0).solve(logit_problem, 15)
+        w = LogisticSdca(seed=0).solve(logit_problem, 15).weights
         acc = float(np.mean(logit_problem.predict(w) == logit_data.y))
         assert acc > 0.75
 
     def test_early_stop(self, logit_problem):
-        _, _, h = LogisticSdca(seed=0).solve(
+        h = LogisticSdca(seed=0).solve(
             logit_problem, 500, monitor_every=1, target_gap=1e-4
-        )
+        ).history
         assert h.records[-1].epoch < 500
 
     def test_deterministic(self, logit_problem):
-        w1, _, _ = LogisticSdca(seed=5).solve(logit_problem, 4)
-        w2, _, _ = LogisticSdca(seed=5).solve(logit_problem, 4)
+        w1 = LogisticSdca(seed=5).solve(logit_problem, 4).weights
+        w2 = LogisticSdca(seed=5).solve(logit_problem, 4).weights
         assert np.array_equal(w1, w2)
 
     def test_validation(self, logit_problem):

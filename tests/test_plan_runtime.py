@@ -25,7 +25,6 @@ from repro.core.tpa_scd import TpaScdKernelFactory
 from repro.data import make_webspam_like
 from repro.gpu import (
     ElasticNetPrimalRule,
-    GlmTpaEngine,
     KernelProfile,
     RidgeDualRule,
     RidgePrimalRule,
@@ -382,7 +381,7 @@ def column_norms(indptr, data):
 
 
 class TestGlmPlannedBitIdentity(_Backend):
-    """The GLM rules through :class:`GlmTpaEngine` against the reference."""
+    """The GLM rules through :meth:`TpaScdEngine.run_epoch` against the reference."""
 
     def _structure(self):
         rng = np.random.default_rng(23)
@@ -392,7 +391,7 @@ class TestGlmPlannedBitIdentity(_Backend):
         return rng, indptr, indices, data
 
     def glm_engine(self, *args, **kw):
-        eng = GlmTpaEngine(*args, **kw)
+        eng = TpaScdEngine(*args, **kw)
         assert eng.backend == self.backend
         return eng
 
@@ -400,15 +399,14 @@ class TestGlmPlannedBitIdentity(_Backend):
               perms, weights0, shared0):
         """(weights, shared) after one epoch per perm: reference loop, engine."""
         eng = self.glm_engine(
-            indptr, indices, data, rule=rule,
-            wave_size=wave_size, n_threads=n_threads, y=y,
+            indptr, indices, data, wave_size=wave_size, n_threads=n_threads,
         )
         results = []
         for production in (False, True):
             wts, shared = weights0.copy(), shared0.copy()
             for perm in perms:
                 if production:
-                    eng.run_epoch(wts, shared, perm, rng)
+                    eng.run_epoch(rule, wts, shared, perm, y=y)
                 else:
                     reference_epoch(
                         indptr, indices, data, rule, wts, shared, perm,
@@ -594,8 +592,7 @@ class TestGlmNativeBitIdentity(TestGlmPlannedBitIdentity):
         rule = ElasticNetPrimalRule(column_norms(indptr, data), 45, 0.05, 0.5)
         for tracer, calls_per_epoch in ((None, 1), (Tracer(detail="wave"), 5)):
             eng = self.glm_engine(
-                indptr, indices, data, rule=rule, wave_size=7, n_threads=8, y=y,
-                tracer=tracer,
+                indptr, indices, data, wave_size=7, n_threads=8, tracer=tracer,
             )
             calls = []
             kernel = eng._native._fn
@@ -604,7 +601,7 @@ class TestGlmNativeBitIdentity(TestGlmPlannedBitIdentity):
             )
             wts, shared = np.zeros(30, np.float32), np.zeros(45, np.float32)
             for ep in range(2):
-                eng.run_epoch(wts, shared, rng.permutation(30), rng)
+                eng.run_epoch(rule, wts, shared, rng.permutation(30), y=y)
             assert len(calls) == 2 * calls_per_epoch
         waves = [span for span in tracer.walk() if span.name == "glm.wave"]
         assert len(waves) == 2 * 5
@@ -707,17 +704,13 @@ class TestNativeFailurePaths:
             )
         # a rule whose arrays are float64 cannot run on the float32 kernel
         wide_rule = ElasticNetPrimalRule(np.ones(2), 3, 0.1, 0.5, dtype=np.float64)
-        glm = GlmTpaEngine(indptr, indices, data, rule=wide_rule, wave_size=2,
-                           n_threads=4, y=y)
-        monkeypatch.setattr(glm._native, "_fn", lambda *a: foreign_calls.append(a))
         with pytest.raises(ValueError, match="norms must be a 1-D C-contiguous float32"):
-            glm.run_epoch(beta, w, perm, None)
+            engine.run_epoch(wide_rule, beta, w, perm, y=y)
         # a rule declaring fewer arrays than its case reads never reaches C
         short_rule = ElasticNetPrimalRule(np.ones(2), 3, 0.1, 0.5)
         short_rule.native = ("svm", ("norms",), ("inv_n",))
-        glm.rule = short_rule
         with pytest.raises(ValueError, match="no tpa.c case 'svm' reads 1 arrays"):
-            glm.run_epoch(beta, w, perm, None)
+            engine.run_epoch(short_rule, beta, w, perm, y=y)
         assert foreign_calls == []
         # the same arguments, correct, do reach the (stubbed) foreign call
         engine.run_primal_epoch(y, inv, 0.5, beta, w, perm)
@@ -767,9 +760,12 @@ class TestNativeFailurePaths:
         y = np.ones(2, np.float32)
         for dtype, backend in ((np.float32, "native"), (np.float64, "numpy")):
             rule = SvmDualRule(y, column_norms(indptr, data), 2, 0.1, dtype=dtype)
-            glm = GlmTpaEngine(indptr, indices, data, rule=rule, wave_size=2,
-                               n_threads=4, dtype=dtype)
+            glm = build_engine(indptr, indices, data, wave_size=2, n_threads=4,
+                               dtype=dtype)
             assert glm.backend == backend
+            alpha = np.zeros(2, dtype)
+            glm.run_epoch(rule, alpha, np.zeros(3, dtype), np.arange(2))
+            assert np.all((alpha >= 0.0) & (alpha <= 1.0))
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     def test_decreasing_indptr_is_rejected_on_both_loops(self, backend, request):
@@ -783,10 +779,6 @@ class TestNativeFailurePaths:
         data = np.ones(4, np.float32)
         with pytest.raises(ValueError, match="indptr must be non-decreasing"):
             TpaScdEngine(indptr, indices, data, wave_size=2, n_threads=4)
-        rule = RidgePrimalRule(np.ones(3), 3, 0.1)
-        with pytest.raises(ValueError, match="indptr must be non-decreasing"):
-            GlmTpaEngine(indptr, indices, data, rule=rule, wave_size=2,
-                         n_threads=4, y=np.ones(3, np.float32))
 
 
 class TestChunkedHoist:

@@ -75,7 +75,7 @@ class TestDistributedSvm:
     def test_k1_matches_single_node_order(self, svm_problem):
         res = DistributedSvm(n_workers=1, seed=0).solve(svm_problem, 10)
         h = res.history
-        _, _, h_single = SvmSdca(seed=0).solve(svm_problem, 10)
+        h_single = SvmSdca(seed=0).solve(svm_problem, 10).history
         assert h.final_gap() < 1e-4
         assert h.final_gap() < h_single.final_gap() * 1e3 + 1e-9
 

@@ -312,13 +312,13 @@ class TestOracleParity:
     def test_logistic(self):
         ds = make_webspam_like(60, 40, nnz_per_example=6, seed=2)
         problem = LogisticProblem(ds, lam=1e-2)
-        w, _alpha, _history = LogisticSdca(seed=1).solve(problem, 3)
+        w = LogisticSdca(seed=1).solve(problem, 3).weights
         _serve_against(w, ds.csr)
 
     def test_svm(self):
         ds = make_webspam_like(60, 40, nnz_per_example=6, seed=4)
         problem = SvmProblem(ds, lam=1e-2)
-        w, _alpha, _history = SvmSdca(seed=1).solve(problem, 3)
+        w = SvmSdca(seed=1).solve(problem, 3).weights
         _serve_against(w, ds.csr)
 
 

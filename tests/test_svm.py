@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import Dataset, make_webspam_like
-from repro.objectives import SvmProblem
+from repro.objectives import SvmProblem, hinge_step
 from repro.solvers import SvmSdca
 from repro.sparse import from_dense_csr
 
@@ -49,8 +49,9 @@ class TestSvmProblem:
 
     def test_coordinate_delta_respects_box(self, svm_problem):
         # huge positive margin -> wants alpha below 0 -> clipped at 0
-        d = svm_problem.coordinate_delta(0, 0.0, margin_dot=100.0 * svm_problem.y[0], row_norm_sq=1.0)
-        assert d == 0.0
+        p = svm_problem
+        new = hinge_step(p.y[0], 0.0, 100.0 * p.y[0], 1.0, p.lam * p.n)
+        assert new == 0.0
 
     def test_coordinate_delta_increases_dual(self, svm_problem):
         p = svm_problem
@@ -59,11 +60,11 @@ class TestSvmProblem:
         w = p.weights_from_alpha(alpha)
         dense = p.dataset.csr.to_dense()
         i = 7
-        d = p.coordinate_delta(
-            i, float(alpha[i]), float(dense[i] @ w), float(dense[i] @ dense[i])
-        )
         moved = alpha.copy()
-        moved[i] += d
+        moved[i] = hinge_step(
+            p.y[i], float(alpha[i]), float(dense[i] @ w), float(dense[i] @ dense[i]),
+            p.lam * p.n,
+        )
         assert p.dual_objective(moved) >= p.dual_objective(alpha) - 1e-12
 
     def test_zero_norm_row_maximizer(self, svm_data):
@@ -71,46 +72,49 @@ class TestSvmProblem:
         dense[0, :] = 0.0
         ds = Dataset(matrix=from_dense_csr(dense), y=svm_data.y)
         p = SvmProblem(ds, lam=1e-2)
-        assert p.coordinate_delta(0, 0.2, 0.0, 0.0) == pytest.approx(0.8)
+        assert hinge_step(p.y[0], 0.2, 0.0, 0.0, p.lam * p.n) == 1.0
 
 
 class TestSvmSdca:
     def test_gap_converges(self, svm_problem):
-        w, alpha, hist = SvmSdca(seed=0).solve(svm_problem, 30, monitor_every=10)
+        res = SvmSdca(seed=0).solve(svm_problem, 30, monitor_every=10)
+        w, alpha, hist = res.weights, res.alpha, res.history
         assert hist.final_gap() < 1e-4
 
     def test_sdca_invariant(self, svm_problem):
         """The maintained w must equal the alpha mapping exactly."""
-        w, alpha, _ = SvmSdca(seed=0).solve(svm_problem, 5)
+        res = SvmSdca(seed=0).solve(svm_problem, 5)
+        w, alpha = res.weights, res.alpha
         assert np.allclose(w, svm_problem.weights_from_alpha(alpha), atol=1e-10)
 
     def test_alpha_in_box(self, svm_problem):
-        _, alpha, _ = SvmSdca(seed=0).solve(svm_problem, 10)
+        alpha = SvmSdca(seed=0).solve(svm_problem, 10).alpha
         assert np.all(alpha >= -1e-12) and np.all(alpha <= 1 + 1e-12)
 
     def test_dual_objective_monotone(self, svm_problem):
-        _, _, hist = SvmSdca(seed=0).solve(svm_problem, 12, monitor_every=2)
+        hist = SvmSdca(seed=0).solve(svm_problem, 12, monitor_every=2).history
         objs = hist.objectives
         assert np.all(np.diff(objs) >= -1e-12)
 
     def test_training_accuracy_beats_chance(self, svm_problem, svm_data):
-        w, _, _ = SvmSdca(seed=0).solve(svm_problem, 20)
+        w = SvmSdca(seed=0).solve(svm_problem, 20).weights
         acc = float(np.mean(svm_problem.predict(w) == svm_data.y))
         assert acc > 0.7
 
     def test_early_stop(self, svm_problem):
-        _, _, hist = SvmSdca(seed=0).solve(
+        hist = SvmSdca(seed=0).solve(
             svm_problem, 500, monitor_every=1, target_gap=1e-3
-        )
+        ).history
         assert hist.records[-1].epoch < 500
 
     def test_support_vectors_recorded(self, svm_problem):
-        _, alpha, hist = SvmSdca(seed=0).solve(svm_problem, 5)
+        res = SvmSdca(seed=0).solve(svm_problem, 5)
+        alpha, hist = res.alpha, res.history
         assert hist.records[-1].extras["support_vectors"] == np.count_nonzero(alpha)
 
     def test_deterministic(self, svm_problem):
-        w1, _, _ = SvmSdca(seed=9).solve(svm_problem, 5)
-        w2, _, _ = SvmSdca(seed=9).solve(svm_problem, 5)
+        w1 = SvmSdca(seed=9).solve(svm_problem, 5).weights
+        w2 = SvmSdca(seed=9).solve(svm_problem, 5).weights
         assert np.array_equal(w1, w2)
 
     def test_validation(self, svm_problem):

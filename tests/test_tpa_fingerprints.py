@@ -1,15 +1,21 @@
-"""Frozen bits of the single-node TPA solvers.
+"""Frozen bits of the single-node coordinate solvers.
 
-The sha256 constants below were captured at the commit *before* the five
-copies of the Algorithm 2 wave loop were collapsed into one (PR 16), in the
+The TPA constants below were captured at the commit *before* the five
+copies of the Algorithm 2 wave loop were collapsed into one, in the
 style of ``tests/test_syscd.py``: they pin the absolute float32 bits of
 ``TpaScdKernelFactory.bind_primal`` / ``bind_dual`` and of the
 ``TpaElasticNet`` / ``TpaSvm`` front doors, so any later change of
 arithmetic in the wave loop has to say so by re-capturing them.  Every
-constant is checked on both loops: the module-level tests run whichever the
-host has (the compiled ``tpa_epoch`` wherever ``cc`` builds it), and
+TPA constant is checked on both loops: the module-level tests run whichever
+the host has (the compiled ``tpa_epoch`` wherever ``cc`` builds it), and
 :class:`TestNumpyLoop` hides the compiler so :func:`reference_epoch
 <repro.gpu.engine.reference_epoch>` runs.
+
+The CPU constants (``SVM_SDCA_SHA``, ``LOGISTIC_SDCA_SHA``,
+``ELASTIC_NET_CD_SHA``) were captured at the commit before the GLM solvers'
+own epoch loops were folded into ``ScdSolver.solve``.  Each covers
+the float64 weights, the maintained shared vector and every monitored gap
+of ``SvmSdca``, ``LogisticSdca`` and ``ElasticNetCD``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,13 @@ import pytest
 from repro.core import TpaElasticNet, TpaSvm
 from repro.core.tpa_scd import TpaScdKernelFactory
 from repro.data import make_webspam_like
-from repro.objectives import ElasticNetProblem, RidgeProblem, SvmProblem
+from repro.objectives import (
+    ElasticNetProblem,
+    LogisticProblem,
+    RidgeProblem,
+    SvmProblem,
+)
+from repro.solvers import ElasticNetCD, LogisticSdca, SvmSdca
 
 N_EPOCHS = 3
 
@@ -53,6 +65,17 @@ ELASTIC_NET_SHA = (
 )
 SVM_SHA = (
     "abedef50c0de7fa9da38dbd4d625941e5150bac2035312823943b7a76d0d0326"
+)
+#: sha256 of (alpha + w + gaps) / (beta + w + gaps), float64, after N_EPOCHS
+#: epochs of the CPU solvers on the same problems
+SVM_SDCA_SHA = (
+    "db51a73a24cc783491dd3e761e28af3f507921d338b6ca39a0848b35029c0aa4"
+)
+LOGISTIC_SDCA_SHA = (
+    "6ff11f72654764c32841e63424cfd3d00775a2bcd80cc6ee1a1a6dcc0e569cbd"
+)
+ELASTIC_NET_CD_SHA = (
+    "5261e9e1b191515c5c6bd4d81337749be41cd5341acf70433ae4438632902b61"
 )
 
 
@@ -89,18 +112,24 @@ def ridge_fingerprint(formulation: str, wave_size: int) -> str:
 
 def elastic_net_fingerprint() -> str:
     problem = ElasticNetProblem(_dataset(), 0.01, l1_ratio=0.5)
-    beta, history = TpaElasticNet(n_threads=32, wave_size=7, seed=16).solve(
-        problem, N_EPOCHS
-    )
-    return _sha(beta, np.asarray(history.gaps))
+    res = TpaElasticNet(n_threads=32, wave_size=7, seed=16).solve(problem, N_EPOCHS)
+    return _sha(res.weights.astype(np.float64), np.asarray(res.history.gaps))
 
 
 def svm_fingerprint() -> str:
     problem = SvmProblem(_dataset(), lam=1e-2)
-    w, alpha, history = TpaSvm(n_threads=32, wave_size=7, seed=16).solve(
-        problem, N_EPOCHS
+    res = TpaSvm(n_threads=32, wave_size=7, seed=16).solve(problem, N_EPOCHS)
+    return _sha(
+        res.weights.astype(np.float64),
+        np.clip(res.alpha.astype(np.float64), 0.0, 1.0),
+        np.asarray(res.history.gaps),
     )
-    return _sha(w, alpha, np.asarray(history.gaps))
+
+
+def cpu_fingerprint(solver, problem) -> str:
+    res = solver.solve(problem, N_EPOCHS)
+    model = res.alpha if hasattr(res, "alpha") else res.weights
+    return _sha(model, res.shared, np.asarray(res.history.gaps))
 
 
 @pytest.mark.parametrize("formulation,wave_size", sorted(RIDGE_SHA))
@@ -116,6 +145,21 @@ def test_elastic_net_bits_frozen():
 
 def test_svm_bits_frozen():
     assert svm_fingerprint() == SVM_SHA
+
+
+def test_svm_sdca_bits_frozen():
+    problem = SvmProblem(_dataset(), lam=1e-2)
+    assert cpu_fingerprint(SvmSdca(seed=16), problem) == SVM_SDCA_SHA
+
+
+def test_logistic_sdca_bits_frozen():
+    problem = LogisticProblem(_dataset(), lam=1e-2)
+    assert cpu_fingerprint(LogisticSdca(seed=16), problem) == LOGISTIC_SDCA_SHA
+
+
+def test_elastic_net_cd_bits_frozen():
+    problem = ElasticNetProblem(_dataset(), 0.01, l1_ratio=0.5)
+    assert cpu_fingerprint(ElasticNetCD(seed=16), problem) == ELASTIC_NET_CD_SHA
 
 
 class TestNumpyLoop:
