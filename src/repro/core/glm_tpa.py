@@ -4,10 +4,13 @@ The paper's Section I argument — stochastic coordinate methods power more
 than ridge regression — made concrete: the same twice-parallel asynchronous
 execution (waves of thread blocks, strided tree-reduced inner products,
 atomic scatter) drives the elastic-net soft-threshold update and the SVM's
-box-clipped SDCA step.  Each solver is its CPU counterpart with two
-overrides: :meth:`TpaScdKernelFactory.bind_rule` binds the GLM rule of
-:mod:`repro.gpu.engine`, and the monitor recomputes the shared vector from
-the float32 weights instead of reading the float32 one the kernel kept.
+box-clipped SDCA step.  Both are :class:`ScdSolver` subclasses over
+:class:`TpaScdKernelFactory`: :meth:`TpaScdKernelFactory.bind_rule` binds
+the GLM rule of :mod:`repro.gpu.engine`, the monitor recomputes the shared
+vector from the float32 weights instead of reading the float32 one the
+kernel kept, and the result holds float64 copies (the SVM's alpha clipped
+to its box).  ``TpaSvm`` reuses ``SvmSdca``'s result shape and ``on_epoch``
+model (the primal ``w``).
 """
 
 from __future__ import annotations
@@ -22,27 +25,13 @@ from ..objectives.elasticnet import ElasticNetProblem
 from ..objectives.svm import SvmProblem
 from ..perf.timing import EpochWorkload
 from ..solvers.base import BoundKernel, ScdSolver
-from ..solvers.elasticnet import ElasticNetCD
 from ..solvers.svm import SvmSdca
 from .tpa_scd import TpaScdKernelFactory
 
 __all__ = ["TpaElasticNet", "TpaSvm"]
 
 
-def _gpu_factory(
-    device, n_threads, wave_size, dtype, profiler, timing_workload
-) -> TpaScdKernelFactory:
-    return TpaScdKernelFactory(
-        device,
-        n_threads=n_threads,
-        wave_size=wave_size,
-        dtype=dtype,
-        profiler=profiler,
-        timing_workload=timing_workload,
-    )
-
-
-class TpaElasticNet(ElasticNetCD):
+class TpaElasticNet(ScdSolver):
     """Elastic-net coordinate descent on the simulated GPU."""
 
     name = "TPA-ElasticNet"
@@ -58,12 +47,15 @@ class TpaElasticNet(ElasticNetCD):
         profiler: KernelProfile | None = None,
         timing_workload: EpochWorkload | None = None,
     ) -> None:
-        ScdSolver.__init__(
-            self,
-            _gpu_factory(device, n_threads, wave_size, dtype, profiler, timing_workload),
-            "primal",
-            seed,
+        factory = TpaScdKernelFactory(
+            device,
+            n_threads=n_threads,
+            wave_size=wave_size,
+            dtype=dtype,
+            profiler=profiler,
+            timing_workload=timing_workload,
         )
+        super().__init__(factory, "primal", seed)
 
     def _bind(self, problem: ElasticNetProblem) -> BoundKernel:
         csc = problem.dataset.csc
@@ -79,6 +71,11 @@ class TpaElasticNet(ElasticNetCD):
             problem.subgradient_optimality(b64),
             problem.objective(b64),
             {"nnz_beta": int(np.count_nonzero(weights))},
+        )
+
+    def _result(self, weights, shared, **fields):
+        return super()._result(
+            weights.astype(np.float64), shared.astype(np.float64), **fields
         )
 
 
@@ -98,12 +95,15 @@ class TpaSvm(SvmSdca):
         profiler: KernelProfile | None = None,
         timing_workload: EpochWorkload | None = None,
     ) -> None:
-        ScdSolver.__init__(
-            self,
-            _gpu_factory(device, n_threads, wave_size, dtype, profiler, timing_workload),
-            "dual",
-            seed,
+        factory = TpaScdKernelFactory(
+            device,
+            n_threads=n_threads,
+            wave_size=wave_size,
+            dtype=dtype,
+            profiler=profiler,
+            timing_workload=timing_workload,
         )
+        ScdSolver.__init__(self, factory, "dual", seed)
 
     def _bind(self, problem: SvmProblem) -> BoundKernel:
         csr = problem.dataset.csr
@@ -119,4 +119,12 @@ class TpaSvm(SvmSdca):
             problem.duality_gap(a64),
             problem.dual_objective(a64),
             {"support_vectors": int(np.count_nonzero(weights))},
+        )
+
+    def _result(self, weights, shared, **fields):
+        # float32 steps can leave alpha a rounding error outside [0, 1]
+        return super()._result(
+            np.clip(weights.astype(np.float64), 0.0, 1.0),
+            shared.astype(np.float64),
+            **fields,
         )

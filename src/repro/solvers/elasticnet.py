@@ -11,9 +11,11 @@ ridge's; ``target_gap`` stops on that violation.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
-from ..cpu import XEON_8C, CpuSpec, SequentialCpuTiming
+from ..cpu import XEON_8C, SequentialCpuTiming
 from ..objectives.elasticnet import ElasticNetProblem
 from ..perf.timing import EpochWorkload
 from ..sparse import CscMatrix
@@ -29,18 +31,9 @@ __all__ = [
 
 
 class ElasticNetKernelFactory:
-    """Binds exact elastic-net CD epochs with single-thread timing.
+    """Binds exact elastic-net CD epochs with single-thread timing."""
 
-    ``timing_workload`` optionally overrides the workload an epoch is
-    priced at, as in :class:`~repro.solvers.scd.SequentialKernelFactory`.
-    """
-
-    def __init__(
-        self, *, spec: CpuSpec = XEON_8C, timing_workload: EpochWorkload | None = None
-    ) -> None:
-        self.spec = spec
-        self.timing_workload = timing_workload
-        self.name = "CD(1 thread)"
+    name = "CD(1 thread)"
 
     def bind_primal(
         self, csc: CscMatrix, y: np.ndarray, n_global: int, lam: float, l1_ratio: float
@@ -59,9 +52,10 @@ class ElasticNetKernelFactory:
 
         return BoundKernel(
             run_epoch=run_epoch,
-            workload=self.timing_workload
-            or EpochWorkload(n_coords=csc.n_major, nnz=csc.nnz, shared_len=csc.shape[0]),
-            timing=SequentialCpuTiming(self.spec),
+            workload=EpochWorkload(
+                n_coords=csc.n_major, nnz=csc.nnz, shared_len=csc.shape[0]
+            ),
+            timing=SequentialCpuTiming(XEON_8C),
             n_coords=csc.n_major,
             shared_len=csc.shape[0],
         )
@@ -75,7 +69,8 @@ class ElasticNetCD(ScdSolver):
     """
 
     name = "ElasticNetCD"
-    #: the warm start of the solve in progress
+    #: the warm start :meth:`_start` begins from; set only on the private
+    #: copy a warm-started :meth:`solve` runs, never on the caller's solver
     _init_beta: np.ndarray | None = None
 
     def __init__(self, seed: int = 0) -> None:
@@ -90,15 +85,15 @@ class ElasticNetCD(ScdSolver):
         **kwargs,
     ) -> TrainResult:
         """:meth:`ScdSolver.solve`, started from ``init_beta`` when given."""
-        if init_beta is not None and init_beta.shape != (problem.m,):
+        if init_beta is None:
+            return super().solve(problem, n_epochs, **kwargs)
+        if init_beta.shape != (problem.m,):
             raise ValueError(
                 f"init_beta has shape {init_beta.shape}, expected ({problem.m},)"
             )
-        self._init_beta = init_beta
-        try:
-            return super().solve(problem, n_epochs, **kwargs)
-        finally:
-            self._init_beta = None
+        warm = copy.copy(self)
+        warm._init_beta = init_beta
+        return ScdSolver.solve(warm, problem, n_epochs, **kwargs)
 
     def _bind(self, problem: ElasticNetProblem) -> BoundKernel:
         return self.factory.bind_primal(
@@ -109,8 +104,7 @@ class ElasticNetCD(ScdSolver):
         if self._init_beta is None:
             return super()._start(problem, bound)
         beta = self._init_beta.astype(np.float64)
-        w = problem.dataset.csc.matvec(beta)
-        return beta.astype(bound.dtype, copy=False), w.astype(bound.dtype, copy=False)
+        return beta, problem.dataset.csc.matvec(beta)
 
     def _monitor(self, problem: ElasticNetProblem, weights, shared):
         return (

@@ -93,6 +93,17 @@ class TestElasticNetPath:
         with pytest.raises(ValueError, match="init_beta"):
             ElasticNetCD().solve(problem, 1, init_beta=np.zeros(3))
 
+    def test_warm_start_leaves_the_solver_cold(self, path_data):
+        """A warm-started solve does not carry its start into the next one."""
+        problem = ElasticNetProblem(path_data, 0.1)
+        solver = ElasticNetCD(seed=2)
+        warm = solver.solve(problem, 2, init_beta=np.ones(problem.m))
+        assert warm.history.records[0].objective != problem.objective(np.zeros(problem.m))
+        cold = solver.solve(problem, 2)
+        fresh = ElasticNetCD(seed=2).solve(problem, 2)
+        assert np.array_equal(cold.weights, fresh.weights)
+        assert np.array_equal(cold.history.gaps, fresh.history.gaps)
+
 
 class TestNpzStore:
     def test_dataset_roundtrip(self, tmp_path):

@@ -38,9 +38,6 @@ class TestEngineValidation:
 
     def test_bad_wave(self, ridge_sparse):
         indptr, indices, data = self._arrays(ridge_sparse)
-        rule = RidgePrimalRule(
-            ridge_sparse.dataset.csc.col_norms_sq(), ridge_sparse.n, ridge_sparse.lam
-        )
         with pytest.raises(ValueError, match="wave_size"):
             TpaScdEngine(indptr, indices, data, wave_size=0, n_threads=32)
 
@@ -53,9 +50,6 @@ class TestEngineValidation:
 
     def test_bad_threads(self, ridge_sparse):
         indptr, indices, data = self._arrays(ridge_sparse)
-        rule = RidgePrimalRule(
-            ridge_sparse.dataset.csc.col_norms_sq(), ridge_sparse.n, ridge_sparse.lam
-        )
         with pytest.raises(ValueError, match="power of two"):
             TpaScdEngine(indptr, indices, data, wave_size=1, n_threads=6)
 

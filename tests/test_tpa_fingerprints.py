@@ -113,17 +113,13 @@ def ridge_fingerprint(formulation: str, wave_size: int) -> str:
 def elastic_net_fingerprint() -> str:
     problem = ElasticNetProblem(_dataset(), 0.01, l1_ratio=0.5)
     res = TpaElasticNet(n_threads=32, wave_size=7, seed=16).solve(problem, N_EPOCHS)
-    return _sha(res.weights.astype(np.float64), np.asarray(res.history.gaps))
+    return _sha(res.weights, np.asarray(res.history.gaps))
 
 
 def svm_fingerprint() -> str:
     problem = SvmProblem(_dataset(), lam=1e-2)
     res = TpaSvm(n_threads=32, wave_size=7, seed=16).solve(problem, N_EPOCHS)
-    return _sha(
-        res.weights.astype(np.float64),
-        np.clip(res.alpha.astype(np.float64), 0.0, 1.0),
-        np.asarray(res.history.gaps),
-    )
+    return _sha(res.weights, res.alpha, np.asarray(res.history.gaps))
 
 
 def cpu_fingerprint(solver, problem) -> str:
