@@ -1,13 +1,16 @@
 """The model server: micro-batched scoring with zero-downtime hot swap.
 
-Scoring a linear model is one sparse matvec — cheap per row, dominated by
-per-request overhead at production rates.  The server therefore runs an
-admission queue in front of a single modelled scorer:
+Scoring a linear model is a sparse gather ``X @ w`` — cheap per row, so at
+production rates the fixed cost of each product dominates.  The server
+therefore runs an admission queue in front of a single modelled scorer:
 
 * **micro-batching** — a batch dispatches when ``max_batch`` requests are
-  queued or the oldest has waited ``max_wait_s``, amortizing the batch
-  overhead across rows (the same amortization argument as the paper's
-  thread-block waves);
+  queued or the oldest has waited ``max_wait_s``, and is scored in one
+  gather product (:func:`~repro.sparse.batch_matvec`), amortizing the
+  fixed cost across rows (the same amortization argument as the paper's
+  thread-block waves).  The prefix sum restarts at each request, so a
+  response's scores are bitwise its own ``rows.matvec(w)``, whatever it
+  was batched with;
 * **admission control** — the queue is bounded at ``queue_capacity``; under
   overload the shed policy either rejects the incoming request
   (``"reject-new"``) or drops the oldest queued one (``"drop-oldest"``).
@@ -43,7 +46,7 @@ import numpy as np
 
 from ..cluster.faults import FaultInjector
 from ..obs import resolve_tracer
-from ..sparse import CsrMatrix
+from ..sparse import CsrMatrix, batch_matvec
 from .snapshot import SnapshotHub, WeightSnapshot
 
 __all__ = [
@@ -221,11 +224,22 @@ class ModelServer:
 
     # -- external events ---------------------------------------------------
     def submit(self, request: PredictRequest) -> None:
-        """Admit (or shed) one arriving request at its modelled arrival time."""
-        t = self._to(request.arrival_s)
-        self._advance_to(t)
+        """Admit (or shed) one arriving request at its modelled arrival time.
+
+        A request whose rows are not as wide as the model is a
+        ``ValueError``, raised before the clock, the queue or the ledger
+        moves, so it cannot take a batch of good requests down with it.
+        """
         if self._snapshot is None:
             raise RuntimeError("no model published: publish a snapshot first")
+        width = request.rows.shape[1]
+        if width != self._snapshot.n_features:
+            raise ValueError(
+                f"request {request.request_id} has {width} columns but the "
+                f"model has {self._snapshot.n_features} weights"
+            )
+        t = self._to(request.arrival_s)
+        self._advance_to(t)
         self.tracer.count("serve.requests")
         if len(self._queue) >= self.config.queue_capacity:
             if self.config.shed_policy == "reject-new":
@@ -243,14 +257,23 @@ class ModelServer:
         """Install a new snapshot (the atomic reference swap, server side).
 
         A batch already dispatched keeps its captured snapshot; the next
-        batch picks up the new one.  Never blocks, never sheds.
+        batch picks up the new one.  Never blocks, never sheds.  A snapshot
+        that does not increase the version or changes the number of weights
+        is a ``ValueError``.
         """
         t = self._to(at if at is not None else self._clock)
         self._advance_to(t)
-        if self._snapshot is not None and snapshot.version <= self._snapshot.version:
+        current = self._snapshot
+        if current is not None and snapshot.version <= current.version:
             raise ValueError(
                 f"swap must increase the version: v{snapshot.version} after "
-                f"v{self._snapshot.version}"
+                f"v{current.version}"
+            )
+        if current is not None and snapshot.n_features != current.n_features:
+            raise ValueError(
+                f"swap changes the model dimension: v{snapshot.version} has "
+                f"{snapshot.n_features} weights, v{current.version} has "
+                f"{current.n_features}"
             )
         self._snapshot = snapshot
         self.swaps_applied += 1
@@ -324,7 +347,7 @@ class ModelServer:
             requests=len(batch), rows=n_rows, version=snapshot.version,
         ):
             self.ledger.add("serve_score", service_s)
-            scores = [r.rows.matvec(snapshot.weights) for r in batch]
+            scores = batch_matvec([r.rows for r in batch], snapshot.weights)
         if snapshot.version not in self.versions_served:
             self.versions_served.append(snapshot.version)
         self.tracer.count("serve.batches")

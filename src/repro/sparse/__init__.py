@@ -6,6 +6,7 @@ _EXPORTS = {
     ".matrix": (
         "CscMatrix",
         "CsrMatrix",
+        "batch_matvec",
         "from_coo",
         "from_dense_csc",
         "from_dense_csr",
@@ -13,6 +14,7 @@ _EXPORTS = {
     ".ops": (
         "check_compressed",
         "expand_by_segments",
+        "grouped_segment_sums",
         "segment_lengths",
         "segment_sums",
         "transpose_compressed",
@@ -23,11 +25,13 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 __all__ = [
     "CscMatrix",
     "CsrMatrix",
+    "batch_matvec",
     "from_coo",
     "from_dense_csc",
     "from_dense_csr",
     "check_compressed",
     "expand_by_segments",
+    "grouped_segment_sums",
     "segment_lengths",
     "segment_sums",
     "transpose_compressed",

@@ -16,18 +16,27 @@ first such product, never at import; without a C compiler it stays on numpy.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ops import (
     check_compressed,
     expand_by_segments,
+    grouped_segment_sums,
     segment_sums,
     transpose_compressed,
 )
 
-__all__ = ["CscMatrix", "CsrMatrix", "from_coo", "from_dense_csc", "from_dense_csr"]
+__all__ = [
+    "CscMatrix",
+    "CsrMatrix",
+    "batch_matvec",
+    "from_coo",
+    "from_dense_csc",
+    "from_dense_csr",
+]
 
 _INDEX_DTYPE = np.int64
 
@@ -221,7 +230,7 @@ def _native_product(kernel: str, matrix: _CompressedBase, x: np.ndarray,
     """``kernel`` of ``repro/native/sparse.c`` on ``matrix`` and ``x``.
 
     The caller calls it only from :data:`NATIVE_MIN_NNZ` nonzeros up, which
-    keeps small products (serving's per-request rows) to one comparison.
+    keeps small products to one comparison.
     Returns ``None``, and the caller runs numpy, unless the product is a
     float64 one (float64 data, and ``x`` a vector numpy would promote to
     float64, to which it is cast) and the library builds or loads.  The
@@ -353,6 +362,58 @@ class CsrMatrix(_CompressedBase):
             self.indptr, self.indices, self.data, self.shape[1]
         )
         return CscMatrix(self.shape, indptr, indices, data, check=False)
+
+
+def batch_matvec(matrices: Sequence[CsrMatrix], x: np.ndarray) -> list[np.ndarray]:
+    """``[a.matvec(x) for a in matrices]``, bit for bit, in one gather product.
+
+    The matrices' nonzeros are concatenated and multiplied by ``x`` in one
+    call, and :func:`~repro.sparse.ops.grouped_segment_sums` restarts the
+    prefix at each matrix, so every result keeps the bits of its own
+    ``matvec`` (numpy's or ``sparse.c``'s, which are the same) however the
+    matrices are grouped or ordered.  Matrices whose data dtypes differ
+    would round their products differently, so each data dtype gets its
+    own product.  Each result is a view of its product's output.  A matrix
+    of at least :data:`NATIVE_MIN_NNZ` nonzeros runs its own ``matvec``: it
+    is past the size where the fixed cost matters, and batching it would
+    pad every other matrix's prefix to its length.
+
+    When two NaNs meet, numpy keeps the payload of one of them, and which
+    one depends on where the pair falls in its vector loop, so on the
+    product's length.  A matrix with a NaN product is therefore scored by
+    its own ``matvec``.
+    """
+    out: list = [None] * len(matrices)
+    by_dtype: dict[np.dtype, list[int]] = {}
+    for k, a in enumerate(matrices):
+        if a.shape[1] != x.shape[0]:
+            raise ValueError(
+                f"operand has length {x.shape[0]}, matrix {k} expects {a.shape[1]}"
+            )
+        if a.nnz >= NATIVE_MIN_NNZ:
+            out[k] = a.matvec(x)
+        else:
+            by_dtype.setdefault(a.data.dtype, []).append(k)
+    for ks in by_dtype.values():
+        group = [matrices[k] for k in ks]
+        indices = np.concatenate([a.indices for a in group])
+        data = np.concatenate([a.data for a in group])
+        indptr = np.concatenate([a.indptr for a in group])
+        rows = [a.shape[0] for a in group]
+        bounds = np.fromiter(
+            accumulate((n + 1 for n in rows), initial=0), _INDEX_DTYPE, len(rows) + 1
+        )
+        prods = data * x[indices]
+        sums = grouped_segment_sums(prods, indptr, bounds)
+        for k, lo, n in zip(ks, accumulate(rows, initial=0), rows):
+            out[k] = sums[lo:lo + n]
+        nan = np.isnan(prods)
+        if nan.any():
+            starts = accumulate((a.nnz for a in group), initial=0)
+            for k, a, lo in zip(ks, group, starts):
+                if nan[lo:lo + a.nnz].any():
+                    out[k] = a.matvec(x)
+    return out
 
 
 # -- constructors ------------------------------------------------------------

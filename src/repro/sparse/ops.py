@@ -7,7 +7,8 @@ compressed formats themselves are part of the substrate this project builds
 from scratch.  :func:`segment_sums` is also the arithmetic the compiled
 gather product (``repro/native/sparse.c``) replays bit for bit: one float64
 running prefix over all entries, each segment's sum a difference of two of
-its values.
+its values.  :func:`grouped_segment_sums` runs the same arithmetic over many
+independent groups at once, the prefix restarting at each group.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "segment_sums",
+    "grouped_segment_sums",
     "expand_by_segments",
     "transpose_compressed",
     "check_compressed",
@@ -51,6 +53,52 @@ def segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     prefix[0] = 0.0
     np.cumsum(values, dtype=np.float64, out=prefix[1:])
     out = prefix[indptr[1:]] - prefix[indptr[:-1]]
+    return out.astype(values.dtype, copy=False)
+
+
+def grouped_segment_sums(
+    values: np.ndarray, indptr: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """:func:`segment_sums` of many groups in one pass, bit for bit.
+
+    Group ``g`` owns the pointer array ``indptr[bounds[g]:bounds[g + 1]]``
+    (its own, starting at 0) and the next ``indptr[bounds[g + 1] - 1]``
+    entries of ``values``; ``indptr`` and ``values`` are the groups'
+    arrays concatenated in order.  Each group gets its own float64 prefix
+    sum, so the result is ``np.concatenate`` of ``segment_sums`` over the
+    groups, bit for bit: a segment's sum depends only on its own group,
+    whatever is grouped with it.
+
+    The prefixes are the rows of one zero-padded ``(n_groups, 1 + longest
+    group)`` block, so memory grows with the longest group times the number
+    of groups.
+    """
+    sizes = bounds[1:] - bounds[:-1]
+    if sizes.shape[0] and sizes.min() < 1:
+        raise ValueError("every group needs a pointer array of length >= 1")
+    if bounds[-1] != indptr.shape[0]:
+        raise ValueError(
+            f"bounds end at {bounds[-1]} but indptr has {indptr.shape[0]} entries"
+        )
+    counts = indptr[bounds[1:] - 1]
+    if values.shape[0] != counts.sum():
+        raise ValueError(
+            f"values has {values.shape[0]} entries but the groups expect "
+            f"{counts.sum()}"
+        )
+    width = int(counts.max(initial=0)) + 1
+    # row g holds group g's prefix: prefix[g, k] = sum(group values[:k]),
+    # with column 0 never summed into (the -0.0 start np.cumsum keeps)
+    prefix = np.zeros((sizes.shape[0], width), dtype=np.float64)
+    body = prefix[:, 1:]
+    body[np.arange(width - 1) < counts[:, None]] = values
+    np.cumsum(body, axis=1, out=body)
+    # segment s of group g is delimited by pointers s + g and s + g + 1
+    group = np.repeat(np.arange(sizes.shape[0]), sizes - 1)
+    first = np.arange(group.shape[0]) + group
+    flat = prefix.ravel()
+    row = group * width
+    out = flat[indptr[first + 1] + row] - flat[indptr[first] + row]
     return out.astype(values.dtype, copy=False)
 
 

@@ -224,6 +224,34 @@ class TestBatchingAndAdmission:
         with pytest.raises(ValueError, match="time order"):
             server.submit(_requests(matrix, [0.5])[0])
 
+    def test_wrong_width_request_cannot_sink_its_batch(self):
+        # the bad request would have filled the batch that scores the good
+        # ones; it is refused at the door and they are still answered
+        matrix = _matrix(m=4)
+        server = ModelServer(
+            _snap(1, 4, 0), config=ServeConfig(max_batch=3, max_wait_s=10.0)
+        )
+        good = _requests(matrix, [0.0, 0.0, 0.0])
+        for req in good[:2]:
+            server.submit(req)
+        bad = PredictRequest(
+            request_id=99, rows=_matrix(m=5).take_rows([0]), arrival_s=0.0
+        )
+        with pytest.raises(ValueError, match="request 99 has 5 columns .* 4 weights"):
+            server.submit(bad)
+        assert server.queue_depth == 2 and server._inflight is None
+        assert server.ledger.total == 0.0 and server.responses == []
+        server.submit(good[2])
+        responses = server.drain()
+        assert [r.request_id for r in responses] == [r.request_id for r in good]
+        assert not any(r.shed for r in responses)
+
+    def test_swap_cannot_change_dimension(self):
+        server = ModelServer(_snap(1, 4, 0))
+        with pytest.raises(ValueError, match="dimension: v2 has 7 weights, v1 has 4"):
+            server.apply_swap(_snap(2, 7, 0))
+        assert server.current_version == 1 and server.swaps_applied == 0
+
 
 # ---------------------------------------------------------------------------
 # the hot-swap atomicity property

@@ -6,6 +6,7 @@ import pytest
 from repro.sparse.ops import (
     check_compressed,
     expand_by_segments,
+    grouped_segment_sums,
     segment_lengths,
     segment_sums,
     transpose_compressed,
@@ -46,6 +47,48 @@ class TestSegmentSums:
         vals = rng.standard_normal(int(indptr[-1]))
         expected = [vals[indptr[i] : indptr[i + 1]].sum() for i in range(50)]
         assert np.allclose(segment_sums(vals, indptr), expected)
+
+
+class TestGroupedSegmentSums:
+    @staticmethod
+    def _groups(rng, n_groups):
+        """Random groups (some with no segments, some with empty segments)."""
+        out = []
+        for _ in range(n_groups):
+            lengths = rng.integers(0, 6, size=rng.integers(0, 5))
+            indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+            out.append((rng.standard_normal(int(indptr[-1])) * 1e8, indptr))
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bits_equal_per_group_segment_sums(self, dtype):
+        rng = np.random.default_rng(3)
+        for n_groups in (0, 1, 2, 7, 40):
+            groups = [(v.astype(dtype), p) for v, p in self._groups(rng, n_groups)]
+            values = np.concatenate([v for v, _ in groups] + [np.zeros(0, dtype)])
+            indptr = np.concatenate([p for _, p in groups] + [np.zeros(0, np.int64)])
+            bounds = np.concatenate([[0], np.cumsum([p.shape[0] for _, p in groups])])
+            got = grouped_segment_sums(values, indptr, bounds.astype(np.int64))
+            want = np.concatenate(
+                [segment_sums(v, p) for v, p in groups] + [np.zeros(0, dtype)]
+            )
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_signed_zero_start_is_kept(self):
+        # np.cumsum starts at v[0], not 0.0 + v[0]: a lone -0.0 sums to -0.0
+        got = grouped_segment_sums(
+            np.array([-0.0, -0.0]), np.array([0, 1, 0, 1]), np.array([0, 2, 4])
+        )
+        assert np.signbit(got).all()
+
+    def test_malformed_groups_raise(self):
+        with pytest.raises(ValueError, match="length >= 1"):
+            grouped_segment_sums(np.ones(1), np.array([0, 1]), np.array([0, 0, 2]))
+        with pytest.raises(ValueError, match="bounds end"):
+            grouped_segment_sums(np.ones(1), np.array([0, 1]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="entries"):
+            grouped_segment_sums(np.ones(3), np.array([0, 1]), np.array([0, 2]))
 
 
 class TestExpandBySegments:
