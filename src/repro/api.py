@@ -33,6 +33,8 @@ from .core.scale import PaperScale
 from .core.tpa_scd import TpaScd, TpaScdKernelFactory
 from .gpu.device import GpuDevice
 from .gpu.spec import GTX_TITAN_X, GpuSpec
+from .objectives.ridge import RidgeProblem
+from .objectives.svm import SvmProblem
 from .perf.link import Link
 from .solvers.ascd import ASCD, PASSCoDeWild
 from .solvers.base import TrainResult
@@ -158,7 +160,8 @@ def train(
     ----------
     problem:
         A :class:`~repro.objectives.RidgeProblem` (every solver), or a
-        :class:`~repro.objectives.SvmProblem` for ``solver="distributed-svm"``.
+        :class:`~repro.objectives.SvmProblem` for ``solver="distributed-svm"``;
+        any other problem raises ``TypeError`` before an engine is built.
     solver:
         One of the names in :data:`SOLVER_ALIASES` — ``"seq"``, ``"a-scd"``,
         ``"wild"``, ``"syscd"``, ``"tpa-scd"``, ``"distributed"``, ``"mp"``,
@@ -186,6 +189,12 @@ def train(
             f"unknown solver {solver!r}; choose from "
             f"{sorted(set(SOLVER_ALIASES))}"
         ) from None
+    needs = SvmProblem if kind == "distributed-svm" else RidgeProblem
+    if not isinstance(problem, needs):
+        raise TypeError(
+            f"solver kind {kind!r} needs a {needs.__name__}, "
+            f"got a {type(problem).__name__}"
+        )
 
     common = dict(
         monitor_every=cfg.monitor_every,

@@ -176,6 +176,32 @@ def plan_partitions(
     return list(partitioner(n_coords, n_workers, rng)), None
 
 
+def plan_repartition(
+    n_coords: int,
+    n_workers: int,
+    seed: int,
+    generation: int,
+    partitioner: Callable[[int, int, np.random.Generator], Sequence[np.ndarray]],
+    shards: ShardingConfig | None,
+    matrix_shape: tuple[int, int],
+    capacities=None,
+) -> tuple[list[np.ndarray], list[list[int]] | None]:
+    """The Partitioner seam for an elastic membership change.
+
+    Out-of-core runs stay shard-aligned (the store's ``n_workers``-way shard
+    groups); in-memory runs split load-proportionally to measured
+    ``capacities`` when given, else through ``partitioner``.  Either draws
+    from a generation-salted stream, so no two generations deal alike.
+    """
+    seed = seed + 7_000_000 + 10_000 * generation
+    if shards is None and capacities is not None:
+        from .smart_partition import load_proportional_partition
+
+        rng = np.random.default_rng(seed)
+        return load_proportional_partition(n_coords, capacities, rng), None
+    return plan_partitions(n_coords, n_workers, seed, partitioner, shards, matrix_shape)
+
+
 def shared_sizing(formulation: str, problem, paper_scale) -> tuple[int, int, int]:
     """``(shared_len, comm_bytes, paper_shared_len)`` for a problem.
 

@@ -24,7 +24,6 @@ _EXPORTS = {
     ".distributed": ("DistributedSCD", "DistributedTrainResult", "HostModel"),
     ".distributed_svm": ("DistributedSvm", "SvmTrainResult"),
     ".glm_tpa": ("TpaElasticNet", "TpaSvm"),
-    ".planner": ("ClusterSpec", "ExecutionPlan", "plan_execution"),
     ".scale": ("CRITEO_PAPER", "WEBSPAM_PAPER", "PaperScale"),
     ".tpa_scd": ("TpaScd", "TpaScdKernelFactory", "scaled_wave_size"),
 }
@@ -52,7 +51,4 @@ __all__ = [
     "scaled_wave_size",
     "TpaElasticNet",
     "TpaSvm",
-    "ClusterSpec",
-    "ExecutionPlan",
-    "plan_execution",
 ]

@@ -46,6 +46,7 @@ from ..cluster.runtime import (
     PermutationStream,
     WorkerUpdate,
     plan_partitions,
+    plan_repartition,
     sharding_config,
     scatter_weights,
     shared_sizing,
@@ -126,71 +127,88 @@ class _ScdWorkerPool:
         #: bumps on every repartition; salts the reborn workers' RNG seeds
         self._generation = 0
 
+    def _layout(self, problem: RidgeProblem):
+        """``(matrix, n_coords)``: the formulation's coordinate-major layout."""
+        if self.engine.formulation == "primal":
+            return problem.dataset.csc, problem.m
+        return problem.dataset.csr, problem.n
+
+    def _bind_worker(
+        self, problem: RidgeProblem, tracer, rank: int, coords: np.ndarray,
+        groups, weights: np.ndarray | None = None,
+    ) -> _WorkerState:
+        """Bind rank ``rank``'s kernel to ``coords``, starting from
+        ``weights`` (zeros when ``None``); RNG seeds are generation-salted."""
+        eng = self.engine
+        matrix, n_coords_total = self._layout(problem)
+        streamer = None
+        if groups is not None:
+            from ..shards import ShardStreamer
+
+            streamer = ShardStreamer(
+                eng.shards, groups[rank], tracer=tracer, worker=rank
+            )
+            local = streamer.assemble()
+        else:
+            local = matrix.take_major(coords)
+        factory = eng._factory_for(rank)
+        if tracer is not None and tracer.enabled:
+            # device factories forward the tracer to their wave engines
+            factory.tracer = tracer
+        if streamer is not None:
+            # device factories skip the bulk dataset allocation: the
+            # shard cache books residency against device memory instead
+            factory.out_of_core = True
+        if eng.paper_scale is not None:
+            total_nnz = matrix.nnz
+            factory.timing_workload = eng.paper_scale.worker_workload(
+                eng.formulation,
+                coords.shape[0] / n_coords_total,
+                (local.nnz / total_nnz) if total_nnz else 0.0,
+            )
+        if eng.formulation == "primal":
+            bound = factory.bind_primal(local, problem.y, problem.n, problem.lam)
+            y_local = problem.y
+        else:
+            y_local = problem.y[coords]
+            bound = factory.bind_dual(local, y_local, problem.n, problem.lam)
+        if streamer is not None:
+            device = getattr(factory, "device", None)
+            if device is not None:
+                # residency competes with the solver's vectors on-device;
+                # attach after bind so the reset device is the budget
+                streamer.attach_device(device.memory)
+        if not eng._solver_label:
+            eng._solver_label = factory.name
+        rng = np.random.default_rng(
+            eng.seed + 1000 + rank + 100_000 * self._generation
+        )
+        return _WorkerState(
+            coords=coords,
+            bound=bound,
+            weights=(
+                np.zeros(coords.shape[0], dtype=bound.dtype)
+                if weights is None
+                else weights.astype(bound.dtype)
+            ),
+            y_local=y_local.astype(bound.dtype, copy=False),
+            rng=rng,
+            epoch_compute_s=bound.epoch_seconds(),
+            stream=PermutationStream(coords.shape[0], rng),
+            streamer=streamer,
+        )
+
     def bind(self, problem: RidgeProblem, tracer) -> None:
         eng = self.engine
-        if eng.formulation == "primal":
-            matrix = problem.dataset.csc
-            n_coords_total = problem.m
-        else:
-            matrix = problem.dataset.csr
-            n_coords_total = problem.n
+        matrix, n_coords_total = self._layout(problem)
         parts, groups = plan_partitions(
             n_coords_total, eng.n_workers, eng.seed, eng.partitioner,
             eng.shards, matrix.shape,
         )
-        total_nnz = matrix.nnz
-        for rank, coords in enumerate(parts):
-            streamer = None
-            if groups is not None:
-                from ..shards import ShardStreamer
-
-                streamer = ShardStreamer(
-                    eng.shards, groups[rank], tracer=tracer, worker=rank
-                )
-                local = streamer.assemble()
-            else:
-                local = matrix.take_major(coords)
-            factory = eng._factory_for(rank)
-            if tracer is not None and tracer.enabled:
-                # device factories forward the tracer to their wave engines
-                factory.tracer = tracer
-            if streamer is not None:
-                # device factories skip the bulk dataset allocation: the
-                # shard cache books residency against device memory instead
-                factory.out_of_core = True
-            if eng.paper_scale is not None:
-                factory.timing_workload = eng.paper_scale.worker_workload(
-                    eng.formulation,
-                    coords.shape[0] / n_coords_total,
-                    (local.nnz / total_nnz) if total_nnz else 0.0,
-                )
-            if eng.formulation == "primal":
-                bound = factory.bind_primal(local, problem.y, problem.n, problem.lam)
-                y_local = problem.y
-            else:
-                y_local = problem.y[coords]
-                bound = factory.bind_dual(local, y_local, problem.n, problem.lam)
-            if streamer is not None:
-                device = getattr(factory, "device", None)
-                if device is not None:
-                    # residency competes with the solver's vectors on-device;
-                    # attach after bind so the reset device is the budget
-                    streamer.attach_device(device.memory)
-            if not eng._solver_label:
-                eng._solver_label = factory.name
-            rng = np.random.default_rng(eng.seed + 1000 + rank)
-            self.workers.append(
-                _WorkerState(
-                    coords=coords,
-                    bound=bound,
-                    weights=np.zeros(coords.shape[0], dtype=bound.dtype),
-                    y_local=y_local.astype(bound.dtype, copy=False),
-                    rng=rng,
-                    epoch_compute_s=bound.epoch_seconds(),
-                    stream=PermutationStream(coords.shape[0], rng),
-                    streamer=streamer,
-                )
-            )
+        self.workers = [
+            self._bind_worker(problem, tracer, rank, coords, groups)
+            for rank, coords in enumerate(parts)
+        ]
 
     def local_round(self, rank: int, shared: np.ndarray) -> WorkerUpdate:
         wk = self.workers[rank]
@@ -245,89 +263,24 @@ class _ScdWorkerPool:
 
         The learned global model is assembled first and every new worker
         starts from its slice of it, so the reshuffle moves no information —
-        only ownership.  Out-of-core runs stay shard-aligned (the new parts
-        are the store's ``n_workers``-way shard groups); in-memory runs use
-        measured ``capacities`` (load-proportional) when given, else the
-        engine's partitioner.  Worker RNG streams restart at a
-        generation-salted seed: a departed worker's stream must not be
-        replayed by whichever rank inherits its coordinates.
+        only ownership.  The new parts come from
+        :func:`~repro.cluster.runtime.plan_repartition`.  Worker RNG streams
+        restart at a generation-salted seed: a departed worker's stream must
+        not be replayed by whichever rank inherits its coordinates.
         """
         eng = self.engine
-        if eng.formulation == "primal":
-            matrix = problem.dataset.csc
-            n_coords_total = problem.m
-        else:
-            matrix = problem.dataset.csr
-            n_coords_total = problem.n
+        matrix, n_coords_total = self._layout(problem)
         global_w = self.global_weights(problem)
-        for wk in self.workers:
-            if wk.streamer is not None:
-                wk.streamer.close()
+        self.close()
         self._generation += 1
-        gen = self._generation
-        groups = None
-        if eng.shards is not None:
-            groups = eng.shards.store.partition(n_workers)
-            parts = [eng.shards.store.coords_of(g) for g in groups]
-        else:
-            rng = np.random.default_rng(eng.seed + 7_000_000 + 10_000 * gen)
-            if capacities is not None:
-                from ..cluster.smart_partition import load_proportional_partition
-
-                parts = load_proportional_partition(
-                    n_coords_total, capacities, rng
-                )
-            else:
-                parts = list(eng.partitioner(n_coords_total, n_workers, rng))
-        total_nnz = matrix.nnz
-        self.workers = []
-        for rank, coords in enumerate(parts):
-            streamer = None
-            if groups is not None:
-                from ..shards import ShardStreamer
-
-                streamer = ShardStreamer(
-                    eng.shards, groups[rank], tracer=tracer, worker=rank
-                )
-                local = streamer.assemble()
-            else:
-                local = matrix.take_major(coords)
-            factory = eng._factory_for(rank)
-            if tracer is not None and tracer.enabled:
-                factory.tracer = tracer
-            if streamer is not None:
-                factory.out_of_core = True
-            if eng.paper_scale is not None:
-                factory.timing_workload = eng.paper_scale.worker_workload(
-                    eng.formulation,
-                    coords.shape[0] / n_coords_total,
-                    (local.nnz / total_nnz) if total_nnz else 0.0,
-                )
-            if eng.formulation == "primal":
-                bound = factory.bind_primal(local, problem.y, problem.n, problem.lam)
-                y_local = problem.y
-            else:
-                y_local = problem.y[coords]
-                bound = factory.bind_dual(local, y_local, problem.n, problem.lam)
-            if streamer is not None:
-                device = getattr(factory, "device", None)
-                if device is not None:
-                    streamer.attach_device(device.memory)
-            rng = np.random.default_rng(
-                eng.seed + 1000 + rank + 100_000 * gen
-            )
-            self.workers.append(
-                _WorkerState(
-                    coords=coords,
-                    bound=bound,
-                    weights=global_w[coords].astype(bound.dtype),
-                    y_local=y_local.astype(bound.dtype, copy=False),
-                    rng=rng,
-                    epoch_compute_s=bound.epoch_seconds(),
-                    stream=PermutationStream(coords.shape[0], rng),
-                    streamer=streamer,
-                )
-            )
+        parts, groups = plan_repartition(
+            n_coords_total, n_workers, eng.seed, self._generation,
+            eng.partitioner, eng.shards, matrix.shape, capacities,
+        )
+        self.workers = [
+            self._bind_worker(problem, tracer, rank, coords, groups, global_w[coords])
+            for rank, coords in enumerate(parts)
+        ]
         self.n_workers = int(n_workers)
 
     def global_weights(self, problem: RidgeProblem) -> np.ndarray:

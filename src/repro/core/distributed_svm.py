@@ -32,13 +32,13 @@ from ..cluster.comm import SimCommunicator
 from ..cluster.faults import FaultInjector, FaultReport, FaultSpec, make_fault_injector
 from ..cluster.membership import LoadBalancer, MembershipSchedule
 from ..cluster.partition import random_partition
-from ..cluster.smart_partition import load_proportional_partition
 from ..cluster.runtime import (
     ClusterRuntime,
     FaultPolicy,
     InProcessBackend,
     WorkerUpdate,
     plan_partitions,
+    plan_repartition,
     sharding_config,
 )
 from ..cpu import XEON_8C, CpuSpec
@@ -78,8 +78,10 @@ class _SvmWorkerPool:
         self._generation = 0
 
     def _bind_worker(
-        self, rank, rows, csr, y, tracer, groups, rng_seed, alpha_global=None
+        self, rank, rows, csr, y, tracer, groups, alpha_global=None
     ) -> dict:
+        """Bind rank ``rank``'s kernel to ``rows``, starting from
+        ``alpha_global`` (zeros when ``None``); RNG seeds are generation-salted."""
         eng = self.engine
         streamer = None
         if groups is not None:
@@ -101,7 +103,9 @@ class _SvmWorkerPool:
                 local, y[rows], self.problem.n, self.problem.lam
             ),
             "alpha": alpha,
-            "rng": np.random.default_rng(rng_seed),
+            "rng": np.random.default_rng(
+                eng.seed + 1000 + rank + 100_000 * self._generation
+            ),
             "streamer": streamer,
         }
 
@@ -126,9 +130,7 @@ class _SvmWorkerPool:
         y = problem.y.astype(np.float64)
         for rank, rows in enumerate(parts):
             self.workers.append(
-                self._bind_worker(
-                    rank, rows, csr, y, tracer, groups, eng.seed + 1000 + rank
-                )
+                self._bind_worker(rank, rows, csr, y, tracer, groups)
             )
 
     def partition_sizes(self) -> list[int]:
@@ -147,29 +149,16 @@ class _SvmWorkerPool:
         """
         eng = self.engine
         alpha_global = self.alpha_global()
-        for wk in self.workers:
-            if wk["streamer"] is not None:
-                wk["streamer"].close()
+        self.close()
         self._generation += 1
-        gen = self._generation
         csr = problem.dataset.csr
-        if eng.shards is not None:
-            groups = eng.shards.store.partition(n_workers)
-            parts = [eng.shards.store.coords_of(g) for g in groups]
-        else:
-            groups = None
-            rng = np.random.default_rng(eng.seed + 7_000_000 + 10_000 * gen)
-            if capacities is not None:
-                parts = load_proportional_partition(problem.n, capacities, rng)
-            else:
-                parts = eng.partitioner(problem.n, n_workers, rng)
+        parts, groups = plan_repartition(
+            problem.n, n_workers, eng.seed, self._generation, eng.partitioner,
+            eng.shards, csr.shape, capacities,
+        )
         y = problem.y.astype(np.float64)
         self.workers = [
-            self._bind_worker(
-                rank, rows, csr, y, tracer, groups,
-                eng.seed + 1000 + rank + 100_000 * gen,
-                alpha_global=alpha_global,
-            )
+            self._bind_worker(rank, rows, csr, y, tracer, groups, alpha_global)
             for rank, rows in enumerate(parts)
         ]
         self.n_workers = int(n_workers)

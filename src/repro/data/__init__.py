@@ -5,18 +5,6 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     ".dataset": ("Dataset", "train_test_split"),
     ".io": ("load_libsvm", "save_libsvm"),
-    ".preprocess": (
-        "binarize_labels",
-        "clip_values",
-        "normalize_rows",
-        "scale_columns",
-    ),
-    ".store": (
-        "load_dataset_npz",
-        "load_history_json",
-        "save_dataset_npz",
-        "save_history_json",
-    ),
     ".synthetic": (
         "make_block_correlated",
         "make_criteo_like",
@@ -33,14 +21,6 @@ __all__ = [
     "train_test_split",
     "load_libsvm",
     "save_libsvm",
-    "normalize_rows",
-    "scale_columns",
-    "clip_values",
-    "binarize_labels",
-    "save_dataset_npz",
-    "load_dataset_npz",
-    "save_history_json",
-    "load_history_json",
     "make_block_correlated",
     "make_criteo_like",
     "make_dense_gaussian",

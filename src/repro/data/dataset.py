@@ -57,6 +57,7 @@ class Dataset:
             self._csr = self.matrix
         else:
             raise TypeError("matrix must be CscMatrix or CsrMatrix")
+        _reject_non_finite(self.y, self.matrix)
 
     # -- geometry -----------------------------------------------------------
     @property
@@ -108,6 +109,31 @@ class Dataset:
         return (
             f"{self.name}: {self.n_examples} examples x {self.n_features} features, "
             f"nnz={self.nnz} (density {self.matrix.density:.2e}), {mb:.1f} MiB"
+        )
+
+
+def _reject_non_finite(y: np.ndarray, matrix: CscMatrix | CsrMatrix) -> None:
+    """Raise ``ValueError`` naming the count and first position of any NaN or
+    infinite label or stored matrix value: a solver would train on them
+    silently and report a ``nan`` gap."""
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise ValueError(
+            f"y has {int(bad.sum())} non-finite label(s); the first is at "
+            f"example {int(np.argmax(bad))}"
+        )
+    # a float sum is finite only if every term is: one pass, no temporary
+    if np.isfinite(matrix.data.sum()):
+        return
+    bad = ~np.isfinite(matrix.data)
+    if bad.any():
+        first = int(np.argmax(bad))
+        major = int(np.searchsorted(matrix.indptr, first, side="right")) - 1
+        minor = int(matrix.indices[first])
+        row, col = (major, minor) if isinstance(matrix, CsrMatrix) else (minor, major)
+        raise ValueError(
+            f"matrix has {int(bad.sum())} non-finite value(s); the first is at "
+            f"row {row}, column {col}"
         )
 
 

@@ -31,8 +31,6 @@ from ..gpu.spec import GTX_TITAN_X, QUADRO_M4000
 from ..objectives.elasticnet import ElasticNetProblem
 from ..objectives.svm import SvmProblem
 from ..perf.link import ETHERNET_10G, ETHERNET_100G, PCIE3_X16_PINNED
-from ..solvers.batch_gd import BatchGD
-from ..solvers.sgd import SgdSolver
 from ..solvers.scd import SequentialKernelFactory
 from .claims import TRUE, Claim, above, at_most, below, final_ratio
 from .config import (
@@ -369,6 +367,8 @@ def run_batch_vs_stochastic(scale: ScaleConfig | None = None) -> FigureResult:
         meta={"n_epochs": n_epochs},
     )
     from ..solvers.base import ScdSolver
+    from ..solvers.batch_gd import BatchGD
+    from ..solvers.sgd import SgdSolver
 
     wl = paper.worker_workload("primal", 1.0, 1.0)
     scd = ScdSolver(

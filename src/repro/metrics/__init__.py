@@ -1,11 +1,9 @@
-"""Convergence histories, derived metrics, and cross-validation."""
+"""Convergence histories and the speed-ups derived from them."""
 
 from .._lazy import lazy_exports
 
 _EXPORTS = {
     ".history": ("ConvergenceHistory", "ConvergenceRecord", "speedup"),
-    ".cv": ("CvResult", "cross_validate_path", "kfold_indices"),
-    ".rates": ("linear_rate", "slowdown_factor"),
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
@@ -13,9 +11,4 @@ __all__ = [
     "ConvergenceHistory",
     "ConvergenceRecord",
     "speedup",
-    "CvResult",
-    "cross_validate_path",
-    "kfold_indices",
-    "linear_rate",
-    "slowdown_factor",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Dataset
+from .ridge import checked_lambda
 
 __all__ = ["ElasticNetProblem", "elastic_net_delta", "soft_threshold"]
 
@@ -69,8 +70,7 @@ class ElasticNetProblem:
     """
 
     def __init__(self, dataset: Dataset, lam: float, l1_ratio: float = 0.5) -> None:
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
+        lam = checked_lambda(lam)
         if not 0.0 <= l1_ratio <= 1.0:
             raise ValueError("l1_ratio must be in [0, 1]")
         self.dataset = dataset

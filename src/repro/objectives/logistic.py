@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Dataset
+from .ridge import checked_lambda
 
 __all__ = ["LogisticProblem", "logistic_step"]
 
@@ -78,8 +79,7 @@ class LogisticProblem:
     """
 
     def __init__(self, dataset: Dataset, lam: float) -> None:
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
+        lam = checked_lambda(lam)
         labels = np.unique(dataset.y)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("logistic labels must be -1/+1")

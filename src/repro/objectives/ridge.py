@@ -21,12 +21,22 @@ from ..data import Dataset
 
 __all__ = [
     "RidgeProblem",
+    "checked_lambda",
     "gap_and_objective",
     "primal_coordinate_delta",
     "dual_coordinate_delta",
     "solve_exact",
     "ExactSolution",
 ]
+
+
+def checked_lambda(lam: float) -> float:
+    """``lam`` as a float, or ``ValueError`` unless it is positive and finite
+    (``nan <= 0`` is false, so a bare sign test lets NaN through)."""
+    lam = float(lam)
+    if not (0.0 < lam < np.inf):
+        raise ValueError(f"lambda must be positive and finite, got {lam!r}")
+    return lam
 
 
 def gap_and_objective(
@@ -73,10 +83,8 @@ class RidgeProblem:
     """
 
     def __init__(self, dataset: Dataset, lam: float) -> None:
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
+        self.lam = checked_lambda(lam)
         self.dataset = dataset
-        self.lam = float(lam)
 
     # -- geometry -------------------------------------------------------------
     @property

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Dataset
+from .ridge import checked_lambda
 
 __all__ = ["SvmProblem", "hinge_step"]
 
@@ -48,8 +49,7 @@ class SvmProblem:
     """
 
     def __init__(self, dataset: Dataset, lam: float) -> None:
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
+        lam = checked_lambda(lam)
         labels = np.unique(dataset.y)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("SVM labels must be -1/+1")

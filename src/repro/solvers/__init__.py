@@ -3,15 +3,17 @@
 Every coordinate solver here (and the GPU ones in :mod:`repro.core`) runs
 :meth:`ScdSolver.solve` over a kernel factory and returns a
 :class:`TrainResult`; the SVM and logistic solvers return its
-:class:`SvmTrainResult` subclass.  ``SgdSolver`` and ``BatchGD`` are the
-gradient baselines and keep their own loops.
+:class:`SvmTrainResult` subclass.  The gradient baselines of Section I's
+batch-versus-stochastic comparison keep their own loops and are not
+re-exported here: ``SgdSolver`` lives in :mod:`repro.solvers.sgd` and
+``BatchGD`` in :mod:`repro.solvers.batch_gd`, imported only by the
+``ext-batch-vs-stochastic`` driver.
 """
 
 from .._lazy import lazy_exports
 
 _EXPORTS = {
     ".ascd": ("ASCD", "AsyncCpuKernelFactory", "PASSCoDeWild"),
-    ".batch_gd": ("BatchGD", "power_iteration_lipschitz"),
     ".base": ("BoundKernel", "KernelFactory", "ScdSolver", "TrainResult"),
     ".elasticnet": (
         "ElasticNetCD",
@@ -21,7 +23,6 @@ _EXPORTS = {
     ),
     ".logistic": ("LogisticSdca",),
     ".scd": ("SequentialKernelFactory", "SequentialSCD"),
-    ".sgd": ("SgdSolver",),
     ".syscd": ("SySCD", "SyscdKernelFactory"),
     ".svm": ("SdcaKernelFactory", "SvmSdca", "SvmTrainResult"),
 }
@@ -29,8 +30,6 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ASCD",
-    "BatchGD",
-    "power_iteration_lipschitz",
     "AsyncCpuKernelFactory",
     "PASSCoDeWild",
     "BoundKernel",
@@ -39,7 +38,6 @@ __all__ = [
     "TrainResult",
     "SequentialKernelFactory",
     "SequentialSCD",
-    "SgdSolver",
     "SySCD",
     "SyscdKernelFactory",
     "ElasticNetCD",

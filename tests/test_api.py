@@ -19,7 +19,9 @@ from repro.api import SOLVER_ALIASES
 from repro.cli import main
 from repro.core.distributed import DistributedTrainResult
 from repro.core.distributed_svm import SvmTrainResult
-from repro.objectives import SvmProblem
+from repro.data import Dataset
+from repro.objectives import ElasticNetProblem, LogisticProblem, RidgeProblem, SvmProblem
+from repro.sparse import CsrMatrix
 from repro.solvers.base import TrainResult
 from repro.solvers.scd import SequentialSCD
 
@@ -144,6 +146,54 @@ class TestTrainDispatch:
             ridge_sparse, "seq", n_epochs=3, seed=4, tracer=repro.Tracer()
         )
         np.testing.assert_array_equal(plain.weights, traced.weights)
+
+
+class TestInputValidation:
+    """Bad input fails at construction or dispatch, never as a ``nan`` gap
+    or an ``AttributeError`` from inside an epoch."""
+
+    @pytest.mark.parametrize(
+        "problem_class", [RidgeProblem, SvmProblem, LogisticProblem, ElasticNetProblem]
+    )
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    def test_lambda_must_be_positive_and_finite(self, small_sparse, problem_class, lam):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            problem_class(small_sparse, lam)
+
+    def test_nan_label_rejected(self, small_sparse):
+        y = small_sparse.y.copy()
+        y[5] = np.nan
+        with pytest.raises(ValueError, match=r"1 non-finite label\(s\); the first is at example 5$"):
+            train(RidgeProblem(Dataset(small_sparse.csr, y), 1e-2), "seq", n_epochs=3)
+
+    def test_inf_matrix_value_rejected(self, small_sparse):
+        csr = small_sparse.csr
+        data = csr.data.copy()
+        data[40] = np.inf
+        row = int(np.searchsorted(csr.indptr, 40, side="right")) - 1
+        col = int(csr.indices[40])
+        bad = CsrMatrix(csr.shape, csr.indptr, csr.indices, data)
+        with pytest.raises(
+            ValueError,
+            match=rf"1 non-finite value\(s\); the first is at row {row}, column {col}$",
+        ):
+            train(RidgeProblem(Dataset(bad, small_sparse.y), 1e-2), "seq", n_epochs=3)
+        with pytest.raises(ValueError, match=f"row {row}, column {col}$"):
+            Dataset(bad.to_csc(), small_sparse.y)
+
+    @pytest.mark.parametrize("solver", ["seq", "distributed"])
+    def test_svm_problem_rejected_by_ridge_kinds(self, svm_sparse, solver):
+        with pytest.raises(
+            TypeError, match=f"solver kind '{solver}' needs a RidgeProblem, got a SvmProblem"
+        ):
+            train(svm_sparse, solver, n_epochs=1)
+
+    def test_ridge_problem_rejected_by_distributed_svm(self, ridge_sparse):
+        with pytest.raises(
+            TypeError,
+            match="solver kind 'distributed-svm' needs a SvmProblem, got a RidgeProblem",
+        ):
+            train(ridge_sparse, "cocoa-svm", n_epochs=1)
 
 
 class TestRunJsonCli:

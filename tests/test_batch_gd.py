@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.objectives import solve_exact
-from repro.solvers import BatchGD, SequentialSCD, power_iteration_lipschitz
+from repro.solvers import SequentialSCD
+from repro.solvers.batch_gd import BatchGD, power_iteration_lipschitz
 
 
 class TestPowerIteration:

@@ -1,19 +1,11 @@
-"""Tests for the elastic-net regularization path and the .npz/JSON store."""
+"""Tests for the elastic-net regularization path."""
 
 import numpy as np
 import pytest
 
-from repro.data import (
-    load_dataset_npz,
-    load_history_json,
-    make_dense_gaussian,
-    make_webspam_like,
-    save_dataset_npz,
-    save_history_json,
-)
+from repro.data import make_dense_gaussian
 from repro.objectives import ElasticNetProblem
-from repro.solvers import ElasticNetCD, SequentialSCD, elastic_net_path, lambda_grid
-from repro.objectives import RidgeProblem
+from repro.solvers import ElasticNetCD, elastic_net_path, lambda_grid
 
 
 @pytest.fixture(scope="module")
@@ -104,55 +96,3 @@ class TestElasticNetPath:
         assert np.array_equal(cold.weights, fresh.weights)
         assert np.array_equal(cold.history.gaps, fresh.history.gaps)
 
-
-class TestNpzStore:
-    def test_dataset_roundtrip(self, tmp_path):
-        ds = make_webspam_like(50, 100, nnz_per_example=5, seed=2)
-        f = tmp_path / "ds.npz"
-        save_dataset_npz(ds, f)
-        loaded = load_dataset_npz(f)
-        assert loaded.name == ds.name
-        assert loaded.meta["seed"] == 2
-        assert np.array_equal(loaded.y, ds.y)
-        assert np.allclose(loaded.csr.to_dense(), ds.csr.to_dense())
-
-    def test_roundtrip_is_exact(self, tmp_path):
-        """Unlike LibSVM text, the binary store is bit exact."""
-        ds = make_webspam_like(30, 60, nnz_per_example=4, seed=9)
-        f = tmp_path / "ds.npz"
-        save_dataset_npz(ds, f)
-        loaded = load_dataset_npz(f)
-        assert np.array_equal(loaded.csr.data, ds.csr.data)
-
-    def test_bad_archive_rejected(self, tmp_path):
-        f = tmp_path / "bad.npz"
-        np.savez(f, stuff=np.arange(3))
-        with pytest.raises(ValueError, match="not a repro dataset"):
-            load_dataset_npz(f)
-
-
-class TestHistoryStore:
-    def test_history_roundtrip(self, tmp_path, ridge_sparse):
-        res = SequentialSCD("primal", seed=0).solve(ridge_sparse, 5)
-        f = tmp_path / "hist.json"
-        save_history_json(res.history, f)
-        loaded = load_history_json(f)
-        assert loaded.label == res.history.label
-        assert np.allclose(loaded.gaps, res.history.gaps)
-        assert np.allclose(loaded.sim_times, res.history.sim_times)
-        assert loaded.records[-1].updates == res.history.records[-1].updates
-
-    def test_extras_preserved(self, tmp_path, ridge_sparse):
-        from repro.solvers import PASSCoDeWild
-
-        res = PASSCoDeWild("primal", seed=0).solve(ridge_sparse, 3)
-        f = tmp_path / "hist.json"
-        save_history_json(res.history, f)
-        loaded = load_history_json(f)
-        assert loaded.records[-1].extras["lost_updates"] > 0
-
-    def test_bad_file_rejected(self, tmp_path):
-        f = tmp_path / "bad.json"
-        f.write_text('{"something": 1}')
-        with pytest.raises(ValueError, match="not a repro history"):
-            load_history_json(f)

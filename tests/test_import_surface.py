@@ -108,6 +108,13 @@ class TestFreshInterpreter:
         assert not drivers & loaded
         assert "numpy" not in loaded
 
+    def test_extensions_load_no_gradient_baseline(self):
+        """SGD and batch GD serve only ``ext-batch-vs-stochastic``; that
+        driver imports them, the extensions module does not."""
+        loaded = modules_after("import repro.experiments.extensions")
+        assert "repro.solvers.sgd" not in loaded
+        assert "repro.solvers.batch_gd" not in loaded
+
     def test_import_sparse_loads_no_native_library_and_no_ctypes(self):
         loaded = modules_after("import repro.sparse")
         assert "repro.native" not in loaded

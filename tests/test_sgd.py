@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.objectives import solve_exact
-from repro.solvers import SequentialSCD, SgdSolver
+from repro.solvers import SequentialSCD
+from repro.solvers.sgd import SgdSolver
 
 
 class TestSgd:
