@@ -1,7 +1,8 @@
 """Cluster substrate: the unified runtime, partitioners, simulated MPI.
 
 ``repro.cluster.runtime`` is the single epoch engine behind
-``DistributedSCD`` and ``DistributedSvm`` — synchronous Algorithm 3 rounds
+``DistributedSCD`` (and its SVM subclass ``DistributedSvm``) — synchronous
+Algorithm 3 rounds
 in-process (``comm="sync"``) or over real worker processes
 (``comm="process"``, ``process_backend``), or the asynchronous
 parameter-server schedule (``comm="async"``, ``async_backend``), selected

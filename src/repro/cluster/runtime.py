@@ -4,9 +4,9 @@ The paper's distributed algorithms (Alg. 3, Alg. 4, and the Section V
 distributed TPA-SCD composition) are one synchronous scheme — local solve ->
 Reduce deltas -> gamma*_t aggregation -> Broadcast -> workers fold
 ``gamma_t * dmodel``.  This module implements that scheme *once* with six
-pluggable seams, and the two engine classes (`DistributedSCD` with its
-``comm="sync" | "process" | "async"`` backends, and `DistributedSvm`) are
-thin facades that assemble a runtime from parts:
+pluggable seams, and the engine class (`DistributedSCD` with its
+``comm="sync" | "process" | "async"`` backends, and its SVM subclass
+`DistributedSvm`) is a thin facade that assembles a runtime from parts:
 
 * **Partitioner** — :func:`plan_partitions`: feature/example random (or
   custom) partitions, or shard-group-aligned partitions for out-of-core
@@ -23,8 +23,8 @@ thin facades that assemble a runtime from parts:
   declares its capabilities (``models_time``, ``asynchronous``,
   ``elastic``);
 * **LocalSolver** — the :class:`LocalSolver` protocol adapts what a worker
-  does between barriers: CPU/GPU SCD kernels (``core/distributed.py``) or
-  SVM dual updates (``core/distributed_svm.py``);
+  does between barriers: any bound :class:`KernelFactory` kernel — CPU/GPU
+  SCD, or the SVM's SDCA hinge kernel (``core/distributed.py``);
 * **AggregationPolicy** — any :class:`~repro.core.aggregation.Aggregator`
   (averaging / adding / adaptive gamma* / scaled sigma'/K);
 * **FaultPolicy** — :class:`FaultPolicy` wraps a
@@ -311,11 +311,10 @@ class FaultPolicy:
 class LocalSolver(Protocol):
     """What one worker does between barriers, for the in-process backend.
 
-    Implementations wrap the existing kernel machinery:
-    ``core.distributed._ScdWorkerPool`` binds :class:`KernelFactory` kernels
-    (CPU sequential or planned TPA-SCD GPU engines);
-    ``core.distributed_svm._SvmWorkerPool`` runs the inline clipped-SDCA
-    step.  All methods are rank-addressed; the pool owns the worker state.
+    The implementation, ``core.distributed._ScdWorkerPool``, binds
+    :class:`KernelFactory` kernels (CPU sequential, planned TPA-SCD GPU
+    engines, or the SVM's SDCA kernel).  All methods are rank-addressed;
+    the pool owns the worker state.
     """
 
     n_workers: int

@@ -135,12 +135,14 @@ class AdaptiveAggregator(Aggregator):
 
 
 class ScaledAggregator(Aggregator):
-    """gamma = sigma'/K — CoCoA+'s sub-linearity parameter (Ma et al. [24]).
+    """gamma = min(1, sigma'/K') — CoCoA+'s sub-linearity parameter (Ma et al. [24]).
 
     ``sigma_prime = 1`` recovers averaging, ``sigma_prime = K`` recovers
     adding; values in between trade aggressiveness against stability.  The
     paper runs the sigma' = 1 special case; this rule exposes the knob for
-    the aggregation ablation.
+    the aggregation ablation.  ``K'`` counts the updates that arrived; the
+    cap keeps ``sigma_prime >= K'`` at adding, since an SDCA fold
+    ``alpha + gamma * dalpha`` with gamma > 1 leaves the [0, 1] box.
     """
 
     n_extra_scalars = 0
@@ -152,7 +154,7 @@ class ScaledAggregator(Aggregator):
         self.name = f"scaled(sigma'={self.sigma_prime:g})"
 
     def gamma(self, stats: AggregationStats) -> float:
-        return self.sigma_prime / stats.n_workers
+        return min(1.0, self.sigma_prime / stats.n_workers)
 
 
 class LineSearchAggregator(Aggregator):

@@ -18,7 +18,9 @@ aggregation, Broadcast, ledger booking — lives in
 :class:`~repro.cluster.runtime.ClusterRuntime`; this module contributes the
 SCD-specific parts: the :class:`_ScdWorkerPool` local-solver adapter that
 binds :class:`KernelFactory` kernels (CPU or GPU) to the worker partitions,
-and the Section V PCIe/host-model pricing passed into the runtime.
+and the Section V PCIe/host-model pricing passed into the runtime.  The
+distributed SVM (:mod:`repro.core.distributed_svm`) is a subclass that binds
+the SDCA kernel and overrides only what its objective changes.
 
 Modelled wall-clock per epoch = max over workers of local compute
 (+ host-side vector handling and PCIe transfers for GPU workers)
@@ -290,12 +292,10 @@ class _ScdWorkerPool:
         )
 
     def global_model(self, problem: RidgeProblem, shared: np.ndarray) -> np.ndarray:
-        return self.global_weights(problem)
+        return self.engine._model(self.global_weights(problem), shared)
 
     def gap_objective(self, problem: RidgeProblem) -> tuple[float, float]:
-        return gap_and_objective(
-            problem, self.global_weights(problem), self.engine.formulation
-        )
+        return self.engine._gap_objective(problem, self.global_weights(problem))
 
     def close(self) -> None:
         for wk in self.workers:
@@ -374,7 +374,15 @@ class DistributedSCD:
         ``multiprocessing`` start method for ``comm="process"`` (``"fork"``,
         ``"spawn"``, ``"forkserver"``; ``None`` = the platform default);
         the other backends ignore it.
+
+    Subclasses for other objectives (:class:`~repro.core.DistributedSvm`)
+    override :meth:`_gap_objective`, :meth:`_model`, :meth:`_result`,
+    ``name`` and ``_stale_buffering``.
     """
+
+    #: a delayed update joins the next round's aggregation (``False``: it
+    #: is lost, as on the real-process backend)
+    _stale_buffering = True
 
     def __init__(
         self,
@@ -495,7 +503,8 @@ class DistributedSCD:
                     f"set, got {self.shards.store.axis!r}"
                 )
         self._solver_label: str = ""
-        self._last_report: FaultReport | None = None
+        #: populated by :meth:`solve` when fault injection is active
+        self.fault_report: FaultReport | None = None
 
     @property
     def name(self) -> str:
@@ -514,6 +523,20 @@ class DistributedSCD:
     def _set_label(self, label: str) -> None:
         if not self._solver_label:
             self._solver_label = label
+
+    def _gap_objective(self, problem, weights: np.ndarray) -> tuple[float, float]:
+        """Offline ``(gap, objective)`` of the assembled global weights."""
+        return gap_and_objective(problem, weights, self.formulation)
+
+    def _model(self, weights: np.ndarray, shared: np.ndarray) -> np.ndarray:
+        """The vector an ``on_epoch`` event carries: the global weights."""
+        return weights
+
+    def _result(self, weights, shared, **fields) -> DistributedTrainResult:
+        """Package a finished run; ``fields`` are the runtime's bookkeeping."""
+        return DistributedTrainResult(
+            formulation=self.formulation, weights=weights, shared=shared, **fields
+        )
 
     # -- training ------------------------------------------------------------------
     def solve(
@@ -561,7 +584,9 @@ class DistributedSCD:
             faults=FaultPolicy(
                 injector=self.faults,
                 # real processes have no next-round buffer: stale is lost
-                stale_buffering=self.comm_mode != "process",
+                stale_buffering=(
+                    self._stale_buffering and self.comm_mode != "process"
+                ),
                 retry=self.comm.retry,
             ),
             name=lambda: self.name,
@@ -584,19 +609,20 @@ class DistributedSCD:
             tracer=tracer,
             on_epoch=on_epoch,
         )
-        self._last_report = rt.report
+        self.fault_report = rt.report
         self.membership_log = rt.membership_log
-        weights = backend.global_model(problem, rt.shared)
         if pool is not None:
+            weights = pool.global_weights(problem)
             partitions = [wk.coords for wk in pool.workers]
-        elif self.comm_mode == "async":
-            partitions = [wk["coords"] for wk in backend.workers]
         else:
-            partitions = list(backend.parts)
-        return DistributedTrainResult(
-            formulation=self.formulation,
-            weights=weights,
-            shared=rt.shared,
+            weights = backend.global_model(problem, rt.shared)
+            if self.comm_mode == "async":
+                partitions = [wk["coords"] for wk in backend.workers]
+            else:
+                partitions = list(backend.parts)
+        return self._result(
+            weights,
+            rt.shared,
             history=rt.history,
             ledger=rt.ledger,
             partitions=partitions,

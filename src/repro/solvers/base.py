@@ -17,8 +17,8 @@ That split is captured here:
   :meth:`ScdSolver._start` (the start point), :meth:`ScdSolver._monitor`
   (gap, objective, record extras) and :meth:`ScdSolver._model` /
   :meth:`ScdSolver._result` (what is published and returned);
-* the distributed engines (``repro.core.distributed``,
-  ``repro.core.distributed_svm``) reuse the same factories to bind each
+* the distributed engine (``repro.core.distributed``, and its SVM subclass
+  in ``repro.core.distributed_svm``) reuses the same factories to bind each
   worker's local partition.
 """
 

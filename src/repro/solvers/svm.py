@@ -55,9 +55,7 @@ class SdcaKernelFactory:
 
     ``step(y_i, alpha_i, <w, x_i>, ||x_i||^2, lam N)`` returns an example's
     new dual value (:func:`~repro.objectives.svm.hinge_step`,
-    :func:`~repro.objectives.logistic.logistic_step`).  ``timing_workload``
-    optionally overrides the workload an epoch is priced at, as in
-    :class:`~repro.solvers.scd.SequentialKernelFactory`.
+    :func:`~repro.objectives.logistic.logistic_step`).
     """
 
     def __init__(
@@ -65,11 +63,12 @@ class SdcaKernelFactory:
         step: Callable[[float, float, float, float, float], float],
         *,
         spec: CpuSpec = XEON_8C,
-        timing_workload: EpochWorkload | None = None,
     ) -> None:
         self.step = step
         self.spec = spec
-        self.timing_workload = timing_workload
+        #: overrides the workload an epoch is priced at; the distributed
+        #: engine sets each worker's paper-scale share here before binding
+        self.timing_workload: EpochWorkload | None = None
         self.name = "SDCA(1 thread)"
 
     def bind_dual(

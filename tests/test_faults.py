@@ -221,15 +221,19 @@ class TestZeroRateBitIdentical:
         assert np.array_equal(bare.history.gaps, nulled.history.gaps)
 
     def test_zero_rate_report_is_clean(self, ridge_sparse):
-        res = _engine("dual", 4, faults=FaultSpec()).solve(ridge_sparse, 4)
+        eng = _engine("dual", 4, faults=FaultSpec())
+        res = eng.solve(ridge_sparse, 4)
         assert res.fault_report is not None
+        assert eng.fault_report is res.fault_report
         assert not res.fault_report.any_faults
         assert res.fault_report.survivor_counts == [4] * 4
         assert res.ledger.fault_seconds() == 0.0
 
     def test_no_injector_no_report(self, ridge_sparse):
-        res = _engine("dual", 2).solve(ridge_sparse, 2)
+        eng = _engine("dual", 2)
+        res = eng.solve(ridge_sparse, 2)
         assert res.fault_report is None
+        assert eng.fault_report is None
 
     def test_same_seed_same_chaos_run(self, ridge_sparse):
         """Full determinism regression: chaos twice, bit-for-bit equal."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.faults import FaultSpec, make_fault_injector
@@ -24,7 +24,8 @@ from repro.cluster.membership import (
     MembershipSchedule,
 )
 from repro.core.distributed import DistributedSCD, _ScdWorkerPool
-from repro.core.distributed_svm import DistributedSvm, _SvmWorkerPool
+from repro.core.distributed_svm import DistributedSvm
+from repro.core.scale import CRITEO_PAPER
 from repro.obs import resolve_tracer
 from repro.objectives import RidgeProblem
 from repro.objectives.svm import SvmProblem
@@ -175,8 +176,8 @@ class TestLoadBalancer:
 # ---------------------------------------------------------------------------
 # state-preserving repartition (property-tested)
 # ---------------------------------------------------------------------------
-def _fresh_pool(problem, k, seed=7):
-    eng = _engine("dual", k)
+def _fresh_pool(problem, k, seed=7, kind="ridge"):
+    eng = _engine("dual", k) if kind == "ridge" else DistributedSvm(n_workers=k)
     eng.seed = seed
     pool = _ScdWorkerPool(eng)
     pool.bind(problem, resolve_tracer(None))
@@ -187,12 +188,16 @@ def _fresh_pool(problem, k, seed=7):
 @given(
     sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
     seed=st.integers(min_value=0, max_value=2**16),
+    kind=st.sampled_from(["ridge", "svm"]),
 )
-def test_repartition_preserves_exactly_once_ownership(sizes, seed):
+@example(sizes=[5], seed=7, kind="ridge")
+@example(sizes=[5], seed=7, kind="svm")
+def test_repartition_preserves_exactly_once_ownership(sizes, seed, kind):
     """join -> leave -> join sequences: every row owned by exactly one rank,
-    and the assembled global model is preserved bitwise at every step."""
-    problem = _ridge()
-    pool = _fresh_pool(problem, 3, seed=seed)
+    and the assembled global model (ridge weights or SVM alpha) is preserved
+    bitwise at every step."""
+    problem = _ridge() if kind == "ridge" else _svm()
+    pool = _fresh_pool(problem, 3, seed=seed, kind=kind)
     rng = np.random.default_rng(seed)
     for wk in pool.workers:
         wk.weights[:] = rng.standard_normal(wk.weights.shape[0])
@@ -204,22 +209,6 @@ def test_repartition_preserves_exactly_once_ownership(sizes, seed):
         np.testing.assert_array_equal(owned, np.arange(problem.n))
         after = pool.global_weights(problem)
         np.testing.assert_array_equal(before, after)
-    pool.close()
-
-
-def test_svm_pool_repartition_preserves_alpha():
-    problem = _svm()
-    eng = DistributedSvm(n_workers=3, seed=7)
-    pool = _SvmWorkerPool(eng)
-    pool.bind(problem, resolve_tracer(None))
-    rng = np.random.default_rng(0)
-    for wk in pool.workers:
-        wk["alpha"][:] = rng.uniform(0, 1, wk["alpha"].shape[0])
-    before = pool.alpha_global()
-    pool.repartition(problem, resolve_tracer(None), 5)
-    owned = np.sort(np.concatenate([wk["rows"] for wk in pool.workers]))
-    np.testing.assert_array_equal(owned, np.arange(problem.n))
-    np.testing.assert_array_equal(before, pool.alpha_global())
     pool.close()
 
 
@@ -346,6 +335,19 @@ class TestElasticSvm:
         assert np.isfinite(elastic.history.final_gap())
         assert elastic.history.final_gap() <= 2.0 * fixed.history.final_gap()
         assert len(elastic.alpha) == problem.n
+
+    def test_resize_reprices_paper_scale_compute(self):
+        """Growing the pool 2 -> 5 shrinks each worker's paper-scale share,
+        so the modelled epoch gets shorter."""
+        res = DistributedSvm(
+            n_workers=2, seed=3, paper_scale=CRITEO_PAPER,
+            membership=[(3, "join")] * 3,
+        ).solve(_svm(), 4)
+        assert [(r.epoch, r.k_after) for r in res.membership_log] == [(3, 5)]
+        steps = np.diff(res.history.sim_times)
+        assert steps[0] == pytest.approx(steps[1])  # K=2
+        assert steps[2] == pytest.approx(steps[3])  # K=5
+        assert steps[3] < 0.6 * steps[1]
 
 
 class TestShardAlignedElastic:

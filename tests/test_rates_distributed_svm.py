@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.faults import FaultSpec
 from repro.core import DistributedSCD, DistributedSvm
 from repro.data import make_webspam_like
 from repro.objectives import SvmProblem
@@ -66,6 +67,26 @@ class TestDistributedSvm:
     def test_alpha_in_box(self, svm_problem):
         alpha = DistributedSvm(n_workers=4, seed=3).solve(svm_problem, 8).alpha
         assert np.all(alpha >= -1e-12) and np.all(alpha <= 1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(n_workers=2, sigma_prime=3.0),
+            dict(
+                n_workers=4, sigma_prime=4.0,
+                faults=FaultSpec(dropout_rate=0.5, seed=2),
+            ),
+        ],
+        ids=["sigma-above-k", "sigma-above-survivors"],
+    )
+    def test_sigma_prime_above_k_keeps_sdca_invariant(self, svm_problem, kw):
+        """sigma' > K' caps gamma at 1 (adding): w stays the SDCA image of
+        alpha and alpha stays in the box."""
+        res = DistributedSvm(seed=3, **kw).solve(svm_problem, 8)
+        drift = np.abs(res.weights - svm_problem.weights_from_alpha(res.alpha))
+        assert drift.max() <= 1e-10
+        assert np.all(res.alpha >= 0.0) and np.all(res.alpha <= 1.0)
+        assert np.nanmax(res.history.extras_series("gamma")) == 1.0
 
     def test_slowdown_with_k(self, svm_problem):
         gaps = {}
