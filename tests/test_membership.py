@@ -212,6 +212,20 @@ def test_repartition_preserves_exactly_once_ownership(sizes, seed, kind):
     pool.close()
 
 
+def test_svm_pool_repartition_preserves_alpha():
+    problem = _svm()
+    pool = _fresh_pool(problem, 3, kind="svm")
+    rng = np.random.default_rng(0)
+    for wk in pool.workers:
+        wk.weights[:] = rng.uniform(0, 1, wk.weights.shape[0])
+    before = pool.global_weights(problem)
+    pool.repartition(problem, resolve_tracer(None), 5)
+    owned = np.sort(np.concatenate([wk.coords for wk in pool.workers]))
+    np.testing.assert_array_equal(owned, np.arange(problem.n))
+    np.testing.assert_array_equal(before, pool.global_weights(problem))
+    pool.close()
+
+
 def test_repartition_rng_streams_are_generation_salted():
     """A reborn rank must not replay the permutation stream of the departed
     rank that previously held its id."""
