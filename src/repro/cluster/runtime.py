@@ -573,7 +573,7 @@ class ClusterRuntime:
         aggregator: Aggregator,
         formulation: str,
         faults: FaultPolicy | None = None,
-        name: Callable[[], str] | str = "cluster",
+        name: Callable[[tuple[int, int]], str] | str = "cluster",
         pcie=None,
         host_model=None,
         membership=None,
@@ -583,7 +583,10 @@ class ClusterRuntime:
         self.aggregator = aggregator
         self.formulation = formulation
         self.faults = faults or FaultPolicy()
-        self._name = name if callable(name) else (lambda: name)
+        # called with ``pool_range``, so an elastic run can name its range
+        self._name = name if callable(name) else (lambda pool_range: name)
+        #: smallest and largest pool size of the current (or last) run
+        self.pool_range = (0, 0)
         self.pcie = pcie
         self.host_model = host_model
         #: optional :class:`~repro.cluster.membership.MembershipSchedule`
@@ -642,6 +645,8 @@ class ClusterRuntime:
             k_before=k, k_after=new_k,
         ):
             dropped = backend.resize(problem, tracer, new_k, capacities)
+        lo, hi = self.pool_range
+        self.pool_range = (min(lo, new_k), max(hi, new_k))
         consec_down.clear()
         if changed:
             tracer.count("cluster.membership.changes")
@@ -692,15 +697,16 @@ class ClusterRuntime:
         elastic = self.membership is not None or self.rebalance is not None
         membership_log: list = []
         consec_down: dict[int, int] = {}
+        self.pool_range = (backend.n_workers, backend.n_workers)
         root = tracer.span(
-            "distributed.train", category="driver", solver=self._name(),
+            "distributed.train", category="driver", solver=self._name(self.pool_range),
             n_workers=backend.n_workers, n_epochs=n_epochs,
         )
-        with root:
+        with root as root_span:
             try:
                 with tracer.span("bind", category="driver"):
                     backend.open(problem, tracer)
-                history = ConvergenceHistory(label=self._name())
+                history = ConvergenceHistory(label=self._name(self.pool_range))
                 ledger = tracer.open_ledger()
                 t0 = time.perf_counter()
                 with tracer.span("gap_eval", category="monitor", epoch=0):
@@ -868,11 +874,15 @@ class ClusterRuntime:
                                         else time.perf_counter() - t0
                                     ),
                                     gap=gap,
-                                    solver=self._name(),
+                                    solver=self._name(self.pool_range),
                                 )
                             )
                         if target_gap is not None and gap <= target_gap:
                             break
+                # an elastic run's name is known once its pool range is
+                history.label = self._name(self.pool_range)
+                if root_span is not None:
+                    root_span.attrs["solver"] = history.label
             finally:
                 backend.close()
         if tracer.enabled and report is not None:

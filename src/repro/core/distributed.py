@@ -503,6 +503,8 @@ class DistributedSCD:
                     f"set, got {self.shards.store.axis!r}"
                 )
         self._solver_label: str = ""
+        #: smallest and largest pool of the last run (elastic runs resize it)
+        self._pool_range = (self.n_workers, self.n_workers)
         #: populated by :meth:`solve` when fault injection is active
         self.fault_report: FaultReport | None = None
 
@@ -510,15 +512,25 @@ class DistributedSCD:
     def name(self) -> str:
         if self.comm_mode == "async":
             return (
-                f"AsyncPS[{self._solver_label or 'SCD'} x{self.n_workers}, "
+                f"AsyncPS[{self._solver_label or 'SCD'} {self._pool_label()}, "
                 f"b={self.batch_fraction:g}, {self.formulation}]"
             )
         agg = self.aggregator.name
         where = ", process" if self.comm_mode == "process" else ""
         return (
-            f"Distributed[{self._solver_label or 'SCD'} x{self.n_workers}, "
+            f"Distributed[{self._solver_label or 'SCD'} {self._pool_label()}, "
             f"{agg}, {self.formulation}{where}]"
         )
+
+    def _pool_label(self) -> str:
+        """``x4``, or ``x2..5`` for a run whose pool ranged from 2 to 5."""
+        lo, hi = self._pool_range
+        return f"x{lo}" if lo == hi else f"x{lo}..{hi}"
+
+    def _pool_name(self, pool_range: tuple[int, int]) -> str:
+        """The name of a run whose pool has ranged over ``pool_range``."""
+        self._pool_range = pool_range
+        return self.name
 
     def _set_label(self, label: str) -> None:
         if not self._solver_label:
@@ -550,6 +562,8 @@ class DistributedSCD:
         on_epoch=None,
     ) -> DistributedTrainResult:
         pool = None
+        # an elastic run leaves the communicator at its last pool size
+        self.comm.n_workers = self.n_workers
         if self.comm_mode == "process":
             # imported on use: in-process training never loads multiprocessing
             from ..cluster.process_backend import PipeProcessBackend
@@ -589,7 +603,7 @@ class DistributedSCD:
                 ),
                 retry=self.comm.retry,
             ),
-            name=lambda: self.name,
+            name=self._pool_name,
             pcie=self.pcie,
             host_model=self.host_model,
             membership=self.membership,

@@ -85,7 +85,7 @@ class DistributedSvm(DistributedSCD):
 
     @property
     def name(self) -> str:
-        return f"DistributedSVM[x{self.n_workers}, sigma'={self.sigma_prime:g}]"
+        return f"DistributedSVM[{self._pool_label()}, sigma'={self.sigma_prime:g}]"
 
     def _gap_objective(self, problem, weights):
         return problem.duality_gap(weights), problem.dual_objective(weights)

@@ -2,10 +2,14 @@
 
 The C sources next to this module are the compiled twins of numpy kernels
 elsewhere in the package — ``syscd.c`` of :mod:`repro.solvers.syscd_kernels`,
-``tpa.c`` of Algorithm 2's wave loop (:mod:`repro.gpu.engine`), ``sparse.c``
-of the float64 products of :class:`~repro.sparse.CscMatrix` and
-:class:`~repro.sparse.CsrMatrix` (``matvec`` / ``rmatvec`` from
-``repro.sparse.matrix.NATIVE_MIN_NNZ`` nonzeros up).  They are built
+``tpa.c`` of Algorithm 2's wave loop (:mod:`repro.gpu.engine`, with the
+next blocks' data prefetched, since one core runs the blocks one after
+another where a GPU overlaps them), ``sparse.c`` of the float64 products of
+:class:`~repro.sparse.CscMatrix` and :class:`~repro.sparse.CsrMatrix`
+(``matvec`` / ``rmatvec`` from ``repro.sparse.matrix.NATIVE_MIN_NNZ``
+nonzeros up) and of the ridge gap's row passes over CSR
+(:mod:`repro.objectives.ridge`: ``A beta`` row by row, and the primal gap's
+two products in one read of the data).  They are built
 together on first use with the host's C compiler (:data:`CC`,
 :data:`CFLAGS`) into a per-user cache directory and loaded through
 :mod:`ctypes`, which releases the GIL for the duration of every call.
@@ -63,6 +67,8 @@ _SIGNATURES = {
     "tpa_epoch": (None, [_P] * 4 + [_I64] + [_P] * 5 + [_I64] * 3 + [_P] * 3),
     "sparse_scatter": (_I64, [_P] * 3 + [_I64] * 3 + [_P] * 2),
     "sparse_gather": (_I64, [_P] * 3 + [_I64] * 3 + [_P] * 2),
+    "sparse_row_sums": (_I64, [_P] * 3 + [_I64] * 3 + [_P] * 2),
+    "sparse_gap_pass": (_I64, [_P] * 3 + [_I64] * 3 + [_P] * 2 + [_F64] + [_P] * 3),
 }
 
 _LOCK = threading.Lock()

@@ -32,10 +32,29 @@
  * Coordinates are read through perm + indptr directly, so no per-epoch
  * gather is needed.  Every pointer is validated by the Python binding
  * (dtype, contiguity, length, index bounds) before it reaches this file.
+ *
+ * On a GPU, hundreds of resident thread blocks hide each other's memory
+ * latency; here the blocks run one after another, so each would stall on
+ * the head of its column or row.  The dot loop therefore prefetches the
+ * indices and data of the block PREFETCH_AHEAD places further along perm
+ * (across a wave boundary too), up to PREFETCH_SPAN elements: past those
+ * the hardware prefetcher follows the stream.  A prefetch reads nothing
+ * the arithmetic sees, so the bits are those of the loop without it.
  */
 
 #include <math.h>
 #include <stdint.h>
+
+/* how many blocks ahead of the current one the dot loop prefetches, and
+ * how many of that block's leading elements */
+#define PREFETCH_AHEAD 4
+#define PREFETCH_SPAN 64
+
+#if defined(__GNUC__)
+#define PREFETCH(addr) __builtin_prefetch(addr)
+#else
+#define PREFETCH(addr) ((void)(addr))
+#endif
 
 /* stats[] slots, filled only when the caller observes the epoch */
 enum {
@@ -105,16 +124,25 @@ static float block_dot(
         return 0.0f;
     }
     const int64_t active = len < n_threads ? len : n_threads;
-    for (int64_t u = 0; u < active; ++u) {
-        lanes[u] = 0.0f;
-    }
-    int64_t u = 0;
-    for (int64_t p = lo; p < hi; ++p) {
-        const int64_t i = indices[p];
-        const float g = y ? y[i] - shared[i] : shared[i];
-        lanes[u] += data[p] * g;
-        if (++u == n_threads) {
-            u = 0;
+    if (len <= n_threads) {
+        /* one element per lane: the lane is 0.0f plus its only product */
+        for (int64_t u = 0; u < len; ++u) {
+            const int64_t i = indices[lo + u];
+            const float g = y ? y[i] - shared[i] : shared[i];
+            lanes[u] = 0.0f + data[lo + u] * g;
+        }
+    } else {
+        for (int64_t u = 0; u < n_threads; ++u) {
+            lanes[u] = 0.0f;
+        }
+        int64_t u = 0;
+        for (int64_t p = lo; p < hi; ++p) {
+            const int64_t i = indices[p];
+            const float g = y ? y[i] - shared[i] : shared[i];
+            lanes[u] += data[p] * g;
+            if (++u == n_threads) {
+                u = 0;
+            }
         }
     }
     /* levels whose source lanes all lie past `active` add +0.0f: skip them;
@@ -205,6 +233,23 @@ void tpa_epoch(
             observe_wave(indptr, indices, coords, n, n_threads, stats, marks);
         }
         for (int64_t k = 0; k < n; ++k) {
+            if (s + k + PREFETCH_AHEAD < n_perm) {
+                /* 8 int64 indices or 16 float32 values to a 64-byte line.
+                 * Inline on purpose: GCC 12 deletes the call to a static
+                 * function whose only effect is a prefetch. */
+                const int64_t ahead = coords[k + PREFETCH_AHEAD];
+                const int64_t lo = indptr[ahead];
+                int64_t span = indptr[ahead + 1] - lo;
+                if (span > PREFETCH_SPAN) {
+                    span = PREFETCH_SPAN;
+                }
+                for (int64_t q = 0; q < span; q += 8) {
+                    PREFETCH(indices + lo + q);
+                }
+                for (int64_t q = 0; q < span; q += 16) {
+                    PREFETCH(data + lo + q);
+                }
+            }
             const int64_t j = coords[k];
             deltas[k] = block_dot(
                 indices, data, y, shared, indptr[j], indptr[j + 1], n_threads,

@@ -9,6 +9,15 @@ Implements Section II of the paper verbatim:
   alpha* = (y - A beta*) / N (Eq. 6)
 * duality gaps G_P, G_D used as the universal convergence metric in every
   figure of the evaluation.
+
+From ``repro.sparse.matrix.NATIVE_MIN_NNZ`` float64 nonzeros up the gap
+reads the data in row passes over the CSR layout (``repro/native/sparse.c``):
+``A beta`` is summed row by row, and the primal gap forms ``w = A beta``,
+``alpha = (y - w) / N`` and ``A^T alpha`` in one read of each row.  The bits
+are those of ``CscMatrix.matvec`` then ``CsrMatrix.rmatvec`` whenever every
+row's column indices are non-decreasing, which every constructor in the
+package produces.  Below the crossover, without a C compiler and for a
+matrix with a decreasing row, those two products run instead.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import Dataset
+from ..sparse import matrix as sparse_matrix
 
 __all__ = [
     "RidgeProblem",
@@ -48,14 +58,15 @@ def gap_and_objective(
     a primal iterate is scored with ``(G_P, P)``, a dual iterate with
     ``(G_D, D)``.  Deliberately recomputes the shared vector from the
     weights — maintained shared vectors can drift (wild writes) and the
-    paper evaluates the model itself.  The recomputed vector is formed once
-    and handed to both the gap and the objective, so a call costs two
-    sparse products (the vector, and the one the conjugate objective
-    needs), not three.
+    paper evaluates the model itself.  A primal call reads the data once
+    (``w``, the dual candidate and its ``A^T alpha`` in one row pass) and
+    forms ``P`` once; a dual call costs two products (``A^T alpha``, then
+    ``A beta`` for the conjugate).
     """
     if formulation == "primal":
-        w = problem.shared_vector(weights)
-        return problem.primal_gap(weights, w), problem.primal_objective(weights, w)
+        w, alpha, wbar = problem.primal_gap_vectors(weights)
+        primal = problem.primal_objective(weights, w)
+        return abs(primal - problem.dual_objective(alpha, wbar)), primal
     wbar = problem.dual_shared_vector(weights)
     return problem.dual_gap(weights, wbar), problem.dual_objective(weights, wbar)
 
@@ -103,12 +114,35 @@ class RidgeProblem:
 
     # -- shared vectors ---------------------------------------------------------
     def shared_vector(self, beta: np.ndarray) -> np.ndarray:
-        """Primal shared vector ``w = A beta`` (length N)."""
-        return self.dataset.csc.matvec(beta)
+        """Primal shared vector ``w = A beta`` (length N).
+
+        ``sparse.c`` sums it row by row over the CSR layout, bitwise
+        ``dataset.csc.matvec(beta)``, so a dual run on the compiled kernels
+        never builds the CSC copy to monitor its gap.
+        """
+        out = _native_row_pass(self.dataset.csr, beta)
+        return self.dataset.csc.matvec(beta) if out is None else out[0]
 
     def dual_shared_vector(self, alpha: np.ndarray) -> np.ndarray:
         """Dual shared vector ``wbar = A^T alpha`` (length M)."""
         return self.dataset.csr.rmatvec(alpha)
+
+    def primal_gap_vectors(
+        self, beta: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(w, alpha, wbar)``: ``w = A beta``, the dual candidate
+        ``alpha = (y - w) / N`` (Eq. 6) and ``wbar = A^T alpha``.
+
+        One read of the CSR layout when ``sparse.c`` takes it, otherwise
+        ``csc.matvec`` then :meth:`dual_shared_vector`; the bits are the
+        same.
+        """
+        out = _native_row_pass(self.dataset.csr, beta, self.y, self.n)
+        if out is not None:
+            return out
+        w = self.dataset.csc.matvec(beta)
+        alpha = (self.y - w) / self.n
+        return w, alpha, self.dual_shared_vector(alpha)
 
     # -- objectives -------------------------------------------------------------
     def primal_objective(
@@ -152,9 +186,10 @@ class RidgeProblem:
     def primal_gap(self, beta: np.ndarray, w: np.ndarray | None = None) -> float:
         """G_P(beta) = |P(beta) - D((y - A beta)/N)|."""
         if w is None:
-            w = self.shared_vector(beta)
-        alpha = (self.y - w) / self.n
-        return abs(self.primal_objective(beta, w) - self.dual_objective(alpha))
+            w, alpha, wbar = self.primal_gap_vectors(beta)
+        else:
+            alpha, wbar = (self.y - w) / self.n, None
+        return abs(self.primal_objective(beta, w) - self.dual_objective(alpha, wbar))
 
     def dual_gap(self, alpha: np.ndarray, wbar: np.ndarray | None = None) -> float:
         """G_D(alpha) = |P(A^T alpha / lam) - D(alpha)|."""
@@ -179,6 +214,73 @@ class RidgeProblem:
         r5 = np.linalg.norm(lhs5 - rhs5) / max(np.linalg.norm(rhs5), 1e-30)
         r6 = np.linalg.norm(lhs6 - rhs6) / max(np.linalg.norm(rhs6), 1e-30)
         return float(r5), float(r6)
+
+
+#: ``sparse.c``'s status for a row whose column indices decrease: not a
+#: defect, but the row passes then do not replay ``CscMatrix.matvec``
+_ROW_ORDER = 6
+
+
+def _native_row_pass(csr, beta, y=None, n=0) -> tuple[np.ndarray, ...] | None:
+    """``sparse.c``'s row pass over ``csr``: ``(w,)`` from
+    ``sparse_row_sums``, or with ``y`` and ``n`` ``(w, alpha, wbar)`` from
+    ``sparse_gap_pass``.
+
+    Returns ``None``, and the caller runs the two products, below :data:`~repro.sparse.matrix.NATIVE_MIN_NNZ` nonzeros, unless every
+    operand is a float64 one (float64 data, and ``beta`` and ``y`` vectors
+    numpy would promote to float64), when the library does not load, and
+    when a row's column indices decrease.  A defect of the structure is a
+    ``ValueError`` naming it, as for the products.
+    """
+    if beta.shape[0] != csr.shape[1]:
+        raise ValueError(
+            f"operand has length {beta.shape[0]}, expected {csr.shape[1]}"
+        )
+    if csr.nnz < sparse_matrix.NATIVE_MIN_NNZ or not (
+        csr.data.dtype == np.float64
+        and beta.ndim == 1
+        and np.result_type(csr.data, beta) == np.float64
+        and (y is None or np.result_type(y, np.float64) == np.float64)
+    ):
+        return None
+    from .. import native
+
+    try:
+        lib = native.load_native()
+    except native.NativeUnavailableError:
+        return None
+    n_rows, n_cols = csr.shape
+    beta = np.ascontiguousarray(beta, np.float64)
+    w = np.empty(n_rows, np.float64)
+    args = [
+        native.address(csr.indptr, np.int64, "indptr", n_rows + 1),
+        native.address(csr.indices, np.int64, "indices"),
+        native.address(csr.data, np.float64, "data", csr.nnz),
+        n_rows, n_cols, csr.nnz,
+        native.address(beta, np.float64, "beta"),
+    ]
+    if y is None:
+        out: tuple[np.ndarray, ...] = (w,)
+        status = lib.sparse_row_sums(
+            *args, native.address(w, np.float64, "w", writeable=True)
+        )
+    else:
+        y = np.ascontiguousarray(y, np.float64)
+        alpha = np.empty(n_rows, np.float64)
+        wbar = np.zeros(n_cols, np.float64)
+        out = (w, alpha, wbar)
+        status = lib.sparse_gap_pass(
+            *args,
+            native.address(y, np.float64, "y", n_rows),
+            float(n),
+            *(native.address(v, np.float64, name, writeable=True)
+              for v, name in zip(out, ("w", "alpha", "wbar"))),
+        )
+    if status == _ROW_ORDER:
+        return None
+    if status:
+        raise ValueError(f"CsrMatrix: {sparse_matrix._NATIVE_DEFECTS[status]}")
+    return out
 
 
 def primal_coordinate_delta(

@@ -339,6 +339,55 @@ class TestElasticRuns:
         assert res.membership_log[0].epoch == 2
 
 
+def _grow_2_to_5(kind):
+    """An engine whose pool grows from K=2 to K=5 at epoch 3, and its problem."""
+    membership = [(3, "join")] * 3
+    if kind == "svm":
+        return DistributedSvm(n_workers=2, seed=3, membership=membership), _svm()
+    return DistributedSCD(
+        SequentialKernelFactory(), "dual", n_workers=2, seed=3,
+        membership=membership,
+    ), _ridge()
+
+
+class TestElasticEngineState:
+    """What an elastic run leaves behind on its engine, and how it is named."""
+
+    @pytest.mark.parametrize("kind", ["ridge", "svm"])
+    def test_second_solve_repeats_the_first(self, kind):
+        """A run that grew the pool prices the next run's first epochs at
+        ``n_workers`` again, not at the last run's K=5."""
+        engine, problem = _grow_2_to_5(kind)
+        runs = [engine.solve(problem, 5) for _ in range(2)]
+        records = [
+            [(r.epoch, r.gap, r.objective, r.sim_time, r.updates, r.extras)
+             for r in res.history.records]
+            for res in runs
+        ]
+        assert records[0] == records[1]
+        assert [r.k_after for r in runs[1].membership_log] == [5]
+
+    @pytest.mark.parametrize("kind, static, grown", [
+        ("ridge", "Distributed[SCD(1 thread) x2, averaging, dual]",
+         "Distributed[SCD(1 thread) x2..5, averaging, dual]"),
+        ("svm", "DistributedSVM[x2, sigma'=1]", "DistributedSVM[x2..5, sigma'=1]"),
+    ])
+    def test_name_shows_the_pool_range(self, kind, static, grown):
+        from repro.obs import Tracer
+
+        engine, problem = _grow_2_to_5(kind)
+        tracer = Tracer()
+        res = engine.solve(problem, 4, tracer=tracer)
+        roots = [s for root in tracer.roots for s in root.walk()
+                 if s.name == "distributed.train"]
+        assert [r.attrs["solver"] for r in roots] == [grown]
+        assert res.solver_name == res.history.label == engine.name == grown
+        assert [r.k_after for r in res.membership_log] == [5]
+        engine.membership = None
+        res = engine.solve(problem, 2)
+        assert res.solver_name == res.history.label == engine.name == static
+
+
 class TestElasticSvm:
     def test_svm_elastic_run_converges(self):
         problem = _svm()
