@@ -9,6 +9,11 @@ configuration flag of :class:`~repro.core.distributed.DistributedSCD`
 rather than a separate engine:
 
 * the runtime's ``shared`` vector is the server state;
+* the workers are the engine's one worker pool
+  (:class:`~repro.core.distributed._ScdWorkerPool`), bound, partitioned,
+  priced, traced and repartitioned exactly as under ``comm="sync"`` — only
+  their RNG seeds carry their own salt — so the backend owns nothing but the
+  schedule: per-worker snapshots, staleness counters and the clock;
 * each scheduling cycle, every worker (1) computes a *batch* of coordinate
   updates against its last pulled snapshot, (2) pushes the shared-vector
   delta (applied atomically — no update is lost), (3) pulls a fresh snapshot
@@ -33,27 +38,33 @@ Fault semantics are narrower than the synchronous path: the server applies
 pushes atomically, so drop/stale-update faults cannot occur by construction;
 only *dropout* (a worker offline for the whole epoch) and *straggler*
 multipliers (slowed batches) apply.  Elastic membership is supported via
-:meth:`resize` — departing workers' coordinates are reassigned with their
-learned values preserved, joiners start from the current server state.
+:meth:`resize` — the pool's state-preserving repartition: departing workers'
+coordinates are reassigned with their learned values preserved, joiners
+start from the current server state.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..solvers.base import KernelFactory
 from .comm import SimCommunicator
-from .partition import random_partition
-from .runtime import PermutationStream, RoundOutcome, scatter_weights
-from .smart_partition import load_proportional_partition
+from .runtime import RoundOutcome
+
+if TYPE_CHECKING:
+    from ..core.distributed import _ScdWorkerPool
 
 __all__ = ["AsyncParamServerBackend"]
 
 
 class AsyncParamServerBackend:
     """CommBackend running the asynchronous parameter-server schedule.
+
+    The workers are the engine's worker pool (``pool``, the
+    ``_ScdWorkerPool`` every backend binds through); this backend keeps
+    only the schedule: per-worker snapshots, staleness counters and the
+    modelled clock.
 
     batch_fraction:
         Fraction of a worker's local coordinates per push/pull batch.
@@ -77,15 +88,11 @@ class AsyncParamServerBackend:
     def __init__(
         self,
         comm: SimCommunicator,
-        factory_for: Callable[[int], KernelFactory],
-        formulation: str,
+        pool: _ScdWorkerPool,
         *,
         batch_fraction: float = 1 / 16,
         comm_overlap: float = 0.9,
         staleness_bound: int = 0,
-        paper_scale=None,
-        seed: int = 0,
-        on_label: Callable[[str], None] | None = None,
     ) -> None:
         if not 0.0 < batch_fraction <= 1.0:
             raise ValueError("batch_fraction must be in (0, 1]")
@@ -94,133 +101,64 @@ class AsyncParamServerBackend:
         if staleness_bound < 0:
             raise ValueError("staleness_bound must be >= 0")
         self.comm = comm
-        self.factory_for = factory_for
-        self.formulation = formulation
+        self.pool = pool
         self.batch_fraction = float(batch_fraction)
         self.comm_overlap = float(comm_overlap)
         self.staleness_bound = int(staleness_bound)
-        self.paper_scale = paper_scale
-        self.seed = int(seed)
-        self.on_label = on_label
         self.cycles_per_epoch = int(np.ceil(1.0 / self.batch_fraction))
-        self.workers: list[dict] = []
+        #: each worker's last pulled shared vector (None: pull at next batch)
+        self._snapshots: list[np.ndarray | None] = []
         self._stale: list[int] = []
         #: cumulative modelled seconds; per-cycle accumulation order matches
         #: the retired engine's ``sim_time += cycle_s`` bitwise
         self.sim_seconds = 0.0
         self._compute_component = "compute_host"
-        self._generation = 0
-        self._problem = None
 
     @property
     def n_workers(self) -> int:
-        return len(self.workers) if self.workers else self.comm.n_workers
-
-    # -- construction (mirrors the retired engine's _build exactly) ---------
-    def _matrix_and_total(self, problem):
-        if self.formulation == "primal":
-            return problem.dataset.csc, problem.m
-        return problem.dataset.csr, problem.n
-
-    def _bind_worker(
-        self, rank: int, coords: np.ndarray, matrix, n_total: int,
-        total_nnz: int, problem, rng_offset: int, weights=None,
-    ) -> dict:
-        local = matrix.take_major(coords)
-        factory = self.factory_for(rank)
-        if self.paper_scale is not None:
-            factory.timing_workload = self.paper_scale.worker_workload(
-                self.formulation,
-                coords.shape[0] / n_total,
-                (local.nnz / total_nnz) if total_nnz else 0.0,
-            )
-        if self.formulation == "primal":
-            bound = factory.bind_primal(local, problem.y, problem.n, problem.lam)
-        else:
-            bound = factory.bind_dual(
-                local, problem.y[coords], problem.n, problem.lam
-            )
-        if self.on_label is not None:
-            self.on_label(factory.name)
-        rng = np.random.default_rng(self.seed + rng_offset + rank)
-        if weights is None:
-            w = np.zeros(coords.shape[0], dtype=bound.dtype)
-        else:
-            w = weights[coords].astype(bound.dtype)
-        return {
-            "coords": coords,
-            "bound": bound,
-            "weights": w,
-            "rng": rng,
-            # shares ``rng`` with the kernel, like the sync runtime
-            "stream": PermutationStream(coords.shape[0], rng),
-            "snapshot": None,
-            "epoch_seconds": bound.epoch_seconds(),
-        }
+        return self.pool.n_workers
 
     def install(self, tracer) -> None:
         self.comm.metrics = tracer.metrics if tracer.enabled else None
 
+    def _reset_schedule(self) -> None:
+        """Every worker pulls at its next batch; staleness restarts at 0."""
+        k = len(self.pool.workers)
+        self._snapshots = [None] * k
+        self._stale = [0] * k
+
     def open(self, problem, tracer) -> None:
-        self._problem = problem
-        rng = np.random.default_rng(self.seed)
-        matrix, n_total = self._matrix_and_total(problem)
-        parts = random_partition(n_total, self.comm.n_workers, rng)
-        total_nnz = matrix.nnz
-        self.workers = [
-            self._bind_worker(
-                rank, coords, matrix, n_total, total_nnz, problem, 2000
-            )
-            for rank, coords in enumerate(parts)
-        ]
-        self._stale = [0] * len(self.workers)
+        self.pool.bind(problem, tracer)
+        self._reset_schedule()
 
     # -- elastic membership -------------------------------------------------
     def resize(self, problem, tracer, n_workers: int, capacities=None) -> int:
         """Repartition to ``n_workers`` ranks, preserving learned weights.
 
-        The global model is assembled from the current pool, coordinates are
-        re-dealt (capacity-proportionally when measured capacities are
-        given), and every worker restarts from the assembled values with a
-        fresh snapshot pulled at its next batch.  Staleness counters reset —
-        a repartition is a synchronization point.
+        The pool re-deals the coordinates (capacity-proportionally when
+        measured capacities are given) and every worker restarts from the
+        assembled global model with a fresh snapshot pulled at its next
+        batch.  Staleness counters reset — a repartition is a
+        synchronization point.
         """
-        matrix, n_total = self._matrix_and_total(problem)
-        global_w = scatter_weights(
-            ((wk["coords"], wk["weights"]) for wk in self.workers), n_total
-        )
-        self._generation += 1
-        rng = np.random.default_rng(
-            self.seed + 7_000_000 + 10_000 * self._generation
-        )
-        if capacities is not None:
-            parts = load_proportional_partition(n_total, capacities, rng)
-        else:
-            parts = random_partition(n_total, n_workers, rng)
-        total_nnz = matrix.nnz
-        self.workers = [
-            self._bind_worker(
-                rank, coords, matrix, n_total, total_nnz, problem,
-                2000 + 100_000 * self._generation, weights=global_w,
-            )
-            for rank, coords in enumerate(parts)
-        ]
-        self.comm.n_workers = len(self.workers)
-        self._stale = [0] * len(self.workers)
+        self.pool.repartition(problem, tracer, n_workers, capacities)
+        self.comm.n_workers = len(self.pool.workers)
+        self._reset_schedule()
         return 0  # pushes are atomic: no buffered updates to invalidate
 
     def partition_sizes(self) -> list[int]:
-        return [wk["coords"].shape[0] for wk in self.workers]
+        return self.pool.partition_sizes()
 
     # -- the asynchronous epoch ---------------------------------------------
     def run_round(
         self, epoch, shared, plan, report, policy, ledger, comm_bytes, needs_stats
     ) -> RoundOutcome:
         out = RoundOutcome()
-        workers = self.workers
-        for wk in workers:
-            if wk["snapshot"] is None:
-                wk["snapshot"] = shared.copy()
+        workers = self.pool.workers
+        snapshots = self._snapshots
+        for rank, snap in enumerate(snapshots):
+            if snap is None:
+                snapshots[rank] = shared.copy()
         active = [
             rank
             for rank in range(len(workers))
@@ -240,15 +178,14 @@ class AsyncParamServerBackend:
             any_pull = False
             for rank in active:
                 wk = workers[rank]
-                bound = wk["bound"]
+                bound = wk.bound
                 n_batch = max(
-                    1,
-                    int(round(self.batch_fraction * wk["coords"].shape[0])),
+                    1, int(round(self.batch_fraction * wk.coords.shape[0]))
                 )
-                perm = wk["stream"].take(n_batch)
-                local_view = wk["snapshot"].astype(bound.dtype)
+                perm = wk.stream.take(n_batch)
+                local_view = snapshots[rank].astype(bound.dtype)
                 before = local_view.copy()
-                bound.run_epoch(wk["weights"], local_view, perm, wk["rng"])
+                bound.run_epoch(wk.weights, local_view, perm, wk.rng)
                 delta = local_view.astype(np.float64) - before.astype(np.float64)
                 # push: atomic server-side application (all updates land)
                 shared += delta
@@ -257,7 +194,7 @@ class AsyncParamServerBackend:
                         self._stale[other] += 1
                 if self._stale[rank] > self.staleness_bound:
                     # pull: fresh snapshot for the worker's next batch
-                    wk["snapshot"] = shared.copy()
+                    snapshots[rank] = shared.copy()
                     self._stale[rank] = 0
                     any_pull = True
                 else:
@@ -265,8 +202,8 @@ class AsyncParamServerBackend:
                     # the worker's own delta (it computed it) into the stale
                     # snapshot; with bound=0 this branch is reached only when
                     # no other push intervened, where it equals a pull
-                    wk["snapshot"] = wk["snapshot"] + delta
-                batch_s = wk["epoch_seconds"] * self.batch_fraction
+                    snapshots[rank] = snapshots[rank] + delta
+                batch_s = wk.epoch_compute_s * self.batch_fraction
                 if plan is not None:
                     batch_s *= plan[rank].straggler_multiplier
                 max_batch = max(max_batch, batch_s)
@@ -298,21 +235,11 @@ class AsyncParamServerBackend:
         return 0.0  # exposed comm is booked per cycle inside run_round
 
     # -- monitoring ----------------------------------------------------------
-    def global_weights(self, problem) -> np.ndarray:
-        n_coords = problem.m if self.formulation == "primal" else problem.n
-        return scatter_weights(
-            ((wk["coords"], wk["weights"]) for wk in self.workers), n_coords
-        )
-
     def gap_objective(self, problem) -> tuple[float, float]:
-        from ..objectives.ridge import gap_and_objective
-
-        return gap_and_objective(
-            problem, self.global_weights(problem), self.formulation
-        )
+        return self.pool.gap_objective(problem)
 
     def global_model(self, problem, shared: np.ndarray) -> np.ndarray:
-        return self.global_weights(problem)
+        return self.pool.global_model(problem, shared)
 
     def close(self) -> None:
-        pass
+        self.pool.close()

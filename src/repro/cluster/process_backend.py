@@ -9,10 +9,15 @@ real synchronization, real wall-clock.  It is selected as
 ``DistributedSCD(SequentialKernelFactory(), ..., comm="process")``, the
 way ``comm="async"`` selects the parameter-server backend.
 
-Because both backends run identical kernels with identical precompute and
-permutation streams (same seeds, same partitioner), their trajectories agree
-*bitwise* — the strongest available check that the simulated engine's
-*semantics* (as opposed to its time model) are faithful.
+Both backends bind their workers through the same worker pool
+(:class:`~repro.core.distributed._ScdWorkerPool`): the parent's pool plans
+the partitions and hands each child its factory, local matrix, local labels
+and seed; the child binds them with the same helper and runs the same
+local-round code as the in-process worker, with the same permutation stream.
+Their trajectories therefore agree *bitwise* — the strongest available check
+that the simulated engine's *semantics* (as opposed to its time model) are
+faithful.  The parent's pool keeps each rank's weights, computes Algorithm
+4's worker scalars and folds ``gamma * dweights`` in step with the child.
 
 Scope: sequential-SCD local solvers (the paper's CPU cluster), both
 formulations, every aggregation rule.  GPU solvers stay simulation-only —
@@ -21,9 +26,10 @@ membership (workers are bound at :meth:`PipeProcessBackend.open`) and the
 Section V PCIe pricing.
 
 Shard stores: the worker partitions align to the store's contiguous shard
-groups and each child's payload is assembled from disk (bitwise identical to
-``take_major`` over the same coordinates).  Children hold their partition
-for the whole run: per-epoch re-reads only exist to *model* cache pressure.
+groups and each child's local matrix is assembled from disk (bitwise
+identical to ``take_major`` over the same coordinates).  Children hold their
+partition for the whole run: per-epoch re-reads only exist to *model* cache
+pressure.
 
 Faults: dropout (the child is not asked to run the epoch) and lost updates
 (drop, stale-as-drop, retry exhaustion: the child's delta is excluded and it
@@ -31,141 +37,50 @@ folds gamma = 0) are honoured, with the aggregation rescaled over the K'
 survivors.  Time-only faults (stragglers, retry latency) have no meaning
 against real wall-clock and are ignored.
 
-Child protocol: the parent sends ``("epoch", shared)`` and receives
-``(dshared, dweights, stats, elapsed)``; after aggregation it sends
-``("gamma", g)``.  ``("stop", None)`` is accepted at either wait, so a
-failed run can always shut down the surviving children cleanly.
+Child protocol: the parent sends ``("epoch", shared)`` and receives the
+round's :class:`~repro.cluster.runtime.WorkerUpdate` (``compute_s`` = the
+child's elapsed seconds); after aggregation it sends ``("gamma", g)``.
+``("stop", None)`` is accepted at either wait, so a failed run can always
+shut down the surviving children cleanly.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..solvers.kernels import dual_epoch_sequential, primal_epoch_sequential
-from .runtime import (
-    _BENIGN,
-    RoundOutcome,
-    WorkerUpdate,
-    plan_partitions,
-    scatter_weights,
-)
+from ..core.distributed import _bind_state
+from .runtime import _BENIGN, RoundOutcome, WorkerUpdate
 
 if TYPE_CHECKING:
-    from ..shards import ShardingConfig
+    from ..core.distributed import _ScdWorkerPool
 
-__all__ = ["PipeProcessBackend", "build_payloads"]
+__all__ = ["PipeProcessBackend"]
 
 
-def _worker_loop(conn, payload: dict) -> None:
-    """Child process: bind the local partition, then serve epoch requests."""
-    formulation = payload["formulation"]
-    indptr = payload["indptr"]
-    indices = payload["indices"]
-    data = payload["data"]
-    y = payload["y"]
-    lam = payload["lam"]
-    n_local = payload["n_local"]
-    rng = np.random.default_rng(payload["perm_seed"])
-    weights = np.zeros(n_local)
-    nlam = payload["n_global"] * lam
-    # precomputed by the parent through the same matrix routines the
-    # simulated factory binds with, so both backends run bitwise-identical
-    # kernels (a per-row dot product here would differ in the last ulp)
-    y_dots = payload["y_dots"]
-    inv_denom = payload["inv_denom"]
-
+def _worker_loop(conn, rank: int, bind_args: tuple) -> None:
+    """Child process: bind the rank's worker, then serve epoch requests."""
     try:
+        wk = _bind_state(*bind_args)
         while True:
             msg, shared = conn.recv()
             if msg == "stop":
                 return
             t0 = time.perf_counter()
-            local_shared = shared.copy()
-            weights_work = weights.copy()
-            perm = rng.permutation(n_local)
-            if formulation == "primal":
-                primal_epoch_sequential(
-                    indptr, indices, data, y_dots, inv_denom, nlam,
-                    weights_work, local_shared, perm,
-                )
-            else:
-                dual_epoch_sequential(
-                    indptr, indices, data, y, inv_denom, lam, nlam,
-                    weights_work, local_shared, perm,
-                )
-            dweights = weights_work - weights
-            stats = (
-                float(weights @ dweights),
-                float(dweights @ dweights),
-                float(dweights @ y[:n_local]) if formulation == "dual" else 0.0,
-            )
-            elapsed = time.perf_counter() - t0
-            conn.send((local_shared - shared, dweights, stats, elapsed))
+            upd = wk.local_round(rank, shared, 1.0)
+            upd.compute_s = time.perf_counter() - t0
+            conn.send(upd)
             msg, gamma = conn.recv()
             if msg == "stop":
                 return
-            weights = weights + gamma * dweights
+            wk.fold(gamma, upd.dmodel)
     except (EOFError, OSError):
         return  # the parent closed the pipe: nothing left to serve
     finally:
         conn.close()
-
-
-def build_payloads(
-    formulation: str,
-    problem,
-    parts: Sequence[np.ndarray],
-    seed: int,
-    shards: ShardingConfig | None = None,
-    groups: list[list[int]] | None = None,
-) -> list[dict]:
-    """Each child's partition, labels and kernel precompute, as plain arrays.
-
-    The precompute takes the same matrix-level reductions as
-    :class:`~repro.solvers.scd.SequentialKernelFactory` (not per-row dot
-    products), so a child's kernel inputs match the simulated worker's
-    bitwise.  With shard ``groups`` a child's partition is assembled from
-    the store — bitwise identical to ``take_major`` over the same
-    coordinates.
-    """
-    matrix = problem.dataset.csc if formulation == "primal" else problem.dataset.csr
-    nlam = problem.n * problem.lam
-    payloads = []
-    for rank, coords in enumerate(parts):
-        if groups is not None:
-            local, _ = shards.store.assemble(groups[rank])
-        else:
-            local = matrix.take_major(coords)
-        if local.dtype != np.float64:
-            local = local.astype(np.float64)
-        if formulation == "primal":
-            y_local = problem.y.astype(np.float64)
-            y_dots = local.rmatvec(y_local)
-            inv_denom = 1.0 / (local.col_norms_sq() + nlam)
-        else:
-            y_local = problem.y[coords].astype(np.float64)
-            y_dots = None
-            inv_denom = 1.0 / (nlam + local.row_norms_sq())
-        payloads.append(
-            {
-                "formulation": formulation,
-                "indptr": local.indptr,
-                "indices": local.indices,
-                "data": local.data,
-                "y": y_local,
-                "y_dots": y_dots,
-                "inv_denom": inv_denom,
-                "n_global": problem.n,
-                "lam": problem.lam,
-                "n_local": coords.shape[0],
-                "perm_seed": seed + 1000 + rank,
-            }
-        )
-    return payloads
 
 
 class PipeProcessBackend:
@@ -184,54 +99,35 @@ class PipeProcessBackend:
     elastic = False
 
     def __init__(
-        self,
-        formulation: str,
-        n_workers: int,
-        *,
-        seed: int,
-        partitioner: Callable[[int, int, np.random.Generator], Sequence[np.ndarray]],
-        shards: ShardingConfig | None = None,
-        mp_context: str | None = None,
+        self, pool: _ScdWorkerPool, *, mp_context: str | None = None
     ) -> None:
-        self.formulation = formulation
-        self.n_workers = int(n_workers)
-        self.seed = int(seed)
-        self.partitioner = partitioner
-        self.shards = shards
+        self.pool = pool
         self.ctx = mp.get_context(mp_context)
-        self.parts: list[np.ndarray] = []
-        self.n_model_coords = 0
-        self.weights_by_rank: list[np.ndarray] = []
         self.pipes: list[Any] = []
         self.procs: list[Any] = []
-        self._active: list[int] = []
-        self._dweights: dict[int, np.ndarray] = {}
+        #: this round's update per active rank, folded at finish_round
+        self._updates: dict[int, WorkerUpdate] = {}
+
+    @property
+    def n_workers(self) -> int:
+        return self.pool.n_workers
 
     def install(self, tracer) -> None:
         pass
 
     def open(self, problem, tracer) -> None:
-        primal = self.formulation == "primal"
-        matrix = problem.dataset.csc if primal else problem.dataset.csr
-        self.n_model_coords = problem.m if primal else problem.n
-        self.parts, groups = plan_partitions(
-            self.n_model_coords, self.n_workers, self.seed,
-            self.partitioner, self.shards, matrix.shape,
+        self.pool.bind(problem, tracer, ship=self._start_child)
+
+    def _start_child(self, rank: int, bind_args: tuple) -> None:
+        parent_conn, child_conn = self.ctx.Pipe()
+        proc = self.ctx.Process(
+            target=_worker_loop, args=(child_conn, rank, bind_args),
+            name=f"process-worker-{rank}", daemon=True,
         )
-        payloads = build_payloads(
-            self.formulation, problem, self.parts, self.seed, self.shards, groups
-        )
-        self.weights_by_rank = [np.zeros(p.shape[0]) for p in self.parts]
-        for rank, payload in enumerate(payloads):
-            parent_conn, child_conn = self.ctx.Pipe()
-            proc = self.ctx.Process(
-                target=_worker_loop, args=(child_conn, payload),
-                name=f"process-worker-{rank}", daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self.pipes.append(parent_conn)
-            self.procs.append(proc)
+        proc.start()
+        child_conn.close()
+        self.pipes.append(parent_conn)
+        self.procs.append(proc)
 
     def _died(self, rank: int, exc: BaseException) -> RuntimeError:
         proc = self.procs[rank]
@@ -266,33 +162,26 @@ class PipeProcessBackend:
             report.dropouts += self.n_workers - len(active)
         for rank in active:
             self._send(rank, ("epoch", shared))
-        self._active = active
-        self._dweights = {}
+        self._updates = {}
         for rank in active:
-            dshared, dweights, stats, elapsed = self._recv(rank)
+            upd = self._recv(rank)
+            self._updates[rank] = upd
             wf = plan[rank] if plan is not None else _BENIGN
-            out.fault_free_compute_s = max(out.fault_free_compute_s, elapsed)
-            out.n_updates += self.parts[rank].shape[0]
-            out.worker_wall[rank] = elapsed
-            self._dweights[rank] = dweights
+            out.fault_free_compute_s = max(out.fault_free_compute_s, upd.compute_s)
+            out.n_updates += upd.n_updates
+            out.worker_wall[rank] = upd.compute_s
             verdict, exhausted = policy.verdict(wf)
             if verdict == "lost":
                 report.dropped_updates += 1
                 if exhausted:
                     report.retry_exhausted += 1
                 continue
-            out.delivered.append(
-                WorkerUpdate(
-                    rank=rank,
-                    dshared=dshared,
-                    dmodel=dweights,
-                    compute_s=elapsed,
-                    n_updates=self.parts[rank].shape[0],
-                )
-            )
-            out.model_dot += stats[0]
-            out.dmodel_norm_sq += stats[1]
-            out.dmodel_dot_y += stats[2]
+            out.delivered.append(upd)
+            if needs_stats:
+                md, dn, dy = self.pool.delivery_stats(rank, upd)
+                out.model_dot += md
+                out.dmodel_norm_sq += dn
+                out.dmodel_dot_y += dy
         out.any_computed = bool(active)
         return out
 
@@ -305,32 +194,22 @@ class PipeProcessBackend:
 
     def finish_round(self, gamma: float, outcome: RoundOutcome) -> None:
         arrived = {upd.rank for upd in outcome.delivered}
-        for rank in self._active:
+        for rank, upd in self._updates.items():
             # a lost update folds gamma = 0 so the child reverts and stays
             # consistent with the broadcast shared vector
             g = gamma if rank in arrived else 0.0
             self._send(rank, ("gamma", g))
-            self.weights_by_rank[rank] = (
-                self.weights_by_rank[rank] + g * self._dweights[rank]
-            )
-        self._active = []
-        self._dweights = {}
+            self.pool.fold(rank, g, upd)
+        self._updates = {}
 
     def network_seconds(self, nbytes: int, n_scalars: int) -> float:
         return 0.0  # real pipes: network time is inside the measured elapsed
 
-    def global_weights(self) -> np.ndarray:
-        return scatter_weights(
-            zip(self.parts, self.weights_by_rank), self.n_model_coords
-        )
-
     def gap_objective(self, problem) -> tuple[float, float]:
-        from ..objectives.ridge import gap_and_objective
-
-        return gap_and_objective(problem, self.global_weights(), self.formulation)
+        return self.pool.gap_objective(problem)
 
     def global_model(self, problem, shared: np.ndarray) -> np.ndarray:
-        return self.global_weights()
+        return self.pool.global_model(problem, shared)
 
     def close(self) -> None:
         for conn in self.pipes:
@@ -346,3 +225,4 @@ class PipeProcessBackend:
                 proc.join()
         self.pipes = []
         self.procs = []
+        self.pool.close()

@@ -24,7 +24,8 @@ pluggable seams, and the engine class (`DistributedSCD` with its
   ``elastic``);
 * **LocalSolver** — the :class:`LocalSolver` protocol adapts what a worker
   does between barriers: any bound :class:`KernelFactory` kernel — CPU/GPU
-  SCD, or the SVM's SDCA hinge kernel (``core/distributed.py``);
+  SCD, or the SVM's SDCA hinge kernel — in the one worker pool every
+  backend drives (``core/distributed.py``);
 * **AggregationPolicy** — any :class:`~repro.core.aggregation.Aggregator`
   (averaging / adding / adaptive gamma* / scaled sigma'/K);
 * **FaultPolicy** — :class:`FaultPolicy` wraps a
@@ -95,7 +96,7 @@ _BENIGN = WorkerEpochFaults()
 
 
 # ---------------------------------------------------------------------------
-# shared delivery helpers (also used by the async parameter server)
+# shared delivery helpers (used by the worker pool every backend drives)
 # ---------------------------------------------------------------------------
 class PermutationStream:
     """Chained fresh random permutations over ``n`` local coordinates.
@@ -309,12 +310,15 @@ class FaultPolicy:
 # LocalSolver seam
 # ---------------------------------------------------------------------------
 class LocalSolver(Protocol):
-    """What one worker does between barriers, for the in-process backend.
+    """What one worker does between barriers, for every backend.
 
     The implementation, ``core.distributed._ScdWorkerPool``, binds
     :class:`KernelFactory` kernels (CPU sequential, planned TPA-SCD GPU
     engines, or the SVM's SDCA kernel).  All methods are rank-addressed;
-    the pool owns the worker state.
+    the pool owns the worker state.  The in-process backend calls
+    ``local_round``; the parameter server runs the pool's kernels on its
+    own batches, and the process backend's children run the same local
+    round on workers bound from the pool's bind arguments.
     """
 
     n_workers: int

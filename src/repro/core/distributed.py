@@ -17,10 +17,11 @@ The synchronous epoch scheme itself — local solve, Reduce, gamma_t
 aggregation, Broadcast, ledger booking — lives in
 :class:`~repro.cluster.runtime.ClusterRuntime`; this module contributes the
 SCD-specific parts: the :class:`_ScdWorkerPool` local-solver adapter that
-binds :class:`KernelFactory` kernels (CPU or GPU) to the worker partitions,
-and the Section V PCIe/host-model pricing passed into the runtime.  The
-distributed SVM (:mod:`repro.core.distributed_svm`) is a subclass that binds
-the SDCA kernel and overrides only what its objective changes.
+binds :class:`KernelFactory` kernels (CPU or GPU) to the worker partitions
+under every comm backend, and the Section V PCIe/host-model pricing passed
+into the runtime.  The distributed SVM (:mod:`repro.core.distributed_svm`)
+is a subclass that binds the SDCA kernel and overrides only what its
+objective changes.
 
 Modelled wall-clock per epoch = max over workers of local compute
 (+ host-side vector handling and PCIe transfers for GPU workers)
@@ -99,6 +100,68 @@ class _WorkerState:
     #: out-of-core data path for this worker's shard group (None = in-memory)
     streamer: ShardStreamer | None = None
 
+    def local_round(
+        self, rank: int, shared: np.ndarray, round_fraction: float
+    ) -> WorkerUpdate:
+        """One local round against a snapshot of ``shared``; the bound
+        weights stay untouched until :meth:`fold`."""
+        local_shared = shared.astype(self.bound.dtype)
+        weights_work = self.weights.copy()
+        n_round = max(1, int(round(round_fraction * self.coords.shape[0])))
+        perm = self.stream.take(n_round)
+        self.bound.run_epoch(weights_work, local_shared, perm, self.rng)
+        return WorkerUpdate(
+            rank=rank,
+            dshared=local_shared.astype(np.float64) - shared,
+            dmodel=(weights_work - self.weights).astype(np.float64),
+            compute_s=self.epoch_compute_s * round_fraction,
+            n_updates=perm.shape[0],
+            component=self.bound.timing.component,
+        )
+
+    def fold(self, gamma: float, dmodel: np.ndarray) -> None:
+        self.weights = (self.weights.astype(np.float64) + gamma * dmodel).astype(
+            self.bound.dtype
+        )
+
+
+def _bind_state(
+    factory: KernelFactory,
+    formulation: str,
+    local,
+    y_local: np.ndarray,
+    n_global: int,
+    lam: float,
+    coords: np.ndarray,
+    seed: int,
+    weights: np.ndarray | None = None,
+) -> _WorkerState:
+    """Bind one worker's kernel to its local matrix, starting from
+    ``weights`` (zeros when ``None``).
+
+    The one place a distributed worker is bound: the pool calls it for
+    every rank, and each ``comm="process"`` child calls it again with the
+    same picklable arguments, so both run the same kernel bit for bit.
+    """
+    if formulation == "primal":
+        bound = factory.bind_primal(local, y_local, n_global, lam)
+    else:
+        bound = factory.bind_dual(local, y_local, n_global, lam)
+    rng = np.random.default_rng(seed)
+    return _WorkerState(
+        coords=coords,
+        bound=bound,
+        weights=(
+            np.zeros(coords.shape[0], dtype=bound.dtype)
+            if weights is None
+            else weights.astype(bound.dtype)
+        ),
+        y_local=y_local.astype(bound.dtype, copy=False),
+        rng=rng,
+        epoch_compute_s=bound.epoch_seconds(),
+        stream=PermutationStream(coords.shape[0], rng),
+    )
+
 
 @dataclass(kw_only=True)
 class DistributedTrainResult(TrainResult):
@@ -113,18 +176,27 @@ class DistributedTrainResult(TrainResult):
 
 
 class _ScdWorkerPool:
-    """LocalSolver adapter: SCD kernel workers for the in-process backend.
+    """LocalSolver adapter: the SCD kernel workers of every comm backend.
 
-    Owns the per-rank :class:`_WorkerState` and implements the runtime's
-    local-round contract: compute against a shared-vector snapshot, report
-    Algorithm 4's worker scalars at delivery time, fold ``gamma * dweights``
-    after aggregation.  A lost update needs no rollback — the scratch
-    weights are simply discarded, the bound state never changed.
+    Owns the per-rank :class:`_WorkerState` — partition plan, factory
+    binding, paper-scale pricing, tracer forwarding, RNG and permutation
+    stream — and implements the runtime's local-round contract: compute
+    against a shared-vector snapshot, report Algorithm 4's worker scalars at
+    delivery time, fold ``gamma * dweights`` after aggregation.  A lost
+    update needs no rollback — the scratch weights are simply discarded, the
+    bound state never changed.  The in-process backend drives it directly,
+    the parameter server runs its workers' kernels on batches, and the
+    process backend ships each rank's bind arguments to a child.
+
+    ``rng_salt`` offsets every worker's RNG seed (``seed + rng_salt + rank``,
+    plus ``100_000`` per repartition generation); the parameter server's
+    workers draw from their own ``2000`` salt.
     """
 
-    def __init__(self, engine: "DistributedSCD") -> None:
+    def __init__(self, engine: "DistributedSCD", rng_salt: int = 1000) -> None:
         self.engine = engine
         self.n_workers = engine.n_workers
+        self.rng_salt = int(rng_salt)
         self.workers: list[_WorkerState] = []
         #: bumps on every repartition; salts the reborn workers' RNG seeds
         self._generation = 0
@@ -137,10 +209,12 @@ class _ScdWorkerPool:
 
     def _bind_worker(
         self, problem: RidgeProblem, tracer, rank: int, coords: np.ndarray,
-        groups, weights: np.ndarray | None = None,
+        groups, weights: np.ndarray | None = None, ship=None,
     ) -> _WorkerState:
         """Bind rank ``rank``'s kernel to ``coords``, starting from
-        ``weights`` (zeros when ``None``); RNG seeds are generation-salted."""
+        ``weights`` (zeros when ``None``); RNG seeds are generation-salted.
+        ``ship(rank, args)`` first receives the :func:`_bind_state`
+        arguments."""
         eng = self.engine
         matrix, n_coords_total = self._layout(problem)
         streamer = None
@@ -168,13 +242,21 @@ class _ScdWorkerPool:
                 coords.shape[0] / n_coords_total,
                 (local.nnz / total_nnz) if total_nnz else 0.0,
             )
-        if eng.formulation == "primal":
-            bound = factory.bind_primal(local, problem.y, problem.n, problem.lam)
-            y_local = problem.y
-        else:
-            y_local = problem.y[coords]
-            bound = factory.bind_dual(local, y_local, problem.n, problem.lam)
+        args = (
+            factory,
+            eng.formulation,
+            local,
+            problem.y if eng.formulation == "primal" else problem.y[coords],
+            problem.n,
+            problem.lam,
+            coords,
+            eng.seed + self.rng_salt + rank + 100_000 * self._generation,
+        )
+        if ship is not None:
+            ship(rank, args)
+        wk = _bind_state(*args, weights)
         if streamer is not None:
+            wk.streamer = streamer
             device = getattr(factory, "device", None)
             if device is not None:
                 # residency competes with the solver's vectors on-device;
@@ -182,25 +264,12 @@ class _ScdWorkerPool:
                 streamer.attach_device(device.memory)
         if not eng._solver_label:
             eng._solver_label = factory.name
-        rng = np.random.default_rng(
-            eng.seed + 1000 + rank + 100_000 * self._generation
-        )
-        return _WorkerState(
-            coords=coords,
-            bound=bound,
-            weights=(
-                np.zeros(coords.shape[0], dtype=bound.dtype)
-                if weights is None
-                else weights.astype(bound.dtype)
-            ),
-            y_local=y_local.astype(bound.dtype, copy=False),
-            rng=rng,
-            epoch_compute_s=bound.epoch_seconds(),
-            stream=PermutationStream(coords.shape[0], rng),
-            streamer=streamer,
-        )
+        return wk
 
-    def bind(self, problem: RidgeProblem, tracer) -> None:
+    def bind(self, problem: RidgeProblem, tracer, ship=None) -> None:
+        """Partition the problem and bind every rank; ``ship(rank, args)``
+        receives each rank's :func:`_bind_state` arguments (the process
+        backend starts a child with them)."""
         eng = self.engine
         matrix, n_coords_total = self._layout(problem)
         parts, groups = plan_partitions(
@@ -208,25 +277,13 @@ class _ScdWorkerPool:
             eng.shards, matrix.shape,
         )
         self.workers = [
-            self._bind_worker(problem, tracer, rank, coords, groups)
+            self._bind_worker(problem, tracer, rank, coords, groups, ship=ship)
             for rank, coords in enumerate(parts)
         ]
 
     def local_round(self, rank: int, shared: np.ndarray) -> WorkerUpdate:
-        wk = self.workers[rank]
-        round_fraction = self.engine.round_fraction
-        local_shared = shared.astype(wk.bound.dtype)
-        weights_work = wk.weights.copy()
-        n_round = max(1, int(round(round_fraction * wk.coords.shape[0])))
-        perm = wk.stream.take(n_round)
-        wk.bound.run_epoch(weights_work, local_shared, perm, wk.rng)
-        return WorkerUpdate(
-            rank=rank,
-            dshared=local_shared.astype(np.float64) - shared,
-            dmodel=(weights_work - wk.weights).astype(np.float64),
-            compute_s=wk.epoch_compute_s * round_fraction,
-            n_updates=perm.shape[0],
-            component=wk.bound.timing.component,
+        return self.workers[rank].local_round(
+            rank, shared, self.engine.round_fraction
         )
 
     def delivery_stats(
@@ -244,10 +301,7 @@ class _ScdWorkerPool:
         )
 
     def fold(self, rank: int, gamma: float, upd: WorkerUpdate) -> None:
-        wk = self.workers[rank]
-        wk.weights = (wk.weights.astype(np.float64) + gamma * upd.dmodel).astype(
-            wk.bound.dtype
-        )
+        self.workers[rank].fold(gamma, upd.dmodel)
 
     def discard(self, rank: int, upd: WorkerUpdate) -> None:
         pass  # scratch weights were never folded; nothing to roll back
@@ -532,10 +586,6 @@ class DistributedSCD:
         self._pool_range = pool_range
         return self.name
 
-    def _set_label(self, label: str) -> None:
-        if not self._solver_label:
-            self._solver_label = label
-
     def _gap_objective(self, problem, weights: np.ndarray) -> tuple[float, float]:
         """Offline ``(gap, objective)`` of the assembled global weights."""
         return gap_and_objective(problem, weights, self.formulation)
@@ -561,35 +611,26 @@ class DistributedSCD:
         tracer=None,
         on_epoch=None,
     ) -> DistributedTrainResult:
-        pool = None
         # an elastic run leaves the communicator at its last pool size
         self.comm.n_workers = self.n_workers
-        if self.comm_mode == "process":
-            # imported on use: in-process training never loads multiprocessing
-            from ..cluster.process_backend import PipeProcessBackend
-
-            backend = PipeProcessBackend(
-                self.formulation,
-                self.n_workers,
-                seed=self.seed,
-                partitioner=self.partitioner,
-                shards=self.shards,
-                mp_context=self.mp_context,
-            )
-        elif self.comm_mode == "async":
+        # the parameter server's workers draw from their own seed salt
+        pool = _ScdWorkerPool(
+            self, rng_salt=2000 if self.comm_mode == "async" else 1000
+        )
+        if self.comm_mode == "async":
             backend = AsyncParamServerBackend(
                 self.comm,
-                self._factory_for,
-                self.formulation,
+                pool,
                 batch_fraction=self.batch_fraction,
                 comm_overlap=self.comm_overlap,
                 staleness_bound=self.staleness_bound,
-                paper_scale=self.paper_scale,
-                seed=self.seed,
-                on_label=self._set_label,
             )
+        elif self.comm_mode == "process":
+            # imported on use: in-process training never loads multiprocessing
+            from ..cluster.process_backend import PipeProcessBackend
+
+            backend = PipeProcessBackend(pool, mp_context=self.mp_context)
         else:
-            pool = _ScdWorkerPool(self)
             backend = InProcessBackend(self.comm, pool)
         runtime = ClusterRuntime(
             backend=backend,
@@ -625,21 +666,12 @@ class DistributedSCD:
         )
         self.fault_report = rt.report
         self.membership_log = rt.membership_log
-        if pool is not None:
-            weights = pool.global_weights(problem)
-            partitions = [wk.coords for wk in pool.workers]
-        else:
-            weights = backend.global_model(problem, rt.shared)
-            if self.comm_mode == "async":
-                partitions = [wk["coords"] for wk in backend.workers]
-            else:
-                partitions = list(backend.parts)
         return self._result(
-            weights,
+            pool.global_weights(problem),
             rt.shared,
             history=rt.history,
             ledger=rt.ledger,
-            partitions=partitions,
+            partitions=[wk.coords for wk in pool.workers],
             solver_name=self.name,
             gammas=rt.gammas,
             fault_report=rt.report,

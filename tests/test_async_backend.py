@@ -20,6 +20,7 @@ from repro.cluster.async_backend import AsyncParamServerBackend
 from repro.cluster.faults import FaultSpec
 from repro.cluster.membership import MembershipSchedule
 from repro.core import DistributedSCD
+from repro.core.distributed import _ScdWorkerPool
 from repro.data import make_webspam_like
 from repro.objectives import RidgeProblem
 from repro.solvers.scd import SequentialKernelFactory
@@ -133,11 +134,9 @@ class TestBoundedStaleness:
     def test_backend_validation(self):
         from repro.cluster.comm import SimCommunicator
 
+        pool = _ScdWorkerPool(_async_engine(2))
         with pytest.raises(ValueError, match="staleness_bound"):
-            AsyncParamServerBackend(
-                SimCommunicator(2), lambda r: SequentialKernelFactory(),
-                "dual", staleness_bound=-1,
-            )
+            AsyncParamServerBackend(SimCommunicator(2), pool, staleness_bound=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +189,105 @@ class TestAsyncElastic:
                 elastic.membership_log] == [(3, 3, 4), (7, 4, 3)]
 
     def test_resize_preserves_server_state(self):
-        problem = _ridge()
-        backend = AsyncParamServerBackend(
-            __import__("repro.cluster.comm", fromlist=["SimCommunicator"])
-            .SimCommunicator(3),
-            lambda r: SequentialKernelFactory(), "dual", seed=7,
-        )
+        from repro.cluster.comm import SimCommunicator
         from repro.obs import resolve_tracer
 
+        problem = _ridge()
+        backend = AsyncParamServerBackend(
+            SimCommunicator(3), _ScdWorkerPool(_async_engine(3), rng_salt=2000)
+        )
         tracer = resolve_tracer(None)
         backend.open(problem, tracer)
+        pool = backend.pool
         rng = np.random.default_rng(0)
-        for wk in backend.workers:
-            wk["weights"][:] = rng.standard_normal(wk["weights"].shape[0])
-        before = backend.global_weights(problem)
+        for wk in pool.workers:
+            wk.weights[:] = rng.standard_normal(wk.weights.shape[0])
+        before = pool.global_weights(problem)
         backend.resize(problem, tracer, 5)
-        np.testing.assert_array_equal(before, backend.global_weights(problem))
-        owned = np.sort(
-            np.concatenate([wk["coords"] for wk in backend.workers])
-        )
+        np.testing.assert_array_equal(before, pool.global_weights(problem))
+        owned = np.sort(np.concatenate([wk.coords for wk in pool.workers]))
         np.testing.assert_array_equal(owned, np.arange(problem.n))
+        assert backend.n_workers == backend.comm.n_workers == 5
+
+
+# ---------------------------------------------------------------------------
+# one worker pool: async workers are bound exactly like sync ones
+# ---------------------------------------------------------------------------
+class TestAsyncSharesThePool:
+    def _ridge200(self):
+        return RidgeProblem(
+            make_webspam_like(200, 150, nnz_per_example=8, seed=5), lam=5e-3
+        )
+
+    @staticmethod
+    def _sizes(res):
+        return [p.shape[0] for p in res.partitions]
+
+    def test_capacities_deal_like_sync(self):
+        problem = self._ridge200()
+        runs = {
+            comm: DistributedSCD(
+                SequentialKernelFactory(), "dual", n_workers=2, seed=3,
+                comm=comm, capacities=[3, 1],
+            ).solve(problem, 1)
+            for comm in ("sync", "async")
+        }
+        assert self._sizes(runs["async"]) == [150, 50]
+        for got, want in zip(runs["async"].partitions, runs["sync"].partitions):
+            np.testing.assert_array_equal(got, want)
+
+    def test_custom_partitioner_honoured(self):
+        def halves(n, k, rng):
+            return np.array_split(np.arange(n), k)
+
+        res = _async_engine(2, partitioner=halves).solve(_ridge(), 1)
+        for got, want in zip(res.partitions, np.array_split(np.arange(120), 2)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_train_capacities_deal_like_sync(self):
+        problem = self._ridge200()
+        runs = {
+            comm: repro.train(
+                problem, "distributed", formulation="dual", comm=comm,
+                n_workers=2, capacities=[1, 3], n_epochs=1, seed=4,
+            )
+            for comm in ("sync", "async")
+        }
+        assert self._sizes(runs["async"]) == [50, 150]
+        for got, want in zip(runs["async"].partitions, runs["sync"].partitions):
+            np.testing.assert_array_equal(got, want)
+
+    def test_traced_tpa_records_gpu_counters(self):
+        problem = _ridge()
+        kw = dict(
+            formulation="dual", local_solver="tpa", n_workers=2,
+            batch_fraction=1.0, n_epochs=2, seed=7,
+        )
+        counters = {}
+        for comm in ("sync", "async"):
+            tracer = repro.Tracer()
+            repro.train(problem, "distributed", comm=comm, tracer=tracer, **kw)
+            counters[comm] = {
+                name: tracer.metrics.counter(name)
+                for name in ("gpu.waves", "gpu.nnz_processed")
+            }
+        assert counters["async"]["gpu.waves"] > 0
+        # whole-epoch batches touch every nonzero once per epoch, as sync does
+        assert counters["async"]["gpu.nnz_processed"] == 2 * problem.dataset.nnz
+        assert counters["async"]["gpu.nnz_processed"] == (
+            counters["sync"]["gpu.nnz_processed"]
+        )
+
+    def test_tracing_leaves_tpa_weights_bitwise(self):
+        kw = dict(
+            formulation="dual", local_solver="tpa", comm="async", n_workers=3,
+            batch_fraction=0.25, n_epochs=3, seed=7,
+        )
+        plain = repro.train(_ridge(), "distributed", **kw)
+        traced = repro.train(_ridge(), "distributed", tracer=repro.Tracer(), **kw)
+        assert traced.metrics.counter("gpu.waves") > 0
+        assert np.array_equal(plain.weights, traced.weights)
+        assert np.array_equal(plain.shared, traced.shared)
 
 
 # ---------------------------------------------------------------------------

@@ -905,22 +905,39 @@ class TestBitIdentity:
 
 
 class TestMpClusterShards:
-    def test_mp_payloads_match_take_major(self, dataset, rows_store):
+    def test_mp_payloads_match_take_major(self, dataset, rows_store, monkeypatch):
         from repro.cluster.partition import random_partition
-        from repro.cluster.process_backend import build_payloads
+        from repro.cluster.process_backend import PipeProcessBackend
         from repro.cluster.runtime import plan_partitions
+        from repro.core.distributed import _ScdWorkerPool
+        from repro.obs import resolve_tracer
 
         config = ShardingConfig(rows_store)
         problem = RidgeProblem(dataset, 5e-3)
         parts, groups = plan_partitions(
             problem.n, 2, 5, random_partition, config, dataset.csr.shape
         )
-        payloads = build_payloads("dual", problem, parts, 5, config, groups)
-        for coords, payload in zip(parts, payloads):
+        engine = DistributedSCD(
+            SequentialKernelFactory(), "dual", n_workers=2, seed=5, shards=config,
+            comm="process",
+        )
+        backend = PipeProcessBackend(_ScdWorkerPool(engine))
+        shipped = {}
+        # record what each child would be started with instead of forking
+        monkeypatch.setattr(
+            backend, "_start_child", lambda rank, args: shipped.setdefault(rank, args)
+        )
+        backend.open(problem, resolve_tracer(None))
+        backend.close()
+        assert sorted(shipped) == [0, 1]
+        for rank, coords in enumerate(parts):
+            _, _, local, y_local, _, _, child_coords, _ = shipped[rank]
             expect = dataset.csr.take_rows(coords)
-            assert np.array_equal(payload["indptr"], expect.indptr)
-            assert np.array_equal(payload["indices"], expect.indices)
-            assert np.array_equal(payload["data"], expect.data)
+            assert np.array_equal(child_coords, coords)
+            assert np.array_equal(local.indptr, expect.indptr)
+            assert np.array_equal(local.indices, expect.indices)
+            assert np.array_equal(local.data, expect.data)
+            assert np.array_equal(y_local, problem.y[coords])
 
     def test_mp_training_matches_simulated_engine(self, dataset, rows_store):
         problem = RidgeProblem(dataset, 5e-3)
