@@ -6,7 +6,8 @@ as regression with elastic net regularization as well as support vector
 machines".  This example runs both on the simulated GPU via the generalized
 TPA engine (same wave-scheduled thread blocks, tree-reduced inner products,
 atomic scatter — only the closed-form scalar update differs) and compares
-each against its CPU counterpart.
+each against its CPU counterpart.  The SVM run is traced: the kernel's
+conflict rate and lane occupancy are read off the tracer's wave counters.
 
 Run:  python examples/glm_on_gpu.py
 """
@@ -18,10 +19,11 @@ from repro import (
     ElasticNetProblem,
     SvmProblem,
     SvmSdca,
+    Tracer,
     make_webspam_like,
 )
 from repro.core import TpaElasticNet, TpaSvm
-from repro.gpu import GTX_TITAN_X, KernelProfile
+from repro.gpu import GTX_TITAN_X
 
 
 def main() -> None:
@@ -43,13 +45,11 @@ def main() -> None:
         f"GPU {np.count_nonzero(gpu.weights)} of {data.n_features}\n"
     )
 
-    # SVM: SDCA vs GPU TPA engine, with kernel profiling
+    # SVM: SDCA vs GPU TPA engine, traced for its wave counters
     svm = SvmProblem(data, lam=1e-2)
-    prof = KernelProfile()
     cpu = SvmSdca(seed=0).solve(svm, 15, monitor_every=3)
-    gpu = TpaSvm(
-        GTX_TITAN_X, wave_size=2, seed=0, profiler=prof
-    ).solve(svm, 15, monitor_every=3)
+    gpu_solver = TpaSvm(GTX_TITAN_X, wave_size=2, seed=0)
+    gpu = gpu_solver.solve(svm, 15, monitor_every=3, tracer=Tracer())
     print("SVM (hinge, SDCA)   duality gap per epoch")
     print("  epoch      CPU          TPA (Titan X)")
     for rc, rg in zip(cpu.history, gpu.history):
@@ -58,9 +58,16 @@ def main() -> None:
     acc_gpu = float(np.mean(svm.predict(gpu.weights) == data.y))
     print(f"  train accuracy: CPU {acc_cpu:.3f}, GPU {acc_gpu:.3f}\n")
 
-    print("simulated-kernel profile (SVM run):")
-    for key, val in prof.summary().items():
-        print(f"  {key:>16}: {val:,.3f}")
+    counter = gpu.metrics.counter
+    blocks, nnz = counter("gpu.blocks"), counter("gpu.nnz_processed")
+    lane_slots = blocks * gpu_solver.factory.n_threads
+    print("simulated-kernel wave counters (SVM run):")
+    print(f"  {'waves':>16}: {counter('gpu.waves'):,.0f}")
+    print(f"  {'blocks':>16}: {blocks:,.0f}")
+    print(f"  {'nnz_processed':>16}: {nnz:,.0f}")
+    print(f"  {'mean_block_nnz':>16}: {nnz / blocks:,.3f}")
+    print(f"  {'conflict_rate':>16}: {counter('gpu.atomic_conflicts') / nnz:,.3f}")
+    print(f"  {'occupancy':>16}: {counter('gpu.lanes_active') / lane_slots:,.3f}")
 
 
 if __name__ == "__main__":

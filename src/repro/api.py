@@ -66,7 +66,6 @@ class SolverConfig:
     bucket_size: int | None = None
     merge_every: int = 1
     merge: str = "sum"
-    kernel_backend: str = "auto"
     # -- simulated GPU ------------------------------------------------------
     gpu: GpuSpec = GTX_TITAN_X
     gpu_threads: int = 256
@@ -137,7 +136,6 @@ def _distributed_factory(cfg: SolverConfig):
             bucket_size=cfg.bucket_size,
             merge_every=cfg.merge_every,
             merge=cfg.merge,
-            kernel_backend=cfg.kernel_backend,
         )
     raise ValueError(
         f"unknown local_solver {cfg.local_solver!r}; use 'seq', 'tpa' or "
@@ -220,7 +218,6 @@ def train(
             bucket_size=cfg.bucket_size,
             merge_every=cfg.merge_every,
             merge=cfg.merge,
-            kernel_backend=cfg.kernel_backend,
             seed=cfg.seed,
         )
     elif kind == "tpa-scd":

@@ -228,9 +228,9 @@ class _ScdWorkerPool:
         else:
             local = matrix.take_major(coords)
         factory = eng._factory_for(rank)
-        if tracer is not None and tracer.enabled:
-            # device factories forward the tracer to their wave engines
-            factory.tracer = tracer
+        # kernel factories report to this run's tracer, the null one
+        # included, never to the tracer of an earlier run
+        factory.tracer = tracer
         if streamer is not None:
             # device factories skip the bulk dataset allocation: the
             # shard cache books residency against device memory instead

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..gpu.device import GpuDevice
 from ..gpu.engine import ElasticNetPrimalRule, SvmDualRule
-from ..gpu.profiler import KernelProfile
 from ..gpu.spec import GTX_TITAN_X, GpuSpec
 from ..objectives.elasticnet import ElasticNetProblem
 from ..objectives.svm import SvmProblem
@@ -44,7 +43,6 @@ class TpaElasticNet(ScdSolver):
         wave_size: int | None = None,
         dtype=np.float32,
         seed: int = 0,
-        profiler: KernelProfile | None = None,
         timing_workload: EpochWorkload | None = None,
     ) -> None:
         factory = TpaScdKernelFactory(
@@ -52,7 +50,6 @@ class TpaElasticNet(ScdSolver):
             n_threads=n_threads,
             wave_size=wave_size,
             dtype=dtype,
-            profiler=profiler,
             timing_workload=timing_workload,
         )
         super().__init__(factory, "primal", seed)
@@ -92,7 +89,6 @@ class TpaSvm(SvmSdca):
         wave_size: int | None = None,
         dtype=np.float32,
         seed: int = 0,
-        profiler: KernelProfile | None = None,
         timing_workload: EpochWorkload | None = None,
     ) -> None:
         factory = TpaScdKernelFactory(
@@ -100,7 +96,6 @@ class TpaSvm(SvmSdca):
             n_threads=n_threads,
             wave_size=wave_size,
             dtype=dtype,
-            profiler=profiler,
             timing_workload=timing_workload,
         )
         ScdSolver.__init__(self, factory, "dual", seed)

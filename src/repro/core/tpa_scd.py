@@ -15,9 +15,9 @@ import numpy as np
 
 from ..gpu.device import GpuDevice
 from ..gpu.engine import CoordinateRule, TpaScdEngine
-from ..gpu.profiler import KernelProfile
 from ..gpu.spec import GTX_TITAN_X, GpuSpec
 from ..gpu.timing import GpuTimingModel
+from ..obs import NULL_TRACER
 from ..perf.timing import EpochWorkload
 from ..solvers.base import BoundKernel, ScdSolver
 from ..sparse import CscMatrix, CsrMatrix
@@ -66,12 +66,12 @@ class TpaScdKernelFactory:
     simulated_dataset_nbytes:
         Paper-scale footprint to book against device memory instead of the
         in-process array sizes (see Fig. 10's 40 GB criteo sample).
-    out_of_core:
-        When True the bulk ``"dataset"`` allocation is skipped at bind time:
-        the data does not live resident on the device but streams through a
-        :class:`~repro.shards.ShardCache`, which books per-shard residency
-        against this device's memory itself.  Set automatically by the
-        distributed engine when a ``shards=`` config is supplied.
+
+    The solver or the worker pool sets :attr:`tracer`, which the wave
+    engine reports to, before every bind.  The worker pool sets
+    :attr:`out_of_core` when a ``shards=`` config streams the data through a
+    :class:`~repro.shards.ShardCache`, which books per-shard residency
+    itself, so the bulk ``"dataset"`` allocation is skipped.
     """
 
     def __init__(
@@ -82,21 +82,17 @@ class TpaScdKernelFactory:
         wave_size: int | None = None,
         dtype=np.float32,
         simulated_dataset_nbytes: int | None = None,
-        out_of_core: bool = False,
         timing_workload: EpochWorkload | None = None,
-        profiler: "KernelProfile | None" = None,
-        tracer=None,
     ) -> None:
         if isinstance(device, GpuSpec):
             device = GpuDevice(device)
         self.device = device
-        self.profiler = profiler
-        self.tracer = tracer
+        self.tracer = NULL_TRACER
+        self.out_of_core = False
         self.n_threads = int(n_threads)
         self.wave_size = int(wave_size) if wave_size is not None else None
         self.dtype = np.dtype(dtype)
         self.simulated_dataset_nbytes = simulated_dataset_nbytes
-        self.out_of_core = bool(out_of_core)
         self.timing_workload = timing_workload
         self.name = f"TPA-SCD({device.spec.name})"
 
@@ -108,7 +104,6 @@ class TpaScdKernelFactory:
             wave_size=_effective_wave(self.wave_size, self.device.spec),
             n_threads=self.n_threads,
             dtype=self.dtype,
-            profiler=self.profiler,
             tracer=self.tracer,
         )
 

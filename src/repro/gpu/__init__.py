@@ -14,7 +14,6 @@ _EXPORTS = {
         "block_tree_dots",
     ),
     ".memory": ("DeviceMemory", "GpuOutOfMemoryError"),
-    ".profiler": ("KernelProfile",),
     ".spec": ("GTX_TITAN_X", "QUADRO_M4000", "TESLA_P100", "GpuSpec"),
     ".timing": ("BYTES_PER_NNZ", "GpuTimingModel"),
 }
@@ -31,7 +30,6 @@ __all__ = [
     "SvmDualRule",
     "DeviceMemory",
     "GpuOutOfMemoryError",
-    "KernelProfile",
     "GpuSpec",
     "QUADRO_M4000",
     "GTX_TITAN_X",

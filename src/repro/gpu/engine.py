@@ -49,7 +49,6 @@ import numpy as np
 from .. import native
 from ..obs import NULL_SPAN, NULL_TRACER
 from ..solvers.kernels import gather_chunk
-from .profiler import KernelProfile
 
 __all__ = [
     "block_tree_dots",
@@ -293,7 +292,6 @@ def reference_epoch(
     y: np.ndarray | None = None,
     dtype=np.float32,
     tracer=None,
-    profiler: KernelProfile | None = None,
     span: str = "tpa",
     **span_attrs,
 ) -> int:
@@ -305,8 +303,7 @@ def reference_epoch(
     found it, applies the rule, and scatters through the unbuffered, ordered
     ``np.add.at``.  A ``tracer`` gets a ``<span>.epoch`` span (and a
     ``<span>.wave`` span per wave at ``detail="wave"``) and the ``gpu.*``
-    wave counters; a ``profiler`` books every wave.  Returns 0: float32
-    atomic adds never lose updates.
+    wave counters.  Returns 0: float32 atomic adds never lose updates.
     """
     tracer = NULL_TRACER if tracer is None else tracer
     observed = tracer.enabled
@@ -323,16 +320,16 @@ def reference_epoch(
                 f"{span}.wave", category="gpu", blocks=int(coords.shape[0])
             ) if wave_spans else NULL_SPAN:
                 flat_idx, flat_val, seg_ptr = gather_chunk(indptr, indices, data, coords)
-                nnz = int(flat_idx.shape[0])
-                if observed or profiler is not None:
-                    conflicts = nnz - int(np.unique(flat_idx).shape[0])
-                if profiler is not None:
-                    profiler.record_wave(flat_idx, seg_ptr, n_threads, conflicts=conflicts)
                 if observed:
+                    nnz = int(flat_idx.shape[0])
+                    lanes = np.minimum(np.diff(seg_ptr), n_threads)
                     tracer.count("gpu.waves")
+                    tracer.count("gpu.blocks", int(coords.shape[0]))
                     tracer.count("gpu.nnz_processed", nnz)
-                    if nnz:
-                        tracer.count("gpu.atomic_conflicts", conflicts)
+                    tracer.count("gpu.lanes_active", int(lanes.sum()))
+                    tracer.count(
+                        "gpu.atomic_conflicts", nnz - int(np.unique(flat_idx).shape[0])
+                    )
                 gathered = shared[flat_idx]
                 if rule.needs == "residual":
                     gathered = y[flat_idx] - gathered
@@ -349,8 +346,12 @@ def reference_epoch(
     return 0
 
 
-#: the slots ``tpa_epoch`` fills when an epoch is observed (``enum`` in tpa.c)
-_STATS = ("waves", "blocks", "nnz", "conflicts", "min_nnz", "max_nnz", "lanes_active")
+#: the tracer counters ``tpa_epoch`` fills when an epoch is observed, in the
+#: order of tpa.c's ``ST_*`` slots
+_STATS = (
+    "gpu.waves", "gpu.blocks", "gpu.nnz_processed", "gpu.atomic_conflicts",
+    "gpu.lanes_active",
+)
 
 
 def _float32_scalar(value, name: str) -> float:
@@ -399,8 +400,8 @@ class _NativeWaveLoop:
     def bind(self, rule, y, weights, shared, perm, *, observe: bool):
         """Check one epoch's arguments; return ``run(lo, hi)`` over ``perm[lo:hi]``.
 
-        ``run`` returns the range's wave counters (a dict keyed by
-        ``_STATS``) when ``observe`` is set, else ``None``.
+        ``run`` returns the range's wave counters (a dict keyed by the
+        counter names of ``_STATS``) when ``observe`` is set, else ``None``.
         """
         n = self.n_coords
         shared_addr = native.address(shared, np.float32, "shared", writeable=True)
@@ -471,7 +472,8 @@ class TpaScdEngine:
     Two observable facts then choose the loop, with no option: a float32
     engine whose kernel library loads runs ``tpa_epoch``
     (:mod:`repro.native`), any other engine runs :func:`reference_epoch`.
-    The two are bit-identical; :attr:`backend` says which one runs.
+    The two are bit-identical; :attr:`backend` says which one runs.  Both
+    loops report their waves to :attr:`tracer` only.
     """
 
     def __init__(
@@ -483,7 +485,6 @@ class TpaScdEngine:
         wave_size: int,
         n_threads: int,
         dtype=np.float32,
-        profiler: KernelProfile | None = None,
         tracer=None,
     ) -> None:
         check_geometry(wave_size, n_threads)
@@ -494,7 +495,6 @@ class TpaScdEngine:
         self.indptr = indptr
         self.indices = indices
         self.data = data.astype(self.dtype, copy=False)
-        self.profiler = profiler
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._native = self._bind_native(n_minor) if self.dtype == np.float32 else None
 
@@ -519,8 +519,7 @@ class TpaScdEngine:
             return reference_epoch(
                 self.indptr, self.indices, self.data, rule, weights, shared, perm,
                 wave_size=self.wave_size, n_threads=self.n_threads, y=y,
-                dtype=self.dtype, tracer=self.tracer, profiler=self.profiler,
-                span=span, **span_attrs,
+                dtype=self.dtype, tracer=self.tracer, span=span, **span_attrs,
             )
         return self._run_native(rule, y, weights, shared, perm, span=span, **span_attrs)
 
@@ -531,11 +530,8 @@ class TpaScdEngine:
         Observing asks the same kernel for its wave counters; it never
         changes the arithmetic.
         """
-        tracer, profiler = self.tracer, self.profiler
-        run = self._native.bind(
-            rule, y, weights, shared, perm,
-            observe=tracer.enabled or profiler is not None,
-        )
+        tracer = self.tracer
+        run = self._native.bind(rule, y, weights, shared, perm, observe=tracer.enabled)
         n = int(perm.shape[0])
         with tracer.span(
             f"{span}.epoch", category="gpu", **span_attrs, n_coords=n,
@@ -551,17 +547,10 @@ class TpaScdEngine:
         return 0
 
     def _book(self, stats: dict[str, int] | None) -> None:
-        """Hand observed wave counters to the tracer and the profiler."""
-        if stats is None:
-            return
-        if self.tracer.enabled:
-            self.tracer.count("gpu.waves", stats["waves"])
-            self.tracer.count("gpu.nnz_processed", stats["nnz"])
-            if stats["nnz"]:
-                self.tracer.count("gpu.atomic_conflicts", stats["conflicts"])
-        if self.profiler is not None:
-            self.profiler.record_waves(self.n_threads, **stats)
-
+        """Hand observed wave counters to the tracer."""
+        if stats is not None:
+            for name, value in stats.items():
+                self.tracer.count(name, value)
 
     def run_primal_epoch(
         self,

@@ -101,8 +101,8 @@ def load_native() -> ctypes.CDLL:
             _NATIVE[CC] = lib
     if isinstance(lib, str):
         raise NativeUnavailableError(
-            "the native C kernels are unavailable (kernel_backend='auto', "
-            f"TPA-SCD and the sparse products fall back to numpy): {lib}"
+            "the native C kernels are unavailable (SySCD, TPA-SCD and the "
+            f"sparse products fall back to numpy): {lib}"
         )
     return lib
 

@@ -56,11 +56,9 @@
 #define PREFETCH(addr) ((void)(addr))
 #endif
 
-/* stats[] slots, filled only when the caller observes the epoch */
-enum {
-    ST_WAVES, ST_BLOCKS, ST_NNZ, ST_CONFLICTS, ST_MIN_NNZ, ST_MAX_NNZ,
-    ST_LANES_ACTIVE, ST_COUNT
-};
+/* stats[] slots, filled only when the caller observes the epoch; the
+ * gpu.* tracer counters of _STATS in repro/gpu/engine.py, in this order */
+enum { ST_WAVES, ST_BLOCKS, ST_NNZ, ST_CONFLICTS, ST_LANES_ACTIVE, ST_COUNT };
 
 /* the coordinate rules, in the order of _NATIVE_RULES in repro/gpu/engine.py */
 enum { RULE_RIDGE_PRIMAL, RULE_RIDGE_DUAL, RULE_ELASTIC_NET, RULE_SVM };
@@ -165,8 +163,8 @@ static float block_dot(
     return lanes[0];
 }
 
-/* The profiler's and tracer's view of waves [perm, perm + n): block and lane
- * counts, and same-wave writes to an already written shared element.
+/* The tracer's view of waves [perm, perm + n): block and lane counts, and
+ * same-wave writes to an already written shared element.
  * `marks` (one byte per shared element, all zero) is left all zero. */
 static void observe_wave(
     const int64_t *indptr, const int64_t *indices, const int64_t *perm,
@@ -180,12 +178,6 @@ static void observe_wave(
         const int64_t len = hi - lo;
         stats[ST_NNZ] += len;
         stats[ST_LANES_ACTIVE] += len < n_threads ? len : n_threads;
-        if (len < stats[ST_MIN_NNZ]) {
-            stats[ST_MIN_NNZ] = len;
-        }
-        if (len > stats[ST_MAX_NNZ]) {
-            stats[ST_MAX_NNZ] = len;
-        }
         for (int64_t p = lo; p < hi; ++p) {
             if (marks[indices[p]]) {
                 stats[ST_CONFLICTS] += 1;
@@ -224,7 +216,6 @@ void tpa_epoch(
         for (int k = 0; k < ST_COUNT; ++k) {
             stats[k] = 0;
         }
-        stats[ST_MIN_NNZ] = INT64_MAX;
     }
     for (int64_t s = 0; s < n_perm; s += wave_size) {
         const int64_t n = n_perm - s < wave_size ? n_perm - s : wave_size;

@@ -16,8 +16,11 @@ name                       meaning
 ``syscd.bucket_imbalance`` (gauge) max/mean per-thread nonzeros per epoch
 ``syscd.threads``          (gauge) worker threads running the epoch
 ``gpu.waves``              thread-block waves scheduled
+``gpu.blocks``             thread blocks (coordinates) run in those waves
 ``gpu.nnz_processed``      nonzeros streamed through block kernels
 ``gpu.atomic_conflicts``   same-wave atomic adds hitting one element
+``gpu.lanes_active``       block lanes holding work: the sum over blocks
+                           of ``min(block nonzeros, threads per block)``
 ``dist.epochs``            distributed aggregation rounds
 ``dist.gamma``             (histogram) aggregation scaling per round
 ``dist.survivors``         (histogram) update vectors arriving per round

@@ -247,10 +247,10 @@ class ScdSolver:
         if monitor_every < 1:
             raise ValueError("monitor_every must be >= 1")
         tracer = resolve_tracer(tracer)
-        if tracer.enabled:
-            # device factories (TPA, GLM) forward the tracer into the wave
-            # scheduler so kernel-level spans/counters are emitted too
-            self.factory.tracer = tracer
+        # kernel factories (TPA, GLM, SySCD) report kernel-level spans and
+        # counters to this solve's tracer, the null one included, never to
+        # the tracer of an earlier solve
+        self.factory.tracer = tracer
         ledger = tracer.open_ledger()
         with tracer.span(
             "train", category="driver", solver=self.name,

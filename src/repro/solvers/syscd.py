@@ -37,9 +37,9 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
+from .. import native
 from ..cpu import XEON_8C, CpuSpec
 from ..cpu.spec import _base_epoch_seconds
-from ..native import check_structure
 from ..obs import NULL_TRACER
 from ..perf.timing import EpochWorkload
 from ..sparse import CscMatrix, CsrMatrix
@@ -49,7 +49,6 @@ from .syscd_kernels import (
     NumpyBinding,
     auto_bucket_size,
     bucket_bounds,
-    resolve_backend,
 )
 
 __all__ = ["SyscdCpuTiming", "SyscdKernelFactory", "SySCD"]
@@ -138,9 +137,10 @@ class SyscdKernelFactory:
     merge:
         ``"sum"`` (convergence-safe sum-correction) or ``"mean"`` (replica
         averaging).
-    kernel_backend:
-        ``"numpy"``, ``"native"``, or ``"auto"`` (native when the C kernels
-        build and load, else numpy; the backends are bit-identical).
+
+    The bucket passes run ``syscd.c`` when the kernel library
+    (:mod:`repro.native`) loads and its numpy twin otherwise, with no
+    option; the two are bit-identical, and :attr:`backend` says which runs.
     """
 
     def __init__(
@@ -151,7 +151,6 @@ class SyscdKernelFactory:
         bucket_size: int | None = None,
         merge_every: int = 1,
         merge: str = "sum",
-        kernel_backend: str = "auto",
         timing_workload: EpochWorkload | None = None,
     ) -> None:
         if n_threads < 1:
@@ -171,7 +170,12 @@ class SyscdKernelFactory:
         self.bucket_size = None if bucket_size is None else int(bucket_size)
         self.merge_every = int(merge_every)
         self.merge = merge
-        self.backend = resolve_backend(kernel_backend)
+        try:
+            native.load_native()
+        except native.NativeUnavailableError:
+            self.backend = "numpy"
+        else:
+            self.backend = "native"
         self.timing_workload = timing_workload
         self.tracer = NULL_TRACER
         self.name = f"SySCD({self.n_threads} threads, {self.backend})"
@@ -190,7 +194,7 @@ class SyscdKernelFactory:
             np.zeros(shared_len, dtype=np.float64) for _ in range(n_threads)
         ]
         problem = (indptr, indices, data, target, inv_denom, nlam, replicas)
-        check_structure(indptr, indices)
+        native.check_structure(indptr, indices)
         if self.backend == "native":
             kernels = NativeBinding(*problem, bucket_size)
         else:
@@ -388,7 +392,6 @@ class SySCD(ScdSolver):
         bucket_size: int | None = None,
         merge_every: int = 1,
         merge: str = "sum",
-        kernel_backend: str = "auto",
         seed: int = 0,
     ) -> None:
         super().__init__(
@@ -398,7 +401,6 @@ class SySCD(ScdSolver):
                 bucket_size=bucket_size,
                 merge_every=merge_every,
                 merge=merge,
-                kernel_backend=kernel_backend,
             ),
             formulation,
             seed,

@@ -11,7 +11,8 @@ lives in :mod:`repro.solvers.syscd`.
 
 Two interchangeable backends implement the same kernels, each behind a
 binding with one per-epoch interface (:class:`NumpyBinding`,
-:class:`NativeBinding`):
+:class:`NativeBinding`); the solver binds the native one whenever the
+kernel library loads, with no option:
 
 * **numpy** — always available; the bitwise reference implementation.
 * **native** — ``syscd.c`` of the compiled kernel library
@@ -41,49 +42,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..native import NativeUnavailableError, address, check_structure, load_native
+from ..native import address, check_structure, load_native
 from .kernels import _epoch_gather
 
 __all__ = [
-    "KERNEL_BACKENDS",
     "NativeBinding",
     "NumpyBinding",
     "auto_bucket_size",
     "bucket_bounds",
     "bucket_pass_numpy",
     "exact_epoch_numpy",
-    "resolve_backend",
 ]
 
-#: accepted values of ``SolverConfig.kernel_backend``
-KERNEL_BACKENDS = ("numpy", "native", "auto")
-
 _INT64_BYTES = np.dtype(np.int64).itemsize
-
-
-def resolve_backend(requested: str) -> str:
-    """Map a requested backend name to the concrete one that will run.
-
-    ``"auto"`` degrades gracefully: it selects native when the C kernels
-    build and load, and silently falls back to numpy otherwise (the two are
-    bit-identical, so the fallback changes speed, never results).
-    Requesting ``"native"`` explicitly where the build fails is an error
-    naming the compiler command and quoting its output.
-    """
-    if requested not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel_backend {requested!r}; "
-            f"choose from {KERNEL_BACKENDS}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    try:
-        load_native()
-    except NativeUnavailableError:
-        if requested == "native":
-            raise
-        return "numpy"
-    return "native"
 
 
 def auto_bucket_size(n_coords: int, n_threads: int) -> int:

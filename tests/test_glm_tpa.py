@@ -10,7 +10,6 @@ from repro.gpu import (
     GTX_TITAN_X,
     ElasticNetPrimalRule,
     GpuDevice,
-    KernelProfile,
     RidgeDualRule,
     RidgePrimalRule,
     SvmDualRule,
@@ -22,8 +21,11 @@ from repro.objectives import (
     SvmProblem,
     solve_exact,
 )
+from repro.obs import Tracer
 from repro.solvers import ElasticNetCD, SequentialSCD, SvmSdca
 from repro.solvers.base import ScdSolver
+
+from .test_plan_runtime import WAVE_COUNTERS, bruteforce_wave_counters
 
 
 @pytest.fixture
@@ -211,12 +213,33 @@ class TestTpaSvm:
         res = TpaSvm(wave_size=1, seed=0, dtype=np.float64).solve(svm, 5)
         assert np.allclose(res.weights, svm.weights_from_alpha(res.alpha), atol=1e-9)
 
-    def test_profiler_integration(self, svm_sparse):
+    def test_profiler_integration(self, svm_sparse, monkeypatch, request):
+        """A traced run's wave counters are what per-wave gathers of the
+        epochs it ran show, on the compiled loop and on the reference."""
         svm = SvmProblem(svm_sparse, lam=1e-2)
-        prof = KernelProfile()
-        TpaSvm(wave_size=4, seed=0, profiler=prof).solve(svm, 2)
-        assert prof.blocks == 2 * svm.n
-        assert prof.nnz_processed > 0
+        csr = svm.dataset.csr
+        perms = []
+        run_epoch = TpaScdEngine.run_epoch
+
+        def recording(engine, rule, weights, shared, perm, **kw):
+            perms.append(perm.copy())
+            return run_epoch(engine, rule, weights, shared, perm, **kw)
+
+        monkeypatch.setattr(TpaScdEngine, "run_epoch", recording)
+        runs = {}
+        for loop in ("native", "numpy"):
+            if loop == "numpy":
+                request.getfixturevalue("no_compiler")
+            perms.clear()
+            solver = TpaSvm(wave_size=4, n_threads=8, seed=0)
+            res = solver.solve(svm, 2, tracer=Tracer())
+            runs[loop] = {name: res.metrics.counter(name) for name in WAVE_COUNTERS}
+            assert len(perms) == 2
+            assert runs[loop] == bruteforce_wave_counters(
+                csr.indptr, csr.indices, csr.data, perms, 4, 8
+            )
+            assert runs[loop]["gpu.blocks"] == 2 * svm.n
+        assert runs["native"] == runs["numpy"]
 
     def test_early_stop(self, svm_sparse):
         svm = SvmProblem(svm_sparse, lam=1e-2)

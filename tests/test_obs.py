@@ -203,6 +203,42 @@ class TestAmbientTracer:
             Tracer(detail="nanosecond")
 
 
+class TestTracerHandOff:
+    """A solve reports to its own tracer only, never to an earlier solve's."""
+
+    @staticmethod
+    def _engines():
+        from repro.core.tpa_scd import TpaScd, TpaScdKernelFactory
+        from repro.solvers.syscd import SySCD
+
+        return {
+            "tpa": (TpaScd(wave_size=8), "gpu.waves"),
+            "syscd": (SySCD(n_threads=2), "syscd.buckets"),
+            "distributed-tpa": (
+                DistributedSCD(TpaScdKernelFactory(wave_size=4), "dual", n_workers=2),
+                "gpu.waves",
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", ["tpa", "syscd", "distributed-tpa"])
+    def test_untraced_solve_leaves_earlier_tracer_alone(self, ridge_sparse, kind):
+        engine, counter = self._engines()[kind]
+        first = Tracer()
+        engine.solve(ridge_sparse, 2, tracer=first)
+        recorded = first.metrics.counter(counter)
+        assert recorded > 0
+        snapshot = first.metrics.as_dict()
+        untraced = engine.solve(ridge_sparse, 3)
+        assert untraced.metrics is None
+        assert first.metrics.counter(counter) == recorded
+        assert first.metrics.as_dict() == snapshot
+        # and a later traced solve reports to its own tracer only
+        second = Tracer()
+        engine.solve(ridge_sparse, 2, tracer=second)
+        assert second.metrics.counter(counter) == recorded
+        assert first.metrics.as_dict() == snapshot
+
+
 class TestMetricsRegistry:
     def test_counters(self):
         reg = MetricsRegistry()

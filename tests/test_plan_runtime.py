@@ -25,7 +25,6 @@ from repro.core.tpa_scd import TpaScdKernelFactory
 from repro.data import make_webspam_like
 from repro.gpu import (
     ElasticNetPrimalRule,
-    KernelProfile,
     RidgeDualRule,
     RidgePrimalRule,
     SvmDualRule,
@@ -71,6 +70,30 @@ def random_structure(
         data[zero_at] = np.where(rng.random(int(zero_at.sum())) < 0.5, 0.0, -0.0)
     return indptr, indices, data
 
+
+#: every counter a wave loop records, in the order of tpa.c's stats slots
+WAVE_COUNTERS = (
+    "gpu.waves", "gpu.blocks", "gpu.nnz_processed", "gpu.atomic_conflicts",
+    "gpu.lanes_active",
+)
+
+
+def bruteforce_wave_counters(indptr, indices, data, perms, wave_size, n_threads):
+    """The :data:`WAVE_COUNTERS` of epochs over ``perms``, from per-wave gathers."""
+    counters = dict.fromkeys(WAVE_COUNTERS, 0)
+    for perm in perms:
+        for start in range(0, perm.shape[0], wave_size):
+            flat_idx, _, seg_ptr = gather_chunk(
+                indptr, indices, data, perm[start:start + wave_size]
+            )
+            lengths = np.diff(seg_ptr)
+            nnz = flat_idx.shape[0]
+            counters["gpu.waves"] += 1
+            counters["gpu.blocks"] += lengths.shape[0]
+            counters["gpu.nnz_processed"] += nnz
+            counters["gpu.atomic_conflicts"] += nnz - np.unique(flat_idx).shape[0]
+            counters["gpu.lanes_active"] += int(np.minimum(lengths, n_threads).sum())
+    return counters
 
 #: the C compiler the native wave loop builds with, when the host has one
 HOST_CC = shutil.which(native.CC)
@@ -238,21 +261,19 @@ class TestPlannedBitIdentity(_Backend):
                         eng, y, inv, np.float32(0.2), b, w, perm, tracer=tracer
                     )
             counters[production] = {
-                name: tracer.metrics.counter(name)
-                for name in ("gpu.waves", "gpu.nnz_processed", "gpu.atomic_conflicts")
+                name: tracer.metrics.counter(name) for name in WAVE_COUNTERS
             }
         assert counters[True] == counters[False]
         assert counters[True]["gpu.waves"] == 12
 
     def test_observing_never_changes_the_bits(self):
-        """Tracers (epoch and wave detail) and profilers only watch."""
+        """Tracers (epoch and wave detail) only watch."""
         rng = np.random.default_rng(37)
         indptr, indices, data = random_structure(rng, 50, 30, 9, empty_frac=0.1)
         y = rng.standard_normal(30).astype(np.float32)
         inv = (1.0 / (1.0 + rng.random(50))).astype(np.float32)
         wave_tracer = Tracer(detail="wave")
-        observers = ({}, {"tracer": Tracer()}, {"tracer": wave_tracer},
-                     {"profiler": KernelProfile()})
+        observers = ({}, {"tracer": Tracer()}, {"tracer": wave_tracer})
         results = []
         for kw in observers:
             eng = self.engine(indptr, indices, data, wave_size=7, n_threads=8, **kw)
@@ -268,24 +289,21 @@ class TestPlannedBitIdentity(_Backend):
         assert len(waves) == 2 * 8
 
     def test_profiler_matches_bruteforce_waves(self):
-        """The profiler books exactly what per-wave gathers of the epoch show."""
+        """The tracer's wave counters are exactly what per-wave gathers of
+        the epoch show."""
         rng = np.random.default_rng(41)
         indptr, indices, data = random_structure(rng, 45, 20, 11, empty_frac=0.2)
         y = np.sign(rng.standard_normal(45)).astype(np.float32)
         inv = (1.0 / (1.0 + rng.random(45))).astype(np.float32)
-        prof, expected = KernelProfile(), KernelProfile()
-        eng = self.engine(indptr, indices, data, wave_size=6, n_threads=8, profiler=prof)
+        tracer = Tracer()
+        eng = self.engine(indptr, indices, data, wave_size=6, n_threads=8, tracer=tracer)
         a, wb = np.zeros(45, np.float32), np.zeros(20, np.float32)
-        for ep in range(2):
-            perm = np.random.default_rng(50 + ep).permutation(45)
+        perms = [np.random.default_rng(50 + ep).permutation(45) for ep in range(2)]
+        for perm in perms:
             eng.run_dual_epoch(y, inv, np.float32(0.01), np.float32(0.45), a, wb, perm)
-            for start in range(0, 45, 6):
-                flat_idx, _, seg_ptr = gather_chunk(
-                    indptr, indices, data, perm[start:start + 6]
-                )
-                expected.record_wave(flat_idx, seg_ptr, 8)
-        assert prof == expected
-        assert prof.atomic_conflicts > 0
+        got = {name: tracer.metrics.counter(name) for name in WAVE_COUNTERS}
+        assert got == bruteforce_wave_counters(indptr, indices, data, perms, 6, 8)
+        assert got["gpu.atomic_conflicts"] > 0
 
 
 def adversarial_structure(rng, n_coords, n_minor, max_len):

@@ -4,12 +4,16 @@ The discipline mirrors the golden-fingerprint approach of the TPA tests:
 the single-thread numpy path is the bitwise reference (pinned by sha256 of
 the weight bytes), the threaded path must agree with it on per-epoch
 objectives to tolerance at every thread count, and the compiled C backend
-must be bit-identical to numpy wherever a C compiler is present.
+must be bit-identical to numpy wherever a C compiler is present.  No option
+selects the backend: the numpy runs hide the compiler (the ``no_compiler``
+fixture), as the TPA suites do.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import inspect
 import shutil
 import tomllib
 from importlib import resources
@@ -29,13 +33,11 @@ from repro.solvers.kernels import _epoch_gather
 from repro.solvers.scd import SequentialSCD
 from repro.solvers.syscd import SySCD, SyscdCpuTiming, SyscdKernelFactory
 from repro.solvers.syscd_kernels import (
-    KERNEL_BACKENDS,
     NativeBinding,
     auto_bucket_size,
     bucket_bounds,
     bucket_pass_numpy,
     exact_epoch_numpy,
-    resolve_backend,
 )
 
 #: the C compiler the native backend builds with, when the host has one
@@ -115,34 +117,44 @@ class TestBucketPartition:
 
 
 class TestBackendResolution:
-    def test_numpy_always_resolves(self):
-        assert resolve_backend("numpy") == "numpy"
+    """The factory binds the C kernels when they load, numpy otherwise."""
+
+    def test_numpy_always_resolves(self, no_compiler, tiny_problem):
+        factory = SyscdKernelFactory(n_threads=2)
+        assert factory.backend == "numpy"
+        res = SySCD(n_threads=2).solve(tiny_problem, 1)
+        assert res.solver_name.startswith("SySCD(2 threads, numpy)")
 
     def test_auto_degrades_gracefully(self, fresh_native, monkeypatch):
-        # with a compiler auto selects the C kernels; without one it must
-        # silently fall back to the bit-identical numpy kernels
-        assert resolve_backend("auto") == ("native" if HOST_CC else "numpy")
+        # with a compiler the factory binds the C kernels; without one it
+        # silently falls back to the bit-identical numpy kernels
+        assert SyscdKernelFactory().backend == ("native" if HOST_CC else "numpy")
         monkeypatch.setattr(native, "CC", "repro-no-such-cc")
-        assert resolve_backend("auto") == "numpy"
+        assert SyscdKernelFactory().backend == "numpy"
 
-    def test_explicit_native_errors_without_compiler(self, fresh_native, monkeypatch):
-        monkeypatch.setattr(native, "CC", "repro-no-such-cc")
+    def test_explicit_native_errors_without_compiler(self, no_compiler):
         with pytest.raises(ValueError, match="native C kernels are unavailable") as info:
-            resolve_backend("native")
+            load_native()
         # the message names the command that could not run
         assert "`repro-no-such-cc --version` could not run" in str(info.value)
-        with pytest.raises(ValueError, match="repro-no-such-cc"):
-            SyscdKernelFactory(kernel_backend="native")
+        # the factory never raises for it: it reports the loop it runs
+        assert SyscdKernelFactory().backend == "numpy"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel_backend 'cython'"):
-            resolve_backend("cython")
-        # exactly two implementations behind the seam, plus the selector
-        assert KERNEL_BACKENDS == ("numpy", "native", "auto")
+        # no option selects the loop: neither the factory, the solver nor
+        # the train config takes one
+        for callable_ in (SyscdKernelFactory, SySCD):
+            params = inspect.signature(callable_).parameters
+            assert not [name for name in params if "backend" in name]
+        assert not [
+            f.name for f in dataclasses.fields(SolverConfig) if "backend" in f.name
+        ]
 
-    def test_factory_name_reports_resolved_backend(self):
-        factory = SyscdKernelFactory(n_threads=2, kernel_backend="numpy")
-        assert factory.name == "SySCD(2 threads, numpy)"
+    def test_factory_name_reports_resolved_backend(self, fresh_native, monkeypatch):
+        factory = SyscdKernelFactory(n_threads=2)
+        assert factory.name == f"SySCD(2 threads, {'native' if HOST_CC else 'numpy'})"
+        monkeypatch.setattr(native, "CC", "repro-no-such-cc")
+        assert SyscdKernelFactory(n_threads=2).name == "SySCD(2 threads, numpy)"
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +163,15 @@ class TestBackendResolution:
 
 
 class TestReferencePath:
+    """The numpy kernels, with the compiler hidden."""
+
+    @pytest.fixture(autouse=True)
+    def _hide_compiler(self, no_compiler):
+        pass
+
     def test_golden_fingerprint(self, tiny_problem):
-        res = train(
-            tiny_problem, "syscd", n_epochs=5, n_threads=1,
-            kernel_backend="numpy",
-        )
+        res = train(tiny_problem, "syscd", n_epochs=5, n_threads=1)
+        assert res.solver_name.startswith("SySCD(1 threads, numpy)")
         assert _sha(res.weights) == GOLDEN_WEIGHTS_SHA
         assert _sha(res.shared) == GOLDEN_SHARED_SHA
 
@@ -164,31 +180,24 @@ class TestReferencePath:
         # accumulation order differs (cumsum prefix vs BLAS dot), so the
         # trajectories agree to float64 roundoff but not necessarily bitwise
         ref = SequentialSCD(seed=3).solve(tiny_problem, 4)
-        res = SySCD(
-            n_threads=1, kernel_backend="numpy", seed=3
-        ).solve(tiny_problem, 4)
+        res = SySCD(n_threads=1, seed=3).solve(tiny_problem, 4)
         np.testing.assert_allclose(
             res.weights, ref.weights, rtol=1e-10, atol=1e-13
         )
 
     def test_bucket_size_never_changes_single_thread_results(self, tiny_problem):
         # the exact path visits perm in order regardless of bucket edges
-        base = train(
-            tiny_problem, "syscd", n_epochs=3, n_threads=1,
-            kernel_backend="numpy",
-        )
+        base = train(tiny_problem, "syscd", n_epochs=3, n_threads=1)
         for bucket_size in (1, 7, 4096):
             res = train(
                 tiny_problem, "syscd", n_epochs=3, n_threads=1,
-                bucket_size=bucket_size, kernel_backend="numpy",
+                bucket_size=bucket_size,
             )
             assert np.array_equal(res.weights, base.weights)
 
     def test_dual_single_thread_matches_sequential(self, tiny_problem):
         ref = SequentialSCD("dual", seed=1).solve(tiny_problem, 3)
-        res = SySCD(
-            "dual", n_threads=1, kernel_backend="numpy", seed=1
-        ).solve(tiny_problem, 3)
+        res = SySCD("dual", n_threads=1, seed=1).solve(tiny_problem, 3)
         np.testing.assert_allclose(
             res.weights, ref.weights, rtol=1e-10, atol=1e-13
         )
@@ -209,18 +218,21 @@ class TestThreadedPath:
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
     @pytest.mark.parametrize("formulation", ["primal", "dual"])
     def test_per_epoch_objective_agreement(
-        self, tiny_problem, n_threads, formulation
+        self, tiny_problem, n_threads, formulation, request
     ):
         # the acceptance contract: threaded trajectories pin per-epoch
-        # objective agreement with the single-thread reference to tolerance
-        ref = train(
-            tiny_problem, "syscd", formulation=formulation, n_epochs=4,
-            n_threads=1, kernel_backend="numpy",
-        )
+        # objective agreement with the single-thread numpy reference to
+        # tolerance
         res = train(
             tiny_problem, "syscd", formulation=formulation, n_epochs=4,
             n_threads=n_threads,
         )
+        request.getfixturevalue("no_compiler")
+        ref = train(
+            tiny_problem, "syscd", formulation=formulation, n_epochs=4,
+            n_threads=1,
+        )
+        assert ref.solver_name.startswith("SySCD(1 threads, numpy)")
         ref_objs = ref.history.objectives
         objs = res.history.objectives
         assert objs.shape == ref_objs.shape
@@ -324,25 +336,28 @@ def _adversarial_vectors(rng, n_coords: int, shared_len: int):
 @needs_cc
 class TestNativeBitIdentity:
     def test_goldens_at_one_thread(self, tiny_problem):
-        res = train(
-            tiny_problem, "syscd", n_epochs=5, n_threads=1,
-            kernel_backend="native",
-        )
+        res = train(tiny_problem, "syscd", n_epochs=5, n_threads=1)
+        assert res.solver_name.startswith("SySCD(1 threads, native)")
         assert _sha(res.weights) == GOLDEN_WEIGHTS_SHA
         assert _sha(res.shared) == GOLDEN_SHARED_SHA
 
     @pytest.mark.parametrize("merge", ["sum", "mean"])
     @pytest.mark.parametrize("n_threads", [2, 4])
     @pytest.mark.parametrize("formulation", ["primal", "dual"])
-    def test_threaded_bitwise_equal(self, tiny_problem, formulation, n_threads, merge):
-        ref, res = (
-            train(
+    def test_threaded_bitwise_equal(
+        self, tiny_problem, formulation, n_threads, merge, request
+    ):
+        def run():
+            return train(
                 tiny_problem, "syscd", formulation=formulation, n_epochs=3,
-                n_threads=n_threads, merge=merge, kernel_backend=backend,
+                n_threads=n_threads, merge=merge,
             )
-            for backend in ("numpy", "native")
-        )
+
+        res = run()
+        request.getfixturevalue("no_compiler")
+        ref = run()
         assert res.solver_name.startswith(f"SySCD({n_threads} threads, native)")
+        assert ref.solver_name.startswith(f"SySCD({n_threads} threads, numpy)")
         assert np.array_equal(_bits(res.weights), _bits(ref.weights))
         assert np.array_equal(_bits(res.shared), _bits(ref.shared))
         assert np.array_equal(_bits(res.history.gaps), _bits(ref.history.gaps))
@@ -433,9 +448,9 @@ class TestNativeFailurePaths:
             "exit 1\n",
         )
         monkeypatch.setattr(native, "CC", broken)
-        assert resolve_backend("auto") == "numpy"
+        assert SyscdKernelFactory().backend == "numpy"
         with pytest.raises(ValueError) as info:
-            resolve_backend("native")
+            load_native()
         message = str(info.value)
         assert f"`{broken} -O2 -fPIC -shared -ffp-contract=off " in message
         assert "exited with status 1" in message
@@ -453,15 +468,14 @@ class TestNativeFailurePaths:
             lines = log.read_text().splitlines() if log.exists() else []
             return sum(1 for line in lines if line != "--version")
 
-        first = train(tiny_problem, "syscd", n_epochs=1, n_threads=2,
-                      kernel_backend="native")
+        first = train(tiny_problem, "syscd", n_epochs=1, n_threads=2)
+        assert first.solver_name.startswith("SySCD(2 threads, native)")
         assert compiles() == 1
         built = list((fresh_native / "cache" / "repro").glob("repro_native-*.so"))
         assert len(built) == 1
         # a second bind in this process reuses the loaded library: no cc at all
         calls = log.read_text()
-        second = train(tiny_problem, "syscd", n_epochs=1, n_threads=2,
-                       kernel_backend="native")
+        second = train(tiny_problem, "syscd", n_epochs=1, n_threads=2)
         assert log.read_text() == calls
         # a fresh process loads the cached .so: cc is asked its version only
         monkeypatch.setattr(native, "_NATIVE", {})
@@ -514,18 +528,20 @@ class TestNativeFailurePaths:
         binding.bind_buckets(coef, perm, edges, assigned)(0, 0, 1)
         assert len(foreign_calls) == 2
 
-    @pytest.mark.parametrize("kernel_backend", ["native", "numpy"])
-    def test_decreasing_indptr_is_rejected_by_both_backends(self, kernel_backend):
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_decreasing_indptr_is_rejected_by_both_backends(self, backend, request):
         """Coordinate 1 would own ``indices[3:1]``: neither backend may walk it."""
-        if kernel_backend == "native" and HOST_CC is None:
+        if backend == "numpy":
+            request.getfixturevalue("no_compiler")
+        elif HOST_CC is None:
             pytest.skip("no C compiler on PATH")
         _, indices, data, target, inv_denom, nlam, replicas = _tiny_binding_arrays()
         indptr = np.array([0, 3, 1], dtype=np.int64)
-        factory = SyscdKernelFactory(n_threads=2, kernel_backend=kernel_backend)
-        assert factory.backend == kernel_backend
+        factory = SyscdKernelFactory(n_threads=2)
+        assert factory.backend == backend
         with pytest.raises(ValueError, match="indptr must be non-decreasing"):
             factory._make_run_epoch(indptr, indices, data, target, inv_denom, nlam, 2, 4)
-        if kernel_backend == "native":
+        if backend == "native":
             with pytest.raises(ValueError, match="indptr must be non-decreasing"):
                 NativeBinding(indptr, indices, data, target, inv_denom, nlam, replicas, 4)
 
@@ -564,7 +580,7 @@ class TestFacadeAndConfig:
         assert res.solver_name.startswith("SySCD(2 threads")
         assert res.ledger is not None and res.ledger.total > 0
 
-    def test_config_knobs_validated(self):
+    def test_config_knobs_validated(self, fresh_native):
         with pytest.raises(ValueError, match="bucket_size"):
             SyscdKernelFactory(bucket_size=0)
         with pytest.raises(ValueError, match="merge_every"):
@@ -575,8 +591,8 @@ class TestFacadeAndConfig:
             SyscdKernelFactory(n_threads=0)
         with pytest.raises(ValueError, match="at most"):
             SyscdKernelFactory(n_threads=64)
-        with pytest.raises(ValueError, match="kernel_backend"):
-            SyscdKernelFactory(kernel_backend="fortran")
+        # a rejected knob fails before the kernel library is built or loaded
+        assert native._NATIVE == {}
 
     def test_repro_exports_solver(self):
         assert repro.SySCD is SySCD
