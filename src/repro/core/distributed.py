@@ -501,12 +501,9 @@ class DistributedSCD:
         if comm == "process":
             from ..solvers.scd import SequentialKernelFactory
 
-            if not (
-                isinstance(worker_factory, SequentialKernelFactory)
-                and worker_factory.dtype == np.float64
-            ):
+            if not isinstance(worker_factory, SequentialKernelFactory):
                 raise ValueError(
-                    "comm='process' runs float64 sequential SCD in each child "
+                    "comm='process' runs sequential SCD in each child "
                     "process; pass SequentialKernelFactory()"
                 )
             if pcie is not None or paper_scale is not None:

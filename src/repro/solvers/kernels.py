@@ -1,12 +1,14 @@
-"""Epoch kernels for stochastic coordinate descent.
+"""Epoch kernels for the CPU coordinate solvers in numpy.
 
-Three execution semantics are implemented, all operating on raw compressed
-arrays for speed (the per-coordinate loop is the hot path of the whole
-library — see the profiling notes in DESIGN.md):
+The exact ridge pass of Algorithm 1 is not here: it lives, once, in
+:class:`repro.solvers.syscd_kernels.ExactPass` (compiled ``syscd.c`` or its
+bitwise numpy twin), which ``SequentialSCD`` and ``SySCD(n_threads=1)``
+share.  This module holds the rest:
 
-* :func:`primal_epoch_sequential` / :func:`dual_epoch_sequential` — exact
-  Algorithm 1: coordinates are visited one at a time and every update sees
-  the fully up-to-date shared vector.
+* :func:`sdca_epoch` and :func:`elastic_net_epoch` — Algorithm 1 for the
+  GLM extensions: one coordinate at a time around an objective's scalar
+  step (SDCA for the SVM and logistic duals, soft-thresholded CD for the
+  elastic net).
 * :func:`primal_epoch_chunked` / :func:`dual_epoch_chunked` — the
   asynchronous-CPU model: coordinates are processed in chunks of
   ``chunk_size`` (= number of hardware threads).  All inner products within
@@ -19,20 +21,15 @@ library — see the profiling notes in DESIGN.md):
     al.): each non-final writer's contribution survives only with
     probability ``1 - loss_prob``.
 
-  ``chunk_size=1`` reduces exactly to the sequential semantics, which the
-  property tests verify.
+  ``chunk_size=1`` reduces to the exact sequential semantics up to the
+  inner products' rounding order, which the property tests verify.
 
-:func:`sdca_epoch` and :func:`elastic_net_epoch` are Algorithm 1 for the GLM
-extensions: the same one-coordinate-at-a-time loop around an objective's
-scalar step (SDCA for the SVM and logistic duals, soft-thresholded CD for
-the elastic net).
-
-The GPU TPA-SCD kernel lives in :mod:`repro.gpu.kernels`; it shares the
-chunk framing (a chunk = one wave of resident thread blocks) but emulates
-per-thread-block float32 arithmetic including the shared-memory tree
-reduction.
+The chunked kernels work on raw compressed arrays and gather an epoch's
+nonzeros once (:func:`_epoch_gather`, which SySCD's bucket pass reuses).
+GPU TPA-SCD's wave loop, which shares the chunk framing (a chunk = one wave
+of resident thread blocks), is :func:`repro.gpu.engine.reference_epoch`
+and its compiled twin ``repro/native/tpa.c``.
 """
-
 from __future__ import annotations
 
 import numpy as np
@@ -41,8 +38,6 @@ from ..objectives.elasticnet import elastic_net_delta
 from ..sparse.matrix import _ranges_concat
 
 __all__ = [
-    "primal_epoch_sequential",
-    "dual_epoch_sequential",
     "sdca_epoch",
     "elastic_net_epoch",
     "primal_epoch_chunked",
@@ -53,65 +48,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# exact sequential kernels (Algorithm 1)
+# exact GLM kernels (Algorithm 1 around an objective's scalar step)
 # ---------------------------------------------------------------------------
-
-
-def primal_epoch_sequential(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    y_dots: np.ndarray,
-    inv_denom: np.ndarray,
-    nlam: float,
-    beta: np.ndarray,
-    w: np.ndarray,
-    perm: np.ndarray,
-) -> None:
-    """One exact SCD epoch over the permuted feature coordinates.
-
-    Parameters are pre-bound raw arrays:  ``y_dots[m] = <y, a_m>`` and
-    ``inv_denom[m] = 1 / (||a_m||^2 + N lam)`` are precomputed once per
-    training run so the inner loop is three numpy kernel calls per
-    coordinate.  ``beta`` and ``w`` are updated in place.
-    """
-    for m in perm:
-        lo = indptr[m]
-        hi = indptr[m + 1]
-        if lo == hi:
-            # empty column: optimum shrinks the weight towards zero exactly
-            delta = -beta[m] * nlam * inv_denom[m]
-            beta[m] += delta
-            continue
-        idx = indices[lo:hi]
-        v = data[lo:hi]
-        delta = (y_dots[m] - v @ w[idx] - nlam * beta[m]) * inv_denom[m]
-        beta[m] += delta
-        w[idx] += v * delta
-
-
-def dual_epoch_sequential(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    y: np.ndarray,
-    inv_denom: np.ndarray,
-    lam: float,
-    nlam: float,
-    alpha: np.ndarray,
-    wbar: np.ndarray,
-    perm: np.ndarray,
-) -> None:
-    """One exact SDCA epoch over the permuted example coordinates (Eq. 4)."""
-    for i in perm:
-        lo = indptr[i]
-        hi = indptr[i + 1]
-        idx = indices[lo:hi]
-        v = data[lo:hi]
-        delta = (lam * y[i] - v @ wbar[idx] - nlam * alpha[i]) * inv_denom[i]
-        alpha[i] += delta
-        if lo != hi:
-            wbar[idx] += v * delta
 
 
 def sdca_epoch(

@@ -16,12 +16,14 @@ Mendler-Dünner & Parnell, NeurIPS 2019 — PAPERS.md), one epoch runs as:
    averages them (damped, CoCoA-style).
 
 With ``n_threads=1`` the solver takes the exact Algorithm-1 path instead —
-sequential updates against fresh state — which is the **bitwise reference**
-the golden-fingerprint tests pin; threaded runs must agree with it on
-per-epoch objectives to tolerance.  Everything stochastic derives from the
-driver's permutation stream, and the merge order is fixed by thread id, so
-threaded runs are deterministic too (for a fixed thread count) regardless
-of OS scheduling.
+sequential updates against fresh state, through the same
+:class:`~repro.solvers.syscd_kernels.ExactPass` as
+:class:`~repro.solvers.scd.SequentialSCD`, so the two are bitwise equal.
+That path is the **bitwise reference** the golden-fingerprint tests pin;
+threaded runs must agree with it on per-epoch objectives to tolerance.
+Everything stochastic derives from the driver's permutation stream, and the
+merge order is fixed by thread id, so threaded runs are deterministic too
+(for a fixed thread count) regardless of OS scheduling.
 
 Observability: periods are billed through ``syscd.bucket`` / ``syscd.merge``
 spans (at ``detail="wave"``, following the GPU wave-span precedent) and the
@@ -45,10 +47,14 @@ from ..perf.timing import EpochWorkload
 from ..sparse import CscMatrix, CsrMatrix
 from .base import BoundKernel, ScdSolver
 from .syscd_kernels import (
+    ExactPass,
     NativeBinding,
     NumpyBinding,
     auto_bucket_size,
+    available_backend,
     bucket_bounds,
+    dual_terms,
+    primal_terms,
 )
 
 __all__ = ["SyscdCpuTiming", "SyscdKernelFactory", "SySCD"]
@@ -170,12 +176,7 @@ class SyscdKernelFactory:
         self.bucket_size = None if bucket_size is None else int(bucket_size)
         self.merge_every = int(merge_every)
         self.merge = merge
-        try:
-            native.load_native()
-        except native.NativeUnavailableError:
-            self.backend = "numpy"
-        else:
-            self.backend = "native"
+        self.backend = available_backend()
         self.timing_workload = timing_workload
         self.tracer = NULL_TRACER
         self.name = f"SySCD({self.n_threads} threads, {self.backend})"
@@ -190,21 +191,27 @@ class SyscdKernelFactory:
         mean_merge = self.merge == "mean"
         inv_t = 1.0 / n_threads
         factory = self  # tracer is installed on the factory after binding
-        replicas = [
-            np.zeros(shared_len, dtype=np.float64) for _ in range(n_threads)
-        ]
-        problem = (indptr, indices, data, target, inv_denom, nlam, replicas)
-        native.check_structure(indptr, indices)
-        if self.backend == "native":
-            kernels = NativeBinding(*problem, bucket_size)
+        if n_threads == 1:
+            exact = ExactPass(
+                indptr, indices, data, target, inv_denom, nlam, shared_len,
+                self.backend,
+            )
         else:
-            kernels = NumpyBinding(*problem)
+            replicas = [
+                np.zeros(shared_len, dtype=np.float64) for _ in range(n_threads)
+            ]
+            problem = (indptr, indices, data, target, inv_denom, nlam, replicas)
+            native.check_structure(indptr, indices)
+            if self.backend == "native":
+                kernels = NativeBinding(*problem, bucket_size)
+            else:
+                kernels = NumpyBinding(*problem)
 
         def run_exact(coef, shared, perm, rng):
             tracer = factory.tracer
             edges = bucket_bounds(perm.shape[0], bucket_size)
             n_buckets = edges.shape[0] - 1
-            run = kernels.bind_exact(coef, shared, perm)
+            run = exact.bind(coef, shared, perm)
             if tracer.enabled and tracer.detail == "wave":
                 for b in range(n_buckets):
                     with tracer.span(
@@ -317,11 +324,7 @@ class SyscdKernelFactory:
     def bind_primal(
         self, csc: CscMatrix, y: np.ndarray, n_global: int, lam: float
     ) -> BoundKernel:
-        csc = csc if csc.dtype == np.dtype(np.float64) else csc.astype(np.float64)
-        y = y.astype(np.float64, copy=False)
-        target = csc.rmatvec(y).astype(np.float64, copy=False)
-        nlam = float(n_global * lam)
-        inv_denom = (1.0 / (csc.col_norms_sq() + n_global * lam)).astype(np.float64)
+        csc, target, inv_denom, nlam = primal_terms(csc, y, n_global, lam)
         bucket_size = self._bucket_size(csc.n_major)
         return BoundKernel(
             run_epoch=self._make_run_epoch(
@@ -342,11 +345,7 @@ class SyscdKernelFactory:
     def bind_dual(
         self, csr: CsrMatrix, y_local: np.ndarray, n_global: int, lam: float
     ) -> BoundKernel:
-        csr = csr if csr.dtype == np.dtype(np.float64) else csr.astype(np.float64)
-        y_local = y_local.astype(np.float64, copy=False)
-        target = (lam * y_local).astype(np.float64, copy=False)
-        nlam = float(n_global * lam)
-        inv_denom = (1.0 / (n_global * lam + csr.row_norms_sq())).astype(np.float64)
+        csr, target, inv_denom, nlam = dual_terms(csr, y_local, n_global, lam)
         bucket_size = self._bucket_size(csr.n_major)
         return BoundKernel(
             run_epoch=self._make_run_epoch(

@@ -7,11 +7,18 @@ from repro.objectives import RidgeProblem, solve_exact
 from repro.solvers.kernels import (
     apply_chunk_updates,
     dual_epoch_chunked,
-    dual_epoch_sequential,
     gather_chunk,
     primal_epoch_chunked,
-    primal_epoch_sequential,
 )
+from repro.solvers.syscd_kernels import ExactPass, available_backend
+
+
+def _exact_epoch(matrix, target, inv_denom, nlam, coef, shared, perm):
+    """One epoch of Algorithm 1 on the library's exact pass (either backend)."""
+    ExactPass(
+        matrix.indptr, matrix.indices, matrix.data, target, inv_denom, nlam,
+        shared.shape[0], available_backend(),
+    ).bind(coef, shared, perm)(0, perm.shape[0])
 
 
 def _primal_state(problem: RidgeProblem):
@@ -41,9 +48,9 @@ class TestSequentialKernels:
         f_prev = ridge_small.primal_objective(beta, w)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            primal_epoch_sequential(
-                csc.indptr, csc.indices, csc.data, y_dots, inv_denom, nlam,
-                beta, w, rng.permutation(ridge_small.m),
+            _exact_epoch(
+                csc, y_dots, inv_denom, nlam, beta, w,
+                rng.permutation(ridge_small.m),
             )
             f = ridge_small.primal_objective(beta, w)
             assert f <= f_prev + 1e-12
@@ -53,9 +60,8 @@ class TestSequentialKernels:
         """After an exact epoch, w must equal A beta to rounding."""
         csc, y, y_dots, inv_denom, nlam, beta, w = _primal_state(ridge_small)
         rng = np.random.default_rng(1)
-        primal_epoch_sequential(
-            csc.indptr, csc.indices, csc.data, y_dots, inv_denom, nlam,
-            beta, w, rng.permutation(ridge_small.m),
+        _exact_epoch(
+            csc, y_dots, inv_denom, nlam, beta, w, rng.permutation(ridge_small.m)
         )
         assert np.allclose(w, csc.matvec(beta), atol=1e-10)
 
@@ -63,9 +69,9 @@ class TestSequentialKernels:
         csc, y, y_dots, inv_denom, nlam, beta, w = _primal_state(ridge_small)
         rng = np.random.default_rng(2)
         for _ in range(100):
-            primal_epoch_sequential(
-                csc.indptr, csc.indices, csc.data, y_dots, inv_denom, nlam,
-                beta, w, rng.permutation(ridge_small.m),
+            _exact_epoch(
+                csc, y_dots, inv_denom, nlam, beta, w,
+                rng.permutation(ridge_small.m),
             )
         sol = solve_exact(ridge_small)
         assert np.allclose(beta, sol.beta, atol=1e-8)
@@ -75,9 +81,8 @@ class TestSequentialKernels:
         d_prev = ridge_small.dual_objective(alpha, wbar)
         rng = np.random.default_rng(3)
         for _ in range(3):
-            dual_epoch_sequential(
-                csr.indptr, csr.indices, csr.data, y, inv_denom,
-                ridge_small.lam, nlam, alpha, wbar,
+            _exact_epoch(
+                csr, ridge_small.lam * y, inv_denom, nlam, alpha, wbar,
                 rng.permutation(ridge_small.n),
             )
             d = ridge_small.dual_objective(alpha, wbar)
@@ -87,9 +92,9 @@ class TestSequentialKernels:
     def test_dual_shared_vector_invariant(self, ridge_small):
         csr, y, inv_denom, nlam, alpha, wbar = _dual_state(ridge_small)
         rng = np.random.default_rng(4)
-        dual_epoch_sequential(
-            csr.indptr, csr.indices, csr.data, y, inv_denom,
-            ridge_small.lam, nlam, alpha, wbar, rng.permutation(ridge_small.n),
+        _exact_epoch(
+            csr, ridge_small.lam * y, inv_denom, nlam, alpha, wbar,
+            rng.permutation(ridge_small.n),
         )
         assert np.allclose(wbar, csr.rmatvec(alpha), atol=1e-10)
 
@@ -104,10 +109,7 @@ class TestSequentialKernels:
         problem = RidgeProblem(ds, lam=1e-2)
         csc, y, y_dots, inv_denom, nlam, beta, w = _primal_state(problem)
         beta[0] = 5.0
-        primal_epoch_sequential(
-            csc.indptr, csc.indices, csc.data, y_dots, inv_denom, nlam,
-            beta, w, np.array([0]),
-        )
+        _exact_epoch(csc, y_dots, inv_denom, nlam, beta, w, np.array([0]))
         assert abs(beta[0]) < 5.0  # shrunk towards zero
 
 
@@ -117,9 +119,7 @@ class TestChunkedKernels:
         csc, y, y_dots, inv_denom, nlam, b1, w1 = _primal_state(p)
         b2, w2 = b1.copy(), w1.copy()
         perm = np.random.default_rng(5).permutation(p.m)
-        primal_epoch_sequential(
-            csc.indptr, csc.indices, csc.data, y_dots, inv_denom, nlam, b1, w1, perm
-        )
+        _exact_epoch(csc, y_dots, inv_denom, nlam, b1, w1, perm)
         lost = primal_epoch_chunked(
             csc.indptr, csc.indices, csc.data, y_dots, inv_denom, nlam,
             b2, w2, perm, chunk_size=1,
@@ -133,10 +133,7 @@ class TestChunkedKernels:
         csr, y, inv_denom, nlam, a1, wb1 = _dual_state(p)
         a2, wb2 = a1.copy(), wb1.copy()
         perm = np.random.default_rng(6).permutation(p.n)
-        dual_epoch_sequential(
-            csr.indptr, csr.indices, csr.data, y, inv_denom, p.lam, nlam,
-            a1, wb1, perm,
-        )
+        _exact_epoch(csr, p.lam * y, inv_denom, nlam, a1, wb1, perm)
         lost = dual_epoch_chunked(
             csr.indptr, csr.indices, csr.data, y, inv_denom, p.lam, nlam,
             a2, wb2, perm, chunk_size=1,

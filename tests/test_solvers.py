@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.objectives import solve_exact
-from repro.solvers import ASCD, PASSCoDeWild, SequentialSCD
+from repro.solvers import ASCD, PASSCoDeWild, SequentialSCD, SySCD
+from repro.solvers.scd import SequentialKernelFactory
 
 
 class TestSequentialSCD:
@@ -84,6 +85,34 @@ class TestSequentialSCD:
         res = SequentialSCD("dual", seed=0).solve(ridge_small, 400)
         sol = solve_exact(ridge_small)
         assert np.allclose(res.primal_weights(ridge_small), sol.beta, atol=1e-5)
+
+    @pytest.mark.parametrize("formulation", ["primal", "dual"])
+    def test_bitwise_equals_syscd_one_thread(self, ridge_sparse, formulation, request):
+        """Algorithm 1 has one implementation: SCD(1 thread) is SySCD(1 thread)
+        bit for bit, on the compiled pass and on its numpy twin."""
+
+        def both():
+            seq = SequentialSCD(formulation, seed=5).solve(
+                ridge_sparse, 6, monitor_every=1
+            )
+            ref = SySCD(formulation, n_threads=1, seed=5).solve(
+                ridge_sparse, 6, monitor_every=1
+            )
+            for field in ("weights", "shared"):
+                assert np.array_equal(getattr(seq, field), getattr(ref, field))
+            for field in ("gaps", "objectives"):
+                assert np.array_equal(
+                    getattr(seq.history, field), getattr(ref.history, field)
+                )
+            return seq
+
+        with_host = both()
+        request.getfixturevalue("no_compiler")
+        assert SequentialKernelFactory().backend == "numpy"
+        fallback = both()
+        # the compiled pass (when the host has a compiler) gives its twin's bits
+        assert np.array_equal(with_host.weights, fallback.weights)
+        assert np.array_equal(with_host.history.gaps, fallback.history.gaps)
 
 
 class TestASCD:

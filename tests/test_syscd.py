@@ -33,6 +33,7 @@ from repro.solvers.kernels import _epoch_gather
 from repro.solvers.scd import SequentialSCD
 from repro.solvers.syscd import SySCD, SyscdCpuTiming, SyscdKernelFactory
 from repro.solvers.syscd_kernels import (
+    ExactPass,
     NativeBinding,
     auto_bucket_size,
     bucket_bounds,
@@ -176,14 +177,11 @@ class TestReferencePath:
         assert _sha(res.shared) == GOLDEN_SHARED_SHA
 
     def test_single_thread_matches_sequential_scd(self, tiny_problem):
-        # same permutation stream, same update rule; only the inner-product
-        # accumulation order differs (cumsum prefix vs BLAS dot), so the
-        # trajectories agree to float64 roundoff but not necessarily bitwise
+        # same permutation stream, same update rule, same exact pass
         ref = SequentialSCD(seed=3).solve(tiny_problem, 4)
         res = SySCD(n_threads=1, seed=3).solve(tiny_problem, 4)
-        np.testing.assert_allclose(
-            res.weights, ref.weights, rtol=1e-10, atol=1e-13
-        )
+        assert np.array_equal(res.weights, ref.weights)
+        assert np.array_equal(res.shared, ref.shared)
 
     def test_bucket_size_never_changes_single_thread_results(self, tiny_problem):
         # the exact path visits perm in order regardless of bucket edges
@@ -198,9 +196,8 @@ class TestReferencePath:
     def test_dual_single_thread_matches_sequential(self, tiny_problem):
         ref = SequentialSCD("dual", seed=1).solve(tiny_problem, 3)
         res = SySCD("dual", n_threads=1, seed=1).solve(tiny_problem, 3)
-        np.testing.assert_allclose(
-            res.weights, ref.weights, rtol=1e-10, atol=1e-13
-        )
+        assert np.array_equal(res.weights, ref.weights)
+        assert np.array_equal(res.shared, ref.shared)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +415,10 @@ class TestNativeBitIdentity:
             indptr, indices, data, target, inv_denom, 0.37, coef_np, shared_np, perm
         )
         coef_c, shared_c = coef0.copy(), shared0.copy()
-        binding = NativeBinding(
-            indptr, indices, data, target, inv_denom, 0.37,
-            [np.zeros(shared_len)], 8,
+        exact = ExactPass(
+            indptr, indices, data, target, inv_denom, 0.37, shared_len, "native"
         )
-        binding.bind_exact(coef_c, shared_c, perm)(0, n_coords)
+        exact.bind(coef_c, shared_c, perm)(0, n_coords)
         assert np.array_equal(_bits(coef_c), _bits(coef_np))
         assert np.array_equal(_bits(shared_c), _bits(shared_np))
 
@@ -497,11 +493,16 @@ class TestNativeFailurePaths:
         with pytest.raises(ValueError, match="indices outside"):
             NativeBinding(indptr, indices + 5, data, target, inv_denom, nlam,
                           replicas, 4)
+        with pytest.raises(ValueError, match="indices outside"):
+            ExactPass(indptr, indices + 5, data, target, inv_denom, nlam, 2,
+                      "native")
 
         binding = NativeBinding(indptr, indices, data, target, inv_denom, nlam,
                                 replicas, 4)
+        exact = ExactPass(indptr, indices, data, target, inv_denom, nlam, 2,
+                          "native")
         foreign_calls = []
-        monkeypatch.setattr(binding, "_exact", lambda *a: foreign_calls.append(a))
+        monkeypatch.setattr(exact, "_exact", lambda *a: foreign_calls.append(a))
         monkeypatch.setattr(binding, "_bucket", lambda *a: foreign_calls.append(a))
         perm = np.array([1, 0], dtype=np.int64)
         coef, shared = np.zeros(2), np.zeros(2)
@@ -518,13 +519,13 @@ class TestNativeFailurePaths:
         for message, override in bad.items():
             args = dict(coef=coef, shared=shared, perm=perm) | override
             with pytest.raises(ValueError, match=message):
-                binding.bind_exact(args["coef"], args["shared"], args["perm"])
+                exact.bind(args["coef"], args["shared"], args["perm"])
             if "shared" not in override:
                 with pytest.raises(ValueError, match=message):
                     binding.bind_buckets(args["coef"], args["perm"], edges, assigned)
         assert foreign_calls == []
         # the same arrays, correct, do reach the (stubbed) foreign call
-        binding.bind_exact(coef, shared, perm)(0, 2)
+        exact.bind(coef, shared, perm)(0, 2)
         binding.bind_buckets(coef, perm, edges, assigned)(0, 0, 1)
         assert len(foreign_calls) == 2
 
@@ -541,6 +542,8 @@ class TestNativeFailurePaths:
         assert factory.backend == backend
         with pytest.raises(ValueError, match="indptr must be non-decreasing"):
             factory._make_run_epoch(indptr, indices, data, target, inv_denom, nlam, 2, 4)
+        with pytest.raises(ValueError, match="indptr must be non-decreasing"):
+            ExactPass(indptr, indices, data, target, inv_denom, nlam, 2, backend)
         if backend == "native":
             with pytest.raises(ValueError, match="indptr must be non-decreasing"):
                 NativeBinding(indptr, indices, data, target, inv_denom, nlam, replicas, 4)
