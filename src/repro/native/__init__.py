@@ -9,7 +9,11 @@ another where a GPU overlaps them), ``sparse.c`` of the float64 products of
 (``matvec`` / ``rmatvec`` from ``repro.sparse.matrix.NATIVE_MIN_NNZ``
 nonzeros up) and of the ridge gap's row passes over CSR
 (:mod:`repro.objectives.ridge`: ``A beta`` row by row, and the primal gap's
-two products in one read of the data).  They are built
+two products in one read of the data), and of the stable sort every
+compressed matrix is built with (``sparse_counting_order``, a counting sort
+that gives ``np.argsort(kind="stable")``'s and ``np.lexsort``'s permutation,
+for :func:`repro.sparse.from_coo` and
+:func:`repro.sparse.ops.transpose_compressed`).  They are built
 together on first use with the host's C compiler (:data:`CC`,
 :data:`CFLAGS`) into a per-user cache directory and loaded through
 :mod:`ctypes`, which releases the GIL for the duration of every call.
@@ -25,8 +29,9 @@ instead of raising, so bindings pass every array through :func:`address`
 (dtype, C order, length, writeability).  The engines also pass every
 compressed matrix through :func:`check_structure` before choosing between a
 kernel and its numpy twin, so a malformed matrix fails the same way on
-both; the sparse products instead check the structure inside the C loop,
-on every call, and return a status the binding raises as ``ValueError``.
+both; the sparse products and the sort instead check the structure (the
+sort: every key's bound) inside the C loop, on every call, and return a
+status the binding raises as ``ValueError``.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ _SIGNATURES = {
     "sparse_gather": (_I64, [_P] * 3 + [_I64] * 3 + [_P] * 2),
     "sparse_row_sums": (_I64, [_P] * 3 + [_I64] * 3 + [_P] * 2),
     "sparse_gap_pass": (_I64, [_P] * 3 + [_I64] * 3 + [_P] * 2 + [_F64] + [_P] * 3),
+    "sparse_counting_order": (_I64, [_P, _I64, _P, _I64, _I64, _P, _P, _P]),
 }
 
 _LOCK = threading.Lock()

@@ -26,6 +26,13 @@
  *     flat order: the bits of CSC matvec, of numpy's (y - w) / n and of
  *     CSR rmatvec.
  *
+ * And the sort every compressed matrix is built with
+ * (repro.sparse.ops._stable_order): sparse_counting_order, the stable
+ * counting-sort order of nnz int64 keys in [0, n_keys), exactly
+ * np.argsort(keys, kind="stable"), in O(nnz + n_keys).  Given a second,
+ * minor key it sorts by the minor key first and then, stably, by the
+ * major one (an LSD radix sort), which is np.lexsort((minor, major)).
+ *
  * The row passes return SPARSE_ROW_ORDER, which is not a defect, when a
  * row's column indices decrease (after checking every row for the defects
  * below); the caller then runs the two products instead.  Every
@@ -45,20 +52,22 @@
  * nnz, and every index < n_minor as an unsigned compare (so a negative
  * index is out of range too).  A defect returns one of the SPARSE_* codes
  * below before the offending element is read; `out` is a fresh array the
- * binding owns and discards on any non-zero status.
+ * binding owns and discards on any non-zero status.  The sort checks every
+ * key against its n_keys the same way, before it writes any position.
  */
 
 #include <stddef.h>
 #include <stdint.h>
 
-/* status codes, mirrored by repro.sparse.matrix._NATIVE_DEFECTS */
+/* status codes, mirrored by repro.sparse.ops._NATIVE_DEFECTS */
 enum {
     SPARSE_OK,
     SPARSE_INDPTR_START,  /* indptr[0] != 0 */
     SPARSE_INDPTR_ORDER,  /* indptr[j + 1] < indptr[j] */
     SPARSE_INDPTR_BOUND,  /* indptr[j + 1] > nnz */
     SPARSE_INDPTR_END,    /* indptr[n_major] < nnz */
-    SPARSE_INDEX_BOUND,   /* indices[p] outside [0, n_minor) */
+    SPARSE_INDEX_BOUND,   /* indices[p] outside [0, n_minor), or a sort
+                           * key outside [0, n_keys) */
     SPARSE_ROW_ORDER      /* row passes only, not a defect: a row's column
                            * indices decrease (repro.objectives.ridge) */
 };
@@ -269,4 +278,47 @@ int64_t sparse_gap_pass(
     return row_pass(
         indptr, indices, data, n_major, n_minor, nnz, beta, y, n, w, alpha,
         wbar, &nan_seen, 1);
+}
+
+/* One stable counting pass: the entries within[0], within[1], ... (0, 1,
+ * ... when within is NULL) go to order grouped by key, in key order, and in
+ * their order in `within` inside a group.  start holds n_keys + 1 counts.
+ * Every key is checked in the counting loop, before order is written. */
+static int64_t counting_pass(
+    const int64_t *keys, int64_t n_keys, const int64_t *within, int64_t nnz,
+    int64_t *start, int64_t *order)
+{
+    for (int64_t k = 0; k <= n_keys; ++k)
+        start[k] = 0;
+    for (int64_t p = 0; p < nnz; ++p) {
+        const uint64_t key = (uint64_t)keys[p];
+        if (key >= (uint64_t)n_keys)
+            return SPARSE_INDEX_BOUND;
+        ++start[key + 1];
+    }
+    /* start[k] = the first slot of key k; start[n_keys] is not read */
+    for (int64_t k = 1; k < n_keys; ++k)
+        start[k] += start[k - 1];
+    for (int64_t r = 0; r < nnz; ++r) {
+        const int64_t p = within ? within[r] : r;
+        order[start[keys[p]]++] = p;
+    }
+    return SPARSE_OK;
+}
+
+/* order = np.argsort(keys, kind="stable") for keys in [0, n_keys); with a
+ * minor key (non-NULL), np.lexsort((minor, keys)): a pass by minor into
+ * scratch, then a stable pass by keys over scratch into order.  start holds
+ * max(n_keys, n_minor) + 1 counts; scratch (nnz) is unused without minor. */
+int64_t sparse_counting_order(
+    const int64_t *keys, int64_t n_keys, const int64_t *minor,
+    int64_t n_minor, int64_t nnz, int64_t *start, int64_t *scratch,
+    int64_t *order)
+{
+    if (!minor)
+        return counting_pass(keys, n_keys, NULL, nnz, start, order);
+    const int64_t status = counting_pass(minor, n_minor, NULL, nnz, start, scratch);
+    if (status != SPARSE_OK)
+        return status;
+    return counting_pass(keys, n_keys, scratch, nnz, start, order);
 }

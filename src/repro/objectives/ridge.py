@@ -61,14 +61,15 @@ def gap_and_objective(
     paper evaluates the model itself.  A primal call reads the data once
     (``w``, the dual candidate and its ``A^T alpha`` in one row pass) and
     forms ``P`` once; a dual call costs two products (``A^T alpha``, then
-    ``A beta`` for the conjugate).
+    ``A beta`` for the conjugate) and forms ``D`` once.
     """
     if formulation == "primal":
         w, alpha, wbar = problem.primal_gap_vectors(weights)
         primal = problem.primal_objective(weights, w)
         return abs(primal - problem.dual_objective(alpha, wbar)), primal
     wbar = problem.dual_shared_vector(weights)
-    return problem.dual_gap(weights, wbar), problem.dual_objective(weights, wbar)
+    dual = problem.dual_objective(weights, wbar)
+    return abs(problem.primal_objective(wbar / problem.lam) - dual), dual
 
 
 @dataclass(frozen=True)

@@ -144,17 +144,35 @@ class RequestSource:
         self._next_id = 0
 
     def requests(self, arrival_times: Sequence[float]) -> list[PredictRequest]:
-        """One request per arrival instant, rows sampled with replacement."""
+        """One request per arrival instant, rows sampled with replacement.
+
+        Each request draws its row ids from the seeded stream in turn; the
+        rows of all requests are gathered in one ``take_rows`` and each
+        request's matrix is a view of its slice, ``indptr`` rebased to 0.
+        """
+        n, k = self.matrix.shape[0], self.rows_per_request
+        arrivals = [float(t) for t in arrival_times]
+        row_ids = [self._rng.integers(0, n, size=k) for _ in arrivals]
+        if not row_ids:
+            return []
+        rows = self.matrix.take_rows(np.concatenate(row_ids))
+        # request r owns rows r*k .. r*k + k - 1 of the gather
+        windows = np.lib.stride_tricks.sliding_window_view(rows.indptr, k + 1)[::k]
+        indptr = windows - windows[:, :1]
+        bounds = rows.indptr[::k].tolist()
+        shape = (k, self.matrix.shape[1])
         out: list[PredictRequest] = []
-        n = self.matrix.shape[0]
-        for t in arrival_times:
-            row_ids = self._rng.integers(0, n, size=self.rows_per_request)
+        for r, (t, ids) in enumerate(zip(arrivals, row_ids)):
+            lo, hi = bounds[r], bounds[r + 1]
             out.append(
                 PredictRequest(
                     request_id=self._next_id,
-                    rows=self.matrix.take_rows(row_ids),
-                    arrival_s=float(t),
-                    row_ids=row_ids,
+                    rows=CsrMatrix(
+                        shape, indptr[r], rows.indices[lo:hi], rows.data[lo:hi],
+                        check=False,
+                    ),
+                    arrival_s=t,
+                    row_ids=ids,
                 )
             )
             self._next_id += 1

@@ -12,6 +12,10 @@ The two products run in numpy, which is also their reference.  A float64
 product over at least :data:`NATIVE_MIN_NNZ` nonzeros runs the bit-identical
 compiled twin instead (``repro/native/sparse.c``), built and loaded on the
 first such product, never at import; without a C compiler it stays on numpy.
+Both layouts are built by one stable counting sort (:func:`from_coo` from
+COO triplets, ``to_csc`` / ``to_csr`` by :func:`~repro.sparse.ops.transpose_compressed`),
+which takes the same compiled path from the same size up and gives the
+permutation ``np.lexsort`` / ``np.argsort(kind="stable")`` give.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ops import (
+    _NATIVE_DEFECTS,
+    _stable_order,
     check_compressed,
     expand_by_segments,
     grouped_segment_sums,
@@ -40,18 +46,10 @@ __all__ = [
 
 _INDEX_DTYPE = np.int64
 
-#: nnz from which a float64 product calls the compiled kernel: below it the
-#: foreign call's fixed cost loses to numpy (measured, docs/performance.md)
+#: nnz from which a float64 product, and the sort that builds a matrix
+#: (``ops._stable_order``), call the compiled kernel: below it the foreign
+#: call's fixed cost loses to numpy (measured, docs/performance.md)
 NATIVE_MIN_NNZ = 4096
-
-#: what each non-zero ``repro/native/sparse.c`` status says is wrong
-_NATIVE_DEFECTS = {
-    1: "indptr must start at 0",
-    2: "indptr must be non-decreasing",
-    3: "indptr points past the last stored entry",
-    4: "indptr[-1] is less than nnz",
-    5: "an index lies outside the minor axis",
-}
 
 
 class _CompressedBase:
@@ -428,7 +426,14 @@ def from_coo(
     fmt: str = "csc",
     dtype=np.float64,
 ) -> CscMatrix | CsrMatrix:
-    """Build a compressed matrix from COO triplets (duplicates are summed)."""
+    """Build a compressed matrix from COO triplets (duplicates are summed).
+
+    The triplets are ordered by ``(major, minor)`` as ``np.lexsort`` orders
+    them (``ops._stable_order``): with the compiled kernel by two stable
+    counting passes, minor then major, in O(nnz + n_rows + n_cols), else by
+    ``np.lexsort`` itself.  Duplicates are then summed onto ``0.0`` in their
+    input order.
+    """
     rows = np.asarray(rows, dtype=_INDEX_DTYPE)
     cols = np.asarray(cols, dtype=_INDEX_DTYPE)
     vals = np.asarray(vals, dtype=dtype)
@@ -442,13 +447,13 @@ def from_coo(
 
     # sort lexicographically by (major, minor) and merge duplicates
     if fmt == "csc":
-        major, minor, n_major = cols, rows, n_cols
+        major, minor, n_major, n_minor = cols, rows, n_cols, n_rows
     elif fmt == "csr":
-        major, minor, n_major = rows, cols, n_rows
+        major, minor, n_major, n_minor = rows, cols, n_rows, n_cols
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
-    order = np.lexsort((minor, major))
+    order = _stable_order(major, n_major, minor, n_minor)
     major, minor, vals = major[order], minor[order], vals[order]
     if vals.size:
         new_group = np.empty(vals.size, dtype=bool)

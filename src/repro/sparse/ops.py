@@ -9,6 +9,14 @@ gather product (``repro/native/sparse.c``) replays bit for bit: one float64
 running prefix over all entries, each segment's sum a difference of two of
 its values.  :func:`grouped_segment_sums` runs the same arithmetic over many
 independent groups at once, the prefix restarting at each group.
+
+Every compressed matrix is built with one sort, the stable counting sort of
+``_stable_order``: :func:`transpose_compressed` orders its entries by their
+minor index, and ``repro.sparse.matrix.from_coo`` by ``(major, minor)``.
+From ``repro.sparse.matrix.NATIVE_MIN_NNZ`` keys up it runs in C
+(``sparse.c::sparse_counting_order``, built on first use), below that and
+without a C compiler as ``np.argsort(kind="stable")`` / ``np.lexsort``; both
+give the same permutation.
 """
 
 from __future__ import annotations
@@ -23,6 +31,90 @@ __all__ = [
     "check_compressed",
     "segment_lengths",
 ]
+
+#: what each non-zero ``repro/native/sparse.c`` status says is wrong
+_NATIVE_DEFECTS = {
+    1: "indptr must start at 0",
+    2: "indptr must be non-decreasing",
+    3: "indptr points past the last stored entry",
+    4: "indptr[-1] is less than nnz",
+    5: "an index lies outside the minor axis",
+}
+_INDEX_BOUND = 5
+
+
+def _stable_order(
+    keys: np.ndarray,
+    n_keys: int,
+    minor: np.ndarray | None = None,
+    n_minor: int = 0,
+) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``[0, n_keys)``; with
+    ``minor`` (in ``[0, n_minor)``), ``np.lexsort((minor, keys))``.
+
+    A counting sort in O(nnz + n_keys) per key: from
+    ``repro.sparse.matrix.NATIVE_MIN_NNZ`` keys up :func:`_native_order`
+    runs it; below that, and when the library does not load, numpy's own
+    stable sorts run (``np.lexsort`` for two keys: faster than two
+    ``argsort`` passes).  The permutations are the same.  A key outside its
+    range is a ``ValueError`` on both paths.
+    """
+    from . import matrix
+
+    nnz = keys.shape[0]
+    if nnz >= matrix.NATIVE_MIN_NNZ:
+        order = _native_order(keys, n_keys, minor, n_minor)
+        if order is not None:
+            return order
+    for k, n in ((minor, n_minor), (keys, n_keys)):
+        if k is not None and nnz and (k.min() < 0 or k.max() >= n):
+            raise ValueError(_NATIVE_DEFECTS[_INDEX_BOUND])
+    if minor is None:
+        return np.argsort(keys, kind="stable")
+    return np.lexsort((minor, keys))
+
+
+def _native_order(keys, n_keys, minor, n_minor) -> np.ndarray | None:
+    """:func:`_stable_order` in one ``sparse.c::sparse_counting_order``
+    call, or ``None`` when the library does not load.  Both passes share one
+    scratch permutation, released before the caller gathers by the order.
+    """
+    from .. import native
+
+    try:
+        lib = native.load_native()
+    except native.NativeUnavailableError:
+        return None
+    nnz = keys.shape[0]
+    keys = np.ascontiguousarray(keys, np.int64)
+    start = np.empty(max(n_keys, n_minor) + 1, np.int64)
+    order = np.empty(nnz, np.int64)
+    minor_at = scratch_at = None
+    if minor is not None:
+        minor = np.ascontiguousarray(minor, np.int64)
+        scratch = np.empty(nnz, np.int64)
+        minor_at = native.address(minor, np.int64, "minor", nnz)
+        scratch_at = native.address(scratch, np.int64, "scratch", writeable=True)
+    status = lib.sparse_counting_order(
+        native.address(keys, np.int64, "keys"), n_keys, minor_at, n_minor, nnz,
+        native.address(start, np.int64, "start", writeable=True),
+        scratch_at,
+        native.address(order, np.int64, "order", writeable=True),
+    )
+    if status:
+        raise ValueError(_NATIVE_DEFECTS[status])
+    return order
+
+
+def _indptr_status(indptr: np.ndarray, nnz: int) -> int:
+    """The ``sparse.c`` status of ``indptr`` over ``nnz`` entries (0: sound)."""
+    if indptr.shape[0] == 0 or indptr[0] != 0:
+        return 1
+    if np.any(indptr[1:] < indptr[:-1]):
+        return 2
+    if indptr[-1] > nnz:
+        return 3
+    return 4 if indptr[-1] < nnz else 0
 
 
 def segment_lengths(indptr: np.ndarray) -> np.ndarray:
@@ -125,33 +217,32 @@ def transpose_compressed(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transpose a compressed representation via a counting sort.
 
-    Converts CSR -> CSC or CSC -> CSR in O(nnz).  ``n_minor`` is the extent of
-    the minor axis (the axis ``indices`` refers to), which becomes the major
-    axis of the output.  Output segments are sorted by the original major
-    index, so the result has sorted indices whenever the input segments are
-    traversed in order — the standard property of this algorithm.
+    Converts CSR -> CSC or CSC -> CSR in O(nnz + n_minor): one stable
+    counting sort of the entries by their minor index (``_stable_order``).
+    ``n_minor`` is the extent of the minor axis (the axis ``indices`` refers
+    to), which becomes the major axis of the output.  Output segments are
+    sorted by the original major index, so the result has sorted indices
+    whenever the input segments are traversed in order — the standard
+    property of this algorithm.  A malformed ``indptr`` or an index outside
+    ``[0, n_minor)`` is a ``ValueError`` naming the defect, raised before
+    any output is formed.
     """
     nnz = indices.shape[0]
-    n_major = indptr.shape[0] - 1
-    counts = np.bincount(indices, minlength=n_minor)
+    status = _indptr_status(indptr, nnz)
+    if status:
+        raise ValueError(_NATIVE_DEFECTS[status])
     out_indptr = np.empty(n_minor + 1, dtype=indptr.dtype)
-    out_indptr[0] = 0
-    np.cumsum(counts, out=out_indptr[1:])
-
     out_indices = np.empty(nnz, dtype=indices.dtype)
     out_data = np.empty(nnz, dtype=data.dtype)
-
-    # Position of each entry inside its destination segment: a stable
-    # rank-within-group computed without a Python loop.  Entries appear in
-    # major order, so rank = running count of prior occurrences of the same
-    # minor index.  argsort(kind="stable") over the minor index gives the
-    # destination permutation directly.
-    order = np.argsort(indices, kind="stable")
+    # stable, so each destination segment keeps the source's major order
+    order = _stable_order(indices, n_minor)
+    out_indptr[0] = 0
+    np.cumsum(np.bincount(indices, minlength=n_minor), out=out_indptr[1:])
     major_of_entry = np.repeat(
-        np.arange(n_major, dtype=indices.dtype), np.diff(indptr)
+        np.arange(indptr.shape[0] - 1, dtype=indices.dtype), np.diff(indptr)
     )
-    out_indices[:] = major_of_entry[order]
-    out_data[:] = data[order]
+    np.take(major_of_entry, order, out=out_indices)
+    np.take(data, order, out=out_data)
     return out_indptr, out_indices, out_data
 
 

@@ -165,3 +165,50 @@ class TestCoordinateDeltas:
                 p.lam,
             )
             assert abs(delta) < 1e-9
+
+
+class TestDualGapAndObjective:
+    """The dual ``gap_and_objective`` forms ``D(alpha)`` once, with the
+    bits of ``dual_gap`` and ``dual_objective`` called apart."""
+
+    def test_bits_of_the_two_call_formula(self, ridge_sparse):
+        from repro.objectives.ridge import gap_and_objective
+
+        rng = np.random.default_rng(8)
+        for scale in (1e-3, 1.0, 1e3):
+            alpha = rng.standard_normal(ridge_sparse.n) * scale
+            wbar = ridge_sparse.dual_shared_vector(alpha)
+            want = (
+                ridge_sparse.dual_gap(alpha, wbar),
+                ridge_sparse.dual_objective(alpha, wbar),
+            )
+            got = gap_and_objective(ridge_sparse, alpha, "dual")
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_one_dual_objective_per_dual_monitor(self, ridge_sparse, monkeypatch):
+        from repro.api import train
+        from repro.objectives import ridge
+        from repro.objectives.ridge import gap_and_objective
+
+        calls = {"dual_objective": 0, "monitor": 0}
+        dual_objective, monitor = RidgeProblem.dual_objective, ridge.gap_and_objective
+
+        def count_dual(*args, **kwargs):
+            calls["dual_objective"] += 1
+            return dual_objective(*args, **kwargs)
+
+        monkeypatch.setattr(RidgeProblem, "dual_objective", count_dual)
+        gap_and_objective(ridge_sparse, np.ones(ridge_sparse.n), "dual")
+        assert calls["dual_objective"] == 1
+        calls["dual_objective"] = 0
+
+        def count_monitor(*args):
+            calls["monitor"] += 1
+            return monitor(*args)
+
+        from repro.solvers import base
+
+        monkeypatch.setattr(base, "gap_and_objective", count_monitor)
+        train(ridge_sparse, "seq", formulation="dual", n_epochs=4, seed=1)
+        assert calls["monitor"] >= 4
+        assert calls["dual_objective"] == calls["monitor"]

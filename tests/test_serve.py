@@ -433,6 +433,47 @@ class TestTrafficEdgeCases:
         assert out.size == 0
 
 
+class TestRequestSourceGather:
+    """Requests gathered in one ``take_rows`` equal one gather per request."""
+
+    @staticmethod
+    def _per_request(matrix, times, seed, k):
+        from repro.serve import traffic
+
+        rng = np.random.default_rng([seed, traffic._ROWS_KEY])
+        out = []
+        for i, t in enumerate(times):
+            row_ids = rng.integers(0, matrix.shape[0], size=k)
+            out.append(PredictRequest(i, matrix.take_rows(row_ids), float(t), row_ids))
+        return out
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bytes_equal_the_per_request_gather(self, k):
+        matrix = _matrix(n=60, m=30, seed=4)
+        times = poisson_arrivals(4000.0, 0.05, seed=4)
+        got = RequestSource(matrix, seed=9, rows_per_request=k).requests(times)
+        want = self._per_request(matrix, times, 9, k)
+        assert len(got) == len(want) > 100
+        for g, w in zip(got, want):
+            assert (g.request_id, g.arrival_s) == (w.request_id, w.arrival_s)
+            assert g.rows.shape == w.rows.shape == (k, 30)
+            for a, b in (
+                (g.row_ids, w.row_ids),
+                (g.rows.indptr, w.rows.indptr),
+                (g.rows.indices, w.rows.indices),
+                (g.rows.data, w.rows.data),
+            ):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_ids_continue_across_calls_and_no_arrivals_is_empty(self):
+        source = RequestSource(_matrix(), seed=2, rows_per_request=3)
+        assert source.requests([]) == []
+        assert source.requests(np.empty(0)) == []
+        first = source.requests([0.1, 0.2])
+        assert [r.request_id for r in first] == [0, 1]
+        assert [r.request_id for r in source.requests([0.3])] == [2]
+
+
 # ---------------------------------------------------------------------------
 # train_to_serve: each published version is genuinely different weights
 # ---------------------------------------------------------------------------
